@@ -45,6 +45,7 @@ from spdcl.trainer import (
     Gradients,
     ModelParams,
     TrainHyper,
+    TrainingDiverged,
     TrainStats,
     Vocabulary,
     embed_sample,

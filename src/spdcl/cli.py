@@ -2,8 +2,21 @@
 
 Each subcommand is an independent process over the file formats in
 :mod:`spdcl.io`.  Errors exit nonzero with a single machine-parsable line on
-stderr, ``error:<category>: <message>``.  Set SPDCL_LOG=debug|info|warning
-to control verbosity.
+stderr, ``error:<category>: <message>``.  The categories:
+
+- ``bad-arguments``: a flag value out of range (``score --epoch``);
+- ``malformed-dump``, ``malformed-scores``, ``malformed-dataset``: an input
+  file that cannot be read or encoded;
+- ``epoch-mismatch``: a score file from the wrong epoch, or ``--prev-scores``
+  given or missing for the epoch;
+- ``sample-mismatch``: a dump and the previous scores cover different samples;
+- ``invalid-config``: a run config or schedule setting is rejected;
+- ``diverged``: training hit a non-finite loss or parameter; the message
+  names the epoch and batch;
+- ``missing-artifact``: ``report`` found an incomplete run directory;
+- ``invalid-input``: any other invalid value.
+
+Set SPDCL_LOG=debug|info|warning to control verbosity.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from spdcl import io as spdcl_io
 from spdcl.difficulty import DifficultyHistory, delta_scores, dump_norms, initial_scores
 from spdcl.io import FormatError
 from spdcl.scheduler import CurriculumConfig, build_epoch_plan
-from spdcl.trainer import TrainHyper, encode_datasets, run_baseline, run_spdcl
+from spdcl.trainer import TrainHyper, TrainingDiverged, encode_datasets, run_baseline, run_spdcl
 
 log = logging.getLogger("spdcl")
 
@@ -144,7 +157,10 @@ def cmd_train(args) -> None:
         seed=config.seed,
     )
     runner = run_baseline if args.baseline else run_spdcl
-    result = runner(train_enc, valid_enc, config.curriculum(), hyper, out_dir=out_dir)
+    try:
+        result = runner(train_enc, valid_enc, config.curriculum(), hyper, out_dir=out_dir)
+    except TrainingDiverged as exc:
+        raise _fail("diverged", str(exc))
     _save_final_params(out_dir, result.params, train_enc)
     for stats in result.stats:
         log.info(

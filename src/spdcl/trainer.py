@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -109,20 +110,16 @@ class ModelParams:
     def n_labels(self) -> int:
         return self.head_bias.shape[0]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            embedding_table=self.embedding_table.copy(),
-            head_weights=self.head_weights.copy(),
-            head_bias=self.head_bias.copy(),
-            task_kind=self.task_kind,
-        )
-
 
 @dataclass(frozen=True)
 class Gradients:
     embedding_table: np.ndarray
     head_weights: np.ndarray
     head_bias: np.ndarray
+
+
+class TrainingDiverged(ValueError):
+    """SGD produced a non-finite loss or parameter; the message names the epoch and batch."""
 
 
 @dataclass(frozen=True)
@@ -158,57 +155,94 @@ def embed_sample(params: ModelParams, ids: Sequence[int], sample_id: str = "") -
     return EmbeddingMatrix(sample_id=sample_id, values=params.embedding_table[idx])
 
 
-def forward(params: ModelParams, ids: Sequence[int]) -> np.ndarray:
-    """Logits: mean-pooled token embeddings through the linear head."""
-    pooled = embed_sample(params, ids).values.mean(axis=0)
+def _pack(seqs: Sequence[Sequence[int]], vocab_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Token-id sequences as one flat id array, per-sample start offsets and lengths."""
+    lengths = np.fromiter((len(s) for s in seqs), dtype=np.int64, count=len(seqs))
+    if lengths.size and lengths.min() < 1:
+        raise ValueError("token-id sequence is empty")
+    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
+    if flat.size and (flat.min() < 0 or flat.max() >= vocab_size):
+        raise ValueError(f"token id out of range for vocabulary of size {vocab_size}")
+    starts = np.zeros_like(lengths)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return flat, starts, lengths
+
+
+def _pool(table: np.ndarray, flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mean-pooled token embeddings, one row per packed sample."""
+    return np.add.reduceat(table[flat], starts, axis=0) / lengths[:, None]
+
+
+def _logits(params: ModelParams, seqs: Sequence[Sequence[int]]) -> np.ndarray:
+    pooled = _pool(params.embedding_table, *_pack(seqs, params.embedding_table.shape[0]))
     return pooled @ params.head_weights + params.head_bias
 
 
-def _check_target(params: ModelParams, target):
+def forward(params: ModelParams, ids: Sequence[int]) -> np.ndarray:
+    """Logits: mean-pooled token embeddings through the linear head."""
+    return _logits(params, [ids])[0]
+
+
+def _target_array(params: ModelParams, targets: Sequence) -> np.ndarray:
+    """Targets as one array: class indices (multiclass) or 0/1 rows (multilabel)."""
     if params.task_kind == "multiclass":
-        t = int(target)
-        if not 0 <= t < params.n_labels:
-            raise ValueError(f"class index {t} out of range for {params.n_labels} labels")
-        return t
-    vec = np.asarray(target)
-    if vec.shape != (params.n_labels,) or not np.isin(vec, (0, 1)).all():
+        arr = np.asarray(targets, dtype=np.int64)
+        bad = arr[(arr < 0) | (arr >= params.n_labels)]
+        if bad.size:
+            raise ValueError(f"class index {bad[0]} out of range for {params.n_labels} labels")
+        return arr
+    arr = np.asarray(targets)
+    if arr.shape != (len(targets), params.n_labels) or not np.isin(arr, (0, 1)).all():
         raise ValueError(f"multilabel target must be a 0/1 vector of length {params.n_labels}")
-    return vec.astype(np.float64)
+    return arr.astype(np.float64)
+
+
+def _batch_loss_grad(table, weights, bias, multiclass, flat, starts, lengths, targets):
+    """Per-sample losses and batch-summed gradients, on plain arrays.
+
+    Multiclass: softmax cross-entropy on the class index.  Multilabel: mean
+    sigmoid binary cross-entropy over the label vector.  Returns
+    ``(losses, touched, d_rows, d_weights, d_bias)``, where ``d_rows[i]`` is
+    the gradient for ``table[touched[i]]``: the embedding gradient lives only
+    on the rows the batch touched, never on the whole table.
+    """
+    pooled = _pool(table, flat, starts, lengths)
+    logits = pooled @ weights + bias
+    if multiclass:
+        rows = np.arange(len(targets))
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        losses = log_z[:, 0] - shifted[rows, targets]
+        dlogits = np.exp(shifted - log_z)
+        dlogits[rows, targets] -= 1.0
+    else:
+        # per-label: y*softplus(-z) + (1-y)*softplus(z), averaged over labels
+        losses = np.mean(
+            targets * np.logaddexp(0.0, -logits) + (1.0 - targets) * np.logaddexp(0.0, logits), axis=1
+        )
+        dlogits = (1.0 / (1.0 + np.exp(-logits)) - targets) / logits.shape[1]
+    d_tokens = np.repeat((dlogits @ weights.T) / lengths[:, None], lengths, axis=0)
+    touched, slot = np.unique(flat, return_inverse=True)
+    d_rows = np.zeros((touched.size, table.shape[1]))
+    np.add.at(d_rows, slot, d_tokens)
+    return losses, touched, d_rows, pooled.T @ dlogits, dlogits.sum(axis=0)
 
 
 def loss_and_grad(params: ModelParams, ids: Sequence[int], target) -> tuple[float, Gradients]:
     """Loss and exact analytic gradients for one sample.
 
-    Multiclass: softmax cross-entropy on the class index.  Multilabel: mean
-    sigmoid binary cross-entropy over the label vector.
+    The batch kernel ``train_epoch`` runs, on a batch of one, with the
+    embedding gradient scattered into a dense table-shaped array.
     """
-    target = _check_target(params, target)
-    idx = np.asarray(ids, dtype=np.int64)
-    rows = params.embedding_table[idx]
-    pooled = rows.mean(axis=0)
-    logits = pooled @ params.head_weights + params.head_bias
-
-    if params.task_kind == "multiclass":
-        shifted = logits - logits.max()
-        log_z = np.log(np.exp(shifted).sum())
-        loss = float(log_z - shifted[target])
-        probs = np.exp(shifted - log_z)
-        dlogits = probs.copy()
-        dlogits[target] -= 1.0
-    else:
-        # per-label: y*softplus(-z) + (1-y)*softplus(z), averaged over labels
-        loss = float(
-            np.mean(target * np.logaddexp(0.0, -logits) + (1.0 - target) * np.logaddexp(0.0, logits))
-        )
-        sigm = 1.0 / (1.0 + np.exp(-logits))
-        dlogits = (sigm - target) / params.n_labels
-
-    dbias = dlogits
-    dweights = np.outer(pooled, dlogits)
-    dpooled = params.head_weights @ dlogits
+    losses, touched, d_rows, d_weights, d_bias = _batch_loss_grad(
+        params.embedding_table, params.head_weights, params.head_bias,
+        params.task_kind == "multiclass",
+        *_pack([ids], params.embedding_table.shape[0]),
+        _target_array(params, [target]),
+    )
     dembed = np.zeros_like(params.embedding_table)
-    np.add.at(dembed, idx, dpooled / len(idx))
-    return loss, Gradients(embedding_table=dembed, head_weights=dweights, head_bias=dbias)
+    dembed[touched] = d_rows
+    return float(losses[0]), Gradients(embedding_table=dembed, head_weights=d_weights, head_bias=d_bias)
 
 
 @dataclass(frozen=True)
@@ -298,33 +332,48 @@ def train_epoch(
     """One pass over the plan's ordered ids with mini-batch SGD.
 
     Deterministic given (params, plan, lr, batch_size); the input params are
-    left untouched and a fresh ModelParams is returned.
+    left untouched and a fresh ModelParams is returned.  Each batch updates
+    only the embedding rows its tokens touch, so its cost follows the
+    batch's tokens, not the vocabulary size.  Raises TrainingDiverged if a
+    loss or an updated parameter turns non-finite.
     """
     missing = [sid for sid in plan.ordered_ids if sid not in data.token_ids]
     if missing:
         raise ValueError(f"plan references samples missing from dataset: {missing[:5]}")
-    out = params.copy()
+    ids = plan.ordered_ids
+    n = len(ids)
+    vocab_size = params.embedding_table.shape[0]
+    multiclass = params.task_kind == "multiclass"
+    table = params.embedding_table.copy()
+    weights = params.head_weights.copy()
+    bias = params.head_bias.copy()
     started = time.perf_counter()
     total_loss = 0.0
-    n = len(plan.ordered_ids)
-    for start in range(0, n, batch_size):
-        chunk = plan.ordered_ids[start : start + batch_size]
-        acc_emb = np.zeros_like(out.embedding_table)
-        acc_w = np.zeros_like(out.head_weights)
-        acc_b = np.zeros_like(out.head_bias)
-        for sid in chunk:
-            loss, grads = loss_and_grad(out, data.token_ids[sid], data.targets[sid])
-            total_loss += loss
-            acc_emb += grads.embedding_table
-            acc_w += grads.head_weights
-            acc_b += grads.head_bias
-        scale = lr / len(chunk)
-        out = ModelParams(
-            embedding_table=out.embedding_table - scale * acc_emb,
-            head_weights=out.head_weights - scale * acc_w,
-            head_bias=out.head_bias - scale * acc_b,
-            task_kind=out.task_kind,
-        )
+    # Overflow is caught by the finiteness check below, not reported as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch, first in enumerate(range(0, n, batch_size), start=1):
+            chunk = ids[first : first + batch_size]
+            losses, touched, d_rows, d_weights, d_bias = _batch_loss_grad(
+                table, weights, bias, multiclass,
+                *_pack([data.token_ids[sid] for sid in chunk], vocab_size),
+                _target_array(params, [data.targets[sid] for sid in chunk]),
+            )
+            scale = lr / len(chunk)
+            table[touched] -= scale * d_rows
+            weights -= scale * d_weights
+            bias -= scale * d_bias
+            if not (
+                np.isfinite(losses).all()
+                and np.isfinite(table[touched]).all()
+                and np.isfinite(weights).all()
+                and np.isfinite(bias).all()
+            ):
+                raise TrainingDiverged(
+                    f"non-finite loss or parameters at epoch {plan.epoch}, batch {batch} (lr={lr})"
+                )
+            for loss in losses.tolist():
+                total_loss += loss
+    out = ModelParams(table, weights, bias, params.task_kind)
     stats = TrainStats(
         epoch=plan.epoch,
         mean_loss=total_loss / n if n else 0.0,
@@ -336,7 +385,7 @@ def train_epoch(
 
 def predict(params: ModelParams, data: EncodedDataset, threshold: float = 0.5) -> np.ndarray:
     """Predicted class indices (multiclass) or a 0/1 matrix (multilabel)."""
-    logits = np.stack([forward(params, data.token_ids[sid]) for sid in data.sample_ids])
+    logits = _logits(params, [data.token_ids[sid] for sid in data.sample_ids])
     if params.task_kind == "multiclass":
         return logits.argmax(axis=1)
     return (1.0 / (1.0 + np.exp(-logits)) >= threshold).astype(np.int64)

@@ -251,6 +251,23 @@ def test_train_invalid_config_fails_before_training(run_dirs, capsys):
     assert not list(out_dir.glob("epoch*")) if out_dir.exists() else True
 
 
+def test_train_divergence_names_epoch(run_dirs, capsys):
+    tmp_path, train_path, valid_path, _ = run_dirs
+    config_path = tmp_path / "diverge.json"
+    write_run_config(
+        config_path,
+        RunConfig(bins_k=1, epochs_T=2, seed=2, lr=1e300, batch=8, hidden_d=4, max_len=32),
+    )
+    code = run_cli(
+        "train", "--dataset", str(train_path), "--valid", str(valid_path),
+        "--config", str(config_path), "--out-dir", str(tmp_path / "diverged"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:diverged:")
+    assert "epoch 1," in err
+
+
 # --------------------------------------------- CLI pipeline == in-process run
 
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from spdcl.io import TextSample
 from spdcl.nucnorm import nuclear_norm
 from spdcl.scheduler import CurriculumConfig, EpochPlan
 from spdcl.trainer import (
+    EncodedDataset,
     ModelParams,
+    TrainingDiverged,
     TrainHyper,
     Vocabulary,
     build_vocabulary,
@@ -23,6 +27,8 @@ from spdcl.trainer import (
     train_epoch,
 )
 from spdcl.synth import make_separable_dataset, make_zipfian_dataset
+
+from reference_sgd import dense_train_epoch, per_sample_predict
 
 
 def tiny_params(vocab_size=6, hidden=3, n_labels=2, task_kind="multiclass", seed=0):
@@ -282,6 +288,89 @@ def test_two_runs_bit_identical():
     assert [s.mean_loss for s in a.stats] == [s.mean_loss for s in b.stats]
     assert np.array_equal(a.params.embedding_table, b.params.embedding_table)
     assert [p.ordered_ids for p in a.plans] == [p.ordered_ids for p in b.plans]
+
+
+def random_encoded(task_kind, n=23, vocab_size=10, n_labels=3, seed=0):
+    # A small vocabulary, so tokens repeat within samples and across the
+    # samples of every batch.
+    rng = np.random.default_rng(seed)
+    sample_ids = [f"s{i:02d}" for i in range(n)]
+    token_ids = {
+        sid: [int(t) for t in rng.integers(0, vocab_size, size=int(rng.integers(1, 9)))]
+        for sid in sample_ids
+    }
+    if task_kind == "multiclass":
+        targets = {sid: int(rng.integers(0, n_labels)) for sid in sample_ids}
+    else:
+        targets = {sid: rng.integers(0, 2, size=n_labels) for sid in sample_ids}
+    vocab = Vocabulary(index_of={f"w{i}": i for i in range(2, vocab_size)}, max_len=16)
+    return EncodedDataset(
+        sample_ids, token_ids, targets, vocab, [f"l{i}" for i in range(n_labels)], task_kind
+    )
+
+
+@pytest.mark.parametrize("task_kind", ["multiclass", "multilabel"])
+@pytest.mark.parametrize("batch_size", [1, 5, 7, 23])
+def test_train_epoch_matches_dense_reference(task_kind, batch_size):
+    data = random_encoded(task_kind)
+    assert any(len(set(ids)) < len(ids) for ids in data.token_ids.values())
+    params = ref = init_params(data.vocab.size, 4, len(data.label_names), task_kind, seed=3)
+    rng = np.random.default_rng(batch_size)
+    for epoch in range(1, 4):
+        order = [data.sample_ids[i] for i in rng.permutation(len(data.sample_ids))]
+        # some batch has two samples sharing a token
+        pairs = [order[i : i + 2] for i in range(0, len(order) - 1, batch_size)]
+        assert batch_size == 1 or any(set(data.token_ids[a]) & set(data.token_ids[b]) for a, b in pairs)
+        plan = plan_over(order, epoch)
+        params, stats = train_epoch(params, plan, data, lr=0.7, batch_size=batch_size)
+        ref, ref_loss = dense_train_epoch(ref, plan, data, lr=0.7, batch_size=batch_size)
+        assert abs(stats.mean_loss - ref_loss) <= 1e-12
+        for name in ("embedding_table", "head_weights", "head_bias"):
+            gap = np.max(np.abs(getattr(params, name) - getattr(ref, name)))
+            assert gap <= 1e-12, (epoch, name, gap)
+
+
+def test_train_epoch_leaves_input_params_unchanged():
+    data = random_encoded("multiclass")
+    params = init_params(data.vocab.size, 4, len(data.label_names), "multiclass", seed=3)
+    before = [a.copy() for a in (params.embedding_table, params.head_weights, params.head_bias)]
+    updated, _ = train_epoch(params, plan_over(data.sample_ids), data, lr=0.5, batch_size=4)
+    after = (params.embedding_table, params.head_weights, params.head_bias)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert not np.array_equal(updated.embedding_table, params.embedding_table)
+
+
+@pytest.mark.parametrize("task_kind", ["multiclass", "multilabel"])
+def test_batched_predict_matches_per_sample(task_kind):
+    data = random_encoded(task_kind, n=40, seed=5)
+    params = init_params(data.vocab.size, 4, len(data.label_names), task_kind, seed=5)
+    for epoch in range(1, 4):
+        params, _ = train_epoch(params, plan_over(data.sample_ids, epoch), data, lr=0.5, batch_size=6)
+        assert np.array_equal(predict(params, data), per_sample_predict(params, data))
+
+
+def test_divergence_raises_named_error_without_warnings():
+    train, _ = make_encoded()
+    params = init_params(train.vocab.size, 4, len(train.label_names), "multiclass", 1)
+    assert issubclass(TrainingDiverged, ValueError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged, match=r"epoch 1, batch [2-9]"):
+            train_epoch(params, plan_over(train.sample_ids), train, lr=1e300, batch_size=5)
+
+
+def test_epoch_memory_follows_tokens_not_vocabulary():
+    # One epoch copies the table once; no buffer may scale with V beyond that.
+    train, _ = make_encoded(n_train=200)
+    params = init_params(200_000, 16, len(train.label_names), "multiclass", 1)
+    plan = plan_over(train.sample_ids)
+    tracemalloc.start()
+    try:
+        train_epoch(params, plan, train, lr=0.1, batch_size=25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * params.embedding_table.nbytes
 
 
 # ---------------------------------------------------------------- run loops
