@@ -7,11 +7,8 @@ loop end to end, and imbalanced-classification metrics.
 """
 
 from spdcl.nucnorm import (
-    EmbeddingMatrix,
-    SingularSpectrum,
-    jacobi_singular_values,
+    EmbeddingDump,
     nuclear_norm,
-    nuclear_norm_oracle,
     singular_values,
 )
 from spdcl.difficulty import (

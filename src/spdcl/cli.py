@@ -44,10 +44,6 @@ class CliError(Exception):
         self.category = category
 
 
-def _fail(category: str, message: str) -> CliError:
-    return CliError(category, message)
-
-
 # ------------------------------------------------------------------- score
 
 
@@ -55,24 +51,24 @@ def cmd_score(args) -> None:
     try:
         dump = spdcl_io.read_embedding_dump(args.embeddings)
     except (FormatError, OSError) as exc:
-        raise _fail("malformed-dump", str(exc))
+        raise CliError("malformed-dump", str(exc))
     if args.epoch < 1:
-        raise _fail("bad-arguments", "--epoch must be >= 1")
+        raise CliError("bad-arguments", "--epoch must be >= 1")
     if args.epoch == 1:
         if args.prev_scores is not None:
-            raise _fail("epoch-mismatch", "--prev-scores is only valid for epoch >= 2")
+            raise CliError("epoch-mismatch", "--prev-scores is only valid for epoch >= 2")
         records = initial_scores(dump)
         norms = {r.sample_id: r.score for r in records}
     else:
         if args.prev_scores is None:
-            raise _fail("epoch-mismatch", f"epoch {args.epoch} requires --prev-scores")
+            raise CliError("epoch-mismatch", f"epoch {args.epoch} requires --prev-scores")
         try:
             prev_records, prev_norms = spdcl_io.read_scores(args.prev_scores)
         except (FormatError, OSError) as exc:
-            raise _fail("malformed-scores", str(exc))
+            raise CliError("malformed-scores", str(exc))
         prev_epoch = prev_records[0].epoch
         if prev_epoch != args.epoch - 1:
-            raise _fail(
+            raise CliError(
                 "epoch-mismatch",
                 f"--prev-scores holds epoch {prev_epoch}, expected {args.epoch - 1}",
             )
@@ -82,7 +78,7 @@ def cmd_score(args) -> None:
         try:
             records = delta_scores(norms, history, mode=args.alignment, ordering=args.ordering)
         except ValueError as exc:
-            raise _fail("sample-mismatch", str(exc))
+            raise CliError("sample-mismatch", str(exc))
     spdcl_io.write_scores(args.out, records, norms)
     log.info("scored %d samples for epoch %d -> %s", len(records), args.epoch, args.out)
 
@@ -94,9 +90,9 @@ def cmd_schedule(args) -> None:
     try:
         records, _ = spdcl_io.read_scores(args.scores)
     except (FormatError, OSError) as exc:
-        raise _fail("malformed-scores", str(exc))
+        raise CliError("malformed-scores", str(exc))
     if records[0].epoch != args.epoch:
-        raise _fail(
+        raise CliError(
             "epoch-mismatch",
             f"score file holds epoch {records[0].epoch}, expected {args.epoch}",
         )
@@ -111,7 +107,7 @@ def cmd_schedule(args) -> None:
         )
         plan = build_epoch_plan(records, config, args.epoch)
     except ValueError as exc:
-        raise _fail("invalid-config", str(exc))
+        raise CliError("invalid-config", str(exc))
     spdcl_io.write_manifest(args.out, plan)
     log.info(
         "epoch %d plan: %d visible of %d samples -> %s",
@@ -129,20 +125,20 @@ def cmd_train(args) -> None:
     try:
         config = spdcl_io.load_run_config(args.config)
     except (FormatError, OSError) as exc:
-        raise _fail("invalid-config", str(exc))
+        raise CliError("invalid-config", str(exc))
     try:
         train_samples = spdcl_io.read_dataset(args.dataset)
         valid_samples = spdcl_io.read_dataset(args.valid)
     except (FormatError, OSError) as exc:
-        raise _fail("malformed-dataset", str(exc))
+        raise CliError("malformed-dataset", str(exc))
     try:
         train_enc, valid_enc = encode_datasets(
             train_samples, valid_samples, config.task_kind, max_len=config.max_len
         )
     except ValueError as exc:
-        raise _fail("malformed-dataset", str(exc))
+        raise CliError("malformed-dataset", str(exc))
     if config.bins_k > len(train_enc.sample_ids):
-        raise _fail(
+        raise CliError(
             "invalid-config",
             f"bins_k={config.bins_k} exceeds training-set size {len(train_enc.sample_ids)}",
         )
@@ -160,7 +156,7 @@ def cmd_train(args) -> None:
     try:
         result = runner(train_enc, valid_enc, config.curriculum(), hyper, out_dir=out_dir)
     except TrainingDiverged as exc:
-        raise _fail("diverged", str(exc))
+        raise CliError("diverged", str(exc))
     _save_final_params(out_dir, result.params, train_enc)
     for stats in result.stats:
         log.info(
@@ -200,10 +196,8 @@ def _save_final_params(out_dir: Path, params, train_enc) -> None:
 def cmd_report(args) -> None:
     try:
         report = spdcl_io.build_report(args.run_dir, baseline_dir=args.baseline_dir)
-    except FormatError as exc:
-        raise _fail("missing-artifact", str(exc))
-    except OSError as exc:
-        raise _fail("missing-artifact", str(exc))
+    except (FormatError, OSError) as exc:
+        raise CliError("missing-artifact", str(exc))
     spdcl_io.write_json_atomic(args.out, report)
     if args.csv is not None:
         spdcl_io.write_text_atomic(args.csv, "\n".join(spdcl_io.report_csv_rows(report)) + "\n")

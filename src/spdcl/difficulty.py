@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from spdcl.nucnorm import EmbeddingMatrix, nuclear_norm
+from spdcl.nucnorm import EmbeddingDump
 
 ALIGNMENT_MODES = ("rank", "identity")
 DELTA_ORDERINGS = ("magnitude", "signed")
@@ -75,16 +75,9 @@ class DifficultyHistory:
         self.tables.append(table)
 
 
-def dump_norms(dump: Iterable[EmbeddingMatrix]) -> dict[str, float]:
-    """Nuclear norm per sample; rejects duplicate ids and empty dumps."""
-    norms: dict[str, float] = {}
-    for emb in dump:
-        if emb.sample_id in norms:
-            raise ValueError(f"duplicate sample id {emb.sample_id!r} in dump")
-        norms[emb.sample_id] = nuclear_norm(emb)
-    if not norms:
-        raise ValueError("embedding dump is empty")
-    return norms
+def dump_norms(dump: EmbeddingDump) -> dict[str, float]:
+    """Nuclear norm per sample id."""
+    return dict(zip(dump.ids, dump.nuclear_norms()))
 
 
 def _ranked(scores: Mapping[str, float], epoch: int, key) -> list[DifficultyRecord]:
@@ -96,7 +89,7 @@ def _ranked(scores: Mapping[str, float], epoch: int, key) -> list[DifficultyReco
 
 
 def initial_scores(
-    dump: Iterable[EmbeddingMatrix],
+    dump: EmbeddingDump,
     history: DifficultyHistory | None = None,
 ) -> list[DifficultyRecord]:
     """Epoch-1 scoring: raw nuclear norms, ranked ascending.

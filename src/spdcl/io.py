@@ -12,9 +12,10 @@ a small binary format:
         rows   u32 LE, cols u32 LE
         rows*cols float32 LE, row-major
 
-Values are stored single precision; all in-memory math stays double.  Every
-write goes through a temp file in the target directory followed by an
-atomic rename.
+Every sample in a dump has the same column count.  Values are single
+precision on disk and in memory (:class:`spdcl.nucnorm.EmbeddingDump`);
+scoring widens them to double.  Every write goes through a temp file in the
+target directory followed by an atomic rename.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, DifficultyRecord
 from spdcl.metrics import EvalReport
-from spdcl.nucnorm import EmbeddingMatrix
+from spdcl.nucnorm import EmbeddingDump
 from spdcl.scheduler import CurriculumConfig, EpochPlan
 
 DUMP_MAGIC = b"SPDCLEMB"
@@ -150,39 +151,41 @@ def write_dataset(path, samples: Sequence[TextSample]) -> None:
 # ------------------------------------------------------------ embedding dumps
 
 
-def f32_roundtrip(emb: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Quantize to the dump's storage precision (float32) and back.
+def f32_roundtrip(values) -> np.ndarray:
+    """Quantize to the dump's storage precision (float32) and back to float64.
 
-    Scoring quantized matrices guarantees that rescoring a dump read from
-    disk reproduces in-process scores exactly.
+    These are exactly the values a dump stores, so scoring them reproduces
+    the score of the same rows read back from disk.
     """
-    return EmbeddingMatrix(emb.sample_id, emb.values.astype("<f4").astype(np.float64))
+    return np.asarray(values, dtype="<f4").astype(np.float64)
 
 
-def write_embedding_dump(path, dump: Sequence[EmbeddingMatrix]) -> None:
-    seen = set()
-    parts = [DUMP_MAGIC, struct.pack("<IQ", DUMP_VERSION, len(dump))]
-    for emb in dump:
-        if emb.sample_id in seen:
-            raise FormatError(f"duplicate sample id {emb.sample_id!r} in dump")
-        seen.add(emb.sample_id)
-        id_bytes = emb.sample_id.encode("utf-8")
+def write_embedding_dump(path, dump: EmbeddingDump) -> None:
+    cols = dump.values.shape[1]
+    raw = memoryview(np.ascontiguousarray(dump.values, dtype="<f4")).cast("B")
+    row_bytes = 4 * cols
+    bounds = dump.offsets.tolist()
+    parts = [DUMP_MAGIC, struct.pack("<IQ", DUMP_VERSION, len(dump.ids))]
+    for sid, lo, hi in zip(dump.ids, bounds, bounds[1:]):
+        id_bytes = sid.encode("utf-8")
         parts.append(struct.pack("<I", len(id_bytes)))
         parts.append(id_bytes)
-        parts.append(struct.pack("<II", emb.rows, emb.cols))
-        parts.append(np.ascontiguousarray(emb.values, dtype="<f4").tobytes())
+        parts.append(struct.pack("<II", hi - lo, cols))
+        parts.append(raw[lo * row_bytes : hi * row_bytes])
     _atomic_write_bytes(Path(path), b"".join(parts))
 
 
-def read_embedding_dump(path) -> list[EmbeddingMatrix]:
+def read_embedding_dump(path) -> EmbeddingDump:
+    """Read a v1 dump; every sample must share one column count."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    view = memoryview(blob)
 
     def take(n, what):
         nonlocal offset
         if offset + n > len(blob):
             raise FormatError(f"{path}: truncated while reading {what}")
-        piece = blob[offset : offset + n]
+        piece = view[offset : offset + n]
         offset += n
         return piece
 
@@ -192,25 +195,29 @@ def read_embedding_dump(path) -> list[EmbeddingMatrix]:
     version, count = struct.unpack("<IQ", take(12, "header"))
     if version != DUMP_VERSION:
         raise FormatError(f"{path}: unsupported dump version {version}")
-    dump = []
-    seen = set()
+    ids, row_offsets, chunks = [], [0], []
+    cols = 0
     for i in range(count):
         (id_len,) = struct.unpack("<I", take(4, f"id length of sample {i}"))
-        sid = take(id_len, f"id of sample {i}").decode("utf-8")
-        if sid in seen:
-            raise FormatError(f"{path}: duplicate sample id {sid!r}")
-        seen.add(sid)
-        rows, cols = struct.unpack("<II", take(8, f"shape of {sid!r}"))
-        if rows < 1 or cols < 1:
-            raise FormatError(f"{path}: sample {sid!r} declares empty shape {rows}x{cols}")
-        raw = take(4 * rows * cols, f"values of {sid!r}")
-        values = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(rows, cols)
-        if not np.all(np.isfinite(values)):
-            raise FormatError(f"{path}: sample {sid!r} contains non-finite values")
-        dump.append(EmbeddingMatrix(sample_id=sid, values=values))
+        try:
+            sid = str(take(id_len, f"id of sample {i}"), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: id of sample {i} is not valid UTF-8: {exc}") from exc
+        rows, sample_cols = struct.unpack("<II", take(8, f"shape of {sid!r}"))
+        if i == 0:
+            cols = sample_cols
+        elif sample_cols != cols:
+            raise FormatError(f"{path}: sample {sid!r} has {sample_cols} columns, sample 0 has {cols}")
+        chunks.append(take(4 * rows * cols, f"values of {sid!r}"))
+        ids.append(sid)
+        row_offsets.append(row_offsets[-1] + rows)
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after declared samples")
-    return dump
+    values = np.frombuffer(b"".join(chunks), dtype="<f4").reshape(row_offsets[-1], cols)
+    try:
+        return EmbeddingDump(ids, row_offsets, values)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ------------------------------------------------------------- score files
@@ -244,15 +251,20 @@ def read_scores(path) -> tuple[list[DifficultyRecord], dict[str, float]]:
     epochs = set()
     for lineno, rec in enumerate(_read_jsonl(path), start=1):
         try:
+            sid = rec["id"]
+            if not isinstance(sid, str):
+                raise TypeError(f"id {sid!r} is not a string")
+            if sid in norms:
+                raise ValueError(f"duplicate sample id {sid!r}")
             records.append(
                 DifficultyRecord(
-                    sample_id=rec["id"],
+                    sample_id=sid,
                     epoch=int(rec["epoch"]),
                     score=float(rec["score"]),
                     rank=int(rec["rank"]),
                 )
             )
-            norms[rec["id"]] = float(rec["norm"])
+            norms[sid] = float(rec["norm"])
             epochs.add(int(rec["epoch"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: line {lineno} is not a valid score record: {exc}") from exc

@@ -1,25 +1,19 @@
-"""Nuclear norm (trace norm) of real embedding matrices.
+"""Nuclear norm (trace norm) of real embedding matrices, and the packed dump.
 
 The nuclear norm is the sum of the singular values, equivalently
-``tr(sqrt(E^T E))``.  The production path forms the smaller Gram matrix and
-takes its symmetric eigendecomposition; an independent one-sided Jacobi SVD
-(:func:`nuclear_norm_oracle`) is provided purely for cross-validation in
-tests.  Everything here is a pure function over immutable inputs and safe to
-call from many workers at once.
+``tr(sqrt(E^T E))``.  It is computed from the smaller Gram matrix by a
+symmetric eigendecomposition.  :class:`EmbeddingDump` holds every sample's
+token-by-hidden rows in one float32 array, checked once when it is built,
+so scoring a dump runs the kernel on plain slices.  Everything here is a
+pure function over immutable inputs and safe to call from many workers at
+once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-# One-sided Jacobi: stop once every column pair is orthogonal to this
-# relative level, never exceeding the sweep cap.
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
-ORACLE_MAX_ELEMENTS = 10_000
 
 
 def _validated_values(values) -> np.ndarray:
@@ -33,148 +27,79 @@ def _validated_values(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """One sample's token-by-hidden embedding matrix.
-
-    rows = token count (special tokens included, if the producer emits them),
-    cols = hidden size.  Values must be finite.
-    """
-
-    sample_id: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _validated_values(self.values)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Non-increasing, non-negative singular values; length min(rows, cols)."""
-
-    values: np.ndarray = field()
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("singular spectrum must be 1-D")
-        if np.any(arr < 0):
-            raise ValueError("singular values must be non-negative")
-        if np.any(arr[:-1] < arr[1:]):
-            raise ValueError("singular values must be sorted non-increasing")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def sum(self) -> float:
-        return float(self.values.sum())
-
-
-def _as_array(matrix) -> np.ndarray:
-    if isinstance(matrix, EmbeddingMatrix):
-        return matrix.values
-    return _validated_values(matrix)
-
-
-def singular_values(matrix) -> SingularSpectrum:
-    """Singular values via eigendecomposition of the smaller Gram matrix.
-
-    Uses E^T E when cols <= rows, else E E^T.  Eigenvalues are clamped to
-    zero before the square root so roundoff can never produce a negative
-    singular value.
-    """
-    arr = _as_array(matrix)
+def _spectrum(arr: np.ndarray) -> np.ndarray:
+    # Eigenvalues of the smaller Gram matrix, clamped to zero so roundoff can
+    # never produce a negative singular value; returned largest first, the
+    # order stored norms are summed in.  The larger Gram of a matrix with
+    # fewer rows than columns would add rounding-level zero eigenvalues whose
+    # square roots cost up to ~2e-8 relative error.
     m, n = arr.shape
-    if n <= m:
-        gram = arr.T @ arr
-    else:
-        gram = arr @ arr.T
-    eigvals = np.linalg.eigvalsh(gram)
-    eigvals = np.clip(eigvals, 0.0, None)
-    return SingularSpectrum(np.sqrt(eigvals)[::-1])
+    gram = arr.T @ arr if n <= m else arr @ arr.T
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[::-1]
+
+
+def singular_values(matrix) -> np.ndarray:
+    """Singular values, non-increasing and non-negative; length min(rows, cols).
+
+    Uses E^T E when cols <= rows, else E E^T.  The matrix must be 2-D,
+    non-empty and finite.
+    """
+    return _spectrum(_validated_values(matrix))
 
 
 def nuclear_norm(matrix) -> float:
-    """Sum of singular values: tr(sqrt(E^T E))."""
-    return singular_values(matrix).sum()
+    """Sum of singular values: tr(sqrt(E^T E)), summed largest first."""
+    return float(singular_values(matrix).sum())
 
 
-def _disjoint_rotation_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # Round-robin schedule: n-1 rounds, each pairing the columns into
-    # disjoint couples so a whole round can be rotated in one vector op.
-    slots = list(range(n)) + ([-1] if n % 2 else [])
-    m = len(slots)
-    rounds = []
-    for _ in range(m - 1):
-        left = [slots[i] for i in range(m // 2)]
-        right = [slots[m - 1 - i] for i in range(m // 2)]
-        pairs = [(min(a, b), max(a, b)) for a, b in zip(left, right) if a != -1 and b != -1]
-        if pairs:
-            p, q = zip(*pairs)
-            rounds.append((np.array(p), np.array(q)))
-        slots = [slots[0], slots[-1]] + slots[1:-1]
-    return rounds
+@dataclass(frozen=True, eq=False)
+class EmbeddingDump:
+    """Every sample's token-by-hidden embedding rows, packed into one array.
 
-
-def jacobi_singular_values(matrix) -> np.ndarray:
-    """Singular values by one-sided Jacobi orthogonalization of the columns.
-
-    Independent of :func:`singular_values`: never forms a Gram matrix and
-    uses no LAPACK eigensolver.  Sweeps run until the largest relative
-    column-pair inner product drops below ``JACOBI_TOL`` (at most
-    ``JACOBI_MAX_SWEEPS`` sweeps).  Intended for small test instances only.
+    Sample ``ids[i]`` owns rows ``values[offsets[i]:offsets[i + 1]]``.
+    ``values`` is stored as float32, the dump file's precision, so scoring
+    an in-memory dump and scoring the same dump read from disk agree bit for
+    bit.  The constructor is the one place a dump is checked: at least one
+    sample, ids unique, every sample at least one row, values 2-D with at
+    least one column and finite.
     """
-    arr = _as_array(matrix)
-    if arr.size > ORACLE_MAX_ELEMENTS:
-        raise ValueError(
-            f"oracle limited to rows*cols <= {ORACLE_MAX_ELEMENTS}, got {arr.shape}"
-        )
-    work = arr.copy() if arr.shape[0] >= arr.shape[1] else arr.T.copy()
-    n = work.shape[1]
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p_idx, q_idx in _disjoint_rotation_rounds(n):
-            cols_p = work[:, p_idx]
-            cols_q = work[:, q_idx]
-            a = np.einsum("ij,ij->j", cols_p, cols_p)
-            b = np.einsum("ij,ij->j", cols_q, cols_q)
-            c = np.einsum("ij,ij->j", cols_p, cols_q)
-            live = (a > 0.0) & (b > 0.0)
-            rel = np.zeros_like(c)
-            rel[live] = np.abs(c[live]) / np.sqrt(a[live] * b[live])
-            if rel.size:
-                off = max(off, float(rel.max()))
-            spin = rel > JACOBI_TOL
-            if not spin.any():
-                continue
-            zeta = (b[spin] - a[spin]) / (2.0 * c[spin])
-            t = np.where(
-                zeta == 0.0,
-                1.0,
-                np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)),
-            )
-            cs = 1.0 / np.sqrt(1.0 + t * t)
-            sn = cs * t
-            rot_p = cols_p[:, spin]
-            rot_q = cols_q[:, spin]
-            work[:, p_idx[spin]] = cs * rot_p - sn * rot_q
-            work[:, q_idx[spin]] = sn * rot_p + cs * rot_q
-        if off <= JACOBI_TOL:
-            break
-    sv = np.sqrt(np.einsum("ij,ij->j", work, work))
-    sv.sort()
-    return sv[::-1]
 
+    ids: tuple[str, ...]
+    offsets: np.ndarray  # (N + 1,) int64 row offsets, offsets[0] == 0
+    values: np.ndarray  # (sum of rows, d) float32
 
-def nuclear_norm_oracle(matrix) -> float:
-    """Nuclear norm by the independent one-sided Jacobi route (tests only)."""
-    return float(jacobi_singular_values(matrix).sum())
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        if not ids:
+            raise ValueError("embedding dump is empty")
+        seen = set()
+        for sid in ids:
+            if sid in seen:
+                raise ValueError(f"duplicate sample id {sid!r} in dump")
+            seen.add(sid)
+        values = np.asarray(self.values, dtype=np.float32)
+        if values.ndim != 2 or values.shape[1] < 1:
+            raise ValueError(f"dump values must be 2-D with at least one column, got shape {values.shape}")
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if offsets.shape != (len(ids) + 1,) or offsets[0] != 0 or offsets[-1] != values.shape[0]:
+            raise ValueError(f"row offsets must run from 0 to {values.shape[0]}, one per sample plus one")
+        empty = np.flatnonzero(np.diff(offsets) < 1)
+        if empty.size:
+            raise ValueError(f"sample {ids[empty[0]]!r} has no rows")
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            sample = int(np.searchsorted(offsets, np.argmin(finite), side="right")) - 1
+            raise ValueError(f"sample {ids[sample]!r} contains non-finite values")
+        values.setflags(write=False)
+        offsets.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "values", values)
+
+    def nuclear_norms(self) -> list[float]:
+        """Each sample's nuclear norm, in ``ids`` order, from its rows widened to float64."""
+        bounds = self.offsets.tolist()
+        return [
+            float(_spectrum(self.values[lo:hi].astype(np.float64)).sum())
+            for lo, hi in zip(bounds, bounds[1:])
+        ]

@@ -24,13 +24,11 @@ import numpy as np
 from spdcl import io as spdcl_io
 from spdcl.difficulty import DifficultyHistory, delta_scores, dump_norms, initial_scores
 from spdcl.metrics import EvalReport, evaluate, label_frequency_groups
-from spdcl.nucnorm import EmbeddingMatrix
+from spdcl.nucnorm import EmbeddingDump
 from spdcl.scheduler import CurriculumConfig, EpochPlan, build_epoch_plan, epoch_rng
 
 PAD_INDEX = 0
 UNK_INDEX = 1
-
-TASK_KINDS = ("multiclass", "multilabel")
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,8 @@ class ModelParams:
     task_kind: str
 
     def __post_init__(self):
-        if self.task_kind not in TASK_KINDS:
-            raise ValueError(f"task_kind must be one of {TASK_KINDS}")
+        if self.task_kind not in spdcl_io.TASK_KINDS:
+            raise ValueError(f"task_kind must be one of {spdcl_io.TASK_KINDS}")
         for name in ("embedding_table", "head_weights", "head_bias"):
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)):
@@ -145,14 +143,10 @@ def init_params(
     )
 
 
-def embed_sample(params: ModelParams, ids: Sequence[int], sample_id: str = "") -> EmbeddingMatrix:
-    """Token-embedding rows for one sample: the toy model's "last layer"."""
-    if len(ids) == 0:
-        raise ValueError("token-id sequence is empty")
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.min() < 0 or idx.max() >= params.embedding_table.shape[0]:
-        raise ValueError(f"token id out of range for vocabulary of size {params.embedding_table.shape[0]}")
-    return EmbeddingMatrix(sample_id=sample_id, values=params.embedding_table[idx])
+def embed_sample(params: ModelParams, ids: Sequence[int]) -> np.ndarray:
+    """Token-embedding rows for one sample, (len(ids), d): the toy model's "last layer"."""
+    flat, _, _ = _pack([ids], params.embedding_table.shape[0])
+    return params.embedding_table[flat]
 
 
 def _pack(seqs: Sequence[Sequence[int]], vocab_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,8 +281,8 @@ def encode_datasets(
     The label space also comes from the training split; a validation label
     never seen in training is rejected.
     """
-    if task_kind not in TASK_KINDS:
-        raise ValueError(f"task_kind must be one of {TASK_KINDS}")
+    if task_kind not in spdcl_io.TASK_KINDS:
+        raise ValueError(f"task_kind must be one of {spdcl_io.TASK_KINDS}")
     vocab = build_vocabulary([s.text for s in train], max_len=max_len)
     label_names = sorted({lab for s in train for lab in s.labels})
     label_index = {lab: i for i, lab in enumerate(label_names)}
@@ -400,11 +394,12 @@ class RunResult:
     history: DifficultyHistory | None
 
 
-def _dump_embeddings(params: ModelParams, data: EncodedDataset) -> list[EmbeddingMatrix]:
-    return [
-        spdcl_io.f32_roundtrip(embed_sample(params, data.token_ids[sid], sid))
-        for sid in sorted(data.sample_ids)
-    ]
+def _dump_embeddings(params: ModelParams, data: EncodedDataset) -> EmbeddingDump:
+    """Every sample's token-embedding rows, one gather, quantized to float32."""
+    ids = sorted(data.sample_ids)
+    flat, starts, _ = _pack([data.token_ids[sid] for sid in ids], params.embedding_table.shape[0])
+    rows = params.embedding_table[flat].astype(np.float32)
+    return EmbeddingDump(ids, np.append(starts, flat.size), rows)
 
 
 def _frequency_groups(train: EncodedDataset) -> np.ndarray:

@@ -27,7 +27,7 @@ from spdcl.metrics import (
     micro_f1,
     subset_accuracy,
 )
-from spdcl.nucnorm import EmbeddingMatrix, nuclear_norm, nuclear_norm_oracle, singular_values
+from spdcl.nucnorm import nuclear_norm, singular_values
 from spdcl.scheduler import CurriculumConfig, build_epoch_plan, partition_bins, visible_set
 from spdcl.synth import make_separable_dataset, make_zipfian_dataset
 from spdcl.trainer import (
@@ -40,6 +40,8 @@ from spdcl.trainer import (
     run_spdcl,
 )
 
+from dumps import pack_dump
+from jacobi_oracle import nuclear_norm_oracle
 from test_trainer import fd_gradient  # central-difference oracle
 from test_metrics import (
     oracle_counts,
@@ -107,7 +109,7 @@ def test_criterion_2_norm_invariant_suite():
             both = nuclear_norm(mat) + nuclear_norm(other)
             assert nuclear_norm(mat + other) <= both + 1e-9 * max(1.0, both)
 
-            spectrum = singular_values(mat).values
+            spectrum = singular_values(mat)
             frob = float(np.linalg.norm(mat))
             slack = 1e-9 * max(1.0, base)
             assert spectrum[0] <= frob + slack
@@ -123,11 +125,11 @@ def test_criterion_3_length_orders_initial_ranks():
         hits = 0
         for trial in range(50):
             rng = np.random.default_rng(3000 + trial)
-            dump = [
-                EmbeddingMatrix("len04", rng.normal(size=(4, 8))),
-                EmbeddingMatrix("len08", rng.normal(size=(8, 8))),
-                EmbeddingMatrix("len16", rng.normal(size=(16, 8))),
-            ]
+            dump = pack_dump([
+                ("len04", rng.normal(size=(4, 8))),
+                ("len08", rng.normal(size=(8, 8))),
+                ("len16", rng.normal(size=(16, 8))),
+            ])
             records = initial_scores(dump)
             order = [r.sample_id for r in sorted(records, key=lambda r: r.rank)]
             hits += order == ["len04", "len08", "len16"]

@@ -13,8 +13,9 @@ from spdcl.io import (
     write_embedding_dump,
     write_run_config,
 )
-from spdcl.nucnorm import EmbeddingMatrix
 from spdcl.synth import make_zipfian_dataset
+
+from dumps import pack_dump
 
 
 def run_cli(*argv, capsys=None):
@@ -25,7 +26,7 @@ def run_cli(*argv, capsys=None):
 @pytest.fixture
 def dump_path(tmp_path):
     rng = np.random.default_rng(3)
-    dump = [EmbeddingMatrix(f"s{i}", rng.normal(size=(2 + i, 3))) for i in range(3)]
+    dump = pack_dump((f"s{i}", rng.normal(size=(2 + i, 3))) for i in range(3))
     path = tmp_path / "epoch1.bin"
     write_embedding_dump(path, dump)
     return path
@@ -106,6 +107,18 @@ def test_score_rejects_malformed_dump(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:malformed-dump:")
 
 
+def test_score_rejects_non_utf8_dump_id(dump_path, tmp_path, capsys):
+    bad = tmp_path / "bad_id.bin"
+    blob = dump_path.read_bytes()
+    # sample 0's id "s0" starts after the 20-byte header and its u32 length
+    bad.write_bytes(blob[:24] + b"\xff" + blob[25:])
+    code = run_cli("score", "--embeddings", str(bad), "--epoch", "1", "--out", str(tmp_path / "o"))
+    assert code != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error:malformed-dump:")
+    assert str(bad) in err and "sample 0" in err
+
+
 def test_score_wrong_prev_epoch(dump_path, tmp_path, capsys):
     first = tmp_path / "e1.jsonl"
     run_cli("score", "--embeddings", str(dump_path), "--epoch", "1", "--out", str(first))
@@ -123,7 +136,7 @@ def test_score_wrong_prev_epoch(dump_path, tmp_path, capsys):
 def scores_file(tmp_path, n=10, epoch=1):
     if epoch == 1:
         rng = np.random.default_rng(5)
-        dump = [EmbeddingMatrix(f"s{i}", rng.normal(size=(2, 3))) for i in range(n)]
+        dump = pack_dump((f"s{i}", rng.normal(size=(2, 3))) for i in range(n))
         dump_file = tmp_path / "d.bin"
         write_embedding_dump(dump_file, dump)
         out = tmp_path / "scores.jsonl"
@@ -180,6 +193,29 @@ def test_schedule_epoch_mismatch(tmp_path, capsys):
     )
     assert code != 0
     assert capsys.readouterr().err.startswith("error:epoch-mismatch:")
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ['{"id":"a","epoch":1,"score":1.0,"rank":0,"norm":1.0}',
+         '{"id":"b","epoch":1,"score":2.0,"rank":1,"norm":2.0}',
+         '{"id":"a","epoch":1,"score":3.0,"rank":2,"norm":3.0}'],
+        ['{"id":7,"epoch":1,"score":1.0,"rank":0,"norm":1.0}'],
+    ],
+    ids=["duplicate-id", "integer-id"],
+)
+def test_schedule_rejects_bad_score_ids(tmp_path, capsys, lines):
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text("\n".join(lines) + "\n")
+    manifest = tmp_path / "m.jsonl"
+    code = run_cli(
+        "schedule", "--scores", str(scores), "--bins", "1", "--epoch", "1",
+        "--seed", "2", "--out", str(manifest),
+    )
+    assert code != 0
+    assert capsys.readouterr().err.startswith("error:malformed-scores:")
+    assert not manifest.exists()
 
 
 # -------------------------------------------------------------------- train

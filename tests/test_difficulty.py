@@ -11,12 +11,14 @@ from spdcl.difficulty import (
     initial_scores,
     rank_samples,
 )
-from spdcl.nucnorm import EmbeddingMatrix
+from spdcl.nucnorm import EmbeddingDump
+
+from dumps import pack_dump
 
 
-def embeddings_with_norms(norms: dict[str, float]) -> list[EmbeddingMatrix]:
+def embeddings_with_norms(norms: dict[str, float]) -> EmbeddingDump:
     # 1x1 matrices: nuclear norm is the absolute value, so norms are exact.
-    return [EmbeddingMatrix(sid, [[v]]) for sid, v in norms.items()]
+    return pack_dump((sid, [[v]]) for sid, v in norms.items())
 
 
 # -------------------------------------------------------------- epoch 1
@@ -45,21 +47,21 @@ def test_initial_scores_seeds_history():
 
 
 def test_duplicate_and_empty_dumps_rejected():
-    dup = [EmbeddingMatrix("a", [[1.0]]), EmbeddingMatrix("a", [[2.0]])]
+    # The dump is checked once, when it is built; dump_norms gets only valid dumps.
     with pytest.raises(ValueError, match="duplicate"):
-        dump_norms(dup)
+        dump_norms(pack_dump([("a", [[1.0]]), ("a", [[2.0]])]))
     with pytest.raises(ValueError, match="empty"):
-        dump_norms([])
+        dump_norms(pack_dump([]))
 
 
 def test_length_orders_initial_ranks():
     # Samples that differ only in row count: more rows, larger norm, harder.
     rng = np.random.default_rng(11)
-    dump = [
-        EmbeddingMatrix("len04", rng.normal(size=(4, 8))),
-        EmbeddingMatrix("len16", rng.normal(size=(16, 8))),
-        EmbeddingMatrix("len08", rng.normal(size=(8, 8))),
-    ]
+    dump = pack_dump([
+        ("len04", rng.normal(size=(4, 8))),
+        ("len16", rng.normal(size=(16, 8))),
+        ("len08", rng.normal(size=(8, 8))),
+    ])
     assert rank_samples(initial_scores(dump)) == ["len04", "len08", "len16"]
 
 
@@ -191,8 +193,8 @@ def test_rank_permutation_validity(seed, n):
 @given(st.integers(0, 2**32 - 1), st.floats(0.1, 50.0))
 def test_epoch1_ordering_invariant_under_shared_scale(seed, scale):
     rng = np.random.default_rng(seed)
-    dump = [EmbeddingMatrix(f"s{i}", rng.normal(size=(3, 4))) for i in range(6)]
-    scaled = [EmbeddingMatrix(e.sample_id, scale * e.values) for e in dump]
+    dump = pack_dump((f"s{i}", rng.normal(size=(3, 4))) for i in range(6))
+    scaled = EmbeddingDump(dump.ids, dump.offsets, scale * dump.values)
     assert rank_samples(initial_scores(dump)) == rank_samples(initial_scores(scaled))
 
 
@@ -218,7 +220,7 @@ def test_modes_agree_when_orderings_match(seed, n):
 
 def test_determinism_across_repeats():
     rng = np.random.default_rng(3)
-    dump = [EmbeddingMatrix(f"s{i}", rng.normal(size=(4, 3))) for i in range(10)]
+    dump = pack_dump((f"s{i}", rng.normal(size=(4, 3))) for i in range(10))
     first = [(r.sample_id, r.score, r.rank) for r in initial_scores(dump)]
     second = [(r.sample_id, r.score, r.rank) for r in initial_scores(dump)]
     assert first == second

@@ -23,8 +23,9 @@ from spdcl.io import (
     write_run_config,
     write_scores,
 )
-from spdcl.nucnorm import EmbeddingMatrix
 from spdcl.scheduler import EpochPlan
+
+from dumps import pack_dump
 
 
 # ------------------------------------------------------------ dataset files
@@ -61,10 +62,7 @@ def test_dataset_rejects_duplicates_and_empty_labels(tmp_path):
 
 def sample_dump():
     rng = np.random.default_rng(0)
-    return [
-        f32_roundtrip(EmbeddingMatrix(f"s{i}", rng.normal(size=(i + 1, 3))))
-        for i in range(4)
-    ]
+    return pack_dump((f"s{i}", rng.normal(size=(i + 1, 3))) for i in range(4))
 
 
 def test_dump_round_trip_byte_identical(tmp_path):
@@ -81,14 +79,15 @@ def test_dump_values_survive_exactly(tmp_path):
     path = tmp_path / "dump.bin"
     write_embedding_dump(path, dump)
     loaded = read_embedding_dump(path)
-    assert [e.sample_id for e in loaded] == [e.sample_id for e in dump]
-    for got, want in zip(loaded, dump):
-        assert np.array_equal(got.values, want.values)
+    assert loaded.ids == dump.ids
+    assert np.array_equal(loaded.offsets, dump.offsets)
+    assert loaded.values.dtype == np.float32
+    assert np.array_equal(loaded.values, dump.values)
 
 
 def test_dump_header_layout(tmp_path):
     path = tmp_path / "dump.bin"
-    write_embedding_dump(path, [EmbeddingMatrix("ab", [[1.0, 2.0]])])
+    write_embedding_dump(path, pack_dump([("ab", [[1.0, 2.0]])]))
     blob = path.read_bytes()
     assert blob[:8] == DUMP_MAGIC
     version, count = struct.unpack("<IQ", blob[8:20])
@@ -119,12 +118,40 @@ def test_dump_rejects_corruption(tmp_path):
         read_embedding_dump(trailing)
 
 
+def dump_bytes(*samples):
+    """A v1 dump written by hand: (id bytes, rows, cols, float values) per sample."""
+    parts = [DUMP_MAGIC, struct.pack("<IQ", 1, len(samples))]
+    for id_bytes, rows, cols, floats in samples:
+        parts += [struct.pack("<I", len(id_bytes)), id_bytes, struct.pack("<II", rows, cols)]
+        parts.append(np.asarray(floats, dtype="<f4").tobytes())
+    return b"".join(parts)
+
+
 def test_dump_rejects_duplicate_ids(tmp_path):
-    with pytest.raises(FormatError, match="duplicate"):
-        write_embedding_dump(
-            tmp_path / "dup.bin",
-            [EmbeddingMatrix("a", [[1.0]]), EmbeddingMatrix("a", [[2.0]])],
-        )
+    path = tmp_path / "dup.bin"
+    path.write_bytes(dump_bytes((b"a", 1, 1, [1.0]), (b"a", 1, 1, [2.0])))
+    with pytest.raises(FormatError, match="duplicate sample id 'a'"):
+        read_embedding_dump(path)
+
+
+@pytest.mark.parametrize(
+    "samples, match",
+    [
+        ([(b"a", 0, 2, [])], "'a' has no rows"),
+        ([(b"a", 2, 0, [])], "column"),
+        ([(b"a", 1, 2, [1.0, 2.0]), (b"b", 1, 3, [1.0, 2.0, 3.0])], "'b' has 3 columns"),
+        ([(b"a", 1, 2, [1.0, 2.0]), (b"b", 1, 2, [np.nan, 0.0])], "'b' contains non-finite"),
+        ([(b"a", 1, 1, [np.inf])], "'a' contains non-finite"),
+        ([(b"ok", 1, 1, [1.0]), (b"\xff\xfe", 1, 1, [1.0])], "sample 1 is not valid UTF-8"),
+        ([], "empty"),
+    ],
+)
+def test_dump_rejects_bad_samples(tmp_path, samples, match):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(dump_bytes(*samples))
+    with pytest.raises(FormatError, match=match) as info:
+        read_embedding_dump(path)
+    assert str(path) in str(info.value)
 
 
 # --------------------------------------------------------------- score files
@@ -235,7 +262,7 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 def test_f32_roundtrip_is_idempotent():
     rng = np.random.default_rng(1)
-    emb = EmbeddingMatrix("s", rng.normal(size=(3, 4)))
-    once = f32_roundtrip(emb)
+    once = f32_roundtrip(rng.normal(size=(3, 4)))
     twice = f32_roundtrip(once)
-    assert np.array_equal(once.values, twice.values)
+    assert once.dtype == np.float64
+    assert np.array_equal(once, twice)

@@ -3,14 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdcl.nucnorm import (
-    EmbeddingMatrix,
-    SingularSpectrum,
-    jacobi_singular_values,
-    nuclear_norm,
-    nuclear_norm_oracle,
-    singular_values,
-)
+from spdcl.nucnorm import EmbeddingDump, nuclear_norm, singular_values
+
+from dumps import pack_dump
+from jacobi_oracle import jacobi_singular_values, nuclear_norm_oracle
 
 
 def rel_err(got, want):
@@ -22,13 +18,13 @@ def rel_err(got, want):
 
 def test_identity_singular_values():
     spectrum = singular_values(np.eye(3))
-    assert np.allclose(spectrum.values, [1.0, 1.0, 1.0])
+    assert np.allclose(spectrum, [1.0, 1.0, 1.0])
     assert nuclear_norm(np.eye(3)) == pytest.approx(3.0)
 
 
 def test_diagonal_matrix():
     spectrum = singular_values(np.diag([3.0, 4.0]))
-    assert np.allclose(spectrum.values, [4.0, 3.0])
+    assert np.allclose(spectrum, [4.0, 3.0])
     assert nuclear_norm(np.diag([3.0, 4.0])) == pytest.approx(7.0)
 
 
@@ -46,10 +42,32 @@ def test_oracle_identity_and_permutation():
     assert nuclear_norm_oracle(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(2.0)
 
 
-def test_embedding_matrix_attributes():
-    emb = EmbeddingMatrix("s1", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    assert emb.rows == 3 and emb.cols == 2
-    assert nuclear_norm(emb) == pytest.approx(nuclear_norm(np.array(emb.values)))
+def test_dump_packs_samples_and_scores_each():
+    rng = np.random.default_rng(5)
+    mats = [rng.normal(size=(m, 4)) for m in (3, 1, 9)]
+    dump = pack_dump(zip(("s1", "s2", "s3"), mats))
+    assert dump.ids == ("s1", "s2", "s3")
+    assert dump.offsets.tolist() == [0, 3, 4, 13]
+    assert dump.values.dtype == np.float32 and dump.values.shape == (13, 4)
+    assert not dump.values.flags.writeable
+    # rows are stored as float32 and scored widened to float64
+    want = [nuclear_norm(m.astype(np.float32).astype(np.float64)) for m in mats]
+    assert dump.nuclear_norms() == want
+
+
+def test_norm_sums_spectrum_largest_first():
+    # Stored norms depend on the summation order of the singular values, so
+    # it is pinned: largest first.  Summing smallest first changes the last
+    # bit of some norms.
+    rng = np.random.default_rng(9)
+    reordered = 0
+    for _ in range(200):
+        mat = rng.normal(size=(int(rng.integers(1, 30)), 16))
+        gram = mat.T @ mat if mat.shape[1] <= mat.shape[0] else mat @ mat.T
+        sv = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+        assert nuclear_norm(mat) == float(sv[::-1].sum())
+        reordered += float(sv.sum()) != float(sv[::-1].sum())
+    assert reordered > 0
 
 
 # ------------------------------------------------------------------ rejection
@@ -58,8 +76,23 @@ def test_embedding_matrix_attributes():
 def test_rejects_nan_and_inf():
     with pytest.raises(ValueError, match="non-finite"):
         nuclear_norm(np.array([[1.0, np.nan]]))
-    with pytest.raises(ValueError, match="non-finite"):
-        EmbeddingMatrix("bad", [[np.inf]])
+    with pytest.raises(ValueError, match="'bad' contains non-finite"):
+        pack_dump([("ok", [[1.0]]), ("bad", [[np.inf]])])
+    # finite in float64 but not in the dump's float32
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        pack_dump([("big", [[1e300]])])
+
+
+def test_dump_rejects_bad_layout():
+    # duplicate ids and empty dumps: test_difficulty.test_duplicate_and_empty_dumps_rejected
+    with pytest.raises(ValueError, match="'b' has no rows"):
+        EmbeddingDump(("a", "b"), [0, 1, 1], np.ones((1, 2)))
+    with pytest.raises(ValueError, match="offsets"):
+        EmbeddingDump(("a",), [0, 2], np.ones((1, 2)))
+    with pytest.raises(ValueError, match="2-D"):
+        EmbeddingDump(("a",), [0, 2], np.ones(2))
+    with pytest.raises(ValueError, match="column"):
+        EmbeddingDump(("a",), [0, 2], np.ones((2, 0)))
 
 
 def test_rejects_zero_dimension():
@@ -74,13 +107,6 @@ def test_oracle_rejects_large_input():
         nuclear_norm_oracle(np.zeros((101, 101)))
 
 
-def test_spectrum_validation():
-    with pytest.raises(ValueError):
-        SingularSpectrum(np.array([1.0, 2.0]))  # increasing
-    with pytest.raises(ValueError):
-        SingularSpectrum(np.array([1.0, -0.5]))
-
-
 # --------------------------------------------------- oracle cross-validation
 
 
@@ -88,7 +114,7 @@ def test_singular_values_match_oracle_4x3():
     rng = np.random.default_rng(42)
     for _ in range(100):
         mat = rng.uniform(-1.0, 1.0, size=(4, 3))
-        got = singular_values(mat).values
+        got = singular_values(mat)
         want = jacobi_singular_values(mat)
         assert np.all(np.abs(got - want) <= 1e-8 * np.abs(want))
 
@@ -171,7 +197,7 @@ def test_triangle_inequality(mat, seed):
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_norm_ordering(mat):
-    spectrum = singular_values(mat).values
+    spectrum = singular_values(mat)
     spectral = spectrum[0]
     frob = float(np.linalg.norm(mat))
     nuc = float(spectrum.sum())
@@ -184,7 +210,7 @@ def test_norm_ordering(mat):
 @settings(max_examples=40, deadline=None)
 @given(matrices)
 def test_spectrum_sorted_and_nonnegative(mat):
-    spectrum = singular_values(mat).values
+    spectrum = singular_values(mat)
     assert len(spectrum) == min(mat.shape)
     assert np.all(spectrum >= 0)
     assert np.all(spectrum[:-1] >= spectrum[1:])

@@ -64,10 +64,10 @@ def test_vocabulary_hand_enumeration():
 
 def test_embed_sample_repeats_rows():
     params = tiny_params()
-    emb = embed_sample(params, [2, 2])
-    assert emb.rows == 2
-    assert np.array_equal(emb.values[0], emb.values[1])
-    assert np.array_equal(emb.values[0], params.embedding_table[2])
+    rows = embed_sample(params, [2, 2])
+    assert rows.shape == (2, params.hidden)
+    assert np.array_equal(rows[0], rows[1])
+    assert np.array_equal(rows[0], params.embedding_table[2])
 
 
 def test_zeroed_table_gives_zero_norm():
@@ -387,7 +387,7 @@ def test_dump_then_train_ordering():
     from spdcl.io import f32_roundtrip
 
     sid, expected_norm = result.history.table(1)[0]
-    fresh = f32_roundtrip(embed_sample(params0, train.token_ids[sid], sid))
+    fresh = f32_roundtrip(embed_sample(params0, train.token_ids[sid]))
     assert nuclear_norm(fresh) == expected_norm
 
 
