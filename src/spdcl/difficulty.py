@@ -69,10 +69,14 @@ class DifficultyHistory:
         return frozenset(sid for sid, _ in self.tables[0])
 
     def append(self, norms: Mapping[str, float]) -> None:
-        table = sorted(norms.items(), key=lambda kv: (kv[1], kv[0]))
         if self.tables and frozenset(norms) != self.sample_ids():
             raise ValueError("sample-id set differs from earlier epochs")
-        self.tables.append(table)
+        self.tables.append(_by_norm(norms))
+
+
+def _by_norm(norms: Mapping[str, float]) -> list[tuple[str, float]]:
+    """``(sample_id, norm)`` pairs ascending by norm, ties by id: one history table."""
+    return sorted(norms.items(), key=lambda kv: (kv[1], kv[0]))
 
 
 def dump_norms(dump: EmbeddingDump) -> dict[str, float]:
@@ -129,8 +133,10 @@ def delta_scores(
     if frozenset(current) != history.sample_ids():
         raise ValueError("sample-id set differs from history")
 
+    # Sorted once: the rank alignment reads it and it becomes the history's
+    # epoch-t table; the id set was checked just above.
+    cur_table = _by_norm(current)
     if mode == "rank":
-        cur_table = sorted(current.items(), key=lambda kv: (kv[1], kv[0]))
         deltas = {
             sid_now: norm_now - prev_norm
             for (sid_now, norm_now), (_, prev_norm) in zip(cur_table, prev)
@@ -143,7 +149,7 @@ def delta_scores(
         records = _ranked(deltas, epoch, key=lambda d: -abs(d))
     else:
         records = _ranked(deltas, epoch, key=lambda d: -d)
-    history.append(current)
+    history.tables.append(cur_table)
     return records
 
 

@@ -332,6 +332,19 @@ class RunConfig:
     shuffle_within_epoch: bool = True
 
     def __post_init__(self):
+        # Types first, so a wrong-typed value names its field instead of
+        # failing a comparison below or later in training.  bool is an int
+        # subclass, so it is rejected by name.
+        for name in ("bins_k", "epochs_T", "seed", "batch", "hidden_d", "max_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise FormatError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float)):
+            raise FormatError(f"lr must be a number, got {self.lr!r}")
+        if not isinstance(self.shuffle_within_epoch, bool):
+            raise FormatError(
+                f"shuffle_within_epoch must be true or false, got {self.shuffle_within_epoch!r}"
+            )
         if self.bins_k < 1:
             raise FormatError("bins_k must be >= 1")
         if self.epochs_T < 1:

@@ -4,7 +4,8 @@ The nuclear norm is the sum of the singular values, equivalently
 ``tr(sqrt(E^T E))``.  It is computed from the smaller Gram matrix by a
 symmetric eigendecomposition.  :class:`EmbeddingDump` holds every sample's
 token-by-hidden rows in one float32 array, checked once when it is built,
-so scoring a dump runs the kernel on plain slices.  Everything here is a
+so scoring a dump runs the kernel on plain arrays: one stacked call per
+group of samples that share a row count.  Everything here is a
 pure function over immutable inputs and safe to call from many workers at
 once.
 """
@@ -14,6 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Float64 values scored per stacked kernel call: 2 MiB.  Slicing each
+# row-count group to this size keeps scoring's memory constant, however many
+# samples share a length (every text longer than max_len truncates to it).
+_SCORE_SLICE_VALUES = 1 << 18
 
 
 def _validated_values(values) -> np.ndarray:
@@ -28,14 +34,16 @@ def _validated_values(values) -> np.ndarray:
 
 
 def _spectrum(arr: np.ndarray) -> np.ndarray:
-    # Eigenvalues of the smaller Gram matrix, clamped to zero so roundoff can
-    # never produce a negative singular value; returned largest first, the
-    # order stored norms are summed in.  The larger Gram of a matrix with
+    # Singular values of each (m, n) matrix in a stack (..., m, n): eigenvalues
+    # of the smaller Gram matrix, clamped to zero so roundoff can never produce
+    # a negative singular value; returned largest first along the last axis,
+    # the order stored norms are summed in.  The larger Gram of a matrix with
     # fewer rows than columns would add rounding-level zero eigenvalues whose
     # square roots cost up to ~2e-8 relative error.
-    m, n = arr.shape
-    gram = arr.T @ arr if n <= m else arr @ arr.T
-    return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[::-1]
+    m, n = arr.shape[-2:]
+    arr_t = arr.swapaxes(-1, -2)
+    gram = arr_t @ arr if n <= m else arr @ arr_t
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[..., ::-1]
 
 
 def singular_values(matrix) -> np.ndarray:
@@ -97,9 +105,27 @@ class EmbeddingDump:
         object.__setattr__(self, "values", values)
 
     def nuclear_norms(self) -> list[float]:
-        """Each sample's nuclear norm, in ``ids`` order, from its rows widened to float64."""
-        bounds = self.offsets.tolist()
-        return [
-            float(_spectrum(self.values[lo:hi].astype(np.float64)).sum())
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
+        """Each sample's nuclear norm, in ``ids`` order, from its rows widened to float64.
+
+        Samples are scored in groups that share a row count, one stacked
+        kernel call per slice of a group, so an epoch costs one LAPACK batch
+        per distinct length rather than one call per sample.  Each slice
+        holds at most ``_SCORE_SLICE_VALUES`` float64 values (or one
+        sample), which bounds scoring's temporaries whatever the group size.
+        Every sample's spectrum and sum are computed exactly as
+        ``nuclear_norm`` computes them.
+        """
+        lengths = np.diff(self.offsets)
+        by_length = np.argsort(lengths, kind="stable")
+        cuts = np.flatnonzero(np.diff(lengths[by_length])) + 1
+        cols = self.values.shape[1]
+        norms = np.empty(len(self.ids))
+        for group in np.split(by_length, cuts):
+            rows = int(lengths[group[0]])
+            step = max(1, _SCORE_SLICE_VALUES // (rows * cols))
+            row_range = np.arange(rows)
+            for start in range(0, len(group), step):
+                members = group[start : start + step]
+                rows_of = self.offsets[members, None] + row_range
+                norms[members] = _spectrum(self.values[rows_of].astype(np.float64)).sum(axis=-1)
+        return norms.tolist()

@@ -287,6 +287,24 @@ def test_train_invalid_config_fails_before_training(run_dirs, capsys):
     assert not list(out_dir.glob("epoch*")) if out_dir.exists() else True
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [('{"bins_k": 2.5}', "bins_k"), ('{"shuffle_within_epoch": "no"}', "shuffle_within_epoch")],
+)
+def test_train_rejects_wrong_typed_config(run_dirs, capsys, config, field):
+    tmp_path, train_path, valid_path, _ = run_dirs
+    bad = tmp_path / "bad.json"
+    bad.write_text(config)
+    code = run_cli(
+        "train", "--dataset", str(train_path), "--valid", str(valid_path),
+        "--config", str(bad), "--out-dir", str(tmp_path / "nope"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:invalid-config:") and field in err
+    assert "Traceback" not in err
+
+
 def test_train_divergence_names_epoch(run_dirs, capsys):
     tmp_path, train_path, valid_path, _ = run_dirs
     config_path = tmp_path / "diverge.json"

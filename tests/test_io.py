@@ -240,6 +240,24 @@ def test_run_config_validation(tmp_path):
     path.write_text("{")
     with pytest.raises(FormatError, match="not valid JSON"):
         load_run_config(path)
+    # types are checked, not only ranges; bool is not an integer or a number
+    for bad, field in (
+        ('{"bins_k": 2.5}', "bins_k"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"epochs_T": true}', "epochs_T"),
+        ('{"batch": "25"}', "batch"),
+        ('{"max_len": null}', "max_len"),
+        ('{"lr": "0.1"}', "lr"),
+        ('{"lr": false}', "lr"),
+        ('{"shuffle_within_epoch": "no"}', "shuffle_within_epoch"),
+        ('{"shuffle_within_epoch": 0}', "shuffle_within_epoch"),
+    ):
+        path.write_text(bad)
+        with pytest.raises(FormatError, match=field):
+            load_run_config(path)
+    path.write_text('{"lr": 1, "shuffle_within_epoch": false}')
+    config = load_run_config(path)
+    assert config.lr == 1 and config.shuffle_within_epoch is False
 
 
 def test_run_config_defaults_follow_reference_settings():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,48 @@ def test_dump_packs_samples_and_scores_each():
     # rows are stored as float32 and scored widened to float64
     want = [nuclear_norm(m.astype(np.float32).astype(np.float64)) for m in mats]
     assert dump.nuclear_norms() == want
+
+
+def _per_sample_norm(rows):
+    # One sample scored on its own, written out: rows stored as float32 and
+    # widened to float64, smaller-side Gram, eigvalsh, clip, sqrt, then the
+    # spectrum summed largest first.
+    mat = np.asarray(rows, dtype=np.float32).astype(np.float64)
+    gram = mat.T @ mat if mat.shape[1] <= mat.shape[0] else mat @ mat.T
+    return float(np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[::-1].sum())
+
+
+@pytest.mark.parametrize("d", [1, 3, 16, 33])
+def test_grouped_scoring_equals_per_sample_scoring(d):
+    # A dump is scored in stacks of samples that share a row count; every
+    # norm must equal the one-sample computation bit for bit.  Row counts run
+    # below, at and above d; 3d+5 and 3d+7 are groups of one sample; d+2 is a
+    # group of 1000, which at d=33 spans several slices; ids are not in
+    # length order.
+    rng = np.random.default_rng(d)
+    lengths = [max(1, d - 1), d, d + 1, 3 * d + 5, 3 * d + 7] + [d + 2] * 1000
+    lengths += rng.integers(1, 2 * d + 4, size=200).tolist()
+    rng.shuffle(lengths)
+    mats = [rng.normal(scale=rng.uniform(0.01, 10.0), size=(rows, d)) for rows in lengths]
+    dump = pack_dump((f"s{i}", m) for i, m in enumerate(mats))
+    assert dump.nuclear_norms() == [_per_sample_norm(m) for m in mats]
+
+
+def test_scoring_memory_is_bounded():
+    # Every sample has the same row count, so they form one group.  Scored as
+    # one float64 stack, it would need twice values.nbytes; sliced, scoring's
+    # peak stays a small constant.
+    n, rows, d = 1 << 14, 16, 16
+    values = np.random.default_rng(0).standard_normal((n * rows, d), dtype=np.float32)
+    dump = EmbeddingDump(tuple(f"s{i}" for i in range(n)), np.arange(n + 1) * rows, values)
+    tracemalloc.start()
+    try:
+        norms = dump.nuclear_norms()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(norms) == n
+    assert peak < values.nbytes / 2, (peak, values.nbytes)
 
 
 def test_norm_sums_spectrum_largest_first():
