@@ -1,8 +1,13 @@
 """File formats and persistence for the curriculum pipeline.
 
 Text artifacts are JSON lines written canonically (sorted keys, fixed
-separators) so every format round-trips byte for byte.  Embedding dumps are
-a small binary format:
+separators, shortest-repr floats) so every format round-trips byte for byte.
+Score files, the one text artifact written every epoch for every sample,
+have a fixed line layout that ``write_scores`` formats directly, one string
+per record; their scores and norms must be finite.  Readers decode each line
+on its own with one shared ``json.JSONDecoder``: they accept any valid JSON
+object per line, in any key order, and reject anything after a line's value.
+Embedding dumps are a small binary format:
 
     magic   8 bytes  b"SPDCLEMB"
     version u32 LE   currently 1
@@ -21,6 +26,7 @@ target directory followed by an atomic rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -37,6 +43,9 @@ from spdcl.scheduler import CurriculumConfig, EpochPlan
 
 DUMP_MAGIC = b"SPDCLEMB"
 DUMP_VERSION = 1
+_DUMP_HEADER = struct.Struct("<IQ")  # version, sample count
+_DUMP_ID_LEN = struct.Struct("<I")
+_DUMP_SHAPE = struct.Struct("<II")  # rows, cols
 
 TASK_KINDS = ("multiclass", "multilabel")
 
@@ -62,6 +71,10 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
         raise
 
 
+# The string encoder json.dumps(..., ensure_ascii=False) itself uses.
+_encode_json_str = json.encoder.encode_basestring
+
+
 def _canonical_json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
@@ -80,17 +93,27 @@ def write_text_atomic(path, text: str) -> None:
     _atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
-def _read_jsonl(path) -> list[dict]:
+# One decoder for every JSON-lines file.  Each line is decoded on its own, so
+# two invalid half-lines can never join into one valid record.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _read_jsonl(path) -> list:
     out = []
+    # Iterating the text handle splits on newlines only: str.splitlines()
+    # would also split inside an id holding a raw U+2028 or U+2029.
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(json.loads(line))
+                obj, end = _raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
+            out.append(obj)
     return out
 
 
@@ -165,12 +188,12 @@ def write_embedding_dump(path, dump: EmbeddingDump) -> None:
     raw = memoryview(np.ascontiguousarray(dump.values, dtype="<f4")).cast("B")
     row_bytes = 4 * cols
     bounds = dump.offsets.tolist()
-    parts = [DUMP_MAGIC, struct.pack("<IQ", DUMP_VERSION, len(dump.ids))]
+    parts = [DUMP_MAGIC, _DUMP_HEADER.pack(DUMP_VERSION, len(dump.ids))]
     for sid, lo, hi in zip(dump.ids, bounds, bounds[1:]):
         id_bytes = sid.encode("utf-8")
-        parts.append(struct.pack("<I", len(id_bytes)))
+        parts.append(_DUMP_ID_LEN.pack(len(id_bytes)))
         parts.append(id_bytes)
-        parts.append(struct.pack("<II", hi - lo, cols))
+        parts.append(_DUMP_SHAPE.pack(hi - lo, cols))
         parts.append(raw[lo * row_bytes : hi * row_bytes])
     _atomic_write_bytes(Path(path), b"".join(parts))
 
@@ -179,40 +202,53 @@ def read_embedding_dump(path) -> EmbeddingDump:
     """Read a v1 dump; every sample must share one column count."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    size = len(blob)
     view = memoryview(blob)
 
-    def take(n, what):
-        nonlocal offset
-        if offset + n > len(blob):
-            raise FormatError(f"{path}: truncated while reading {what}")
-        piece = view[offset : offset + n]
-        offset += n
-        return piece
+    def truncated(what):
+        return FormatError(f"{path}: truncated while reading {what}")
 
-    offset = 0
-    if take(8, "magic") != DUMP_MAGIC:
+    if size < len(DUMP_MAGIC):
+        raise truncated("magic")
+    if blob[: len(DUMP_MAGIC)] != DUMP_MAGIC:
         raise FormatError(f"{path}: bad magic, not an embedding dump")
-    version, count = struct.unpack("<IQ", take(12, "header"))
+    offset = len(DUMP_MAGIC) + _DUMP_HEADER.size
+    if offset > size:
+        raise truncated("header")
+    version, count = _DUMP_HEADER.unpack_from(blob, len(DUMP_MAGIC))
     if version != DUMP_VERSION:
         raise FormatError(f"{path}: unsupported dump version {version}")
     ids, row_offsets, chunks = [], [0], []
     cols = 0
     for i in range(count):
-        (id_len,) = struct.unpack("<I", take(4, f"id length of sample {i}"))
+        if offset + _DUMP_ID_LEN.size > size:
+            raise truncated(f"id length of sample {i}")
+        (id_len,) = _DUMP_ID_LEN.unpack_from(blob, offset)
+        offset += _DUMP_ID_LEN.size
+        if offset + id_len > size:
+            raise truncated(f"id of sample {i}")
         try:
-            sid = str(take(id_len, f"id of sample {i}"), "utf-8")
+            sid = str(view[offset : offset + id_len], "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: id of sample {i} is not valid UTF-8: {exc}") from exc
-        rows, sample_cols = struct.unpack("<II", take(8, f"shape of {sid!r}"))
+        offset += id_len
+        if offset + _DUMP_SHAPE.size > size:
+            raise truncated(f"shape of {sid!r}")
+        rows, sample_cols = _DUMP_SHAPE.unpack_from(blob, offset)
+        offset += _DUMP_SHAPE.size
         if i == 0:
             cols = sample_cols
         elif sample_cols != cols:
             raise FormatError(f"{path}: sample {sid!r} has {sample_cols} columns, sample 0 has {cols}")
-        chunks.append(take(4 * rows * cols, f"values of {sid!r}"))
+        n_bytes = 4 * rows * cols
+        if offset + n_bytes > size:
+            raise truncated(f"values of {sid!r}")
+        chunks.append(view[offset : offset + n_bytes])
+        offset += n_bytes
         ids.append(sid)
         row_offsets.append(row_offsets[-1] + rows)
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after declared samples")
+    if offset != size:
+        raise FormatError(f"{path}: {size - offset} trailing bytes after declared samples")
     values = np.frombuffer(b"".join(chunks), dtype="<f4").reshape(row_offsets[-1], cols)
     try:
         return EmbeddingDump(ids, row_offsets, values)
@@ -227,28 +263,31 @@ def write_scores(path, records: Sequence[DifficultyRecord], norms: dict[str, flo
     """Score file: one line per sample with both the score and the raw norm.
 
     The raw nuclear norm rides along so the next epoch can diff against it;
-    for epoch 1 the two values coincide.
+    for epoch 1 the two values coincide.  Each line is formatted directly
+    and is byte for byte what ``_canonical_json_line`` gives for the record
+    with ``float`` score and norm (keys sorted, floats as ``float.__repr__``).
+    Scores and norms must be finite.
     """
-    rows = []
+    lines = []
     for rec in records:
-        if rec.sample_id not in norms:
-            raise FormatError(f"no raw norm for sample {rec.sample_id!r}")
-        rows.append(
-            {
-                "id": rec.sample_id,
-                "epoch": rec.epoch,
-                "score": rec.score,
-                "rank": rec.rank,
-                "norm": norms[rec.sample_id],
-            }
+        sid = rec.sample_id
+        if sid not in norms:
+            raise FormatError(f"no raw norm for sample {sid!r}")
+        # float() first: repr() of a numpy scalar is "np.float64(...)".
+        score, norm = float(rec.score), float(norms[sid])
+        if not (math.isfinite(score) and math.isfinite(norm)):
+            raise FormatError(f"sample {sid!r} has a non-finite score {score!r} or norm {norm!r}")
+        lines.append(
+            f'{{"epoch":{int(rec.epoch)},"id":{_encode_json_str(sid)},"norm":{norm!r},'
+            f'"rank":{int(rec.rank)},"score":{score!r}}}\n'
         )
-    write_jsonl_atomic(path, rows)
+    _atomic_write_bytes(Path(path), "".join(lines).encode("utf-8"))
 
 
 def read_scores(path) -> tuple[list[DifficultyRecord], dict[str, float]]:
-    records = []
-    norms = {}
-    epochs = set()
+    """Read a score file: records in file order and the raw norm per id."""
+    ids, epochs, scores, ranks = [], [], [], []
+    norms: dict[str, float] = {}
     for lineno, rec in enumerate(_read_jsonl(path), start=1):
         try:
             sid = rec["id"]
@@ -256,26 +295,26 @@ def read_scores(path) -> tuple[list[DifficultyRecord], dict[str, float]]:
                 raise TypeError(f"id {sid!r} is not a string")
             if sid in norms:
                 raise ValueError(f"duplicate sample id {sid!r}")
-            records.append(
-                DifficultyRecord(
-                    sample_id=sid,
-                    epoch=int(rec["epoch"]),
-                    score=float(rec["score"]),
-                    rank=int(rec["rank"]),
-                )
+            epoch, score, rank, norm = (
+                int(rec["epoch"]), float(rec["score"]), int(rec["rank"]), float(rec["norm"])
             )
-            norms[sid] = float(rec["norm"])
-            epochs.add(int(rec["epoch"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            if not (math.isfinite(score) and math.isfinite(norm)):
+                raise ValueError(f"score {score!r} and norm {norm!r} must be finite")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: line {lineno} is not a valid score record: {exc}") from exc
-    if not records:
+        ids.append(sid)
+        epochs.append(epoch)
+        scores.append(score)
+        ranks.append(rank)
+        norms[sid] = norm
+    if not ids:
         raise FormatError(f"{path}: score file is empty")
-    if len(epochs) != 1:
-        raise FormatError(f"{path}: mixes epochs {sorted(epochs)}")
-    ranks = sorted(r.rank for r in records)
-    if ranks != list(range(len(records))):
+    distinct_epochs = set(epochs)
+    if len(distinct_epochs) != 1:
+        raise FormatError(f"{path}: mixes epochs {sorted(distinct_epochs)}")
+    if sorted(ranks) != list(range(len(ranks))):
         raise FormatError(f"{path}: ranks are not a permutation of 0..N-1")
-    return records, norms
+    return list(map(DifficultyRecord, ids, epochs, scores, ranks)), norms
 
 
 # ------------------------------------------------------------ manifest files
@@ -297,7 +336,7 @@ def read_manifest(path) -> EpochPlan:
         order = list(rec["order"])
         bin_of = {str(k): int(v) for k, v in rec["bin_of"].items()}
         epoch = int(rec["epoch"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed manifest record: {exc}") from exc
     if len(set(order)) != len(order):
         raise FormatError(f"{path}: manifest order contains duplicates")
@@ -351,6 +390,10 @@ class RunConfig:
             raise FormatError("epochs_T must be >= 1")
         if self.seed < 0:
             raise FormatError("seed must be >= 0")
+        # json.load accepts NaN and Infinity; an int is always finite (and
+        # may be too large for math.isfinite).
+        if isinstance(self.lr, float) and not math.isfinite(self.lr):
+            raise FormatError(f"lr must be finite, got {self.lr!r}")
         if self.lr < 0:
             raise FormatError("lr must be >= 0")
         if self.batch < 1:

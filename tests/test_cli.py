@@ -289,7 +289,11 @@ def test_train_invalid_config_fails_before_training(run_dirs, capsys):
 
 @pytest.mark.parametrize(
     "config, field",
-    [('{"bins_k": 2.5}', "bins_k"), ('{"shuffle_within_epoch": "no"}', "shuffle_within_epoch")],
+    [
+        ('{"bins_k": 2.5}', "bins_k"),
+        ('{"shuffle_within_epoch": "no"}', "shuffle_within_epoch"),
+        ('{"lr": NaN}', "lr"),
+    ],
 )
 def test_train_rejects_wrong_typed_config(run_dirs, capsys, config, field):
     tmp_path, train_path, valid_path, _ = run_dirs

@@ -1,8 +1,12 @@
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spdcl.difficulty import DifficultyRecord
 from spdcl.io import (
@@ -54,6 +58,9 @@ def test_dataset_rejects_duplicates_and_empty_labels(tmp_path):
         read_dataset(path)
     path.write_text("not json\n")
     with pytest.raises(FormatError, match="not valid JSON"):
+        read_dataset(path)
+    path.write_text('{"id":"a","text":"t","labels":"x"} {"id":"b"}\n')
+    with pytest.raises(FormatError, match="line 1 is not valid JSON: Extra data"):
         read_dataset(path)
 
 
@@ -186,6 +193,83 @@ def test_scores_validation(tmp_path):
     path.write_text('{"id":"a","epoch":1,"score":1.0}\n')
     with pytest.raises(FormatError, match="score record"):
         read_scores(path)
+    # non-finite values, and an epoch too large for an int, are bad records
+    # (each bad field is appended, and the later of two equal keys wins)
+    for bad in ('"score":NaN', '"score":Infinity', '"norm":-Infinity', '"epoch":1e400'):
+        path.write_text('{"id":"a","epoch":1,"score":1.0,"rank":0,"norm":1.0,' + bad + "}\n")
+        with pytest.raises(FormatError, match="line 1 is not a valid score record"):
+            read_scores(path)
+
+
+def test_scores_reader_parses_each_line_alone(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    # two half-lines that would join into a valid two-record JSON array
+    path.write_text('{"epoch":1,"id":"a","norm":1.0,"rank":0,"score":1.0},{"epoch":1,"id":"b",\n'
+                    '"norm":2.0,"rank":1,"score":2.0}\n')
+    with pytest.raises(FormatError, match="line 1 is not valid JSON"):
+        read_scores(path)
+    # trailing data after a line's object
+    path.write_text('{"epoch":1,"id":"a","norm":1.0,"rank":0,"score":1.0}\n'
+                    '{"epoch":1,"id":"b","norm":2.0,"rank":1,"score":2.0} 7\n')
+    with pytest.raises(FormatError, match="line 2 is not valid JSON: Extra data"):
+        read_scores(path)
+
+
+@pytest.mark.parametrize("score, norm", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, -np.inf)])
+def test_write_scores_rejects_non_finite(tmp_path, score, norm):
+    out_dir = tmp_path / "out"
+    with pytest.raises(FormatError, match="'b' has a non-finite"):
+        write_scores(
+            out_dir / "scores.jsonl",
+            [DifficultyRecord("a", 1, 1.0, 0), DifficultyRecord("b", 1, score, 1)],
+            {"a": 1.0, "b": norm},
+        )
+    assert not out_dir.exists() or not list(out_dir.iterdir())
+
+
+# Ids with every character class the JSON string encoder treats specially,
+# and floats at the edges of float.__repr__.
+_TRICKY_IDS = ['q"uote', "back\\slash", "\x00\x1f\x7f\t\n\r", "\u2028 \u2029 \x85", "\U0001f600", "naïve – 東京"]
+_TRICKY_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, np.float64(0.1), np.float64(-2.5e-300)]
+_score_ids = st.one_of(st.sampled_from(_TRICKY_IDS), st.text(st.characters(codec="utf-8"), min_size=1))
+_score_floats = st.one_of(
+    st.sampled_from(_TRICKY_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+
+
+@st.composite
+def _score_rows(draw):
+    ids = draw(st.lists(_score_ids, min_size=1, max_size=6, unique=True))
+    ranks = draw(st.permutations(range(len(ids))))
+    epoch = draw(st.integers(1, 10**6))
+    return [(sid, epoch, draw(_score_floats), rank, draw(_score_floats)) for sid, rank in zip(ids, ranks)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_score_rows())
+@example([(sid, 3, x, i, _TRICKY_FLOATS[-1 - i]) for i, (sid, x) in enumerate(zip(_TRICKY_IDS, _TRICKY_FLOATS))])
+def test_score_lines_are_canonical_json(rows):
+    records = [DifficultyRecord(sid, epoch, score, rank) for sid, epoch, score, rank, _ in rows]
+    norms = {sid: norm for sid, _, _, _, norm in rows}
+    expected = "".join(
+        json.dumps(
+            {"id": sid, "epoch": epoch, "score": score, "rank": rank, "norm": norm},
+            sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+        ) + "\n"
+        for sid, epoch, score, rank, norm in rows
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.jsonl"
+        write_scores(path, records, norms)
+        assert path.read_bytes() == expected.encode("utf-8")
+        got_records, got_norms = read_scores(path)
+    # repr() tells -0.0 from 0.0
+    assert [(r.sample_id, r.epoch, repr(r.score), r.rank) for r in got_records] == [
+        (sid, epoch, repr(float(score)), rank) for sid, epoch, score, rank, _ in rows
+    ]
+    assert {sid: repr(n) for sid, n in got_norms.items()} == {sid: repr(float(n)) for sid, n in norms.items()}
 
 
 # ------------------------------------------------------------ manifest files
@@ -214,6 +298,19 @@ def test_manifest_rejects_duplicates(tmp_path):
     path.write_text('{"epoch":1,"order":["a","a"],"bin_of":{"a":1}}\n')
     with pytest.raises(FormatError, match="duplicates"):
         read_manifest(path)
+
+
+def test_manifest_rejects_malformed_record(tmp_path):
+    path = tmp_path / "m.jsonl"
+    for record in (
+        '{"epoch":1,"order":["a"]}',
+        '{"epoch":1,"order":["a"],"bin_of":{"a":"x"}}',
+        '{"epoch":1,"order":["a"],"bin_of":{"a":1e400}}',
+        '{"epoch":1e400,"order":["a"],"bin_of":{"a":1}}',
+    ):
+        path.write_text(record + "\n")
+        with pytest.raises(FormatError, match="malformed manifest record"):
+            read_manifest(path)
 
 
 # ----------------------------------------------------------------- run config
@@ -251,6 +348,9 @@ def test_run_config_validation(tmp_path):
         ('{"lr": false}', "lr"),
         ('{"shuffle_within_epoch": "no"}', "shuffle_within_epoch"),
         ('{"shuffle_within_epoch": 0}', "shuffle_within_epoch"),
+        ('{"lr": NaN}', "lr"),
+        ('{"lr": Infinity}', "lr"),
+        ('{"lr": -Infinity}', "lr"),
     ):
         path.write_text(bad)
         with pytest.raises(FormatError, match=field):
