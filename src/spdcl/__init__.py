@@ -12,12 +12,10 @@ from spdcl.nucnorm import (
     singular_values,
 )
 from spdcl.difficulty import (
-    DifficultyHistory,
-    DifficultyRecord,
+    ScoreTable,
     delta_scores,
     dump_norms,
     initial_scores,
-    rank_samples,
 )
 from spdcl.scheduler import (
     CurriculumConfig,

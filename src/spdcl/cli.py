@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from spdcl import io as spdcl_io
-from spdcl.difficulty import DifficultyHistory, delta_scores, dump_norms, initial_scores
+from spdcl.difficulty import delta_scores, dump_norms, initial_scores
 from spdcl.io import FormatError
 from spdcl.scheduler import CurriculumConfig, build_epoch_plan
 from spdcl.trainer import TrainHyper, TrainingDiverged, encode_datasets, run_baseline, run_spdcl
@@ -57,30 +57,26 @@ def cmd_score(args) -> None:
     if args.epoch == 1:
         if args.prev_scores is not None:
             raise CliError("epoch-mismatch", "--prev-scores is only valid for epoch >= 2")
-        records = initial_scores(dump)
-        norms = {r.sample_id: r.score for r in records}
+        table = initial_scores(*dump_norms(dump))
     else:
         if args.prev_scores is None:
             raise CliError("epoch-mismatch", f"epoch {args.epoch} requires --prev-scores")
         try:
-            prev_records, prev_norms = spdcl_io.read_scores(args.prev_scores)
+            previous = spdcl_io.read_scores(args.prev_scores)
         except (FormatError, OSError) as exc:
             raise CliError("malformed-scores", str(exc))
-        prev_epoch = prev_records[0].epoch
-        if prev_epoch != args.epoch - 1:
+        if previous.epoch != args.epoch - 1:
             raise CliError(
                 "epoch-mismatch",
-                f"--prev-scores holds epoch {prev_epoch}, expected {args.epoch - 1}",
+                f"--prev-scores holds epoch {previous.epoch}, expected {args.epoch - 1}",
             )
-        history = DifficultyHistory(first_epoch=prev_epoch)
-        history.append(prev_norms)
-        norms = dump_norms(dump)
+        ids, norm = dump_norms(dump)
         try:
-            records = delta_scores(norms, history, mode=args.alignment, ordering=args.ordering)
+            table = delta_scores(ids, norm, previous, mode=args.alignment, ordering=args.ordering)
         except ValueError as exc:
             raise CliError("sample-mismatch", str(exc))
-    spdcl_io.write_scores(args.out, records, norms)
-    log.info("scored %d samples for epoch %d -> %s", len(records), args.epoch, args.out)
+    spdcl_io.write_scores(args.out, table)
+    log.info("scored %d samples for epoch %d -> %s", len(table.ids), args.epoch, args.out)
 
 
 # ---------------------------------------------------------------- schedule
@@ -88,13 +84,13 @@ def cmd_score(args) -> None:
 
 def cmd_schedule(args) -> None:
     try:
-        records, _ = spdcl_io.read_scores(args.scores)
+        table = spdcl_io.read_scores(args.scores)
     except (FormatError, OSError) as exc:
         raise CliError("malformed-scores", str(exc))
-    if records[0].epoch != args.epoch:
+    if table.epoch != args.epoch:
         raise CliError(
             "epoch-mismatch",
-            f"score file holds epoch {records[0].epoch}, expected {args.epoch}",
+            f"score file holds epoch {table.epoch}, expected {args.epoch}",
         )
     try:
         # total_epochs_T is irrelevant for a single-epoch plan; max() just
@@ -105,7 +101,7 @@ def cmd_schedule(args) -> None:
             shuffle_seed=args.seed,
             shuffle_within_epoch=not args.no_shuffle,
         )
-        plan = build_epoch_plan(records, config, args.epoch)
+        plan = build_epoch_plan(table, config, args.epoch)
     except ValueError as exc:
         raise CliError("invalid-config", str(exc))
     spdcl_io.write_manifest(args.out, plan)

@@ -3,10 +3,15 @@
 Text artifacts are JSON lines written canonically (sorted keys, fixed
 separators, shortest-repr floats) so every format round-trips byte for byte.
 Score files, the one text artifact written every epoch for every sample,
-have a fixed line layout that ``write_scores`` formats directly, one string
-per record; their scores and norms must be finite.  Readers decode each line
-on its own with one shared ``json.JSONDecoder``: they accept any valid JSON
-object per line, in any key order, and reject anything after a line's value.
+have a fixed line layout that ``write_scores`` formats directly from a
+:class:`spdcl.difficulty.ScoreTable`, one line per sample in rank order;
+their scores and norms must be finite.  Readers decode each line on its own
+with one shared ``json.JSONDecoder``: they accept any valid JSON object per
+line, in any key order, and reject anything after a line's value.  Epochs,
+ranks and bins must be JSON integers, scores and norms JSON numbers, and
+dataset texts strings.  ``read_scores`` returns the table with its ids
+ascending, whatever the order of the file's lines.
+
 Embedding dumps are a small binary format:
 
     magic   8 bytes  b"SPDCLEMB"
@@ -36,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, DifficultyRecord
+from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, ScoreTable
 from spdcl.metrics import EvalReport
 from spdcl.nucnorm import EmbeddingDump
 from spdcl.scheduler import CurriculumConfig, EpochPlan
@@ -151,7 +156,9 @@ def read_dataset(path) -> list[TextSample]:
             labels = [labels]
         if not isinstance(labels, list) or not labels or not all(isinstance(x, str) for x in labels):
             raise FormatError(f"{path}: record {sid!r} needs a non-empty label or label list")
-        samples.append(TextSample(sample_id=sid, text=str(rec["text"]), labels=tuple(labels)))
+        if not isinstance(rec["text"], str):
+            raise FormatError(f"{path}: record {sid!r} has a non-string text {rec['text']!r}")
+        samples.append(TextSample(sample_id=sid, text=rec["text"], labels=tuple(labels)))
     if not samples:
         raise FormatError(f"{path}: dataset is empty")
     return samples
@@ -259,8 +266,8 @@ def read_embedding_dump(path) -> EmbeddingDump:
 # ------------------------------------------------------------- score files
 
 
-def write_scores(path, records: Sequence[DifficultyRecord], norms: dict[str, float]) -> None:
-    """Score file: one line per sample with both the score and the raw norm.
+def write_scores(path, table: ScoreTable) -> None:
+    """Score file: one line per sample in rank order, with the score and the raw norm.
 
     The raw nuclear norm rides along so the next epoch can diff against it;
     for epoch 1 the two values coincide.  Each line is formatted directly
@@ -268,45 +275,76 @@ def write_scores(path, records: Sequence[DifficultyRecord], norms: dict[str, flo
     with ``float`` score and norm (keys sorted, floats as ``float.__repr__``).
     Scores and norms must be finite.
     """
-    lines = []
-    for rec in records:
-        sid = rec.sample_id
-        if sid not in norms:
-            raise FormatError(f"no raw norm for sample {sid!r}")
-        # float() first: repr() of a numpy scalar is "np.float64(...)".
-        score, norm = float(rec.score), float(norms[sid])
-        if not (math.isfinite(score) and math.isfinite(norm)):
-            raise FormatError(f"sample {sid!r} has a non-finite score {score!r} or norm {norm!r}")
-        lines.append(
-            f'{{"epoch":{int(rec.epoch)},"id":{_encode_json_str(sid)},"norm":{norm!r},'
-            f'"rank":{int(rec.rank)},"score":{score!r}}}\n'
+    order = table.order
+    norms, scores = table.norm[order], table.score[order]
+    finite = np.isfinite(norms) & np.isfinite(scores)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise FormatError(
+            f"sample {table.ids[order[bad]]!r} has a non-finite score {float(scores[bad])!r} "
+            f"or norm {float(norms[bad])!r}"
         )
+    head = f'{{"epoch":{int(table.epoch)},"id":'
+    ids = table.ids
+    # .tolist() gives Python floats, whose repr() is json's float.__repr__.
+    lines = [
+        f'{head}{_encode_json_str(ids[row])},"norm":{norm!r},"rank":{rank},"score":{score!r}}}\n'
+        for rank, (row, norm, score) in enumerate(zip(order.tolist(), norms.tolist(), scores.tolist()))
+    ]
     _atomic_write_bytes(Path(path), "".join(lines).encode("utf-8"))
 
 
-def read_scores(path) -> tuple[list[DifficultyRecord], dict[str, float]]:
-    """Read a score file: records in file order and the raw norm per id."""
-    ids, epochs, scores, ranks = [], [], [], []
-    norms: dict[str, float] = {}
+# Readers check the exact type a JSON decoder gives: true and false decode
+# as bool, which int() and float() take as 1 and 0, and int() truncates 1.7.
+_NUMBER = (int, float)
+
+
+def _mistyped_score_field(rec: dict) -> str:
+    """Name the first field of a score record that has the wrong type."""
+    for name in ("epoch", "rank"):
+        if type(rec[name]) is not int:
+            return f"{name} {rec[name]!r} is not an integer"
+    for name in ("score", "norm"):
+        if type(rec[name]) not in _NUMBER:
+            return f"{name} {rec[name]!r} is not a number"
+    return ""
+
+
+def read_scores(path) -> ScoreTable:
+    """Read a score file, in any line order, as a table with the ids ascending.
+
+    Each line is checked on its own; then the file must hold one epoch and
+    its ranks must be a permutation of 0..N-1.
+    """
+    ids, epochs, scores, ranks, norms = [], [], [], [], []
+    seen = set()
     for lineno, rec in enumerate(_read_jsonl(path), start=1):
         try:
             sid = rec["id"]
             if not isinstance(sid, str):
                 raise TypeError(f"id {sid!r} is not a string")
-            if sid in norms:
+            if sid in seen:
                 raise ValueError(f"duplicate sample id {sid!r}")
-            epoch, score, rank, norm = (
-                int(rec["epoch"]), float(rec["score"]), int(rec["rank"]), float(rec["norm"])
-            )
+            epoch, rank, score, norm = rec["epoch"], rec["rank"], rec["score"], rec["norm"]
+            # Inline: this runs once per line of every score file read.
+            if (
+                type(epoch) is not int
+                or type(rank) is not int
+                or type(score) not in _NUMBER
+                or type(norm) not in _NUMBER
+            ):
+                raise TypeError(_mistyped_score_field(rec))
+            score, norm = float(score), float(norm)
             if not (math.isfinite(score) and math.isfinite(norm)):
                 raise ValueError(f"score {score!r} and norm {norm!r} must be finite")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: line {lineno} is not a valid score record: {exc}") from exc
+        seen.add(sid)
         ids.append(sid)
         epochs.append(epoch)
         scores.append(score)
         ranks.append(rank)
-        norms[sid] = norm
+        norms.append(norm)
     if not ids:
         raise FormatError(f"{path}: score file is empty")
     distinct_epochs = set(epochs)
@@ -314,7 +352,16 @@ def read_scores(path) -> tuple[list[DifficultyRecord], dict[str, float]]:
         raise FormatError(f"{path}: mixes epochs {sorted(distinct_epochs)}")
     if sorted(ranks) != list(range(len(ranks))):
         raise FormatError(f"{path}: ranks are not a permutation of 0..N-1")
-    return list(map(DifficultyRecord, ids, epochs, scores, ranks)), norms
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    order = np.empty(len(ids), dtype=np.int64)
+    order[np.asarray(ranks)[by_id]] = np.arange(len(ids))
+    return ScoreTable(
+        epochs[0],
+        tuple(ids[i] for i in by_id),
+        np.asarray(norms)[by_id],
+        np.asarray(scores)[by_id],
+        order,
+    )
 
 
 # ------------------------------------------------------------ manifest files
@@ -334,9 +381,16 @@ def read_manifest(path) -> EpochPlan:
     rec = rows[0]
     try:
         order = list(rec["order"])
-        bin_of = {str(k): int(v) for k, v in rec["bin_of"].items()}
-        epoch = int(rec["epoch"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        bin_of = rec["bin_of"]
+        if not isinstance(bin_of, dict):
+            raise TypeError(f"bin_of {bin_of!r} is not an object")
+        epoch = rec["epoch"]
+        if type(epoch) is not int:
+            raise TypeError(f"epoch {epoch!r} is not an integer")
+        for sid, number in bin_of.items():
+            if type(number) is not int:
+                raise TypeError(f"bin of {sid!r} {number!r} is not an integer")
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed manifest record: {exc}") from exc
     if len(set(order)) != len(order):
         raise FormatError(f"{path}: manifest order contains duplicates")
@@ -460,8 +514,7 @@ def epoch_report_payload(stats, report: EvalReport) -> dict:
     return payload
 
 
-def _norm_stats(norms: Sequence[float]) -> dict:
-    xs = np.asarray(norms, dtype=np.float64)
+def _norm_stats(xs: np.ndarray) -> dict:
     q1, median, q3 = (float(v) for v in np.percentile(xs, [25.0, 50.0, 75.0], method="linear"))
     return {
         "count": int(xs.size),
@@ -497,8 +550,10 @@ def _collect_run(run_dir: Path) -> dict:
             continue
         with open(paths["report"], "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        _, norms = read_scores(paths["scores"])
-        payload["norm_stats"] = _norm_stats(list(norms.values()))
+        table = read_scores(paths["scores"])
+        # In rank order, the order of the file's lines: the mean's pairwise
+        # summation depends on it.
+        payload["norm_stats"] = _norm_stats(table.norm[table.order])
         epochs.append(payload)
     if missing:
         raise FormatError(f"incomplete run in {run_dir}: missing {', '.join(sorted(missing))}")

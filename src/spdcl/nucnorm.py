@@ -104,8 +104,8 @@ class EmbeddingDump:
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "values", values)
 
-    def nuclear_norms(self) -> list[float]:
-        """Each sample's nuclear norm, in ``ids`` order, from its rows widened to float64.
+    def nuclear_norms(self) -> np.ndarray:
+        """Each sample's nuclear norm in ``ids`` order, from its rows widened to float64.
 
         Samples are scored in groups that share a row count, one stacked
         kernel call per slice of a group, so an epoch costs one LAPACK batch
@@ -128,4 +128,4 @@ class EmbeddingDump:
                 members = group[start : start + step]
                 rows_of = self.offsets[members, None] + row_range
                 norms[members] = _spectrum(self.values[rows_of].astype(np.float64)).sum(axis=-1)
-        return norms.tolist()
+        return norms

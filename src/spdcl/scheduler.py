@@ -4,8 +4,8 @@ The easy-to-hard ordering is cut into ``bins_k`` contiguous bins.  Epoch t
 trains on bins 1..min(t, k): the visible set widens by one bin per epoch and
 saturates to the full dataset at epoch k.  Earlier bins are always
 re-included (annealing), so easy samples keep being reviewed while new,
-harder ones arrive.  Re-binning happens every epoch from fresh difficulty
-records, which is what makes the curriculum dynamic rather than static.
+harder ones arrive.  Re-binning happens every epoch from a fresh score
+table, which is what makes the curriculum dynamic rather than static.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spdcl.difficulty import (
-    ALIGNMENT_MODES,
-    DELTA_ORDERINGS,
-    DifficultyRecord,
-    rank_samples,
-)
+from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, ScoreTable
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -70,10 +65,11 @@ class EpochPlan:
     bin_of: dict[str, int] = field(repr=False)
 
 
-def partition_bins(ordered_ids: list[str], k: int) -> list[list[str]]:
-    """Cut an easy-to-hard ordering into k contiguous bins, easiest first.
+def partition_bins(ordered_ids, k: int) -> list:
+    """Cut an easy-to-hard ordering into k contiguous slices, easiest first.
 
-    Sizes differ by at most one; when N mod k != 0 the earlier bins take the
+    ``ordered_ids`` may be a list of ids or an array of row indices.  Sizes
+    differ by at most one; when N mod k != 0 the earlier bins take the
     extra element.
     """
     n = len(ordered_ids)
@@ -102,35 +98,32 @@ def visible_set(epoch: int, bins: list[list[str]]) -> list[str]:
     return out
 
 
-def build_epoch_plan(
-    records: list[DifficultyRecord],
-    config: CurriculumConfig,
-    epoch: int,
-) -> EpochPlan:
-    """Rank, bin, widen, shuffle: the full plan for one epoch.
+def build_epoch_plan(table: ScoreTable, config: CurriculumConfig, epoch: int) -> EpochPlan:
+    """Bin, widen, shuffle: the full plan for one epoch from its score table.
 
-    The within-epoch shuffle permutes the visible ids from a canonical
-    (sorted) base order with a generator seeded by (shuffle_seed, epoch), so
-    the plan is a pure function of the visible id set and the seed; it does
-    not depend on how the ranking happened to order equally-visible samples.
-    With ``shuffle_within_epoch=False`` the visible set is presented in rank
+    The bins are slices of the table's rank order.  The within-epoch shuffle
+    permutes the visible ids from a canonical (sorted) base order with a
+    generator seeded by (shuffle_seed, epoch), so the plan is a pure
+    function of the visible id set and the seed; it does not depend on how
+    the ranking happened to order equally-visible samples.  With
+    ``shuffle_within_epoch=False`` the visible set is presented in rank
     order, easiest first.
     """
     if epoch < 1:
         raise ValueError("epoch must be >= 1")
-    ordering = rank_samples(records)
-    bins = partition_bins(ordering, config.bins_k)
-    visible = visible_set(epoch, bins)
+    bins = partition_bins(table.order, config.bins_k)
+    width = min(epoch, config.bins_k)
+    visible = table.order[: sum(len(part) for part in bins[:width])]
     if config.shuffle_within_epoch:
-        canonical = sorted(visible)
-        perm = epoch_rng(config.shuffle_seed, epoch).permutation(len(canonical))
-        ordered = [canonical[i] for i in perm]
-    else:
-        ordered = list(visible)
-    bin_of = {sid: i + 1 for i, part in enumerate(bins) for sid in part}
+        # The table's ids ascend, so sorted row indices are the sorted ids.
+        canonical = np.sort(visible)
+        visible = canonical[epoch_rng(config.shuffle_seed, epoch).permutation(len(canonical))]
+    bin_by_row = np.empty(len(table.ids), dtype=np.int64)
+    for number, part in enumerate(bins, start=1):
+        bin_by_row[part] = number
     return EpochPlan(
         epoch=epoch,
-        visible_bins=min(epoch, config.bins_k),
-        ordered_ids=ordered,
-        bin_of=bin_of,
+        visible_bins=width,
+        ordered_ids=list(map(table.ids.__getitem__, visible.tolist())),
+        bin_of=dict(zip(table.ids, bin_by_row.tolist())),
     )

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from spdcl import io as spdcl_io
-from spdcl.difficulty import DifficultyHistory, delta_scores, dump_norms, initial_scores
+from spdcl.difficulty import ScoreTable, delta_scores, dump_norms, initial_scores
 from spdcl.metrics import EvalReport, evaluate, label_frequency_groups
 from spdcl.nucnorm import EmbeddingDump
 from spdcl.scheduler import CurriculumConfig, EpochPlan, build_epoch_plan, epoch_rng
@@ -391,7 +391,7 @@ class RunResult:
     stats: list[TrainStats]
     reports: list[EvalReport]
     plans: list[EpochPlan]
-    history: DifficultyHistory | None
+    scores: list[ScoreTable]
 
 
 def _dump_embeddings(params: ModelParams, data: EncodedDataset) -> EmbeddingDump:
@@ -414,12 +414,12 @@ def _eval_epoch(params, valid, groups, threshold) -> EvalReport:
     return evaluate(valid.truth(), preds, n_labels=len(valid.label_names), groups=groups)
 
 
-def _persist_epoch(out_dir, epoch, dump, records, norms, plan, stats, report):
+def _persist_epoch(out_dir, epoch, dump, table, plan, stats, report):
     if out_dir is None:
         return
     out = Path(out_dir)
     spdcl_io.write_embedding_dump(out / f"epoch{epoch:03d}.embeddings.bin", dump)
-    spdcl_io.write_scores(out / f"epoch{epoch:03d}.scores.jsonl", records, norms)
+    spdcl_io.write_scores(out / f"epoch{epoch:03d}.scores.jsonl", table)
     spdcl_io.write_manifest(out / f"epoch{epoch:03d}.manifest.jsonl", plan)
     spdcl_io.write_json_atomic(
         out / f"epoch{epoch:03d}.report.json", spdcl_io.epoch_report_payload(stats, report)
@@ -428,34 +428,35 @@ def _persist_epoch(out_dir, epoch, dump, records, norms, plan, stats, report):
 
 def _run_loop(train, valid, config, hyper, out_dir, make_plan) -> RunResult:
     # Shared epoch loop: dump (pre-training params), score, plan via
-    # make_plan(records, epoch), train, evaluate, persist.
+    # make_plan(table, epoch), train, evaluate, persist.
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     params = init_params(
         train.vocab.size, hyper.hidden, len(train.label_names), train.task_kind, hyper.seed
     )
     groups = _frequency_groups(train)
-    history = DifficultyHistory()
+    tables: list[ScoreTable] = []
     stats_log: list[TrainStats] = []
     reports: list[EvalReport] = []
     plans: list[EpochPlan] = []
     for epoch in range(1, config.total_epochs_T + 1):
         dump = _dump_embeddings(params, train)
+        ids, norm = dump_norms(dump)
         if epoch == 1:
-            records = initial_scores(dump, history)
+            table = initial_scores(ids, norm)
         else:
-            records = delta_scores(
-                dump_norms(dump), history, mode=config.alignment_mode, ordering=config.delta_ordering
+            table = delta_scores(
+                ids, norm, table, mode=config.alignment_mode, ordering=config.delta_ordering
             )
-        norms = dict(history.table(epoch))
-        plan = make_plan(records, epoch)
+        plan = make_plan(table, epoch)
         params, stats = train_epoch(params, plan, train, hyper.lr, hyper.batch_size)
         report = _eval_epoch(params, valid, groups, hyper.threshold)
-        _persist_epoch(out_dir, epoch, dump, records, norms, plan, stats, report)
+        _persist_epoch(out_dir, epoch, dump, table, plan, stats, report)
+        tables.append(table)
         stats_log.append(stats)
         reports.append(report)
         plans.append(plan)
-    return RunResult(params=params, stats=stats_log, reports=reports, plans=plans, history=history)
+    return RunResult(params=params, stats=stats_log, reports=reports, plans=plans, scores=tables)
 
 
 def run_spdcl(
@@ -476,8 +477,8 @@ def run_spdcl(
     run's scores bit for bit.
     """
 
-    def make_plan(records, epoch):
-        return build_epoch_plan(records, config, epoch)
+    def make_plan(table, epoch):
+        return build_epoch_plan(table, config, epoch)
 
     return _run_loop(train, valid, config, hyper, out_dir, make_plan)
 
@@ -499,7 +500,7 @@ def run_baseline(
     """
     all_ids = sorted(train.sample_ids)
 
-    def make_plan(records, epoch):
+    def make_plan(table, epoch):
         perm = epoch_rng(config.shuffle_seed, epoch).permutation(len(all_ids))
         return EpochPlan(
             epoch=epoch,

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from spdcl.difficulty import DifficultyRecord, initial_scores
+from spdcl.difficulty import dump_norms, initial_scores
 from spdcl.io import RunConfig, build_report, write_manifest, write_run_config
 from spdcl.metrics import (
     binary_f1,
@@ -41,6 +41,7 @@ from spdcl.trainer import (
 )
 
 from dumps import pack_dump
+from tables import ranked_ids, score_table
 from jacobi_oracle import nuclear_norm_oracle
 from test_trainer import fd_gradient  # central-difference oracle
 from test_metrics import (
@@ -130,8 +131,7 @@ def test_criterion_3_length_orders_initial_ranks():
                 ("len08", rng.normal(size=(8, 8))),
                 ("len16", rng.normal(size=(16, 8))),
             ])
-            records = initial_scores(dump)
-            order = [r.sample_id for r in sorted(records, key=lambda r: r.rank)]
+            order = ranked_ids(initial_scores(*dump_norms(dump)))
             hits += order == ["len04", "len08", "len16"]
         assert hits >= 48, f"length ordering held in only {hits}/50 trials"
 
@@ -158,10 +158,7 @@ def test_criterion_4_schedule_invariants(tmp_path):
             ids = [f"s{i:04d}" for i in range(n)]
             scores = rng.uniform(0, 100, size=n)
             order = sorted(range(n), key=lambda i: (scores[i], ids[i]))
-            records = [
-                DifficultyRecord(ids[i], 1, float(scores[i]), rank)
-                for rank, i in enumerate(order)
-            ]
+            table = score_table((ids[i], float(scores[i]), float(scores[i])) for i in order)
             ranked_ids = [ids[i] for i in order]
 
             bins = partition_bins(ranked_ids, k)
@@ -181,14 +178,14 @@ def test_criterion_4_schedule_invariants(tmp_path):
                     assert visible == full
                 prev = visible
 
-                plan = build_epoch_plan(records, config, epoch)
+                plan = build_epoch_plan(table, config, epoch)
                 assert len(plan.ordered_ids) == len(set(plan.ordered_ids))
                 assert set(plan.ordered_ids) == visible
 
             # bit-identical manifests across reruns, spot-checked per combo
             for epoch in (1, min(t, k), t):
-                plan_a = build_epoch_plan(records, config, epoch)
-                plan_b = build_epoch_plan(records, config, epoch)
+                plan_a = build_epoch_plan(table, config, epoch)
+                plan_b = build_epoch_plan(table, config, epoch)
                 file_a = tmp_path / "a.jsonl"
                 file_b = tmp_path / "b.jsonl"
                 write_manifest(file_a, plan_a)

@@ -16,6 +16,7 @@ from spdcl.io import (
 from spdcl.synth import make_zipfian_dataset
 
 from dumps import pack_dump
+from tables import ranked_ids, score_table
 
 
 def run_cli(*argv, capsys=None):
@@ -53,11 +54,11 @@ def run_dirs(tmp_path):
 def test_score_epoch1(dump_path, tmp_path):
     out = tmp_path / "scores.jsonl"
     assert run_cli("score", "--embeddings", str(dump_path), "--epoch", "1", "--out", str(out)) == 0
-    records, norms = read_scores(out)
-    assert len(records) == 3
-    assert sorted(r.rank for r in records) == [0, 1, 2]
-    assert all(r.epoch == 1 for r in records)
-    assert all(norms[r.sample_id] == r.score for r in records)
+    table = read_scores(out)
+    assert table.ids == ("s0", "s1", "s2")
+    assert sorted(table.order.tolist()) == [0, 1, 2]
+    assert table.epoch == 1
+    assert table.norm.tolist() == table.score.tolist()
 
 
 def test_score_epoch2_requires_prev(dump_path, tmp_path, capsys):
@@ -93,10 +94,28 @@ def test_score_epoch2_chains_on_prev(dump_path, tmp_path):
         str(second),
     )
     assert code == 0
-    records, _ = read_scores(second)
+    table = read_scores(second)
     # same embeddings both epochs: all deltas zero, ranks fall back to id order
-    assert all(r.score == 0.0 for r in records)
-    assert [r.sample_id for r in sorted(records, key=lambda r: r.rank)] == ["s0", "s1", "s2"]
+    assert table.score.tolist() == [0.0, 0.0, 0.0]
+    assert ranked_ids(table) == ["s0", "s1", "s2"]
+
+
+def test_score_dump_in_reverse_id_order_gives_same_bytes(tmp_path):
+    # A dump is sorted by id where it is scored: a hand-written dump in
+    # reverse id order scores to the bytes of the sorted one, in both epochs.
+    rng = np.random.default_rng(8)
+    samples = [(f"s{i}", rng.normal(size=(1 + i % 3, 4))) for i in range(6)]
+    for name, order in (("sorted", samples), ("reversed", samples[::-1])):
+        write_embedding_dump(tmp_path / f"{name}.bin", pack_dump(order))
+        for epoch in (1, 2):
+            argv = ["score", "--embeddings", str(tmp_path / f"{name}.bin"), "--epoch", str(epoch),
+                    "--out", str(tmp_path / f"{name}{epoch}.jsonl")]
+            if epoch == 2:
+                argv += ["--prev-scores", str(tmp_path / "sorted1.jsonl"), "--alignment", "identity"]
+            assert run_cli(*argv) == 0
+    for epoch in (1, 2):
+        sorted_bytes = (tmp_path / f"sorted{epoch}.jsonl").read_bytes()
+        assert (tmp_path / f"reversed{epoch}.jsonl").read_bytes() == sorted_bytes
 
 
 def test_score_rejects_malformed_dump(tmp_path, capsys):
@@ -142,12 +161,10 @@ def scores_file(tmp_path, n=10, epoch=1):
         out = tmp_path / "scores.jsonl"
         run_cli("score", "--embeddings", str(dump_file), "--epoch", "1", "--out", str(out))
         return out
-    from spdcl.difficulty import DifficultyRecord
     from spdcl.io import write_scores
 
-    records = [DifficultyRecord(f"s{i}", epoch, float(n - i), i) for i in range(n)]
     out = tmp_path / f"scores_e{epoch}.jsonl"
-    write_scores(out, records, {r.sample_id: abs(r.score) for r in records})
+    write_scores(out, score_table([(f"s{i}", float(n - i), float(n - i)) for i in range(n)], epoch))
     return out
 
 
@@ -329,10 +346,27 @@ def test_train_divergence_names_epoch(run_dirs, capsys):
 # --------------------------------------------- CLI pipeline == in-process run
 
 
-def test_cli_score_schedule_reproduce_train_artifacts(run_dirs):
+@pytest.mark.parametrize(
+    "alignment, ordering, shuffle",
+    [
+        ("rank", "magnitude", True),
+        ("identity", "magnitude", True),
+        ("rank", "signed", True),
+        ("rank", "magnitude", False),
+        ("identity", "signed", False),
+    ],
+    ids=lambda value: {True: "shuffle", False: "no-shuffle"}.get(value, value),
+)
+def test_cli_score_schedule_reproduce_train_artifacts(run_dirs, alignment, ordering, shuffle):
     # Re-deriving scores and manifests from the emitted dumps, one process
     # per step, must give byte-identical artifacts to the in-process run.
-    tmp_path, train_path, valid_path, config_path = run_dirs
+    tmp_path, train_path, valid_path, _ = run_dirs
+    config_path = tmp_path / "config_rederive.json"
+    write_run_config(
+        config_path,
+        RunConfig(bins_k=4, epochs_T=5, seed=2, lr=0.3, batch=8, hidden_d=4, max_len=32,
+                  alignment_mode=alignment, delta_ordering=ordering, shuffle_within_epoch=shuffle),
+    )
     out_dir = tmp_path / "run"
     run_cli(
         "train", "--dataset", str(train_path), "--valid", str(valid_path),
@@ -347,14 +381,16 @@ def test_cli_score_schedule_reproduce_train_artifacts(run_dirs):
             "--epoch", str(epoch), "--out", str(score_out),
         ]
         if epoch > 1:
-            argv += ["--prev-scores", str(out_dir / f"epoch{epoch - 1:03d}.scores.jsonl")]
+            argv += ["--prev-scores", str(out_dir / f"epoch{epoch - 1:03d}.scores.jsonl"),
+                     "--alignment", alignment, "--ordering", ordering]
         assert run_cli(*argv) == 0
         assert score_out.read_bytes() == (out_dir / score_out.name).read_bytes()
 
         manifest_out = redo / f"epoch{epoch:03d}.manifest.jsonl"
+        no_shuffle = [] if shuffle else ["--no-shuffle"]
         assert run_cli(
             "schedule", "--scores", str(score_out), "--bins", "4",
-            "--epoch", str(epoch), "--seed", "2", "--out", str(manifest_out),
+            "--epoch", str(epoch), "--seed", "2", "--out", str(manifest_out), *no_shuffle,
         ) == 0
         assert manifest_out.read_bytes() == (out_dir / manifest_out.name).read_bytes()
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdcl.difficulty import DifficultyRecord
 from spdcl.io import (
     DUMP_MAGIC,
     FormatError,
@@ -30,6 +29,7 @@ from spdcl.io import (
 from spdcl.scheduler import EpochPlan
 
 from dumps import pack_dump
+from tables import ranked_ids, score_table
 
 
 # ------------------------------------------------------------ dataset files
@@ -61,6 +61,14 @@ def test_dataset_rejects_duplicates_and_empty_labels(tmp_path):
         read_dataset(path)
     path.write_text('{"id":"a","text":"t","labels":"x"} {"id":"b"}\n')
     with pytest.raises(FormatError, match="line 1 is not valid JSON: Extra data"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("text", ["null", "7", '["t"]', "true"])
+def test_dataset_rejects_non_string_text(tmp_path, text):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"id":"a","text":{text},"labels":"x"}}\n')
+    with pytest.raises(FormatError, match="'a' has a non-string text"):
         read_dataset(path)
 
 
@@ -165,20 +173,55 @@ def test_dump_rejects_bad_samples(tmp_path, samples, match):
 
 
 def test_scores_round_trip(tmp_path):
-    records = [
-        DifficultyRecord("b", 2, -1.5, 0),
-        DifficultyRecord("a", 2, 0.25, 1),
-    ]
-    norms = {"a": 3.5, "b": 1.25}
+    table = score_table([("b", -1.5, 1.25), ("a", 0.25, 3.5)], epoch=2)
     path = tmp_path / "scores.jsonl"
-    write_scores(path, records, norms)
-    got_records, got_norms = read_scores(path)
-    assert got_records == records
-    assert got_norms == norms
+    write_scores(path, table)
+    got = read_scores(path)
+    assert got.epoch == 2
+    assert got.ids == ("a", "b")
+    assert got.score.tolist() == [0.25, -1.5]
+    assert got.norm.tolist() == [3.5, 1.25]
+    assert ranked_ids(got) == ["b", "a"]
     # parse-and-rewrite is byte-identical
     again = tmp_path / "again.jsonl"
-    write_scores(again, got_records, got_norms)
+    write_scores(again, got)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_scores_read_in_any_line_order(tmp_path):
+    # Lines out of rank order and ids out of order: the table's ids ascend
+    # and its rank order comes from the rank fields.
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"id":"c","epoch":3,"score":1.0,"rank":1,"norm":4.0}\n'
+                    '{"id":"a","epoch":3,"score":2.0,"rank":2,"norm":5.0}\n'
+                    '{"id":"b","epoch":3,"score":3.0,"rank":0,"norm":6.0}\n')
+    table = read_scores(path)
+    assert table.ids == ("a", "b", "c")
+    assert table.norm.tolist() == [5.0, 6.0, 4.0]
+    assert ranked_ids(table) == ["b", "c", "a"]
+    again = tmp_path / "again.jsonl"
+    write_scores(again, table)
+    assert again.read_text().splitlines()[0] == '{"epoch":3,"id":"b","norm":6.0,"rank":0,"score":3.0}'
+
+
+@pytest.mark.parametrize("field", ["epoch", "rank"])
+@pytest.mark.parametrize("value", ["1.7", "1.0", "0.9", "true", '"1"', "null"])
+def test_scores_reject_non_integer_epoch_and_rank(tmp_path, field, value):
+    fields = {"epoch": "1", "rank": "0", field: value}
+    path = tmp_path / "scores.jsonl"
+    path.write_text(f'{{"id":"a","epoch":{fields["epoch"]},"score":1.0,"rank":{fields["rank"]},"norm":1.0}}\n')
+    with pytest.raises(FormatError, match=f"line 1 is not a valid score record: {field} .* is not an integer"):
+        read_scores(path)
+
+
+@pytest.mark.parametrize("field", ["score", "norm"])
+@pytest.mark.parametrize("value", ["true", '"1.5"', "null", "[1.0]"])
+def test_scores_reject_non_number_score_and_norm(tmp_path, field, value):
+    fields = {"score": "1.0", "norm": "1.0", field: value}
+    path = tmp_path / "scores.jsonl"
+    path.write_text(f'{{"id":"a","epoch":1,"score":{fields["score"]},"rank":0,"norm":{fields["norm"]}}}\n')
+    with pytest.raises(FormatError, match=f"line 1 is not a valid score record: {field} .* is not a number"):
+        read_scores(path)
 
 
 def test_scores_validation(tmp_path):
@@ -219,11 +262,7 @@ def test_scores_reader_parses_each_line_alone(tmp_path):
 def test_write_scores_rejects_non_finite(tmp_path, score, norm):
     out_dir = tmp_path / "out"
     with pytest.raises(FormatError, match="'b' has a non-finite"):
-        write_scores(
-            out_dir / "scores.jsonl",
-            [DifficultyRecord("a", 1, 1.0, 0), DifficultyRecord("b", 1, score, 1)],
-            {"a": 1.0, "b": norm},
-        )
+        write_scores(out_dir / "scores.jsonl", score_table([("c", 1.0, 1.0), ("b", score, norm)]))
     assert not out_dir.exists() or not list(out_dir.iterdir())
 
 
@@ -251,8 +290,9 @@ def _score_rows(draw):
 @given(_score_rows())
 @example([(sid, 3, x, i, _TRICKY_FLOATS[-1 - i]) for i, (sid, x) in enumerate(zip(_TRICKY_IDS, _TRICKY_FLOATS))])
 def test_score_lines_are_canonical_json(rows):
-    records = [DifficultyRecord(sid, epoch, score, rank) for sid, epoch, score, rank, _ in rows]
-    norms = {sid: norm for sid, _, _, _, norm in rows}
+    # The file lists the samples in rank order.
+    rows = sorted(rows, key=lambda row: row[3])
+    table = score_table([(sid, score, norm) for sid, _, score, _, norm in rows], epoch=rows[0][1])
     expected = "".join(
         json.dumps(
             {"id": sid, "epoch": epoch, "score": score, "rank": rank, "norm": norm},
@@ -262,14 +302,15 @@ def test_score_lines_are_canonical_json(rows):
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scores.jsonl"
-        write_scores(path, records, norms)
+        write_scores(path, table)
         assert path.read_bytes() == expected.encode("utf-8")
-        got_records, got_norms = read_scores(path)
+        got = read_scores(path)
     # repr() tells -0.0 from 0.0
-    assert [(r.sample_id, r.epoch, repr(r.score), r.rank) for r in got_records] == [
-        (sid, epoch, repr(float(score)), rank) for sid, epoch, score, rank, _ in rows
-    ]
-    assert {sid: repr(n) for sid, n in got_norms.items()} == {sid: repr(float(n)) for sid, n in norms.items()}
+    assert got.epoch == rows[0][1]
+    assert ranked_ids(got) == [sid for sid, *_ in rows]
+    assert sorted(zip(got.ids, map(repr, got.score.tolist()), map(repr, got.norm.tolist()))) == sorted(
+        (sid, repr(float(score)), repr(float(norm))) for sid, _, score, _, norm in rows
+    )
 
 
 # ------------------------------------------------------------ manifest files
@@ -307,10 +348,21 @@ def test_manifest_rejects_malformed_record(tmp_path):
         '{"epoch":1,"order":["a"],"bin_of":{"a":"x"}}',
         '{"epoch":1,"order":["a"],"bin_of":{"a":1e400}}',
         '{"epoch":1e400,"order":["a"],"bin_of":{"a":1}}',
+        '{"epoch":1,"order":["a"],"bin_of":["a"]}',
     ):
         path.write_text(record + "\n")
         with pytest.raises(FormatError, match="malformed manifest record"):
             read_manifest(path)
+
+
+@pytest.mark.parametrize("value", ["1.7", "1.0", "true", '"1"'])
+@pytest.mark.parametrize("field", ["epoch", "bin"])
+def test_manifest_rejects_non_integer_epoch_and_bin(tmp_path, field, value):
+    epoch, number = (value, "1") if field == "epoch" else ("1", value)
+    path = tmp_path / "m.jsonl"
+    path.write_text(f'{{"epoch":{epoch},"order":["a"],"bin_of":{{"a":{number}}}}}\n')
+    with pytest.raises(FormatError, match=f"malformed manifest record: {field} .*is not an integer"):
+        read_manifest(path)
 
 
 # ----------------------------------------------------------------- run config

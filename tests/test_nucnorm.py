@@ -54,7 +54,8 @@ def test_dump_packs_samples_and_scores_each():
     assert not dump.values.flags.writeable
     # rows are stored as float32 and scored widened to float64
     want = [nuclear_norm(m.astype(np.float32).astype(np.float64)) for m in mats]
-    assert dump.nuclear_norms() == want
+    norms = dump.nuclear_norms()
+    assert norms.dtype == np.float64 and norms.tolist() == want
 
 
 def _per_sample_norm(rows):
@@ -79,7 +80,7 @@ def test_grouped_scoring_equals_per_sample_scoring(d):
     rng.shuffle(lengths)
     mats = [rng.normal(scale=rng.uniform(0.01, 10.0), size=(rows, d)) for rows in lengths]
     dump = pack_dump((f"s{i}", m) for i, m in enumerate(mats))
-    assert dump.nuclear_norms() == [_per_sample_norm(m) for m in mats]
+    assert dump.nuclear_norms().tolist() == [_per_sample_norm(m) for m in mats]
 
 
 def test_scoring_memory_is_bounded():

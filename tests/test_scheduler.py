@@ -2,19 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdcl.difficulty import DifficultyRecord
 from spdcl.scheduler import (
     CurriculumConfig,
     build_epoch_plan,
+    epoch_rng,
     partition_bins,
     visible_set,
 )
 
+from tables import score_table
 
-def records_for(ids_in_rank_order, epoch=1):
-    return [
-        DifficultyRecord(sid, epoch, float(i), i) for i, sid in enumerate(ids_in_rank_order)
-    ]
+
+def table_for(ids_in_rank_order, epoch=1):
+    return score_table(((sid, float(i), float(i)) for i, sid in enumerate(ids_in_rank_order)), epoch)
 
 
 # ------------------------------------------------------------ partitioning
@@ -61,7 +61,7 @@ def test_visible_set_widens_then_saturates():
 def test_epoch1_plan_is_shuffled_bin1():
     ids = [f"s{i}" for i in range(10)]
     config = CurriculumConfig(bins_k=5, total_epochs_T=10, shuffle_seed=7)
-    plan = build_epoch_plan(records_for(ids), config, 1)
+    plan = build_epoch_plan(table_for(ids), config, 1)
     assert plan.visible_bins == 1
     assert sorted(plan.ordered_ids) == ids[:2]
     assert plan.bin_of == {sid: i // 2 + 1 for i, sid in enumerate(ids)}
@@ -70,8 +70,8 @@ def test_epoch1_plan_is_shuffled_bin1():
 def test_plan_is_deterministic():
     ids = [f"s{i}" for i in range(30)]
     config = CurriculumConfig(bins_k=4, total_epochs_T=8, shuffle_seed=123)
-    a = build_epoch_plan(records_for(ids), config, 3)
-    b = build_epoch_plan(records_for(ids), config, 3)
+    a = build_epoch_plan(table_for(ids), config, 3)
+    b = build_epoch_plan(table_for(ids), config, 3)
     assert a.ordered_ids == b.ordered_ids
     assert a.bin_of == b.bin_of
 
@@ -79,22 +79,22 @@ def test_plan_is_deterministic():
 def test_plan_depends_only_on_visible_set_not_rank_order():
     # Ranks permuted inside one bin leave the plan's order unchanged.
     config = CurriculumConfig(bins_k=2, total_epochs_T=4, shuffle_seed=9)
-    a = build_epoch_plan(records_for(["a", "b", "c", "d"]), config, 1)
-    b = build_epoch_plan(records_for(["b", "a", "c", "d"]), config, 1)
+    a = build_epoch_plan(table_for(["a", "b", "c", "d"]), config, 1)
+    b = build_epoch_plan(table_for(["b", "a", "c", "d"]), config, 1)
     assert a.ordered_ids == b.ordered_ids
 
 
 def test_no_shuffle_mode_presents_rank_order():
     ids = [f"s{i}" for i in range(9)]
     config = CurriculumConfig(bins_k=3, total_epochs_T=6, shuffle_seed=1, shuffle_within_epoch=False)
-    plan = build_epoch_plan(records_for(ids), config, 2)
+    plan = build_epoch_plan(table_for(ids), config, 2)
     assert plan.ordered_ids == ids[:6]
 
 
 def test_plan_beyond_k_covers_everything():
     ids = [f"s{i}" for i in range(11)]
     config = CurriculumConfig(bins_k=4, total_epochs_T=10, shuffle_seed=5)
-    plan = build_epoch_plan(records_for(ids), config, 7)
+    plan = build_epoch_plan(table_for(ids), config, 7)
     assert sorted(plan.ordered_ids) == sorted(ids)
     assert plan.visible_bins == 4
 
@@ -133,9 +133,32 @@ def test_nested_and_saturating_visibility(n, data):
     config = CurriculumConfig(bins_k=k, total_epochs_T=max(k, 3), shuffle_seed=0)
     prev: set[str] = set()
     for epoch in range(1, k + 2):
-        plan = build_epoch_plan(records_for(ids), config, epoch)
+        plan = build_epoch_plan(table_for(ids), config, epoch)
         current = set(plan.ordered_ids)
         assert len(plan.ordered_ids) == len(current), "duplicates in plan"
         assert prev <= current, "visible sets must nest"
         prev = current
     assert prev == set(ids), "must saturate to the full dataset at epoch k"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.data())
+def test_plan_matches_list_oracle(n, data):
+    # Bins cut as slices of the table's rank order and the shuffle's sorted
+    # row indices give the plan the id lists give.
+    k = data.draw(st.integers(1, n))
+    epoch = data.draw(st.integers(1, k + 1))
+    shuffle = data.draw(st.booleans())
+    ranked = data.draw(st.permutations([f"s{i:03d}" for i in range(n)]))
+    config = CurriculumConfig(bins_k=k, total_epochs_T=max(k, 2), shuffle_seed=n,
+                              shuffle_within_epoch=shuffle)
+    plan = build_epoch_plan(table_for(ranked), config, epoch)
+
+    bins = partition_bins(ranked, k)
+    visible = visible_set(epoch, bins)
+    if shuffle:
+        canonical = sorted(visible)
+        visible = [canonical[i] for i in epoch_rng(n, epoch).permutation(len(canonical))]
+    assert plan.ordered_ids == visible
+    assert plan.bin_of == {sid: b for b, part in enumerate(bins, start=1) for sid in part}
+    assert plan.visible_bins == min(epoch, k)

@@ -386,7 +386,9 @@ def test_dump_then_train_ordering():
     params0 = init_params(train.vocab.size, 4, len(train.label_names), "multiclass", 4)
     from spdcl.io import f32_roundtrip
 
-    sid, expected_norm = result.history.table(1)[0]
+    table = result.scores[0]
+    easiest = table.order[0]
+    sid, expected_norm = table.ids[easiest], table.norm[easiest]
     fresh = f32_roundtrip(embed_sample(params0, train.token_ids[sid]))
     assert nuclear_norm(fresh) == expected_norm
 
