@@ -380,7 +380,9 @@ def read_manifest(path) -> EpochPlan:
         raise FormatError(f"{path}: manifest must contain exactly one record, got {len(rows)}")
     rec = rows[0]
     try:
-        order = list(rec["order"])
+        order = rec["order"]
+        if type(order) is not list or not all(type(sid) is str for sid in order):
+            raise TypeError(f"order {order!r} is not an array of strings")
         bin_of = rec["bin_of"]
         if not isinstance(bin_of, dict):
             raise TypeError(f"bin_of {bin_of!r} is not an object")
@@ -502,7 +504,7 @@ def write_run_config(path, config: RunConfig) -> None:
 def epoch_report_payload(stats, report: EvalReport) -> dict:
     """Merge TrainStats and EvalReport into one per-epoch JSON payload.
 
-    Wall time stays in-memory only: persisted reports must be byte-identical
+    Nothing time-dependent goes in: persisted reports must be byte-identical
     across reruns of the same seeded configuration.
     """
     payload = {

@@ -13,7 +13,7 @@ short batch is kept.
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -29,6 +29,8 @@ from spdcl.scheduler import CurriculumConfig, EpochPlan, build_epoch_plan, epoch
 
 PAD_INDEX = 0
 UNK_INDEX = 1
+# Float64 values gathered per slice of an embedding dump: 2 MiB.
+_DUMP_SLICE_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,10 @@ def build_vocabulary(texts: Sequence[str], max_len: int = 250) -> Vocabulary:
     frequency with ties broken alphabetically, so the mapping is a pure
     function of the corpus.
     """
-    counts: dict[str, int] = {}
-    for text in texts:
-        for tok in text.lower().split():
-            counts[tok] = counts.get(tok, 0) + 1
-    ordered = sorted(counts, key=lambda t: (-counts[t], t))
-    return Vocabulary(index_of={t: i + 2 for i, t in enumerate(ordered)}, max_len=max_len)
+    counts = Counter(chain.from_iterable(map(str.split, map(str.lower, texts))))
+    ordered = sorted(counts)
+    ordered.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay alphabetical
+    return Vocabulary(index_of={t: i for i, t in enumerate(ordered, start=2)}, max_len=max_len)
 
 
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
@@ -125,7 +125,6 @@ class TrainStats:
     epoch: int
     mean_loss: float
     samples_seen: int
-    wall_time: float
 
 
 def init_params(
@@ -167,14 +166,10 @@ def _pool(table: np.ndarray, flat: np.ndarray, starts: np.ndarray, lengths: np.n
     return np.add.reduceat(table[flat], starts, axis=0) / lengths[:, None]
 
 
-def _logits(params: ModelParams, seqs: Sequence[Sequence[int]]) -> np.ndarray:
-    pooled = _pool(params.embedding_table, *_pack(seqs, params.embedding_table.shape[0]))
-    return pooled @ params.head_weights + params.head_bias
-
-
 def forward(params: ModelParams, ids: Sequence[int]) -> np.ndarray:
     """Logits: mean-pooled token embeddings through the linear head."""
-    return _logits(params, [ids])[0]
+    pooled = _pool(params.embedding_table, *_pack([ids], params.embedding_table.shape[0]))
+    return (pooled @ params.head_weights + params.head_bias)[0]
 
 
 def _target_array(params: ModelParams, targets: Sequence) -> np.ndarray:
@@ -217,8 +212,13 @@ def _batch_loss_grad(table, weights, bias, multiclass, flat, starts, lengths, ta
         dlogits = (1.0 / (1.0 + np.exp(-logits)) - targets) / logits.shape[1]
     d_tokens = np.repeat((dlogits @ weights.T) / lengths[:, None], lengths, axis=0)
     touched, slot = np.unique(flat, return_inverse=True)
-    d_rows = np.zeros((touched.size, table.shape[1]))
-    np.add.at(d_rows, slot, d_tokens)
+    # One weighted bincount over (slot, column) cells adds each cell's terms
+    # in token order starting from 0.0: bit for bit the sums of a per-token
+    # scatter-add loop, in one call.
+    d = table.shape[1]
+    d_rows = np.bincount(
+        (slot[:, None] * d + np.arange(d)).ravel(), weights=d_tokens.ravel(), minlength=touched.size * d
+    ).reshape(touched.size, d)
     return losses, touched, d_rows, pooled.T @ dlogits, dlogits.sum(axis=0)
 
 
@@ -255,19 +255,95 @@ class TrainHyper:
             raise ValueError("batch_size must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EncodedDataset:
-    """Tokenized samples with targets, ready for training or scoring."""
+    """Tokenized samples with targets, packed into flat arrays.
 
-    sample_ids: list[str]
-    token_ids: dict[str, list[int]]
-    targets: dict[str, object]
+    Sample ``sample_ids[i]`` owns tokens ``tokens[offsets[i]:offsets[i + 1]]``
+    and target ``targets[i]``: a class index (multiclass) or a 0/1 row over
+    ``label_names`` (multilabel).  The constructor is the one place a dataset
+    is checked: ids unique, every sample at least one token, token ids in
+    ``[0, vocab.size)``, targets of the task's shape and in range.  Training,
+    dumps and prediction slice these arrays; nothing re-packs them.
+    """
+
+    sample_ids: tuple[str, ...]
+    tokens: np.ndarray  # (sum of lengths,) int64 token ids
+    offsets: np.ndarray  # (N + 1,) int64, offsets[0] == 0
+    targets: np.ndarray  # (N,) int64 class indices, or (N, L) int64 0/1 rows
     vocab: Vocabulary
-    label_names: list[str]
+    label_names: tuple[str, ...]
     task_kind: str
 
+    def __post_init__(self):
+        ids = tuple(self.sample_ids)
+        row_of = {sid: row for row, sid in enumerate(ids)}
+        if len(row_of) != len(ids):
+            dup = next(sid for row, sid in enumerate(ids) if row_of[sid] != row)
+            raise ValueError(f"duplicate sample id {dup!r} in dataset")
+        if self.task_kind not in spdcl_io.TASK_KINDS:
+            raise ValueError(f"task_kind must be one of {spdcl_io.TASK_KINDS}")
+        tokens = np.asarray(self.tokens, dtype=np.int64)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if tokens.ndim != 1 or offsets.shape != (len(ids) + 1,) or offsets[0] != 0 or offsets[-1] != tokens.size:
+            raise ValueError(f"token offsets must run from 0 to {tokens.size}, one per sample plus one")
+        empty = np.flatnonzero(np.diff(offsets) < 1)
+        if empty.size:
+            raise ValueError(f"sample {ids[empty[0]]!r} has no tokens")
+        bad = np.flatnonzero((tokens < 0) | (tokens >= self.vocab.size))
+        if bad.size:
+            sample = ids[int(np.searchsorted(offsets, bad[0], side="right")) - 1]
+            raise ValueError(
+                f"sample {sample!r}: token id {tokens[bad[0]]} out of range for vocabulary of size {self.vocab.size}"
+            )
+        labels = tuple(self.label_names)
+        targets = np.asarray(self.targets)
+        if self.task_kind == "multiclass":
+            if targets.shape != (len(ids),) or not np.issubdtype(targets.dtype, np.integer):
+                raise ValueError(f"multiclass targets must be {len(ids)} class indices, got shape {targets.shape}")
+            bad = np.flatnonzero((targets < 0) | (targets >= len(labels)))
+            if bad.size:
+                raise ValueError(
+                    f"sample {ids[bad[0]]!r}: class index {targets[bad[0]]} out of range for {len(labels)} labels"
+                )
+        else:
+            if targets.shape != (len(ids), len(labels)):
+                raise ValueError(
+                    f"multilabel targets must be {len(ids)} 0/1 rows of length {len(labels)}, got shape {targets.shape}"
+                )
+            bad = np.flatnonzero(~np.isin(targets, (0, 1)).all(axis=1))
+            if bad.size:
+                raise ValueError(f"sample {ids[bad[0]]!r}: multilabel target must be a 0/1 vector")
+        targets = targets.astype(np.int64)
+        for arr in (tokens, offsets, targets):
+            arr.setflags(write=False)
+        object.__setattr__(self, "sample_ids", ids)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "label_names", labels)
+        object.__setattr__(self, "_row_of", row_of)
+
     def truth(self) -> np.ndarray:
-        return np.array([self.targets[s] for s in self.sample_ids], dtype=np.int64)
+        return self.targets
+
+    def rows_of(self, ids: Sequence[str]) -> np.ndarray:
+        """Row indices of ``ids``; a ValueError names the ids the dataset lacks."""
+        row_of = self._row_of
+        try:
+            return np.fromiter(map(row_of.__getitem__, ids), dtype=np.int64, count=len(ids))
+        except KeyError:
+            missing = [sid for sid in ids if sid not in row_of]
+            raise ValueError(f"plan references samples missing from dataset: {missing[:5]}") from None
+
+    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The given rows, repacked in one gather: ``(tokens, starts, lengths, targets)``."""
+        first = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - first
+        starts = np.zeros_like(lengths)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        gather = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(first - starts, lengths)
+        return self.tokens[gather], starts, lengths, self.targets[rows]
 
 
 def encode_datasets(
@@ -279,7 +355,9 @@ def encode_datasets(
     """Tokenize both splits with a vocabulary built from the training split.
 
     The label space also comes from the training split; a validation label
-    never seen in training is rejected.
+    never seen in training is rejected.  The training split is stored in
+    ascending id order, the order of embedding dumps and score tables; the
+    validation split keeps its given order.
     """
     if task_kind not in spdcl_io.TASK_KINDS:
         raise ValueError(f"task_kind must be one of {spdcl_io.TASK_KINDS}")
@@ -287,33 +365,54 @@ def encode_datasets(
     label_names = sorted({lab for s in train for lab in s.labels})
     label_index = {lab: i for i, lab in enumerate(label_names)}
 
-    def encode(samples, split_name):
-        token_ids = {}
-        targets = {}
+    def encode(samples):
+        flat: list[int] = []
+        lengths = [0]
         for s in samples:
-            unseen = [lab for lab in s.labels if lab not in label_index]
-            if unseen:
-                raise ValueError(f"{split_name} sample {s.sample_id!r} has labels unseen in training: {unseen}")
-            token_ids[s.sample_id] = tokenize(s.text, vocab)
-            if task_kind == "multiclass":
-                if len(s.labels) != 1:
-                    raise ValueError(f"multiclass sample {s.sample_id!r} must have exactly one label")
-                targets[s.sample_id] = label_index[s.labels[0]]
-            else:
-                vec = np.zeros(len(label_names), dtype=np.int64)
-                for lab in s.labels:
-                    vec[label_index[lab]] = 1
-                targets[s.sample_id] = vec
+            if task_kind == "multiclass" and len(s.labels) != 1:
+                raise ValueError(f"multiclass sample {s.sample_id!r} must have exactly one label")
+            ids = tokenize(s.text, vocab)
+            flat += ids
+            lengths.append(len(ids))
+        if task_kind == "multiclass":
+            targets = np.fromiter((label_index[s.labels[0]] for s in samples), dtype=np.int64, count=len(samples))
+        else:
+            targets = np.zeros((len(samples), len(label_names)), dtype=np.int64)
+            for row, s in enumerate(samples):
+                targets[row, [label_index[lab] for lab in s.labels]] = 1
         return EncodedDataset(
             sample_ids=[s.sample_id for s in samples],
-            token_ids=token_ids,
+            tokens=np.fromiter(flat, dtype=np.int64, count=len(flat)),
+            offsets=np.cumsum(lengths),
             targets=targets,
             vocab=vocab,
             label_names=label_names,
             task_kind=task_kind,
         )
 
-    return encode(train, "train"), encode(valid, "valid")
+    encoded_train = encode(sorted(train, key=lambda s: s.sample_id))
+    for s in valid:  # training labels are in label_index by construction
+        unseen = [lab for lab in s.labels if lab not in label_index]
+        if unseen:
+            raise ValueError(f"valid sample {s.sample_id!r} has labels unseen in training: {unseen}")
+    return encoded_train, encode(valid)
+
+
+def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
+    """Token ids (already known to be >= 0) must index an embedding table of ``vocab_size`` rows."""
+    if tokens.size and tokens.max() >= vocab_size:
+        raise ValueError(f"token id out of range for vocabulary of size {vocab_size}")
+
+
+def _check_targets(params: ModelParams, data: EncodedDataset, targets: np.ndarray) -> None:
+    """The dataset's targets must fit the params' head."""
+    if data.task_kind != params.task_kind:
+        raise ValueError(f"{data.task_kind} dataset cannot train {params.task_kind} params")
+    if params.task_kind == "multiclass":
+        if targets.size and targets.max() >= params.n_labels:
+            raise ValueError(f"class index {targets.max()} out of range for {params.n_labels} labels")
+    elif targets.shape[1] != params.n_labels:
+        raise ValueError(f"multilabel target must be a 0/1 vector of length {params.n_labels}")
 
 
 def train_epoch(
@@ -326,33 +425,35 @@ def train_epoch(
     """One pass over the plan's ordered ids with mini-batch SGD.
 
     Deterministic given (params, plan, lr, batch_size); the input params are
-    left untouched and a fresh ModelParams is returned.  Each batch updates
-    only the embedding rows its tokens touch, so its cost follows the
-    batch's tokens, not the vocabulary size.  Raises TrainingDiverged if a
-    loss or an updated parameter turns non-finite.
+    left untouched and a fresh ModelParams is returned.  The epoch's tokens
+    and targets are gathered from the packed dataset once, in plan order,
+    and every batch is a slice of them.  Each batch updates only the
+    embedding rows its tokens touch, so its cost follows the batch's
+    tokens, not the vocabulary size.  Raises TrainingDiverged if a loss or
+    an updated parameter turns non-finite.
     """
-    missing = [sid for sid in plan.ordered_ids if sid not in data.token_ids]
-    if missing:
-        raise ValueError(f"plan references samples missing from dataset: {missing[:5]}")
-    ids = plan.ordered_ids
-    n = len(ids)
-    vocab_size = params.embedding_table.shape[0]
+    tokens, starts, lengths, targets = data.take(data.rows_of(plan.ordered_ids))
+    _check_tokens(tokens, params.embedding_table.shape[0])
+    _check_targets(params, data, targets)
     multiclass = params.task_kind == "multiclass"
+    if not multiclass:
+        targets = targets.astype(np.float64)
+    n = lengths.size
+    bounds = np.append(starts, tokens.size).tolist()
     table = params.embedding_table.copy()
     weights = params.head_weights.copy()
     bias = params.head_bias.copy()
-    started = time.perf_counter()
     total_loss = 0.0
     # Overflow is caught by the finiteness check below, not reported as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for batch, first in enumerate(range(0, n, batch_size), start=1):
-            chunk = ids[first : first + batch_size]
+            last = min(first + batch_size, n)
+            begin, end = bounds[first], bounds[last]
             losses, touched, d_rows, d_weights, d_bias = _batch_loss_grad(
                 table, weights, bias, multiclass,
-                *_pack([data.token_ids[sid] for sid in chunk], vocab_size),
-                _target_array(params, [data.targets[sid] for sid in chunk]),
+                tokens[begin:end], starts[first:last] - begin, lengths[first:last], targets[first:last],
             )
-            scale = lr / len(chunk)
+            scale = lr / (last - first)
             table[touched] -= scale * d_rows
             weights -= scale * d_weights
             bias -= scale * d_bias
@@ -368,18 +469,14 @@ def train_epoch(
             for loss in losses.tolist():
                 total_loss += loss
     out = ModelParams(table, weights, bias, params.task_kind)
-    stats = TrainStats(
-        epoch=plan.epoch,
-        mean_loss=total_loss / n if n else 0.0,
-        samples_seen=n,
-        wall_time=time.perf_counter() - started,
-    )
-    return out, stats
+    return out, TrainStats(epoch=plan.epoch, mean_loss=total_loss / n if n else 0.0, samples_seen=n)
 
 
 def predict(params: ModelParams, data: EncodedDataset, threshold: float = 0.5) -> np.ndarray:
-    """Predicted class indices (multiclass) or a 0/1 matrix (multilabel)."""
-    logits = _logits(params, [data.token_ids[sid] for sid in data.sample_ids])
+    """Predicted class indices (multiclass) or a 0/1 matrix (multilabel), in ``data.sample_ids`` order."""
+    _check_tokens(data.tokens, params.embedding_table.shape[0])
+    pooled = _pool(params.embedding_table, data.tokens, data.offsets[:-1], np.diff(data.offsets))
+    logits = pooled @ params.head_weights + params.head_bias
     if params.task_kind == "multiclass":
         return logits.argmax(axis=1)
     return (1.0 / (1.0 + np.exp(-logits)) >= threshold).astype(np.int64)
@@ -395,11 +492,21 @@ class RunResult:
 
 
 def _dump_embeddings(params: ModelParams, data: EncodedDataset) -> EmbeddingDump:
-    """Every sample's token-embedding rows, one gather, quantized to float32."""
-    ids = sorted(data.sample_ids)
-    flat, starts, _ = _pack([data.token_ids[sid] for sid in ids], params.embedding_table.shape[0])
-    rows = params.embedding_table[flat].astype(np.float32)
-    return EmbeddingDump(ids, np.append(starts, flat.size), rows)
+    """Every sample's token-embedding rows, in the dataset's row order, quantized to float32.
+
+    A training split from ``encode_datasets`` is held in ascending id order,
+    so its dump is too, with the dataset's own offsets.  The rows are
+    gathered in slices of at most ``_DUMP_SLICE_VALUES`` float64 values and
+    cast into one float32 array, so the dump never holds a float64 copy of
+    itself.
+    """
+    table, tokens = params.embedding_table, data.tokens
+    _check_tokens(tokens, table.shape[0])
+    values = np.empty((tokens.size, table.shape[1]), dtype=np.float32)
+    step = max(1, _DUMP_SLICE_VALUES // table.shape[1])
+    for start in range(0, tokens.size, step):
+        values[start : start + step] = table[tokens[start : start + step]]
+    return EmbeddingDump(data.sample_ids, data.offsets, values)
 
 
 def _frequency_groups(train: EncodedDataset) -> np.ndarray:

@@ -353,6 +353,10 @@ def test_manifest_rejects_malformed_record(tmp_path):
         path.write_text(record + "\n")
         with pytest.raises(FormatError, match="malformed manifest record"):
             read_manifest(path)
+    for order in ('"ab"', '{"a":0}', "[1]"):
+        path.write_text(f'{{"epoch":1,"order":{order},"bin_of":{{"a":1,"b":1,"1":1}}}}\n')
+        with pytest.raises(FormatError, match="malformed manifest record: order .* is not an array of strings"):
+            read_manifest(path)
 
 
 @pytest.mark.parametrize("value", ["1.7", "1.0", "true", '"1"'])

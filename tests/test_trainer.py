@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from spdcl import trainer
 from spdcl.io import TextSample
 from spdcl.nucnorm import nuclear_norm
 from spdcl.scheduler import CurriculumConfig, EpochPlan
 from spdcl.trainer import (
-    EncodedDataset,
     ModelParams,
     TrainingDiverged,
     TrainHyper,
@@ -25,10 +25,12 @@ from spdcl.trainer import (
     run_spdcl,
     tokenize,
     train_epoch,
+    _dump_embeddings,
 )
 from spdcl.synth import make_separable_dataset, make_zipfian_dataset
 
-from reference_sgd import dense_train_epoch, per_sample_predict
+from datasets import pack_dataset, sample_rows
+from reference_sgd import dense_train_epoch, list_packed_train_epoch, per_sample_predict
 
 
 def tiny_params(vocab_size=6, hidden=3, n_labels=2, task_kind="multiclass", seed=0):
@@ -266,7 +268,7 @@ def test_single_step_moves_against_gradient():
     train, _ = make_encoded()
     sid = train.sample_ids[0]
     params = init_params(train.vocab.size, 4, len(train.label_names), "multiclass", 1)
-    _, grads = loss_and_grad(params, train.token_ids[sid], train.targets[sid])
+    _, grads = loss_and_grad(params, *sample_rows(train)[sid])
     updated, _ = train_epoch(params, plan_over([sid]), train, lr=0.5, batch_size=1)
     assert np.allclose(updated.head_bias, params.head_bias - 0.5 * grads.head_bias)
     assert np.allclose(updated.head_weights, params.head_weights - 0.5 * grads.head_weights)
@@ -275,8 +277,26 @@ def test_single_step_moves_against_gradient():
 def test_missing_sample_rejected():
     train, _ = make_encoded()
     params = init_params(train.vocab.size, 4, len(train.label_names), "multiclass", 1)
-    with pytest.raises(ValueError, match="missing"):
-        train_epoch(params, plan_over(["ghost"]), train, lr=0.1, batch_size=2)
+    with pytest.raises(ValueError, match="missing.*ghost"):
+        train_epoch(params, plan_over(train.sample_ids[:3] + ("ghost",)), train, lr=0.1, batch_size=2)
+
+
+def test_train_epoch_rejects_table_smaller_than_vocabulary():
+    data = random_encoded("multiclass", vocab_size=10)
+    params = init_params(6, 4, len(data.label_names), "multiclass", 1)
+    with pytest.raises(ValueError, match="out of range for vocabulary of size 6"):
+        train_epoch(params, plan_over(data.sample_ids), data, lr=0.1, batch_size=5)
+
+
+def test_train_epoch_rejects_targets_the_head_cannot_fit():
+    data = random_encoded("multiclass", n_labels=3)
+    with pytest.raises(ValueError, match="out of range for 2 labels"):
+        train_epoch(tiny_params(vocab_size=10, n_labels=2), plan_over(data.sample_ids), data, 0.1, 5)
+    ml = random_encoded("multilabel", n_labels=3)
+    with pytest.raises(ValueError, match="vector of length 4"):
+        train_epoch(tiny_params(10, 3, 4, "multilabel"), plan_over(ml.sample_ids), ml, 0.1, 5)
+    with pytest.raises(ValueError, match="multilabel dataset cannot train multiclass"):
+        train_epoch(tiny_params(10, 3, 3), plan_over(ml.sample_ids), ml, 0.1, 5)
 
 
 def test_two_runs_bit_identical():
@@ -292,35 +312,33 @@ def test_two_runs_bit_identical():
 
 def random_encoded(task_kind, n=23, vocab_size=10, n_labels=3, seed=0):
     # A small vocabulary, so tokens repeat within samples and across the
-    # samples of every batch.
+    # samples of every batch.  The ids are stored in descending order, so
+    # nothing may assume a dataset's rows are in id order.
     rng = np.random.default_rng(seed)
-    sample_ids = [f"s{i:02d}" for i in range(n)]
-    token_ids = {
-        sid: [int(t) for t in rng.integers(0, vocab_size, size=int(rng.integers(1, 9)))]
-        for sid in sample_ids
-    }
+    sample_ids = [f"s{n - 1 - i:02d}" for i in range(n)]
+    token_ids = [
+        [int(t) for t in rng.integers(0, vocab_size, size=int(rng.integers(1, 9)))] for _ in sample_ids
+    ]
     if task_kind == "multiclass":
-        targets = {sid: int(rng.integers(0, n_labels)) for sid in sample_ids}
+        targets = [int(rng.integers(0, n_labels)) for _ in sample_ids]
     else:
-        targets = {sid: rng.integers(0, 2, size=n_labels) for sid in sample_ids}
-    vocab = Vocabulary(index_of={f"w{i}": i for i in range(2, vocab_size)}, max_len=16)
-    return EncodedDataset(
-        sample_ids, token_ids, targets, vocab, [f"l{i}" for i in range(n_labels)], task_kind
-    )
+        targets = [rng.integers(0, 2, size=n_labels) for _ in sample_ids]
+    return pack_dataset(zip(sample_ids, token_ids, targets), vocab_size, n_labels, task_kind)
 
 
 @pytest.mark.parametrize("task_kind", ["multiclass", "multilabel"])
 @pytest.mark.parametrize("batch_size", [1, 5, 7, 23])
 def test_train_epoch_matches_dense_reference(task_kind, batch_size):
     data = random_encoded(task_kind)
-    assert any(len(set(ids)) < len(ids) for ids in data.token_ids.values())
+    tokens = {sid: ids for sid, (ids, _) in sample_rows(data).items()}
+    assert any(len(set(ids)) < len(ids) for ids in tokens.values())
     params = ref = init_params(data.vocab.size, 4, len(data.label_names), task_kind, seed=3)
     rng = np.random.default_rng(batch_size)
     for epoch in range(1, 4):
         order = [data.sample_ids[i] for i in rng.permutation(len(data.sample_ids))]
         # some batch has two samples sharing a token
         pairs = [order[i : i + 2] for i in range(0, len(order) - 1, batch_size)]
-        assert batch_size == 1 or any(set(data.token_ids[a]) & set(data.token_ids[b]) for a, b in pairs)
+        assert batch_size == 1 or any(set(tokens[a]) & set(tokens[b]) for a, b in pairs)
         plan = plan_over(order, epoch)
         params, stats = train_epoch(params, plan, data, lr=0.7, batch_size=batch_size)
         ref, ref_loss = dense_train_epoch(ref, plan, data, lr=0.7, batch_size=batch_size)
@@ -328,6 +346,31 @@ def test_train_epoch_matches_dense_reference(task_kind, batch_size):
         for name in ("embedding_table", "head_weights", "head_bias"):
             gap = np.max(np.abs(getattr(params, name) - getattr(ref, name)))
             assert gap <= 1e-12, (epoch, name, gap)
+
+
+@pytest.mark.parametrize("task_kind", ["multiclass", "multilabel"])
+@pytest.mark.parametrize("batch_size", [1, 5, 7, 23])
+def test_train_epoch_bit_identical_to_list_packed_reference(task_kind, batch_size):
+    # The packed trainer adds the same terms in the same order as the loop
+    # that packed every batch from lists and scattered with np.add.at.
+    data = random_encoded(task_kind)
+    assert list(data.sample_ids) != sorted(data.sample_ids)
+    tokens = [ids for ids, _ in sample_rows(data).values()]
+    assert any(len(set(ids)) < len(ids) for ids in tokens)
+    params = ref = init_params(data.vocab.size, 4, len(data.label_names), task_kind, seed=3)
+    rng = np.random.default_rng(batch_size)
+    n = len(data.sample_ids)
+    for epoch, size in enumerate((n, 17, n, 9), start=1):
+        # full permutations and shuffled subsets; 23, 17 and 9 leave a short
+        # final batch for every batch size but 1 (and 23 on the full set)
+        order = [data.sample_ids[i] for i in rng.permutation(n)[:size]]
+        plan = plan_over(order, epoch)
+        params, stats = train_epoch(params, plan, data, lr=0.7, batch_size=batch_size)
+        ref, ref_loss = list_packed_train_epoch(ref, plan, data, lr=0.7, batch_size=batch_size)
+        assert stats.mean_loss == ref_loss
+        assert stats.samples_seen == size
+        for name in ("embedding_table", "head_weights", "head_bias"):
+            assert np.array_equal(getattr(params, name), getattr(ref, name)), (epoch, name)
 
 
 def test_train_epoch_leaves_input_params_unchanged():
@@ -389,7 +432,7 @@ def test_dump_then_train_ordering():
     table = result.scores[0]
     easiest = table.order[0]
     sid, expected_norm = table.ids[easiest], table.norm[easiest]
-    fresh = f32_roundtrip(embed_sample(params0, train.token_ids[sid]))
+    fresh = f32_roundtrip(embed_sample(params0, sample_rows(train)[sid][0]))
     assert nuclear_norm(fresh) == expected_norm
 
 
@@ -444,3 +487,60 @@ def test_encode_rejects_unseen_valid_labels_and_bad_multiclass():
     two_label = [TextSample("t0", "a", ("x", "y"))]
     with pytest.raises(ValueError, match="exactly one label"):
         encode_datasets(two_label, [], "multiclass")
+
+
+# ------------------------------------------------------------ packed dataset
+
+
+def test_encode_packs_train_split_in_id_order():
+    train_s = [TextSample("t2", "b a", ("y",)), TextSample("t0", "a", ("x",)), TextSample("t1", "c c", ("y",))]
+    valid_s = [TextSample("v1", "a", ("x",)), TextSample("v0", "b", ("y",))]
+    train, valid = encode_datasets(train_s, valid_s, "multiclass")
+    assert train.sample_ids == ("t0", "t1", "t2")
+    assert valid.sample_ids == ("v1", "v0")
+    a, b, c = (train.vocab.index_of[t] for t in "abc")
+    assert train.tokens.tolist() == [a, c, c, b, a]
+    assert train.offsets.tolist() == [0, 1, 3, 5]
+    assert train.truth().tolist() == [0, 1, 1]
+    assert valid.truth().tolist() == [0, 1]
+    ml, _ = encode_datasets(train_s, [], "multilabel")
+    assert ml.truth().tolist() == [[1, 0], [0, 1], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "rows, task_kind, match",
+    [
+        ([("a", [2], 0), ("b", [], 1)], "multiclass", "'b' has no tokens"),
+        ([("a", [2], 0), ("b", [3, -1], 1)], "multiclass", "'b': token id -1 out of range"),
+        ([("a", [2, 10], 0), ("b", [3], 1)], "multiclass", "'a': token id 10 out of range for vocabulary of size 10"),
+        ([("a", [2], 0), ("b", [3], 1), ("a", [4], 0)], "multiclass", "duplicate sample id 'a'"),
+        ([("a", [2], 0), ("b", [3], 3)], "multiclass", "'b': class index 3 out of range for 3 labels"),
+        ([("a", [2], -1), ("b", [3], 1)], "multiclass", "'a': class index -1 out of range"),
+        ([("a", [2], [0, 1, 0]), ("b", [3], [1, 0, 0])], "multiclass", "multiclass targets must be"),
+        ([("a", [2], [0, 1]), ("b", [3], [1, 0])], "multilabel", "rows of length 3"),
+        ([("a", [2], [0, 1, 0, 1]), ("b", [3], [1, 0, 0, 0])], "multilabel", "rows of length 3"),
+        ([("a", [2], [0, 1, 0]), ("b", [3], [1, 2, 0])], "multilabel", "'b': multilabel target must be a 0/1"),
+        ([("a", [2], 1), ("b", [3], 0)], "multilabel", "rows of length 3"),
+    ],
+)
+def test_dataset_rejects_bad_samples(rows, task_kind, match):
+    with pytest.raises(ValueError, match=match):
+        pack_dataset(rows, vocab_size=10, n_labels=3, task_kind=task_kind)
+
+
+def test_dataset_arrays_are_read_only():
+    data = random_encoded("multilabel")
+    for arr in (data.tokens, data.offsets, data.targets):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_dump_gathered_in_slices_equals_one_cast(monkeypatch):
+    data = random_encoded("multiclass")
+    params = init_params(data.vocab.size, 4, len(data.label_names), "multiclass", seed=2)
+    expected = params.embedding_table[data.tokens].astype(np.float32)
+    dump = _dump_embeddings(params, data)
+    assert np.array_equal(dump.values, expected)
+    assert dump.ids == data.sample_ids and dump.offsets is data.offsets
+    monkeypatch.setattr(trainer, "_DUMP_SLICE_VALUES", 9)  # two rows of d=4 per slice
+    assert np.array_equal(_dump_embeddings(params, data).values, expected)
