@@ -80,11 +80,10 @@ class EmbeddingDump:
         ids = tuple(self.ids)
         if not ids:
             raise ValueError("embedding dump is empty")
-        seen = set()
-        for sid in ids:
-            if sid in seen:
-                raise ValueError(f"duplicate sample id {sid!r} in dump")
-            seen.add(sid)
+        if len(set(ids)) != len(ids):
+            seen = set()
+            dup = next(sid for sid in ids if sid in seen or seen.add(sid))
+            raise ValueError(f"duplicate sample id {dup!r} in dump")
         values = np.asarray(self.values, dtype=np.float32)
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError(f"dump values must be 2-D with at least one column, got shape {values.shape}")
@@ -94,9 +93,9 @@ class EmbeddingDump:
         empty = np.flatnonzero(np.diff(offsets) < 1)
         if empty.size:
             raise ValueError(f"sample {ids[empty[0]]!r} has no rows")
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            sample = int(np.searchsorted(offsets, np.argmin(finite), side="right")) - 1
+        if not np.isfinite(values).all():
+            bad_row = np.argmin(np.isfinite(values).all(axis=1))
+            sample = int(np.searchsorted(offsets, bad_row, side="right")) - 1
             raise ValueError(f"sample {ids[sample]!r} contains non-finite values")
         values.setflags(write=False)
         offsets.setflags(write=False)

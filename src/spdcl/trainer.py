@@ -13,6 +13,8 @@ short batch is kept.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -163,7 +165,8 @@ def _pack(seqs: Sequence[Sequence[int]], vocab_size: int) -> tuple[np.ndarray, n
 
 def _pool(table: np.ndarray, flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Mean-pooled token embeddings, one row per packed sample."""
-    return np.add.reduceat(table[flat], starts, axis=0) / lengths[:, None]
+    # ndarray.take gathers the same rows as table[flat], at a fraction of the call cost.
+    return np.add.reduceat(table.take(flat, axis=0), starts, axis=0) / lengths[:, None]
 
 
 def forward(params: ModelParams, ids: Sequence[int]) -> np.ndarray:
@@ -186,14 +189,17 @@ def _target_array(params: ModelParams, targets: Sequence) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def _batch_loss_grad(table, weights, bias, multiclass, flat, starts, lengths, targets):
+def _batch_loss_grad(table, weights, bias, multiclass, flat, starts, lengths, targets, touched, slot):
     """Per-sample losses and batch-summed gradients, on plain arrays.
 
     Multiclass: softmax cross-entropy on the class index.  Multilabel: mean
-    sigmoid binary cross-entropy over the label vector.  Returns
-    ``(losses, touched, d_rows, d_weights, d_bias)``, where ``d_rows[i]`` is
-    the gradient for ``table[touched[i]]``: the embedding gradient lives only
-    on the rows the batch touched, never on the whole table.
+    sigmoid binary cross-entropy over the label vector.  ``touched`` holds
+    the distinct table rows of ``flat`` in ascending order and ``slot`` each
+    token's index into it, as ``np.unique(flat, return_inverse=True)``
+    gives them.  Returns ``(losses, d_rows, d_weights, d_bias)``, where
+    ``d_rows[i]`` is the gradient for ``table[touched[i]]``: the embedding
+    gradient lives only on the rows the batch touched, never on the whole
+    table.
     """
     pooled = _pool(table, flat, starts, lengths)
     logits = pooled @ weights + bias
@@ -211,7 +217,6 @@ def _batch_loss_grad(table, weights, bias, multiclass, flat, starts, lengths, ta
         )
         dlogits = (1.0 / (1.0 + np.exp(-logits)) - targets) / logits.shape[1]
     d_tokens = np.repeat((dlogits @ weights.T) / lengths[:, None], lengths, axis=0)
-    touched, slot = np.unique(flat, return_inverse=True)
     # One weighted bincount over (slot, column) cells adds each cell's terms
     # in token order starting from 0.0: bit for bit the sums of a per-token
     # scatter-add loop, in one call.
@@ -219,7 +224,7 @@ def _batch_loss_grad(table, weights, bias, multiclass, flat, starts, lengths, ta
     d_rows = np.bincount(
         (slot[:, None] * d + np.arange(d)).ravel(), weights=d_tokens.ravel(), minlength=touched.size * d
     ).reshape(touched.size, d)
-    return losses, touched, d_rows, pooled.T @ dlogits, dlogits.sum(axis=0)
+    return losses, d_rows, pooled.T @ dlogits, dlogits.sum(axis=0)
 
 
 def loss_and_grad(params: ModelParams, ids: Sequence[int], target) -> tuple[float, Gradients]:
@@ -228,11 +233,12 @@ def loss_and_grad(params: ModelParams, ids: Sequence[int], target) -> tuple[floa
     The batch kernel ``train_epoch`` runs, on a batch of one, with the
     embedding gradient scattered into a dense table-shaped array.
     """
-    losses, touched, d_rows, d_weights, d_bias = _batch_loss_grad(
+    flat, starts, lengths = _pack([ids], params.embedding_table.shape[0])
+    touched, slot = np.unique(flat, return_inverse=True)
+    losses, d_rows, d_weights, d_bias = _batch_loss_grad(
         params.embedding_table, params.head_weights, params.head_bias,
         params.task_kind == "multiclass",
-        *_pack([ids], params.embedding_table.shape[0]),
-        _target_array(params, [target]),
+        flat, starts, lengths, _target_array(params, [target]), touched, slot,
     )
     dembed = np.zeros_like(params.embedding_table)
     dembed[touched] = d_rows
@@ -427,39 +433,69 @@ def train_epoch(
     Deterministic given (params, plan, lr, batch_size); the input params are
     left untouched and a fresh ModelParams is returned.  The epoch's tokens
     and targets are gathered from the packed dataset once, in plan order,
-    and every batch is a slice of them.  Each batch updates only the
+    and the batches are planned once: one sort of the epoch's (batch,
+    token id) keys gives every batch its touched rows and each token's
+    slot among them.  A batch is then slices of these arrays, and the loop
+    over batches runs only arithmetic.  Each batch updates only the
     embedding rows its tokens touch, so its cost follows the batch's
     tokens, not the vocabulary size.  Raises TrainingDiverged if a loss or
     an updated parameter turns non-finite.
     """
+    if operator.index(batch_size) < 1:
+        raise ValueError("batch_size must be >= 1")
     tokens, starts, lengths, targets = data.take(data.rows_of(plan.ordered_ids))
-    _check_tokens(tokens, params.embedding_table.shape[0])
+    vocab_size = params.embedding_table.shape[0]
+    _check_tokens(tokens, vocab_size)
     _check_targets(params, data, targets)
     multiclass = params.task_kind == "multiclass"
     if not multiclass:
         targets = targets.astype(np.float64)
     n = lengths.size
-    bounds = np.append(starts, tokens.size).tolist()
+    # The batch plan depends on no weight, so it is built once per epoch.
+    # Batch b holds samples [b * batch_size, (b + 1) * batch_size).  One
+    # sort of the keys b * V + token id gives each batch a contiguous run
+    # of keys ordered by token id: its touched rows, exactly what
+    # np.unique of its own tokens returns, and each token's slot in them.
+    batch_of = np.arange(n) // batch_size
+    keys = np.repeat(batch_of, lengths)
+    keys *= vocab_size
+    keys += tokens
+    keys, slots = np.unique(keys, return_inverse=True)
+    sample_bounds = np.append(np.arange(0, n, batch_size), n)
+    token_bounds = np.append(starts, tokens.size)[sample_bounds]
+    key_bounds = np.searchsorted(keys, np.arange(sample_bounds.size) * vocab_size)
+    slots -= np.repeat(key_bounds[:-1], np.diff(token_bounds))
+    touched_rows = np.remainder(keys, vocab_size, out=keys)
+    starts -= token_bounds[batch_of]  # each sample's start within its batch
+    sample_bounds, token_bounds, key_bounds = sample_bounds.tolist(), token_bounds.tolist(), key_bounds.tolist()
     table = params.embedding_table.copy()
     weights = params.head_weights.copy()
     bias = params.head_bias.copy()
     total_loss = 0.0
     # Overflow is caught by the finiteness check below, not reported as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for batch, first in enumerate(range(0, n, batch_size), start=1):
-            last = min(first + batch_size, n)
-            begin, end = bounds[first], bounds[last]
-            losses, touched, d_rows, d_weights, d_bias = _batch_loss_grad(
+        for batch, (first, last, begin, end, k0, k1) in enumerate(
+            zip(sample_bounds, sample_bounds[1:], token_bounds, token_bounds[1:], key_bounds, key_bounds[1:]),
+            start=1,
+        ):
+            touched = touched_rows[k0:k1]
+            losses, d_rows, d_weights, d_bias = _batch_loss_grad(
                 table, weights, bias, multiclass,
-                tokens[begin:end], starts[first:last] - begin, lengths[first:last], targets[first:last],
+                tokens[begin:end], starts[first:last], lengths[first:last], targets[first:last],
+                touched, slots[begin:end],
             )
             scale = lr / (last - first)
-            table[touched] -= scale * d_rows
+            rows = table.take(touched, axis=0)
+            rows -= scale * d_rows
+            table[touched] = rows
             weights -= scale * d_weights
             bias -= scale * d_bias
-            if not (
+            # A sum holding an inf or a NaN is never finite, so a finite sum
+            # clears every entry; only a non-finite one (which may be mere
+            # overflow of finite entries) needs the exact checks.
+            if not math.isfinite(losses.sum() + rows.sum() + weights.sum() + bias.sum()) and not (
                 np.isfinite(losses).all()
-                and np.isfinite(table[touched]).all()
+                and np.isfinite(rows).all()
                 and np.isfinite(weights).all()
                 and np.isfinite(bias).all()
             ):
@@ -505,7 +541,7 @@ def _dump_embeddings(params: ModelParams, data: EncodedDataset) -> EmbeddingDump
     values = np.empty((tokens.size, table.shape[1]), dtype=np.float32)
     step = max(1, _DUMP_SLICE_VALUES // table.shape[1])
     for start in range(0, tokens.size, step):
-        values[start : start + step] = table[tokens[start : start + step]]
+        values[start : start + step] = table.take(tokens[start : start + step], axis=0)
     return EmbeddingDump(data.sample_ids, data.offsets, values)
 
 

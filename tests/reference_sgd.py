@@ -135,4 +135,4 @@ def list_packed_train_epoch(params, plan, data, lr, batch_size):
         bias -= scale * d_bias
         for loss in losses.tolist():
             total_loss += loss
-    return ModelParams(table, weights, bias, params.task_kind), total_loss / len(ids)
+    return ModelParams(table, weights, bias, params.task_kind), total_loss / len(ids) if ids else 0.0

@@ -299,6 +299,16 @@ def test_train_epoch_rejects_targets_the_head_cannot_fit():
         train_epoch(tiny_params(10, 3, 3), plan_over(ml.sample_ids), ml, 0.1, 5)
 
 
+def test_train_epoch_rejects_bad_batch_size():
+    data = random_encoded("multiclass")
+    params = tiny_params(vocab_size=10, n_labels=3)
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            train_epoch(params, plan_over(data.sample_ids), data, 0.1, size)
+    with pytest.raises(TypeError):
+        train_epoch(params, plan_over(data.sample_ids), data, 0.1, 2.5)
+
+
 def test_two_runs_bit_identical():
     train, valid = make_encoded(n_train=30)
     config = CurriculumConfig(bins_k=3, total_epochs_T=4, shuffle_seed=2)
@@ -349,28 +359,50 @@ def test_train_epoch_matches_dense_reference(task_kind, batch_size):
 
 
 @pytest.mark.parametrize("task_kind", ["multiclass", "multilabel"])
-@pytest.mark.parametrize("batch_size", [1, 5, 7, 23])
-def test_train_epoch_bit_identical_to_list_packed_reference(task_kind, batch_size):
+@pytest.mark.parametrize(
+    "vocab_size, batch_size, sizes",
+    [
+        # full permutations and shuffled subsets; 23, 17 and 9 leave a short
+        # final batch for every batch size but 1 (and 23 on the full set)
+        *(pytest.param(10, b, (23, 17, 23, 9), id=str(b)) for b in (1, 5, 7, 23)),
+        # three rows: every batch touches the same rows, and some token id
+        # ends one batch and starts the next
+        pytest.param(3, 5, (23, 17, 23, 9), id="3rows-5"),
+        pytest.param(3, 7, (23, 17, 23, 9), id="3rows-7"),
+        # batch_size >= n: every epoch is one batch
+        pytest.param(10, 40, (23, 17, 23, 9), id="one-batch"),
+        # empty plans before, between and after full ones
+        pytest.param(10, 5, (0, 23, 0, 17, 0), id="empty-plan"),
+    ],
+)
+def test_train_epoch_bit_identical_to_list_packed_reference(task_kind, vocab_size, batch_size, sizes):
     # The packed trainer adds the same terms in the same order as the loop
     # that packed every batch from lists and scattered with np.add.at.
-    data = random_encoded(task_kind)
+    data = random_encoded(task_kind, vocab_size=vocab_size)
     assert list(data.sample_ids) != sorted(data.sample_ids)
-    tokens = [ids for ids, _ in sample_rows(data).values()]
-    assert any(len(set(ids)) < len(ids) for ids in tokens)
+    rows = sample_rows(data)
+    assert any(len(set(ids)) < len(ids) for ids, _ in rows.values())
     params = ref = init_params(data.vocab.size, 4, len(data.label_names), task_kind, seed=3)
     rng = np.random.default_rng(batch_size)
     n = len(data.sample_ids)
-    for epoch, size in enumerate((n, 17, n, 9), start=1):
-        # full permutations and shuffled subsets; 23, 17 and 9 leave a short
-        # final batch for every batch size but 1 (and 23 on the full set)
+    crossings = 0
+    for epoch, size in enumerate(sizes, start=1):
         order = [data.sample_ids[i] for i in rng.permutation(n)[:size]]
+        batches = [sum((rows[sid][0] for sid in order[i : i + batch_size]), []) for i in range(0, size, batch_size)]
+        if vocab_size == 3:
+            assert all(set(tokens) == {0, 1, 2} for tokens in batches)
+            crossings += sum(a[-1] == b[0] for a, b in zip(batches, batches[1:]))
         plan = plan_over(order, epoch)
+        before = params
         params, stats = train_epoch(params, plan, data, lr=0.7, batch_size=batch_size)
         ref, ref_loss = list_packed_train_epoch(ref, plan, data, lr=0.7, batch_size=batch_size)
         assert stats.mean_loss == ref_loss
         assert stats.samples_seen == size
         for name in ("embedding_table", "head_weights", "head_bias"):
             assert np.array_equal(getattr(params, name), getattr(ref, name)), (epoch, name)
+            assert size or np.array_equal(getattr(params, name), getattr(before, name)), (epoch, name)
+        assert size or stats.mean_loss == 0.0
+    assert vocab_size != 3 or crossings
 
 
 def test_train_epoch_leaves_input_params_unchanged():
@@ -414,6 +446,47 @@ def test_epoch_memory_follows_tokens_not_vocabulary():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * params.embedding_table.nbytes
+
+
+def test_epoch_plan_memory_follows_tokens_not_hidden_size():
+    # The per-epoch batch plan holds a few int64 arrays per epoch token; an
+    # epoch-wide (tokens, d) array, such as the gradient scatter index for
+    # the whole epoch, would cost 8 * d = 256 bytes per token and fail.
+    rng = np.random.default_rng(4)
+    n, length, vocab_size, hidden = 2000, 40, 50, 32
+    data = pack_dataset(
+        ((f"s{i:04d}", rng.integers(0, vocab_size, size=length).tolist(), int(rng.integers(0, 3))) for i in range(n)),
+        vocab_size, 3,
+    )
+    params = init_params(vocab_size, hidden, 3, "multiclass", 1)
+    tracemalloc.start()
+    try:
+        train_epoch(params, plan_over(data.sample_ids), data, lr=0.1, batch_size=25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * data.tokens.size + params.embedding_table.nbytes
+
+
+def test_overflowing_parameter_sums_do_not_raise():
+    # Every entry stays finite while the sums of the touched rows and of the
+    # bias overflow: the scalar pre-check falls back to the exact checks,
+    # which pass.  One label makes every gradient exactly zero.
+    data = random_encoded("multiclass", n_labels=1)
+    params = ModelParams(
+        embedding_table=np.full((data.vocab.size, 4), 1e307),
+        head_weights=np.zeros((4, 1)),
+        head_bias=np.full(1, 1e308),
+        task_kind="multiclass",
+    )
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(params.embedding_table[:2].sum() + params.head_bias.sum())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        updated, stats = train_epoch(params, plan_over(data.sample_ids), data, lr=0.5, batch_size=5)
+    assert stats.mean_loss == 0.0
+    for name in ("embedding_table", "head_weights", "head_bias"):
+        assert np.array_equal(getattr(updated, name), getattr(params, name))
 
 
 # ---------------------------------------------------------------- run loops
