@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -27,7 +27,7 @@ from spdcl import io as spdcl_io
 from spdcl.difficulty import ScoreTable, delta_scores, dump_norms, initial_scores
 from spdcl.metrics import EvalReport, evaluate, label_frequency_groups
 from spdcl.nucnorm import EmbeddingDump
-from spdcl.scheduler import CurriculumConfig, EpochPlan, build_epoch_plan, epoch_rng
+from spdcl.scheduler import CurriculumConfig, EpochPlan, build_epoch_plan
 
 PAD_INDEX = 0
 UNK_INDEX = 1
@@ -235,11 +235,14 @@ def loss_and_grad(params: ModelParams, ids: Sequence[int], target) -> tuple[floa
     """
     flat, starts, lengths = _pack([ids], params.embedding_table.shape[0])
     touched, slot = np.unique(flat, return_inverse=True)
-    losses, d_rows, d_weights, d_bias = _batch_loss_grad(
-        params.embedding_table, params.head_weights, params.head_bias,
-        params.task_kind == "multiclass",
-        flat, starts, lengths, _target_array(params, [target]), touched, slot,
-    )
+    # exp(-z) overflows to inf for z below about -709; the sigmoid is then
+    # exactly 0, its limit, so the overflow is no error.
+    with np.errstate(over="ignore"):
+        losses, d_rows, d_weights, d_bias = _batch_loss_grad(
+            params.embedding_table, params.head_weights, params.head_bias,
+            params.task_kind == "multiclass",
+            flat, starts, lengths, _target_array(params, [target]), touched, slot,
+        )
     dembed = np.zeros_like(params.embedding_table)
     dembed[touched] = d_rows
     return float(losses[0]), Gradients(embedding_table=dembed, head_weights=d_weights, head_bias=d_bias)
@@ -255,10 +258,23 @@ class TrainHyper:
     threshold: float = 0.5  # multilabel decision threshold on sigmoid outputs
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # bool is an int subclass, so it is rejected by name.
+        for name in ("batch_size", "hidden", "max_len", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("batch_size", "hidden", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("lr", "threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        # An int is always finite (and may be too large for math.isfinite).
+        if (isinstance(self.lr, float) and not math.isfinite(self.lr)) or self.lr < 0:
+            raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
+        if not 0 <= self.threshold <= 1:
+            raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,7 +531,8 @@ def predict(params: ModelParams, data: EncodedDataset, threshold: float = 0.5) -
     logits = pooled @ params.head_weights + params.head_bias
     if params.task_kind == "multiclass":
         return logits.argmax(axis=1)
-    return (1.0 / (1.0 + np.exp(-logits)) >= threshold).astype(np.int64)
+    with np.errstate(over="ignore"):  # as in loss_and_grad: a sigmoid of exactly 0
+        return (1.0 / (1.0 + np.exp(-logits)) >= threshold).astype(np.int64)
 
 
 @dataclass
@@ -545,13 +562,6 @@ def _dump_embeddings(params: ModelParams, data: EncodedDataset) -> EmbeddingDump
     return EmbeddingDump(data.sample_ids, data.offsets, values)
 
 
-def _frequency_groups(train: EncodedDataset) -> np.ndarray:
-    n_labels = len(train.label_names)
-    if n_labels == 1:
-        return np.zeros(1, dtype=np.int64)
-    return label_frequency_groups(train.truth(), n_groups=min(4, n_labels))
-
-
 def _eval_epoch(params, valid, groups, threshold) -> EvalReport:
     preds = predict(params, valid, threshold=threshold)
     return evaluate(valid.truth(), preds, n_labels=len(valid.label_names), groups=groups)
@@ -567,39 +577,6 @@ def _persist_epoch(out_dir, epoch, dump, table, plan, stats, report):
     spdcl_io.write_json_atomic(
         out / f"epoch{epoch:03d}.report.json", spdcl_io.epoch_report_payload(stats, report)
     )
-
-
-def _run_loop(train, valid, config, hyper, out_dir, make_plan) -> RunResult:
-    # Shared epoch loop: dump (pre-training params), score, plan via
-    # make_plan(table, epoch), train, evaluate, persist.
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-    params = init_params(
-        train.vocab.size, hyper.hidden, len(train.label_names), train.task_kind, hyper.seed
-    )
-    groups = _frequency_groups(train)
-    tables: list[ScoreTable] = []
-    stats_log: list[TrainStats] = []
-    reports: list[EvalReport] = []
-    plans: list[EpochPlan] = []
-    for epoch in range(1, config.total_epochs_T + 1):
-        dump = _dump_embeddings(params, train)
-        ids, norm = dump_norms(dump)
-        if epoch == 1:
-            table = initial_scores(ids, norm)
-        else:
-            table = delta_scores(
-                ids, norm, table, mode=config.alignment_mode, ordering=config.delta_ordering
-            )
-        plan = make_plan(table, epoch)
-        params, stats = train_epoch(params, plan, train, hyper.lr, hyper.batch_size)
-        report = _eval_epoch(params, valid, groups, hyper.threshold)
-        _persist_epoch(out_dir, epoch, dump, table, plan, stats, report)
-        tables.append(table)
-        stats_log.append(stats)
-        reports.append(report)
-        plans.append(plan)
-    return RunResult(params=params, stats=stats_log, reports=reports, plans=plans, scores=tables)
 
 
 def run_spdcl(
@@ -619,11 +596,34 @@ def run_spdcl(
     what the dump files store, so rescoring a dump from disk reproduces the
     run's scores bit for bit.
     """
-
-    def make_plan(table, epoch):
-        return build_epoch_plan(table, config, epoch)
-
-    return _run_loop(train, valid, config, hyper, out_dir, make_plan)
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    params = init_params(
+        train.vocab.size, hyper.hidden, len(train.label_names), train.task_kind, hyper.seed
+    )
+    groups = label_frequency_groups(train.truth(), n_groups=min(4, len(train.label_names)))
+    tables: list[ScoreTable] = []
+    stats_log: list[TrainStats] = []
+    reports: list[EvalReport] = []
+    plans: list[EpochPlan] = []
+    for epoch in range(1, config.total_epochs_T + 1):
+        dump = _dump_embeddings(params, train)
+        ids, norm = dump_norms(dump)
+        if epoch == 1:
+            table = initial_scores(ids, norm)
+        else:
+            table = delta_scores(
+                ids, norm, table, mode=config.alignment_mode, ordering=config.delta_ordering
+            )
+        plan = build_epoch_plan(table, config, epoch)
+        params, stats = train_epoch(params, plan, train, hyper.lr, hyper.batch_size)
+        report = _eval_epoch(params, valid, groups, hyper.threshold)
+        _persist_epoch(out_dir, epoch, dump, table, plan, stats, report)
+        tables.append(table)
+        stats_log.append(stats)
+        reports.append(report)
+        plans.append(plan)
+    return RunResult(params=params, stats=stats_log, reports=reports, plans=plans, scores=tables)
 
 
 def run_baseline(
@@ -635,21 +635,12 @@ def run_baseline(
 ) -> RunResult:
     """Plain full-data training, the no-curriculum comparison run.
 
-    Every epoch shuffles the whole training set with the same
-    (seed, epoch)-keyed generator the scheduler uses, so a curriculum run
-    with bins_k=1 matches this loop exactly.  Embeddings are still dumped
-    and scored each epoch, purely so the nuclear-norm trajectory is
-    observable; the scores never influence the training order.
+    The baseline is the one-bin curriculum: ``run_spdcl`` with
+    ``bins_k=1`` and ``shuffle_within_epoch=True``, so every epoch trains
+    on the whole training set, shuffled with the (shuffle_seed, epoch)-keyed
+    generator.  It ignores ``config.bins_k`` and
+    ``config.shuffle_within_epoch``.  Embeddings are still dumped and scored
+    each epoch, purely so the nuclear-norm trajectory is observable; with
+    one bin, the scores never influence the training order.
     """
-    all_ids = sorted(train.sample_ids)
-
-    def make_plan(table, epoch):
-        perm = epoch_rng(config.shuffle_seed, epoch).permutation(len(all_ids))
-        return EpochPlan(
-            epoch=epoch,
-            visible_bins=1,
-            ordered_ids=[all_ids[i] for i in perm],
-            bin_of={sid: 1 for sid in all_ids},
-        )
-
-    return _run_loop(train, valid, config, hyper, out_dir, make_plan)
+    return run_spdcl(train, valid, replace(config, bins_k=1, shuffle_within_epoch=True), hyper, out_dir)

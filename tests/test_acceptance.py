@@ -11,6 +11,7 @@ import math
 import time
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from spdcl.trainer import (
 from dumps import pack_dump
 from tables import ranked_ids, score_table
 from jacobi_oracle import nuclear_norm_oracle
+from reference_plans import baseline_plan
 from test_trainer import fd_gradient  # central-difference oracle
 from test_metrics import (
     oracle_counts,
@@ -229,7 +231,10 @@ def test_criterion_6_degenerate_curriculum_equivalence():
         config = CurriculumConfig(bins_k=1, total_epochs_T=8, shuffle_seed=2)
         hyper = TrainHyper(lr=0.3, batch_size=25, hidden=8, seed=2)
         curriculum = run_spdcl(train, valid, config, hyper)
-        baseline = run_baseline(train, valid, config, hyper)
+        # The baseline ignores bins_k and shuffle_within_epoch, and its plans
+        # equal those of the reference builder, a code apart from the scheduler.
+        baseline = run_baseline(train, valid, replace(config, bins_k=3, shuffle_within_epoch=False), hyper)
+        assert baseline.plans == [baseline_plan(train.sample_ids, config.shuffle_seed, epoch) for epoch in range(1, 9)]
         assert [s.mean_loss for s in curriculum.stats] == [s.mean_loss for s in baseline.stats]
         assert curriculum.reports[-1] == baseline.reports[-1]
         assert np.array_equal(

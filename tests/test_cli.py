@@ -269,25 +269,35 @@ def test_train_rerun_is_byte_identical(run_dirs):
 
 
 def test_train_baseline_matches_k1_curriculum(run_dirs):
+    # The baseline ignores bins_k and shuffle_within_epoch: trained with
+    # three unshuffled bins, it writes the one-bin curriculum's files.
     tmp_path, train_path, valid_path, config_path = run_dirs
     k1_config = tmp_path / "k1.json"
+    base_config = tmp_path / "base.json"
     write_run_config(
         k1_config, RunConfig(bins_k=1, epochs_T=5, seed=2, lr=0.3, batch=8, hidden_d=4, max_len=32)
     )
+    write_run_config(
+        base_config,
+        RunConfig(
+            bins_k=3, epochs_T=5, seed=2, lr=0.3, batch=8, hidden_d=4, max_len=32, shuffle_within_epoch=False
+        ),
+    )
     k1_dir = tmp_path / "k1"
     base_dir = tmp_path / "base"
-    run_cli(
+    assert run_cli(
         "train", "--dataset", str(train_path), "--valid", str(valid_path),
         "--config", str(k1_config), "--out-dir", str(k1_dir),
-    )
-    run_cli(
+    ) == 0
+    assert run_cli(
         "train", "--dataset", str(train_path), "--valid", str(valid_path),
-        "--config", str(k1_config), "--out-dir", str(base_dir), "--baseline",
-    )
-    for epoch in range(1, 6):
-        a = (k1_dir / f"epoch{epoch:03d}.report.json").read_bytes()
-        b = (base_dir / f"epoch{epoch:03d}.report.json").read_bytes()
-        assert a == b
+        "--config", str(base_config), "--out-dir", str(base_dir), "--baseline",
+    ) == 0
+    names = sorted(p.name for p in k1_dir.glob("epoch*"))
+    assert len(names) == 5 * 4
+    assert sorted(p.name for p in base_dir.glob("epoch*")) == names
+    for name in names + ["params_final.npz"]:
+        assert (k1_dir / name).read_bytes() == (base_dir / name).read_bytes(), name
 
 
 def test_train_invalid_config_fails_before_training(run_dirs, capsys):

@@ -434,6 +434,22 @@ def test_divergence_raises_named_error_without_warnings():
             train_epoch(params, plan_over(train.sample_ids), train, lr=1e300, batch_size=5)
 
 
+def test_sigmoid_overflow_emits_no_warning():
+    # Logits of -3000: exp(-z) overflows, and the sigmoid is exactly 0.
+    data = random_encoded("multilabel")
+    params = ModelParams(
+        embedding_table=np.ones((data.vocab.size, 3)),
+        head_weights=np.full((3, 3), -1e3),
+        head_bias=np.zeros(3),
+        task_kind="multilabel",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not predict(params, data).any()
+        loss, grads = loss_and_grad(params, [2, 3], [1, 0, 1])
+    assert np.isfinite(loss) and np.array_equal(grads.head_bias, [-1 / 3, 0.0, -1 / 3])
+
+
 def test_epoch_memory_follows_tokens_not_vocabulary():
     # One epoch copies the table once; no buffer may scale with V beyond that.
     train, _ = make_encoded(n_train=200)
@@ -490,6 +506,20 @@ def test_overflowing_parameter_sums_do_not_raise():
 
 
 # ---------------------------------------------------------------- run loops
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"batch_size": 2.5}, "batch_size"),
+        ({"lr": float("nan")}, "lr"),
+        ({"hidden": 0}, "hidden"),
+        ({"threshold": 7}, "threshold"),
+    ],
+)
+def test_train_hyper_rejects_bad_values(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        TrainHyper(**kwargs)
 
 
 def test_dump_then_train_ordering():
