@@ -142,23 +142,29 @@ def read_dataset(path) -> list[TextSample]:
     """
     samples = []
     seen = set()
+    # A decoded JSON value is exactly a dict, list, str, int, float, bool or
+    # None, so exact type tests decide what isinstance would.  No check
+    # builds a set or runs a generator per record.
     for lineno, rec in enumerate(_read_jsonl(path), start=1):
-        if not isinstance(rec, dict) or not {"id", "text", "labels"} <= rec.keys():
+        if type(rec) is not dict or "id" not in rec or "text" not in rec or "labels" not in rec:
             raise FormatError(f"{path}: record {lineno} must have id/text/labels fields")
         sid = rec["id"]
-        if not isinstance(sid, str) or not sid:
+        if type(sid) is not str or not sid:
             raise FormatError(f"{path}: record {lineno} has a non-string or empty id")
         if sid in seen:
             raise FormatError(f"{path}: duplicate sample id {sid!r}")
         seen.add(sid)
         labels = rec["labels"]
-        if isinstance(labels, str):
-            labels = [labels]
-        if not isinstance(labels, list) or not labels or not all(isinstance(x, str) for x in labels):
+        if type(labels) is str:
+            labels = (labels,)
+        elif type(labels) is list and labels and all(map(str.__instancecheck__, labels)):
+            labels = tuple(labels)
+        else:
             raise FormatError(f"{path}: record {sid!r} needs a non-empty label or label list")
-        if not isinstance(rec["text"], str):
-            raise FormatError(f"{path}: record {sid!r} has a non-string text {rec['text']!r}")
-        samples.append(TextSample(sample_id=sid, text=rec["text"], labels=tuple(labels)))
+        text = rec["text"]
+        if type(text) is not str:
+            raise FormatError(f"{path}: record {sid!r} has a non-string text {text!r}")
+        samples.append(TextSample(sid, text, labels))
     if not samples:
         raise FormatError(f"{path}: dataset is empty")
     return samples

@@ -35,6 +35,13 @@ class CurriculumConfig:
     shuffle_within_epoch: bool = True
 
     def __post_init__(self):
+        # bool is an int subclass, so it is rejected by name.
+        for name in ("bins_k", "total_epochs_T", "shuffle_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.shuffle_within_epoch, bool):
+            raise ValueError(f"shuffle_within_epoch must be a bool, got {self.shuffle_within_epoch!r}")
         if self.bins_k < 1:
             raise ValueError("bins_k must be >= 1")
         if self.total_epochs_T < 1:

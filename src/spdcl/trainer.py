@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class Vocabulary:
     max_len: int
 
     def __post_init__(self):
+        if isinstance(self.max_len, bool) or not isinstance(self.max_len, int):
+            raise ValueError(f"max_len must be an integer, got {self.max_len!r}")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
 
@@ -54,6 +56,44 @@ class Vocabulary:
         return sorted(self.index_of, key=self.index_of.get)
 
 
+def _words(text: str) -> list[str]:
+    """The tokenization rule: lowercase, then split on whitespace."""
+    return text.lower().split()
+
+
+def _split_once(texts: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Lowercase and split each text once, numbering words by first appearance.
+
+    Returns the distinct words in that order, every token's word number in
+    text order, and each text's token count.  Only the numbers are kept,
+    not a word list per text.
+    """
+    numbering = defaultdict(count().__next__)  # an unseen word gets the next number
+    lengths = []
+
+    def split(text):
+        words = _words(text)
+        lengths.append(len(words))
+        return words
+
+    numbers = np.fromiter(map(numbering.__getitem__, chain.from_iterable(map(split, texts))), dtype=np.int64)
+    return list(numbering), numbers, np.array(lengths, dtype=np.int64)
+
+
+def _vocabulary(words: list[str], numbers: np.ndarray, max_len: int) -> tuple[Vocabulary, np.ndarray]:
+    """Indices from 2 upward by descending count, ties alphabetical.
+
+    Returns the vocabulary and, per word number, its index.
+    """
+    counts = np.bincount(numbers, minlength=len(words))
+    alphabetical = np.array(sorted(range(len(words)), key=words.__getitem__), dtype=np.int64)
+    order = alphabetical[np.argsort(-counts[alphabetical], kind="stable")]  # stable: ties stay alphabetical
+    index = np.empty(len(words), dtype=np.int64)
+    index[order] = np.arange(2, len(words) + 2)
+    index_of = dict(zip(map(words.__getitem__, order.tolist()), range(2, len(words) + 2)))
+    return Vocabulary(index_of=index_of, max_len=max_len), index
+
+
 def build_vocabulary(texts: Sequence[str], max_len: int = 250) -> Vocabulary:
     """Vocabulary from the training split only.
 
@@ -61,10 +101,8 @@ def build_vocabulary(texts: Sequence[str], max_len: int = 250) -> Vocabulary:
     frequency with ties broken alphabetically, so the mapping is a pure
     function of the corpus.
     """
-    counts = Counter(chain.from_iterable(map(str.split, map(str.lower, texts))))
-    ordered = sorted(counts)
-    ordered.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay alphabetical
-    return Vocabulary(index_of={t: i for i, t in enumerate(ordered, start=2)}, max_len=max_len)
+    words, numbers, _ = _split_once(texts)
+    return _vocabulary(words, numbers, max_len)[0]
 
 
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
@@ -72,7 +110,7 @@ def tokenize(text: str, vocab: Vocabulary) -> list[int]:
 
     Total function: empty text maps to a single UNK token.
     """
-    ids = [vocab.index_of.get(tok, UNK_INDEX) for tok in text.lower().split()]
+    ids = [vocab.index_of.get(tok, UNK_INDEX) for tok in _words(text)]
     if not ids:
         return [UNK_INDEX]
     return ids[: vocab.max_len]
@@ -380,44 +418,61 @@ def encode_datasets(
     never seen in training is rejected.  The training split is stored in
     ascending id order, the order of embedding dumps and score tables; the
     validation split keeps its given order.
+
+    Each training text is lowercased and split once, by the same helpers
+    as ``build_vocabulary``: its words are numbered by first appearance,
+    the vocabulary is ordered from their counts, and one gather maps the
+    numbers to indices.  The validation split goes through ``tokenize``.
     """
     if task_kind not in spdcl_io.TASK_KINDS:
         raise ValueError(f"task_kind must be one of {spdcl_io.TASK_KINDS}")
-    vocab = build_vocabulary([s.text for s in train], max_len=max_len)
+    train = sorted(train, key=operator.attrgetter("sample_id"))
+    words, numbers, lengths = _split_once(s.text for s in train)
+    vocab, index = _vocabulary(words, numbers, max_len)
+    tokens = index[numbers]
+    # Keep each text's first max_len tokens (the vocabulary counted them
+    # all), and give an empty text one UNK token.
+    if lengths.max(initial=0) > max_len:
+        starts = np.cumsum(lengths) - lengths
+        tokens = tokens[np.arange(tokens.size) - np.repeat(starts, lengths) < max_len]
+        lengths = np.minimum(lengths, max_len)
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        tokens = np.insert(tokens, (np.cumsum(lengths) - lengths)[empty], UNK_INDEX)
+        lengths[empty] = 1
     label_names = sorted({lab for s in train for lab in s.labels})
     label_index = {lab: i for i, lab in enumerate(label_names)}
 
-    def encode(samples):
-        flat: list[int] = []
-        lengths = [0]
-        for s in samples:
-            if task_kind == "multiclass" and len(s.labels) != 1:
-                raise ValueError(f"multiclass sample {s.sample_id!r} must have exactly one label")
-            ids = tokenize(s.text, vocab)
-            flat += ids
-            lengths.append(len(ids))
+    def encode(samples, tokens, lengths):
         if task_kind == "multiclass":
+            for s in samples:
+                if len(s.labels) != 1:
+                    raise ValueError(f"multiclass sample {s.sample_id!r} must have exactly one label")
             targets = np.fromiter((label_index[s.labels[0]] for s in samples), dtype=np.int64, count=len(samples))
         else:
             targets = np.zeros((len(samples), len(label_names)), dtype=np.int64)
             for row, s in enumerate(samples):
                 targets[row, [label_index[lab] for lab in s.labels]] = 1
+        offsets = np.zeros(len(samples) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
         return EncodedDataset(
             sample_ids=[s.sample_id for s in samples],
-            tokens=np.fromiter(flat, dtype=np.int64, count=len(flat)),
-            offsets=np.cumsum(lengths),
+            tokens=tokens,
+            offsets=offsets,
             targets=targets,
             vocab=vocab,
             label_names=label_names,
             task_kind=task_kind,
         )
 
-    encoded_train = encode(sorted(train, key=lambda s: s.sample_id))
+    encoded_train = encode(train, tokens, lengths)
     for s in valid:  # training labels are in label_index by construction
         unseen = [lab for lab in s.labels if lab not in label_index]
         if unseen:
             raise ValueError(f"valid sample {s.sample_id!r} has labels unseen in training: {unseen}")
-    return encoded_train, encode(valid)
+    id_lists = [tokenize(s.text, vocab) for s in valid]
+    valid_tokens = np.fromiter(chain.from_iterable(id_lists), dtype=np.int64)
+    return encoded_train, encode(valid, valid_tokens, np.fromiter(map(len, id_lists), dtype=np.int64))
 
 
 def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
@@ -596,6 +651,8 @@ def run_spdcl(
     what the dump files store, so rescoring a dump from disk reproduces the
     run's scores bit for bit.
     """
+    if not valid.sample_ids:
+        raise ValueError("the validation split is empty: every epoch is evaluated on it")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     params = init_params(

@@ -64,6 +64,32 @@ def test_dataset_rejects_duplicates_and_empty_labels(tmp_path):
         read_dataset(path)
 
 
+_GOOD_RECORD = '{"id":"a","text":"t","labels":"x"}\n'
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        (_GOOD_RECORD + '["b","t","x"]\n', r"record 2 must have id/text/labels fields"),
+        (_GOOD_RECORD + '"b"\n', r"record 2 must have id/text/labels fields"),
+        (_GOOD_RECORD + '{"id":"b","labels":"x"}\n', r"record 2 must have id/text/labels fields"),
+        ('{"id":7,"text":"t","labels":"x"}\n', r"record 1 has a non-string or empty id"),
+        ('{"id":"","text":"t","labels":"x"}\n', r"record 1 has a non-string or empty id"),
+        ('{"id":"a","text":"t","labels":["x",3]}\n', r"record 'a' needs a non-empty label or label list"),
+        ('{"id":"a","text":"t","labels":7}\n', r"record 'a' needs a non-empty label or label list"),
+        ("", r"dataset is empty"),
+        ("\n  \n", r"dataset is empty"),
+    ],
+    ids=["list-record", "string-record", "missing-text", "int-id", "empty-id",
+         "int-in-label-list", "int-labels", "empty-file", "blank-lines"],
+)
+def test_dataset_rejects_malformed_records(tmp_path, body, match):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(body)
+    with pytest.raises(FormatError, match=match):
+        read_dataset(path)
+
+
 @pytest.mark.parametrize("text", ["null", "7", '["t"]', "true"])
 def test_dataset_rejects_non_string_text(tmp_path, text):
     path = tmp_path / "bad.jsonl"

@@ -108,6 +108,21 @@ def test_config_validation_and_warning():
         CurriculumConfig(bins_k=10, total_epochs_T=3)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"bins_k": 2.5}, "bins_k"),
+        ({"total_epochs_T": 2.5}, "total_epochs_T"),
+        ({"shuffle_seed": 1.5}, "shuffle_seed"),
+        ({"bins_k": True}, "bins_k"),
+        ({"shuffle_within_epoch": "no"}, "shuffle_within_epoch"),
+    ],
+)
+def test_config_rejects_wrong_types(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        CurriculumConfig(**kwargs)
+
+
 # --------------------------------------------------------------- properties
 
 

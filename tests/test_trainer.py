@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdcl import trainer
 from spdcl.io import TextSample
@@ -29,6 +31,7 @@ from spdcl.trainer import (
 )
 from spdcl.synth import make_separable_dataset, make_zipfian_dataset
 
+import reference_encode
 from datasets import pack_dataset, sample_rows
 from reference_sgd import dense_train_epoch, list_packed_train_epoch, per_sample_predict
 
@@ -52,6 +55,14 @@ def test_tokenize_truncates():
     assert tokenize("a a a a a", vocab) == [2, 2, 2]
 
 
+@pytest.mark.parametrize("max_len", [2.5, True, 0])
+def test_vocabulary_rejects_bad_max_len(max_len):
+    with pytest.raises(ValueError, match="max_len"):
+        Vocabulary(index_of={}, max_len=max_len)
+    with pytest.raises(ValueError, match="max_len"):
+        encode_datasets([TextSample("t0", "a b", ("x",))], [], "multiclass", max_len=max_len)
+
+
 def test_vocabulary_hand_enumeration():
     # 3-document corpus; indices by descending frequency, ties alphabetical.
     texts = ["red blue red", "green blue red", "blue zebra"]
@@ -59,6 +70,65 @@ def test_vocabulary_hand_enumeration():
     # counts: red=3, blue=3, green=1, zebra=1
     assert vocab.index_of == {"blue": 2, "red": 3, "green": 4, "zebra": 5}
     assert vocab.size == 6
+
+
+# Mixed case, a capital whose lowercase form is longer ("İ" -> "i̇"), and
+# separators that str.split splits on beyond ASCII whitespace.
+_WORDS = ("a", "A", "ab", "aB", "İ", "i̇", "ǅ", "zz")
+_UNSEEN = ("new", "NEW", "ﬀ")
+_SEPARATORS = (" ", "  ", "\t", "\n", "\u2028", "\u3000", "\x1c")
+
+
+@st.composite
+def _text(draw, words=_WORDS):
+    lead = draw(st.sampled_from(("",) + _SEPARATORS))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(words), st.sampled_from(_SEPARATORS)), max_size=9))
+    return lead + "".join(w + sep for w, sep in pairs)
+
+
+@st.composite
+def _splits(draw, task_kind):
+    labels = ["c0", "c1", "c2"]
+    label_sets = (
+        st.sampled_from(labels).map(lambda lab: (lab,))
+        if task_kind == "multiclass"
+        else st.sets(st.sampled_from(labels), min_size=1).map(lambda s: tuple(sorted(s)))
+    )
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), max_size=12, unique=True))
+    train = [TextSample(sid, draw(_text()), draw(label_sets)) for sid in ids]
+    if not train:
+        return train, []
+    seen = sorted({lab for s in train for lab in s.labels})
+    valid_labels = (
+        st.sampled_from(seen).map(lambda lab: (lab,))
+        if task_kind == "multiclass"
+        else st.sets(st.sampled_from(seen), min_size=1).map(lambda s: tuple(sorted(s)))
+    )
+    n_valid = draw(st.integers(0, 6))
+    valid = [TextSample(f"v{i}", draw(_text(_WORDS + _UNSEEN)), draw(valid_labels)) for i in range(n_valid)]
+    return train, valid
+
+
+@pytest.mark.parametrize("task_kind", ["multiclass", "multilabel"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), max_len=st.integers(1, 6))
+def test_encode_matches_reference(task_kind, data, max_len):
+    train_s, valid_s = data.draw(_splits(task_kind))
+    got = encode_datasets(train_s, valid_s, task_kind, max_len=max_len)
+    want = reference_encode.encode_datasets(train_s, valid_s, task_kind, max_len=max_len)
+    for g, w in zip(got, want):
+        assert g.sample_ids == w.sample_ids
+        for name in ("tokens", "offsets", "targets"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert list(g.vocab.index_of.items()) == list(w.vocab.index_of.items())
+        assert g.vocab.max_len == w.vocab.max_len
+        assert g.label_names == w.label_names
+    texts = [s.text for s in train_s]
+    assert build_vocabulary(texts, max_len) == reference_encode.build_vocabulary(texts, max_len)
+    vocab = got[0].vocab
+    for s in valid_s:
+        assert tokenize(s.text, vocab) == reference_encode.tokenize(s.text, vocab)
 
 
 # ---------------------------------------------------------------- embedding
@@ -549,6 +619,21 @@ def test_k1_equals_baseline_exactly():
     assert spdcl_run.reports[-1] == base_run.reports[-1]
     assert [p.ordered_ids for p in spdcl_run.plans] == [p.ordered_ids for p in base_run.plans]
     assert np.array_equal(spdcl_run.params.embedding_table, base_run.params.embedding_table)
+
+
+@pytest.mark.parametrize("runner", [run_spdcl, run_baseline])
+def test_run_rejects_empty_validation_split(runner, tmp_path, monkeypatch):
+    train_s, _ = make_zipfian_dataset(20, 4, 3, seed=0)
+    train, valid = encode_datasets(train_s, [], "multiclass", max_len=32)
+
+    def no_init(*args):
+        raise AssertionError("init_params ran before the validation split was checked")
+
+    monkeypatch.setattr(trainer, "init_params", no_init)
+    config = CurriculumConfig(bins_k=2, total_epochs_T=2, shuffle_seed=2)
+    with pytest.raises(ValueError, match="validation split is empty"):
+        runner(train, valid, config, TrainHyper(hidden=4), out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_separable_data_reaches_high_train_accuracy():
