@@ -22,6 +22,7 @@ Set SPDCL_LOG=debug|info|warning to control verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -203,7 +204,9 @@ def cmd_report(args) -> None:
 # -------------------------------------------------------------------- main
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="spdcl",
         description="Nuclear-norm curriculum learning: score, schedule, train, report.",
@@ -217,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output score file (JSONL)")
     p.add_argument("--alignment", choices=["rank", "identity"], default="rank")
     p.add_argument("--ordering", choices=["magnitude", "signed"], default="magnitude")
-    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("schedule", help="epoch training manifest from a score file")
     p.add_argument("--scores", required=True)
@@ -226,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output manifest file (JSONL)")
     p.add_argument("--no-shuffle", action="store_true", help="present the visible set in rank order")
-    p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("train", help="run the full curriculum (or baseline) training loop")
     p.add_argument("--dataset", required=True, help="training split (JSONL)")
@@ -234,14 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run config (JSON)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--baseline", action="store_true", help="plain full-data training, no curriculum")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("report", help="aggregate a run directory into one JSON report")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None, help="also write plot-ready CSV here")
     p.add_argument("--baseline-dir", default=None, help="baseline run to diff against")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
@@ -250,7 +249,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # Looked up at each call, not bound into the cached parser.
+        globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return 1

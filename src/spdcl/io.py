@@ -24,12 +24,14 @@ Embedding dumps are a small binary format:
 
 Every sample in a dump has the same column count.  Values are single
 precision on disk and in memory (:class:`spdcl.nucnorm.EmbeddingDump`);
-scoring widens them to double.  Every write goes through a temp file in the
-target directory followed by an atomic rename.
+scoring widens them to double.  Dump headers are packed once per layout,
+score-file ids JSON-escaped once per id tuple.  Every write goes through a
+temp file in the target directory followed by an atomic rename.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -37,13 +39,13 @@ import struct
 import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, ScoreTable
 from spdcl.metrics import EvalReport
-from spdcl.nucnorm import EmbeddingDump
+from spdcl.nucnorm import DumpLayout, EmbeddingDump
 from spdcl.scheduler import CurriculumConfig, EpochPlan
 
 DUMP_MAGIC = b"SPDCLEMB"
@@ -103,8 +105,8 @@ def write_text_atomic(path, text: str) -> None:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _read_jsonl(path) -> list:
-    out = []
+def _read_jsonl(path) -> Iterator[tuple[int, object]]:
+    """Yield ``(physical line number, value)`` for each non-blank line, one at a time."""
     # Iterating the text handle splits on newlines only: str.splitlines()
     # would also split inside an id holding a raw U+2028 or U+2029.
     with open(path, "r", encoding="utf-8") as fh:
@@ -118,8 +120,7 @@ def _read_jsonl(path) -> list:
                     raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
-            out.append(obj)
-    return out
+            yield lineno, obj
 
 
 # -------------------------------------------------------------- dataset files
@@ -139,20 +140,22 @@ def read_dataset(path) -> list[TextSample]:
 
     ``labels`` may be a single string (multiclass) or an array of strings
     (multilabel); it must be non-empty either way, and ids must be unique.
+    Lines are decoded and checked one at a time, so the first bad line wins,
+    by its JSON or by a field; every error names the physical line.
     """
     samples = []
     seen = set()
     # A decoded JSON value is exactly a dict, list, str, int, float, bool or
     # None, so exact type tests decide what isinstance would.  No check
     # builds a set or runs a generator per record.
-    for lineno, rec in enumerate(_read_jsonl(path), start=1):
+    for lineno, rec in _read_jsonl(path):
         if type(rec) is not dict or "id" not in rec or "text" not in rec or "labels" not in rec:
-            raise FormatError(f"{path}: record {lineno} must have id/text/labels fields")
+            raise FormatError(f"{path}: line {lineno} must have id/text/labels fields")
         sid = rec["id"]
         if type(sid) is not str or not sid:
-            raise FormatError(f"{path}: record {lineno} has a non-string or empty id")
+            raise FormatError(f"{path}: line {lineno} has a non-string or empty id")
         if sid in seen:
-            raise FormatError(f"{path}: duplicate sample id {sid!r}")
+            raise FormatError(f"{path}: line {lineno} has a duplicate sample id {sid!r}")
         seen.add(sid)
         labels = rec["labels"]
         if type(labels) is str:
@@ -160,10 +163,10 @@ def read_dataset(path) -> list[TextSample]:
         elif type(labels) is list and labels and all(map(str.__instancecheck__, labels)):
             labels = tuple(labels)
         else:
-            raise FormatError(f"{path}: record {sid!r} needs a non-empty label or label list")
+            raise FormatError(f"{path}: line {lineno}: record {sid!r} needs a non-empty label or label list")
         text = rec["text"]
         if type(text) is not str:
-            raise FormatError(f"{path}: record {sid!r} has a non-string text {text!r}")
+            raise FormatError(f"{path}: line {lineno}: record {sid!r} has a non-string text {text!r}")
         samples.append(TextSample(sid, text, labels))
     if not samples:
         raise FormatError(f"{path}: dataset is empty")
@@ -196,18 +199,23 @@ def f32_roundtrip(values) -> np.ndarray:
     return np.asarray(values, dtype="<f4").astype(np.float64)
 
 
-def write_embedding_dump(path, dump: EmbeddingDump) -> None:
-    cols = dump.values.shape[1]
-    raw = memoryview(np.ascontiguousarray(dump.values, dtype="<f4")).cast("B")
-    row_bytes = 4 * cols
-    bounds = dump.offsets.tolist()
-    parts = [DUMP_MAGIC, _DUMP_HEADER.pack(DUMP_VERSION, len(dump.ids))]
-    for sid, lo, hi in zip(dump.ids, bounds, bounds[1:]):
+@functools.lru_cache(maxsize=1)
+def _dump_headers(layout: DumpLayout) -> tuple[bytes, tuple[bytes, ...]]:
+    """A dump file's header, and each sample's header: id length, UTF-8 id, rows, cols."""
+    headers = []
+    for sid, rows in zip(layout.ids, np.diff(layout.offsets).tolist()):
         id_bytes = sid.encode("utf-8")
-        parts.append(_DUMP_ID_LEN.pack(len(id_bytes)))
-        parts.append(id_bytes)
-        parts.append(_DUMP_SHAPE.pack(hi - lo, cols))
-        parts.append(raw[lo * row_bytes : hi * row_bytes])
+        headers.append(_DUMP_ID_LEN.pack(len(id_bytes)) + id_bytes + _DUMP_SHAPE.pack(rows, layout.cols))
+    return DUMP_MAGIC + _DUMP_HEADER.pack(DUMP_VERSION, len(headers)), tuple(headers)
+
+
+def write_embedding_dump(path, dump: EmbeddingDump) -> None:
+    head, headers = _dump_headers(dump.layout)
+    raw = memoryview(np.ascontiguousarray(dump.values, dtype="<f4")).cast("B")
+    bounds = (dump.offsets * (4 * dump.layout.cols)).tolist()
+    parts = [head] * (2 * len(headers) + 1)
+    parts[1::2] = headers
+    parts[2::2] = map(raw.__getitem__, map(slice, bounds, bounds[1:]))
     _atomic_write_bytes(Path(path), b"".join(parts))
 
 
@@ -272,6 +280,10 @@ def read_embedding_dump(path) -> EmbeddingDump:
 # ------------------------------------------------------------- score files
 
 
+# The ids as JSON strings, escaped once for all of a run's score files.
+_json_ids = functools.lru_cache(maxsize=1)(lambda ids: tuple(map(_encode_json_str, ids)))
+
+
 def write_scores(path, table: ScoreTable) -> None:
     """Score file: one line per sample in rank order, with the score and the raw norm.
 
@@ -291,10 +303,10 @@ def write_scores(path, table: ScoreTable) -> None:
             f"or norm {float(norms[bad])!r}"
         )
     head = f'{{"epoch":{int(table.epoch)},"id":'
-    ids = table.ids
+    ids = _json_ids(table.ids)
     # .tolist() gives Python floats, whose repr() is json's float.__repr__.
     lines = [
-        f'{head}{_encode_json_str(ids[row])},"norm":{norm!r},"rank":{rank},"score":{score!r}}}\n'
+        f'{head}{ids[row]},"norm":{norm!r},"rank":{rank},"score":{score!r}}}\n'
         for rank, (row, norm, score) in enumerate(zip(order.tolist(), norms.tolist(), scores.tolist()))
     ]
     _atomic_write_bytes(Path(path), "".join(lines).encode("utf-8"))
@@ -324,7 +336,7 @@ def read_scores(path) -> ScoreTable:
     """
     ids, epochs, scores, ranks, norms = [], [], [], [], []
     seen = set()
-    for lineno, rec in enumerate(_read_jsonl(path), start=1):
+    for lineno, rec in _read_jsonl(path):
         try:
             sid = rec["id"]
             if not isinstance(sid, str):
@@ -381,7 +393,7 @@ def write_manifest(path, plan: EpochPlan) -> None:
 
 
 def read_manifest(path) -> EpochPlan:
-    rows = _read_jsonl(path)
+    rows = [rec for _, rec in _read_jsonl(path)]
     if len(rows) != 1:
         raise FormatError(f"{path}: manifest must contain exactly one record, got {len(rows)}")
     rec = rows[0]

@@ -61,7 +61,10 @@ def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
 
 def micro_f1(truth, pred, n_labels: int | None = None) -> float:
     """F1 over globally pooled true/false positives and false negatives."""
-    t, p = _pair(truth, pred, n_labels)
+    return _micro_f1(*_pair(truth, pred, n_labels))
+
+
+def _micro_f1(t: np.ndarray, p: np.ndarray) -> float:
     tp = int(((t == 1) & (p == 1)).sum())
     fp = int(((t == 0) & (p == 1)).sum())
     fn = int(((t == 1) & (p == 0)).sum())
@@ -77,20 +80,25 @@ def _per_label_f1(t: np.ndarray, p: np.ndarray) -> list[float]:
 
 def macro_f1(truth, pred, n_labels: int | None = None) -> float:
     """Unweighted mean of per-label F1; labels absent everywhere count as 0."""
-    t, p = _pair(truth, pred, n_labels)
-    scores = _per_label_f1(t, p)
+    scores = _per_label_f1(*_pair(truth, pred, n_labels))
     return sum(scores) / len(scores)
 
 
 def hamming_loss(truth, pred, n_labels: int | None = None) -> float:
     """Fraction of label positions where truth and prediction disagree."""
-    t, p = _pair(truth, pred, n_labels)
+    return _hamming_loss(*_pair(truth, pred, n_labels))
+
+
+def _hamming_loss(t: np.ndarray, p: np.ndarray) -> float:
     return int((t != p).sum()) / t.size
 
 
 def subset_accuracy(truth, pred, n_labels: int | None = None) -> float:
     """Fraction of samples whose whole label vector matches exactly."""
-    t, p = _pair(truth, pred, n_labels)
+    return _subset_accuracy(*_pair(truth, pred, n_labels))
+
+
+def _subset_accuracy(t: np.ndarray, p: np.ndarray) -> float:
     return int((t == p).all(axis=1).sum()) / t.shape[0]
 
 
@@ -152,15 +160,17 @@ def label_frequency_groups(train_labels, n_groups: int = 4) -> np.ndarray:
 
 def macro_f1_per_group(truth, pred, groups, n_labels: int | None = None) -> list[float]:
     """Macro-F1 restricted to each frequency group's labels."""
-    t, p = _pair(truth, pred, n_labels)
+    return _group_macro_f1(_per_label_f1(*_pair(truth, pred, n_labels)), groups)
+
+
+def _group_macro_f1(scores: list[float], groups) -> list[float]:
     assignment = np.asarray(groups)
-    if assignment.ndim != 1 or assignment.shape[0] != t.shape[1]:
+    if assignment.ndim != 1 or assignment.shape[0] != len(scores):
         raise ValueError("groups must assign one group per label")
     n_groups = int(assignment.max()) + 1
     present = set(assignment.tolist())
     if present != set(range(n_groups)):
         raise ValueError("group ids must cover 0..G-1 with no gaps")
-    scores = _per_label_f1(t, p)
     out = []
     for g in range(n_groups):
         members = [scores[j] for j in range(len(scores)) if assignment[j] == g]
@@ -186,7 +196,7 @@ class EvalReport:
 
 
 def evaluate(truth, pred, n_labels: int | None = None, groups=None) -> EvalReport:
-    """All metrics at once; binary extras appear for 2-class index vectors."""
+    """All metrics at once, from labels checked once; binary extras appear for 2-class index vectors."""
     t, p = _pair(truth, pred, n_labels)
     mcc = None
     bf1 = None
@@ -194,15 +204,13 @@ def evaluate(truth, pred, n_labels: int | None = None, groups=None) -> EvalRepor
     if truth_arr.ndim == 1 and t.shape[1] == 2:
         mcc = matthews(truth_arr, np.asarray(pred))
         bf1 = binary_f1(truth_arr, np.asarray(pred))
-    per_group = None
-    if groups is not None:
-        per_group = macro_f1_per_group(t, p, groups)
+    scores = _per_label_f1(t, p)
     return EvalReport(
-        micro_f1=micro_f1(t, p),
-        macro_f1=macro_f1(t, p),
-        hamming_loss=hamming_loss(t, p),
-        subset_accuracy=subset_accuracy(t, p),
+        micro_f1=_micro_f1(t, p),
+        macro_f1=sum(scores) / len(scores),
+        hamming_loss=_hamming_loss(t, p),
+        subset_accuracy=_subset_accuracy(t, p),
         matthews_corr=mcc,
         binary_f1=bf1,
-        per_group_macro_f1=per_group,
+        per_group_macro_f1=None if groups is None else _group_macro_f1(scores, groups),
     )

@@ -5,14 +5,15 @@ The nuclear norm is the sum of the singular values, equivalently
 symmetric eigendecomposition.  :class:`EmbeddingDump` holds every sample's
 token-by-hidden rows in one float32 array, checked once when it is built,
 so scoring a dump runs the kernel on plain arrays: one stacked call per
-group of samples that share a row count.  Everything here is a
-pure function over immutable inputs and safe to call from many workers at
-once.
+group of samples that share a row count, planned once per
+:class:`DumpLayout`.  Everything here is a pure function over immutable
+inputs and safe to call from many workers at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,31 @@ def nuclear_norm(matrix) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class DumpLayout:
+    """What every dump of one training set shares: ids, row offsets, column
+    count, and scoring's gather plan.  Built by ``EmbeddingDump``, once."""
+
+    ids: tuple[str, ...]
+    offsets: np.ndarray
+    cols: int
+
+    @cached_property
+    def score_slices(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        # (members, rows_of) per stacked kernel call: samples of one row count,
+        # _SCORE_SLICE_VALUES float64 values (or one sample) at most, and their rows.
+        lengths = np.diff(self.offsets)
+        by_length = np.argsort(lengths, kind="stable")
+        slices = []
+        for group in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+            rows = int(lengths[group[0]])
+            step = max(1, _SCORE_SLICE_VALUES // (rows * self.cols))
+            for start in range(0, len(group), step):
+                members = group[start : start + step]
+                slices.append((members, self.offsets[members, None] + np.arange(rows)))
+        return slices
+
+
+@dataclass(frozen=True, eq=False)
 class EmbeddingDump:
     """Every sample's token-by-hidden embedding rows, packed into one array.
 
@@ -69,12 +95,14 @@ class EmbeddingDump:
     an in-memory dump and scoring the same dump read from disk agree bit for
     bit.  The constructor is the one place a dump is checked: at least one
     sample, ids unique, every sample at least one row, values 2-D with at
-    least one column and finite.
+    least one column and finite.  It builds the dump's ``layout``, which
+    ``with_values`` shares with a new dump, checking only the new values.
     """
 
     ids: tuple[str, ...]
     offsets: np.ndarray  # (N + 1,) int64 row offsets, offsets[0] == 0
     values: np.ndarray  # (sum of rows, d) float32
+    layout: DumpLayout = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = tuple(self.ids)
@@ -93,15 +121,27 @@ class EmbeddingDump:
         empty = np.flatnonzero(np.diff(offsets) < 1)
         if empty.size:
             raise ValueError(f"sample {ids[empty[0]]!r} has no rows")
+        self._fill(DumpLayout(ids, offsets, values.shape[1]), values)
+
+    def with_values(self, values) -> EmbeddingDump:
+        """A dump of the same samples in this dump's layout; only ``values`` is checked."""
+        dump = object.__new__(type(self))
+        dump._fill(self.layout, values)
+        return dump
+
+    def _fill(self, layout: DumpLayout, values) -> None:
+        values = np.asarray(values, dtype=np.float32)
+        shape = (int(layout.offsets[-1]), layout.cols)
+        if values.shape != shape:
+            raise ValueError(f"dump values must have shape {shape}, got {values.shape}")
         if not np.isfinite(values).all():
             bad_row = np.argmin(np.isfinite(values).all(axis=1))
-            sample = int(np.searchsorted(offsets, bad_row, side="right")) - 1
-            raise ValueError(f"sample {ids[sample]!r} contains non-finite values")
-        values.setflags(write=False)
-        offsets.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "values", values)
+            sample = int(np.searchsorted(layout.offsets, bad_row, side="right")) - 1
+            raise ValueError(f"sample {layout.ids[sample]!r} contains non-finite values")
+        for arr in (values, layout.offsets):
+            arr.setflags(write=False)
+        for name, value in (("ids", layout.ids), ("offsets", layout.offsets), ("values", values), ("layout", layout)):
+            object.__setattr__(self, name, value)
 
     def nuclear_norms(self) -> np.ndarray:
         """Each sample's nuclear norm in ``ids`` order, from its rows widened to float64.
@@ -112,19 +152,9 @@ class EmbeddingDump:
         holds at most ``_SCORE_SLICE_VALUES`` float64 values (or one
         sample), which bounds scoring's temporaries whatever the group size.
         Every sample's spectrum and sum are computed exactly as
-        ``nuclear_norm`` computes them.
+        ``nuclear_norm`` computes them.  The layout plans the slices once.
         """
-        lengths = np.diff(self.offsets)
-        by_length = np.argsort(lengths, kind="stable")
-        cuts = np.flatnonzero(np.diff(lengths[by_length])) + 1
-        cols = self.values.shape[1]
         norms = np.empty(len(self.ids))
-        for group in np.split(by_length, cuts):
-            rows = int(lengths[group[0]])
-            step = max(1, _SCORE_SLICE_VALUES // (rows * cols))
-            row_range = np.arange(rows)
-            for start in range(0, len(group), step):
-                members = group[start : start + step]
-                rows_of = self.offsets[members, None] + row_range
-                norms[members] = _spectrum(self.values[rows_of].astype(np.float64)).sum(axis=-1)
+        for members, rows_of in self.layout.score_slices:
+            norms[members] = _spectrum(self.values[rows_of].astype(np.float64)).sum(axis=-1)
         return norms

@@ -599,14 +599,14 @@ class RunResult:
     scores: list[ScoreTable]
 
 
-def _dump_embeddings(params: ModelParams, data: EncodedDataset) -> EmbeddingDump:
+def _dump_embeddings(params: ModelParams, data: EncodedDataset, previous=None) -> EmbeddingDump:
     """Every sample's token-embedding rows, in the dataset's row order, quantized to float32.
 
     A training split from ``encode_datasets`` is held in ascending id order,
     so its dump is too, with the dataset's own offsets.  The rows are
     gathered in slices of at most ``_DUMP_SLICE_VALUES`` float64 values and
     cast into one float32 array, so the dump never holds a float64 copy of
-    itself.
+    itself.  ``previous``, an earlier dump of ``data``, lends its layout.
     """
     table, tokens = params.embedding_table, data.tokens
     _check_tokens(tokens, table.shape[0])
@@ -614,6 +614,8 @@ def _dump_embeddings(params: ModelParams, data: EncodedDataset) -> EmbeddingDump
     step = max(1, _DUMP_SLICE_VALUES // table.shape[1])
     for start in range(0, tokens.size, step):
         values[start : start + step] = table.take(tokens[start : start + step], axis=0)
+    if previous is not None:
+        return previous.with_values(values)
     return EmbeddingDump(data.sample_ids, data.offsets, values)
 
 
@@ -663,8 +665,9 @@ def run_spdcl(
     stats_log: list[TrainStats] = []
     reports: list[EvalReport] = []
     plans: list[EpochPlan] = []
+    dump = None  # epoch 1 builds the layout that every later dump shares
     for epoch in range(1, config.total_epochs_T + 1):
-        dump = _dump_embeddings(params, train)
+        dump = _dump_embeddings(params, train, dump)
         ids, norm = dump_norms(dump)
         if epoch == 1:
             table = initial_scores(ids, norm)

@@ -487,3 +487,33 @@ def test_subcommand_help():
             [sys.executable, "-m", "spdcl", sub, "--help"], capture_output=True, text=True
         )
         assert result.returncode == 0
+
+
+def test_commands_share_one_parser_in_one_process(run_dirs, capsys):
+    # The parser is built once per process; every call still parses and
+    # reports on its own, before and after a rejected one.
+    tmp_path, train_path, valid_path, config_path = run_dirs
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(train_path), "--valid", str(valid_path),
+                 "--config", str(config_path), "--out-dir", str(run)]) == 0
+    scores = tmp_path / "epoch001.scores.jsonl"
+    manifest = tmp_path / "epoch001.manifest.jsonl"
+    assert main(["score", "--embeddings", str(run / "epoch001.embeddings.bin"), "--epoch", "1",
+                 "--out", str(scores)]) == 0
+    assert scores.read_bytes() == (run / scores.name).read_bytes()
+    assert main(["schedule", "--scores", str(scores), "--bins", "4", "--epoch", "1", "--seed", "2",
+                 "--out", str(manifest)]) == 0
+    assert manifest.read_bytes() == (run / manifest.name).read_bytes()
+    capsys.readouterr()
+    assert main(["score", "--embeddings", str(run / "epoch001.embeddings.bin"), "--epoch", "0",
+                 "--out", str(tmp_path / "bad.jsonl")]) == 1
+    assert capsys.readouterr().err == "error:bad-arguments: --epoch must be >= 1\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "--embeddings", "x.bin", "--epoch", "one", "--out", "y.jsonl"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("spdcl score: error: argument --epoch: invalid int value: 'one'\n")
+    report = tmp_path / "report.json"
+    assert main(["report", "--run-dir", str(run), "--out", str(report)]) == 0
+    assert [e["epoch"] for e in json.loads(report.read_text())["epochs"]] == [1, 2, 3, 4, 5]
+    assert capsys.readouterr() == ("", "")
+    assert not (tmp_path / "bad.jsonl").exists()

@@ -70,18 +70,26 @@ _GOOD_RECORD = '{"id":"a","text":"t","labels":"x"}\n'
 @pytest.mark.parametrize(
     "body, match",
     [
-        (_GOOD_RECORD + '["b","t","x"]\n', r"record 2 must have id/text/labels fields"),
-        (_GOOD_RECORD + '"b"\n', r"record 2 must have id/text/labels fields"),
-        (_GOOD_RECORD + '{"id":"b","labels":"x"}\n', r"record 2 must have id/text/labels fields"),
-        ('{"id":7,"text":"t","labels":"x"}\n', r"record 1 has a non-string or empty id"),
-        ('{"id":"","text":"t","labels":"x"}\n', r"record 1 has a non-string or empty id"),
-        ('{"id":"a","text":"t","labels":["x",3]}\n', r"record 'a' needs a non-empty label or label list"),
-        ('{"id":"a","text":"t","labels":7}\n', r"record 'a' needs a non-empty label or label list"),
+        (_GOOD_RECORD + '["b","t","x"]\n', r"line 2 must have id/text/labels fields"),
+        (_GOOD_RECORD + '"b"\n', r"line 2 must have id/text/labels fields"),
+        (_GOOD_RECORD + '{"id":"b","labels":"x"}\n', r"line 2 must have id/text/labels fields"),
+        ('{"id":7,"text":"t","labels":"x"}\n', r"line 1 has a non-string or empty id"),
+        ('{"id":"","text":"t","labels":"x"}\n', r"line 1 has a non-string or empty id"),
+        ('{"id":"a","text":"t","labels":["x",3]}\n', r"line 1: record 'a' needs a non-empty label or label list"),
+        ('{"id":"a","text":"t","labels":7}\n', r"line 1: record 'a' needs a non-empty label or label list"),
         ("", r"dataset is empty"),
         ("\n  \n", r"dataset is empty"),
+        # Errors name the physical line, blank lines included.
+        ("\n\n" + _GOOD_RECORD + "\n" + '{"id":7,"text":"t","labels":"x"}\n', r"line 5 has a non-string or empty id"),
+        (_GOOD_RECORD + "\n" + _GOOD_RECORD, r"line 3 has a duplicate sample id 'a'"),
+        # The first bad line wins: a field error before a later JSON error.
+        (_GOOD_RECORD + '{"id":7,"text":"t","labels":"x"}\n\n\nnot json\n', r"line 2 has a non-string or empty id"),
+        (_GOOD_RECORD + 'not json\n{"id":7,"text":"t","labels":"x"}\n', r"line 2 is not valid JSON"),
     ],
     ids=["list-record", "string-record", "missing-text", "int-id", "empty-id",
-         "int-in-label-list", "int-labels", "empty-file", "blank-lines"],
+         "int-in-label-list", "int-labels", "empty-file", "blank-lines",
+         "bad-id-after-blank-lines", "duplicate-after-blank-line",
+         "field-error-before-json-error", "json-error-before-field-error"],
 )
 def test_dataset_rejects_malformed_records(tmp_path, body, match):
     path = tmp_path / "bad.jsonl"
