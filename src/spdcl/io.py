@@ -24,9 +24,10 @@ Embedding dumps are a small binary format:
 
 Every sample in a dump has the same column count.  Values are single
 precision on disk and in memory (:class:`spdcl.nucnorm.EmbeddingDump`);
-scoring widens them to double.  Dump headers are packed once per layout,
-score-file ids JSON-escaped once per id tuple.  Every write goes through a
-temp file in the target directory followed by an atomic rename.
+scoring widens them to double.  Dump headers are packed once per layout and
+column count, score-file ids JSON-escaped once per id tuple.  Every write
+goes through a temp file in the target directory followed by an atomic
+rename.
 """
 
 from __future__ import annotations
@@ -200,19 +201,20 @@ def f32_roundtrip(values) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _dump_headers(layout: DumpLayout) -> tuple[bytes, tuple[bytes, ...]]:
+def _dump_headers(layout: DumpLayout, cols: int) -> tuple[bytes, tuple[bytes, ...]]:
     """A dump file's header, and each sample's header: id length, UTF-8 id, rows, cols."""
     headers = []
     for sid, rows in zip(layout.ids, np.diff(layout.offsets).tolist()):
         id_bytes = sid.encode("utf-8")
-        headers.append(_DUMP_ID_LEN.pack(len(id_bytes)) + id_bytes + _DUMP_SHAPE.pack(rows, layout.cols))
+        headers.append(_DUMP_ID_LEN.pack(len(id_bytes)) + id_bytes + _DUMP_SHAPE.pack(rows, cols))
     return DUMP_MAGIC + _DUMP_HEADER.pack(DUMP_VERSION, len(headers)), tuple(headers)
 
 
 def write_embedding_dump(path, dump: EmbeddingDump) -> None:
-    head, headers = _dump_headers(dump.layout)
+    cols = dump.values.shape[1]
+    head, headers = _dump_headers(dump.layout, cols)
     raw = memoryview(np.ascontiguousarray(dump.values, dtype="<f4")).cast("B")
-    bounds = (dump.offsets * (4 * dump.layout.cols)).tolist()
+    bounds = (dump.offsets * (4 * cols)).tolist()
     parts = [head] * (2 * len(headers) + 1)
     parts[1::2] = headers
     parts[2::2] = map(raw.__getitem__, map(slice, bounds, bounds[1:]))
@@ -272,7 +274,7 @@ def read_embedding_dump(path) -> EmbeddingDump:
         raise FormatError(f"{path}: {size - offset} trailing bytes after declared samples")
     values = np.frombuffer(b"".join(chunks), dtype="<f4").reshape(row_offsets[-1], cols)
     try:
-        return EmbeddingDump(ids, row_offsets, values)
+        return EmbeddingDump(DumpLayout(ids, row_offsets), values)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -339,8 +341,8 @@ def read_scores(path) -> ScoreTable:
     for lineno, rec in _read_jsonl(path):
         try:
             sid = rec["id"]
-            if not isinstance(sid, str):
-                raise TypeError(f"id {sid!r} is not a string")
+            if type(sid) is not str or not sid:
+                raise TypeError(f"id {sid!r} is not a non-empty string")
             if sid in seen:
                 raise ValueError(f"duplicate sample id {sid!r}")
             epoch, rank, score, norm = rec["epoch"], rec["rank"], rec["score"], rec["norm"]
@@ -402,8 +404,8 @@ def read_manifest(path) -> EpochPlan:
         if type(order) is not list or not all(type(sid) is str for sid in order):
             raise TypeError(f"order {order!r} is not an array of strings")
         bin_of = rec["bin_of"]
-        if not isinstance(bin_of, dict):
-            raise TypeError(f"bin_of {bin_of!r} is not an object")
+        if not isinstance(bin_of, dict) or "" in bin_of:
+            raise TypeError(f"bin_of {bin_of!r} is not an object keyed by non-empty ids")
         epoch = rec["epoch"]
         if type(epoch) is not int:
             raise TypeError(f"epoch {epoch!r} is not an integer")

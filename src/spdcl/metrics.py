@@ -147,14 +147,9 @@ def label_frequency_groups(train_labels, n_groups: int = 4) -> np.ndarray:
         raise ValueError(f"n_groups={n_groups} exceeds label count {n_lab}")
     freq = mat.sum(axis=0)
     order = sorted(range(n_lab), key=lambda j: (-freq[j], j))
-    base, extra = divmod(n_lab, n_groups)
-    assignment = np.zeros(n_lab, dtype=np.int64)
-    pos = 0
-    for g in range(n_groups):
-        size = base + (1 if g < extra else 0)
-        for j in order[pos : pos + size]:
-            assignment[j] = g
-        pos += size
+    assignment = np.empty(n_lab, dtype=np.int64)
+    for g, members in enumerate(np.array_split(order, n_groups)):
+        assignment[members] = g
     return assignment
 
 

@@ -2,18 +2,19 @@
 
 The nuclear norm is the sum of the singular values, equivalently
 ``tr(sqrt(E^T E))``.  It is computed from the smaller Gram matrix by a
-symmetric eigendecomposition.  :class:`EmbeddingDump` holds every sample's
-token-by-hidden rows in one float32 array, checked once when it is built,
-so scoring a dump runs the kernel on plain arrays: one stacked call per
-group of samples that share a row count, planned once per
-:class:`DumpLayout`.  Everything here is a pure function over immutable
-inputs and safe to call from many workers at once.
+symmetric eigendecomposition.  :class:`DumpLayout` is the checked layout
+(ids, row offsets) that a training set builds once and all its dumps share.
+:class:`EmbeddingDump` holds every sample's token-by-hidden rows in one
+float32 array and checks only those, so scoring a dump runs the kernel on
+plain arrays: one stacked call per group of samples that share a row count,
+planned once per layout and column count.  Everything here is a pure
+function over immutable inputs and safe to call from many workers at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -63,85 +64,94 @@ def nuclear_norm(matrix) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DumpLayout:
-    """What every dump of one training set shares: ids, row offsets, column
-    count, and scoring's gather plan.  Built by ``EmbeddingDump``, once."""
+    """A checked sample layout: sample ``ids[i]`` owns rows ``offsets[i]:offsets[i + 1]``.
+
+    The constructor is the one place a layout is checked: ids unique and
+    non-empty, ``offsets`` one per sample plus one, starting at 0, and every
+    sample at least one row.  ``row_of`` maps each id to its row.  An
+    ``EncodedDataset`` builds one per split at set-up; every dump of the
+    training split shares it.
+    """
 
     ids: tuple[str, ...]
-    offsets: np.ndarray
-    cols: int
+    offsets: np.ndarray  # (N + 1,) int64 row offsets, offsets[0] == 0
+    row_of: dict[str, int] = field(init=False, repr=False)
 
-    @cached_property
-    def score_slices(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        # (members, rows_of) per stacked kernel call: samples of one row count,
-        # _SCORE_SLICE_VALUES float64 values (or one sample) at most, and their rows.
-        lengths = np.diff(self.offsets)
-        by_length = np.argsort(lengths, kind="stable")
-        slices = []
-        for group in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
-            rows = int(lengths[group[0]])
-            step = max(1, _SCORE_SLICE_VALUES // (rows * self.cols))
-            for start in range(0, len(group), step):
-                members = group[start : start + step]
-                slices.append((members, self.offsets[members, None] + np.arange(rows)))
-        return slices
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        row_of = {sid: row for row, sid in enumerate(ids)}
+        if len(row_of) != len(ids):
+            dup = next(sid for row, sid in enumerate(ids) if row_of[sid] != row)
+            raise ValueError(f"duplicate sample id {dup!r}")
+        if "" in row_of:
+            raise ValueError(f"sample {row_of['']} has an empty id")
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if offsets.shape != (len(ids) + 1,) or offsets[0] != 0:
+            raise ValueError(f"row offsets must start at 0, one per sample plus one, got shape {offsets.shape}")
+        empty = np.flatnonzero(np.diff(offsets) < 1)
+        if empty.size:
+            raise ValueError(f"sample {ids[empty[0]]!r} has no rows")
+        offsets.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "row_of", row_of)
+
+
+@functools.lru_cache(maxsize=1)
+def _score_slices(layout: DumpLayout, cols: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(members, rows_of) per stacked kernel call: samples of one row count,
+    ``_SCORE_SLICE_VALUES`` float64 values (or one sample) at most, and their rows."""
+    lengths = np.diff(layout.offsets)
+    by_length = np.argsort(lengths, kind="stable")
+    slices = []
+    for group in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+        rows = int(lengths[group[0]])
+        step = max(1, _SCORE_SLICE_VALUES // (rows * cols))
+        for start in range(0, len(group), step):
+            members = group[start : start + step]
+            slices.append((members, layout.offsets[members, None] + np.arange(rows)))
+    return tuple(slices)
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingDump:
     """Every sample's token-by-hidden embedding rows, packed into one array.
 
-    Sample ``ids[i]`` owns rows ``values[offsets[i]:offsets[i + 1]]``.
+    Sample ``ids[i]`` owns rows ``values[offsets[i]:offsets[i + 1]]``, as
+    ``layout`` says; ``ids`` and ``offsets`` are the layout's own.
     ``values`` is stored as float32, the dump file's precision, so scoring
     an in-memory dump and scoring the same dump read from disk agree bit for
-    bit.  The constructor is the one place a dump is checked: at least one
-    sample, ids unique, every sample at least one row, values 2-D with at
-    least one column and finite.  It builds the dump's ``layout``, which
-    ``with_values`` shares with a new dump, checking only the new values.
+    bit.  The layout is checked when it is built; the constructor checks
+    only the rest: at least one sample, and values 2-D, one row per layout
+    row, at least one column, and finite.
     """
 
-    ids: tuple[str, ...]
-    offsets: np.ndarray  # (N + 1,) int64 row offsets, offsets[0] == 0
+    layout: DumpLayout
     values: np.ndarray  # (sum of rows, d) float32
-    layout: DumpLayout = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = tuple(self.ids)
-        if not ids:
+        layout = self.layout
+        if not layout.ids:
             raise ValueError("embedding dump is empty")
-        if len(set(ids)) != len(ids):
-            seen = set()
-            dup = next(sid for sid in ids if sid in seen or seen.add(sid))
-            raise ValueError(f"duplicate sample id {dup!r} in dump")
         values = np.asarray(self.values, dtype=np.float32)
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError(f"dump values must be 2-D with at least one column, got shape {values.shape}")
-        offsets = np.asarray(self.offsets, dtype=np.int64)
-        if offsets.shape != (len(ids) + 1,) or offsets[0] != 0 or offsets[-1] != values.shape[0]:
-            raise ValueError(f"row offsets must run from 0 to {values.shape[0]}, one per sample plus one")
-        empty = np.flatnonzero(np.diff(offsets) < 1)
-        if empty.size:
-            raise ValueError(f"sample {ids[empty[0]]!r} has no rows")
-        self._fill(DumpLayout(ids, offsets, values.shape[1]), values)
-
-    def with_values(self, values) -> EmbeddingDump:
-        """A dump of the same samples in this dump's layout; only ``values`` is checked."""
-        dump = object.__new__(type(self))
-        dump._fill(self.layout, values)
-        return dump
-
-    def _fill(self, layout: DumpLayout, values) -> None:
-        values = np.asarray(values, dtype=np.float32)
-        shape = (int(layout.offsets[-1]), layout.cols)
-        if values.shape != shape:
-            raise ValueError(f"dump values must have shape {shape}, got {values.shape}")
+        if values.shape[0] != layout.offsets[-1]:
+            raise ValueError(f"dump values must have the layout's {layout.offsets[-1]} rows, got {values.shape[0]}")
         if not np.isfinite(values).all():
             bad_row = np.argmin(np.isfinite(values).all(axis=1))
             sample = int(np.searchsorted(layout.offsets, bad_row, side="right")) - 1
             raise ValueError(f"sample {layout.ids[sample]!r} contains non-finite values")
-        for arr in (values, layout.offsets):
-            arr.setflags(write=False)
-        for name, value in (("ids", layout.ids), ("offsets", layout.offsets), ("values", values), ("layout", layout)):
-            object.__setattr__(self, name, value)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return self.layout.ids
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.layout.offsets
 
     def nuclear_norms(self) -> np.ndarray:
         """Each sample's nuclear norm in ``ids`` order, from its rows widened to float64.
@@ -152,9 +162,10 @@ class EmbeddingDump:
         holds at most ``_SCORE_SLICE_VALUES`` float64 values (or one
         sample), which bounds scoring's temporaries whatever the group size.
         Every sample's spectrum and sum are computed exactly as
-        ``nuclear_norm`` computes them.  The layout plans the slices once.
+        ``nuclear_norm`` computes them.  The slices are planned once per
+        layout and column count.
         """
         norms = np.empty(len(self.ids))
-        for members, rows_of in self.layout.score_slices:
+        for members, rows_of in _score_slices(self.layout, self.values.shape[1]):
             norms[members] = _spectrum(self.values[rows_of].astype(np.float64)).sum(axis=-1)
         return norms

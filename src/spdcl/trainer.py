@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, count
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -26,7 +26,7 @@ import numpy as np
 from spdcl import io as spdcl_io
 from spdcl.difficulty import ScoreTable, delta_scores, dump_norms, initial_scores
 from spdcl.metrics import EvalReport, evaluate, label_frequency_groups
-from spdcl.nucnorm import EmbeddingDump
+from spdcl.nucnorm import DumpLayout, EmbeddingDump
 from spdcl.scheduler import CurriculumConfig, EpochPlan, build_epoch_plan
 
 PAD_INDEX = 0
@@ -293,7 +293,6 @@ class TrainHyper:
     hidden: int = 16
     max_len: int = 250
     seed: int = 2
-    threshold: float = 0.5  # multilabel decision threshold on sigmoid outputs
 
     def __post_init__(self):
         # bool is an int subclass, so it is rejected by name.
@@ -304,15 +303,11 @@ class TrainHyper:
         for name in ("batch_size", "hidden", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("lr", "threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float)):
+            raise ValueError(f"lr must be a number, got {self.lr!r}")
         # An int is always finite (and may be too large for math.isfinite).
         if (isinstance(self.lr, float) and not math.isfinite(self.lr)) or self.lr < 0:
             raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
-        if not 0 <= self.threshold <= 1:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,10 +316,11 @@ class EncodedDataset:
 
     Sample ``sample_ids[i]`` owns tokens ``tokens[offsets[i]:offsets[i + 1]]``
     and target ``targets[i]``: a class index (multiclass) or a 0/1 row over
-    ``label_names`` (multilabel).  The constructor is the one place a dataset
-    is checked: ids unique, every sample at least one token, token ids in
-    ``[0, vocab.size)``, targets of the task's shape and in range.  Training,
-    dumps and prediction slice these arrays; nothing re-packs them.
+    ``label_names`` (multilabel).  The constructor builds the split's
+    ``layout`` from ``sample_ids`` and ``offsets``, which checks them, and
+    checks the rest once: token ids in ``[0, vocab.size)``, targets of the
+    task's shape and in range.  Every dump of the split shares the layout.
+    Training, dumps and prediction slice these arrays; nothing re-packs them.
     """
 
     sample_ids: tuple[str, ...]
@@ -334,22 +330,16 @@ class EncodedDataset:
     vocab: Vocabulary
     label_names: tuple[str, ...]
     task_kind: str
+    layout: DumpLayout = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = tuple(self.sample_ids)
-        row_of = {sid: row for row, sid in enumerate(ids)}
-        if len(row_of) != len(ids):
-            dup = next(sid for row, sid in enumerate(ids) if row_of[sid] != row)
-            raise ValueError(f"duplicate sample id {dup!r} in dataset")
+        layout = DumpLayout(self.sample_ids, self.offsets)
+        ids, offsets = layout.ids, layout.offsets
         if self.task_kind not in spdcl_io.TASK_KINDS:
             raise ValueError(f"task_kind must be one of {spdcl_io.TASK_KINDS}")
         tokens = np.asarray(self.tokens, dtype=np.int64)
-        offsets = np.asarray(self.offsets, dtype=np.int64)
-        if tokens.ndim != 1 or offsets.shape != (len(ids) + 1,) or offsets[0] != 0 or offsets[-1] != tokens.size:
-            raise ValueError(f"token offsets must run from 0 to {tokens.size}, one per sample plus one")
-        empty = np.flatnonzero(np.diff(offsets) < 1)
-        if empty.size:
-            raise ValueError(f"sample {ids[empty[0]]!r} has no tokens")
+        if tokens.shape != (offsets[-1],):
+            raise ValueError(f"tokens must be a 1-D array of the offsets' {offsets[-1]} ids, got shape {tokens.shape}")
         bad = np.flatnonzero((tokens < 0) | (tokens >= self.vocab.size))
         if bad.size:
             sample = ids[int(np.searchsorted(offsets, bad[0], side="right")) - 1]
@@ -375,21 +365,21 @@ class EncodedDataset:
             if bad.size:
                 raise ValueError(f"sample {ids[bad[0]]!r}: multilabel target must be a 0/1 vector")
         targets = targets.astype(np.int64)
-        for arr in (tokens, offsets, targets):
+        for arr in (tokens, targets):
             arr.setflags(write=False)
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "label_names", labels)
-        object.__setattr__(self, "_row_of", row_of)
+        object.__setattr__(self, "layout", layout)
 
     def truth(self) -> np.ndarray:
         return self.targets
 
     def rows_of(self, ids: Sequence[str]) -> np.ndarray:
         """Row indices of ``ids``; a ValueError names the ids the dataset lacks."""
-        row_of = self._row_of
+        row_of = self.layout.row_of
         try:
             return np.fromiter(map(row_of.__getitem__, ids), dtype=np.int64, count=len(ids))
         except KeyError:
@@ -475,21 +465,20 @@ def encode_datasets(
     return encoded_train, encode(valid, valid_tokens, np.fromiter(map(len, id_lists), dtype=np.int64))
 
 
-def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
-    """Token ids (already known to be >= 0) must index an embedding table of ``vocab_size`` rows."""
-    if tokens.size and tokens.max() >= vocab_size:
-        raise ValueError(f"token id out of range for vocabulary of size {vocab_size}")
-
-
-def _check_targets(params: ModelParams, data: EncodedDataset, targets: np.ndarray) -> None:
-    """The dataset's targets must fit the params' head."""
+def _check_fits(params: ModelParams, data: EncodedDataset) -> None:
+    """``data`` must fit ``params``: the same task, a table row per vocabulary
+    entry, and a head output per label (exactly one for multilabel).  O(1):
+    ``EncodedDataset`` already holds token ids below ``vocab.size`` and
+    targets below ``len(label_names)``.
+    """
     if data.task_kind != params.task_kind:
         raise ValueError(f"{data.task_kind} dataset cannot train {params.task_kind} params")
-    if params.task_kind == "multiclass":
-        if targets.size and targets.max() >= params.n_labels:
-            raise ValueError(f"class index {targets.max()} out of range for {params.n_labels} labels")
-    elif targets.shape[1] != params.n_labels:
-        raise ValueError(f"multilabel target must be a 0/1 vector of length {params.n_labels}")
+    rows = params.embedding_table.shape[0]
+    if data.vocab.size > rows:
+        raise ValueError(f"vocabulary of size {data.vocab.size} does not fit an embedding table of {rows} rows")
+    labels = len(data.label_names)
+    if labels > params.n_labels or (params.task_kind == "multilabel" and labels != params.n_labels):
+        raise ValueError(f"{labels} labels do not fit a {params.task_kind} head of {params.n_labels} outputs")
 
 
 def train_epoch(
@@ -514,10 +503,9 @@ def train_epoch(
     """
     if operator.index(batch_size) < 1:
         raise ValueError("batch_size must be >= 1")
+    _check_fits(params, data)
     tokens, starts, lengths, targets = data.take(data.rows_of(plan.ordered_ids))
     vocab_size = params.embedding_table.shape[0]
-    _check_tokens(tokens, vocab_size)
-    _check_targets(params, data, targets)
     multiclass = params.task_kind == "multiclass"
     if not multiclass:
         targets = targets.astype(np.float64)
@@ -579,15 +567,15 @@ def train_epoch(
     return out, TrainStats(epoch=plan.epoch, mean_loss=total_loss / n if n else 0.0, samples_seen=n)
 
 
-def predict(params: ModelParams, data: EncodedDataset, threshold: float = 0.5) -> np.ndarray:
+def predict(params: ModelParams, data: EncodedDataset) -> np.ndarray:
     """Predicted class indices (multiclass) or a 0/1 matrix (multilabel), in ``data.sample_ids`` order."""
-    _check_tokens(data.tokens, params.embedding_table.shape[0])
+    _check_fits(params, data)
     pooled = _pool(params.embedding_table, data.tokens, data.offsets[:-1], np.diff(data.offsets))
     logits = pooled @ params.head_weights + params.head_bias
     if params.task_kind == "multiclass":
         return logits.argmax(axis=1)
     with np.errstate(over="ignore"):  # as in loss_and_grad: a sigmoid of exactly 0
-        return (1.0 / (1.0 + np.exp(-logits)) >= threshold).astype(np.int64)
+        return (1.0 / (1.0 + np.exp(-logits)) >= 0.5).astype(np.int64)
 
 
 @dataclass
@@ -599,28 +587,25 @@ class RunResult:
     scores: list[ScoreTable]
 
 
-def _dump_embeddings(params: ModelParams, data: EncodedDataset, previous=None) -> EmbeddingDump:
+def _dump_embeddings(params: ModelParams, data: EncodedDataset) -> EmbeddingDump:
     """Every sample's token-embedding rows, in the dataset's row order, quantized to float32.
 
     A training split from ``encode_datasets`` is held in ascending id order,
-    so its dump is too, with the dataset's own offsets.  The rows are
-    gathered in slices of at most ``_DUMP_SLICE_VALUES`` float64 values and
-    cast into one float32 array, so the dump never holds a float64 copy of
-    itself.  ``previous``, an earlier dump of ``data``, lends its layout.
+    so its dump is too, in the dataset's own layout.  The rows are gathered
+    in slices of at most ``_DUMP_SLICE_VALUES`` float64 values and cast into
+    one float32 array, so the dump never holds a float64 copy of itself.
     """
+    _check_fits(params, data)
     table, tokens = params.embedding_table, data.tokens
-    _check_tokens(tokens, table.shape[0])
     values = np.empty((tokens.size, table.shape[1]), dtype=np.float32)
     step = max(1, _DUMP_SLICE_VALUES // table.shape[1])
     for start in range(0, tokens.size, step):
         values[start : start + step] = table.take(tokens[start : start + step], axis=0)
-    if previous is not None:
-        return previous.with_values(values)
-    return EmbeddingDump(data.sample_ids, data.offsets, values)
+    return EmbeddingDump(data.layout, values)
 
 
-def _eval_epoch(params, valid, groups, threshold) -> EvalReport:
-    preds = predict(params, valid, threshold=threshold)
+def _eval_epoch(params, valid, groups) -> EvalReport:
+    preds = predict(params, valid)
     return evaluate(valid.truth(), preds, n_labels=len(valid.label_names), groups=groups)
 
 
@@ -665,9 +650,8 @@ def run_spdcl(
     stats_log: list[TrainStats] = []
     reports: list[EvalReport] = []
     plans: list[EpochPlan] = []
-    dump = None  # epoch 1 builds the layout that every later dump shares
     for epoch in range(1, config.total_epochs_T + 1):
-        dump = _dump_embeddings(params, train, dump)
+        dump = _dump_embeddings(params, train)
         ids, norm = dump_norms(dump)
         if epoch == 1:
             table = initial_scores(ids, norm)
@@ -677,7 +661,7 @@ def run_spdcl(
             )
         plan = build_epoch_plan(table, config, epoch)
         params, stats = train_epoch(params, plan, train, hyper.lr, hyper.batch_size)
-        report = _eval_epoch(params, valid, groups, hyper.threshold)
+        report = _eval_epoch(params, valid, groups)
         _persist_epoch(out_dir, epoch, dump, table, plan, stats, report)
         tables.append(table)
         stats_log.append(stats)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spdcl.nucnorm import EmbeddingDump
+from spdcl.nucnorm import DumpLayout, EmbeddingDump
 
 
 def pack_dump(samples) -> EmbeddingDump:
@@ -10,7 +10,6 @@ def pack_dump(samples) -> EmbeddingDump:
     samples = list(samples)
     blocks = [np.asarray(rows, dtype=np.float32) for _, rows in samples]
     return EmbeddingDump(
-        ids=[sid for sid, _ in samples],
-        offsets=np.cumsum([0] + [len(b) for b in blocks]),
-        values=np.concatenate(blocks) if blocks else np.empty((0, 0), np.float32),
+        DumpLayout([sid for sid, _ in samples], np.cumsum([0] + [len(b) for b in blocks])),
+        np.concatenate(blocks) if blocks else np.empty((0, 0), np.float32),
     )

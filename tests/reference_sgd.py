@@ -69,7 +69,7 @@ def dense_train_epoch(params, plan, data, lr, batch_size):
     return ModelParams(table, weights, bias, params.task_kind), total_loss / len(ids)
 
 
-def per_sample_predict(params, data, threshold=0.5):
+def per_sample_predict(params, data):
     """Predictions computed one sample at a time."""
     logits = np.stack(
         [
@@ -79,7 +79,7 @@ def per_sample_predict(params, data, threshold=0.5):
     )
     if params.task_kind == "multiclass":
         return logits.argmax(axis=1)
-    return (1.0 / (1.0 + np.exp(-logits)) >= threshold).astype(np.int64)
+    return (1.0 / (1.0 + np.exp(-logits)) >= 0.5).astype(np.int64)
 
 
 def _pack(seqs):

@@ -219,8 +219,10 @@ def test_schedule_epoch_mismatch(tmp_path, capsys):
          '{"id":"b","epoch":1,"score":2.0,"rank":1,"norm":2.0}',
          '{"id":"a","epoch":1,"score":3.0,"rank":2,"norm":3.0}'],
         ['{"id":7,"epoch":1,"score":1.0,"rank":0,"norm":1.0}'],
+        ['{"id":"a","epoch":1,"score":1.0,"rank":0,"norm":1.0}',
+         '{"id":"","epoch":1,"score":2.0,"rank":1,"norm":2.0}'],
     ],
-    ids=["duplicate-id", "integer-id"],
+    ids=["duplicate-id", "integer-id", "empty-id"],
 )
 def test_schedule_rejects_bad_score_ids(tmp_path, capsys, lines):
     scores = tmp_path / "scores.jsonl"

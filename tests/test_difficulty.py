@@ -237,7 +237,7 @@ def test_rank_permutation_validity(seed, n):
 def test_epoch1_ordering_invariant_under_shared_scale(seed, scale):
     rng = np.random.default_rng(seed)
     dump = pack_dump((f"s{i}", rng.normal(size=(3, 4))) for i in range(6))
-    scaled = EmbeddingDump(dump.ids, dump.offsets, scale * dump.values)
+    scaled = EmbeddingDump(dump.layout, scale * dump.values)
     assert ranked_ids(initial_scores(*dump_norms(dump))) == ranked_ids(initial_scores(*dump_norms(scaled)))
 
 

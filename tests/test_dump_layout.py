@@ -1,10 +1,12 @@
-"""Dumps of one training set share one layout: ids, offsets, scoring's gather
-plan, and the dump headers and score-file ids that ``spdcl.io`` caches by it.
+"""Dumps of one training set share one layout, its ids and row offsets.
+Scoring's gather plan and the dump headers are cached by layout and column
+count, and score-file ids by id tuple.
 
-Every test alternates between several layouts or id tuples, so a cache that
-outlived its layout (or was keyed by less than it) shows as a wrong byte or
-a wrong norm.  Layouts of equal sample count are mixed on purpose: a cache
-keyed by the count alone would mix them up.
+Every test alternates between several layouts, column counts or id tuples,
+so a cache that outlived its key (or was keyed by less than it) shows as a
+wrong byte, a wrong norm or an oversized kernel call.  Layouts of equal
+sample count are mixed on purpose: a cache keyed by the count alone would
+mix them up.
 """
 
 import json
@@ -25,7 +27,8 @@ from spdcl.io import (
     write_run_config,
     write_scores,
 )
-from spdcl.nucnorm import EmbeddingDump
+from spdcl import nucnorm
+from spdcl.nucnorm import DumpLayout, EmbeddingDump
 from spdcl.synth import make_zipfian_dataset
 
 from dumps import pack_dump
@@ -70,7 +73,7 @@ def test_dump_bytes_match_the_documented_layout(tmp_path):
     for _ in range(2):
         for first, (ids, lengths, cols) in zip(firsts, LAYOUTS):
             blocks = random_blocks(rng, lengths, cols)
-            shared = first.with_values(np.concatenate(blocks))
+            shared = EmbeddingDump(first.layout, np.concatenate(blocks))
             assert shared.layout is first.layout
             write_embedding_dump(tmp_path / "shared.bin", shared)
             assert (tmp_path / "shared.bin").read_bytes() == reference_dump_bytes(ids, blocks)
@@ -85,20 +88,43 @@ def test_shared_layout_scores_like_a_fresh_dump():
     for _ in range(2):
         for first, spec in zip(firsts, specs):
             values = np.concatenate(random_blocks(rng, spec, 4))
-            shared = first.with_values(values)
-            fresh = EmbeddingDump(first.ids, first.offsets, values)
+            shared = EmbeddingDump(first.layout, values)
+            fresh = EmbeddingDump(DumpLayout(first.ids, first.offsets), values)
             assert shared.nuclear_norms().tolist() == fresh.nuclear_norms().tolist()
 
 
-def test_with_values_checks_only_the_values():
-    first = pack_dump([("a", [[1.0, 2.0]]), ("b", [[3.0, 4.0], [5.0, 6.0]])])
-    with pytest.raises(ValueError, match=r"shape \(3, 2\), got \(3, 3\)"):
-        first.with_values(np.ones((3, 3)))
+def test_one_layout_with_two_column_counts(tmp_path, monkeypatch):
+    # The headers hold each sample's column count, and scoring's slices are
+    # sized by it: 12 float64 values per kernel call here, so five two-row
+    # samples take one call at d=1 and three calls at d=3.
+    monkeypatch.setattr(nucnorm, "_SCORE_SLICE_VALUES", 12)
+    stacks = []
+    spectrum = nucnorm._spectrum
+    monkeypatch.setattr(nucnorm, "_spectrum", lambda arr: stacks.append(arr.shape) or spectrum(arr))
+    rng = np.random.default_rng(3)
+    ids, lengths = ("a", "b", "c", "dé", "e", "f", "g"), (2, 2, 1, 2, 3, 2, 2)
+    layout = pack_dump(zip(ids, random_blocks(rng, lengths, 1))).layout
+    for _ in range(2):
+        for cols in (1, 3):
+            blocks = random_blocks(rng, lengths, cols)
+            dump = EmbeddingDump(layout, np.concatenate(blocks))
+            write_embedding_dump(tmp_path / "dump.bin", dump)
+            assert (tmp_path / "dump.bin").read_bytes() == reference_dump_bytes(ids, blocks)
+            fresh = EmbeddingDump(DumpLayout(ids, layout.offsets), dump.values)
+            stacks.clear()
+            assert dump.nuclear_norms().tolist() == fresh.nuclear_norms().tolist()
+            assert all(n == 1 or n * rows * d <= 12 for n, rows, d in stacks), (cols, stacks)
+
+
+def test_dump_checks_only_the_values():
+    layout = pack_dump([("a", [[1.0, 2.0]]), ("b", [[3.0, 4.0], [5.0, 6.0]])]).layout
+    with pytest.raises(ValueError, match="the layout's 3 rows, got 4"):
+        EmbeddingDump(layout, np.ones((4, 2)))
     with pytest.raises(ValueError, match="'b' contains non-finite"):
-        first.with_values([[1.0, 2.0], [np.nan, 0.0], [0.0, 0.0]])
-    shared = first.with_values(np.zeros((3, 2)))
-    assert shared.ids is first.ids and shared.offsets is first.offsets
-    assert not shared.values.flags.writeable
+        EmbeddingDump(layout, [[1.0, 2.0], [np.nan, 0.0], [0.0, 0.0]])
+    dump = EmbeddingDump(layout, np.zeros((3, 2)))
+    assert dump.layout is layout and dump.ids is layout.ids and dump.offsets is layout.offsets
+    assert not dump.values.flags.writeable
 
 
 def test_score_files_write_each_tables_own_ids(tmp_path):

@@ -193,6 +193,7 @@ def test_dump_rejects_duplicate_ids(tmp_path):
         ([(b"a", 1, 1, [np.inf])], "'a' contains non-finite"),
         ([(b"ok", 1, 1, [1.0]), (b"\xff\xfe", 1, 1, [1.0])], "sample 1 is not valid UTF-8"),
         ([], "empty"),
+        ([(b"ok", 1, 1, [1.0]), (b"", 1, 1, [1.0])], "sample 1 has an empty id"),
     ],
 )
 def test_dump_rejects_bad_samples(tmp_path, samples, match):
@@ -276,6 +277,23 @@ def test_scores_validation(tmp_path):
         path.write_text('{"id":"a","epoch":1,"score":1.0,"rank":0,"norm":1.0,' + bad + "}\n")
         with pytest.raises(FormatError, match="line 1 is not a valid score record"):
             read_scores(path)
+
+
+def test_scores_and_manifests_reject_empty_ids(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"id":"a","epoch":1,"score":1.0,"rank":0,"norm":1.0}\n\n'
+                    '{"id":"","epoch":1,"score":2.0,"rank":1,"norm":2.0}\n')
+    with pytest.raises(FormatError, match="line 3 is not a valid score record: id '' is not a non-empty string"):
+        read_scores(path)
+    path = tmp_path / "m.jsonl"
+    for record, match in (
+        ('{"epoch":1,"order":[""],"bin_of":{"":1}}', "keyed by non-empty ids"),
+        ('{"epoch":1,"order":["a"],"bin_of":{"a":1,"":2}}', "keyed by non-empty ids"),
+        ('{"epoch":1,"order":[""],"bin_of":{"a":1}}', r"ordered ids missing from bin_of: \[''\]"),
+    ):
+        path.write_text(record + "\n")
+        with pytest.raises(FormatError, match=match):
+            read_manifest(path)
 
 
 def test_scores_reader_parses_each_line_alone(tmp_path):

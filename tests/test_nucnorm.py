@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdcl.nucnorm import EmbeddingDump, nuclear_norm, singular_values
+from spdcl.nucnorm import DumpLayout, EmbeddingDump, nuclear_norm, singular_values
 
 from dumps import pack_dump
 from jacobi_oracle import jacobi_singular_values, nuclear_norm_oracle
@@ -89,7 +89,7 @@ def test_scoring_memory_is_bounded():
     # peak stays a small constant.
     n, rows, d = 1 << 14, 16, 16
     values = np.random.default_rng(0).standard_normal((n * rows, d), dtype=np.float32)
-    dump = EmbeddingDump(tuple(f"s{i}" for i in range(n)), np.arange(n + 1) * rows, values)
+    dump = EmbeddingDump(DumpLayout(tuple(f"s{i}" for i in range(n)), np.arange(n + 1) * rows), values)
     tracemalloc.start()
     try:
         norms = dump.nuclear_norms()
@@ -131,13 +131,20 @@ def test_rejects_nan_and_inf():
 def test_dump_rejects_bad_layout():
     # duplicate ids and empty dumps: test_difficulty.test_duplicate_and_empty_dumps_rejected
     with pytest.raises(ValueError, match="'b' has no rows"):
-        EmbeddingDump(("a", "b"), [0, 1, 1], np.ones((1, 2)))
+        DumpLayout(("a", "b"), [0, 1, 1])
     with pytest.raises(ValueError, match="offsets"):
-        EmbeddingDump(("a",), [0, 2], np.ones((1, 2)))
+        DumpLayout(("a",), [1, 2])
+    with pytest.raises(ValueError, match="offsets"):
+        DumpLayout(("a",), [0, 1, 2])
+    with pytest.raises(ValueError, match="sample 1 has an empty id"):
+        DumpLayout(("a", ""), [0, 1, 2])
+    layout = DumpLayout(("a",), [0, 2])
+    with pytest.raises(ValueError, match="layout's 2 rows, got 1"):
+        EmbeddingDump(layout, np.ones((1, 2)))
     with pytest.raises(ValueError, match="2-D"):
-        EmbeddingDump(("a",), [0, 2], np.ones(2))
+        EmbeddingDump(layout, np.ones(2))
     with pytest.raises(ValueError, match="column"):
-        EmbeddingDump(("a",), [0, 2], np.ones((2, 0)))
+        EmbeddingDump(layout, np.ones((2, 0)))
 
 
 def test_rejects_zero_dimension():

@@ -354,16 +354,16 @@ def test_missing_sample_rejected():
 def test_train_epoch_rejects_table_smaller_than_vocabulary():
     data = random_encoded("multiclass", vocab_size=10)
     params = init_params(6, 4, len(data.label_names), "multiclass", 1)
-    with pytest.raises(ValueError, match="out of range for vocabulary of size 6"):
+    with pytest.raises(ValueError, match="vocabulary of size 10 does not fit an embedding table of 6 rows"):
         train_epoch(params, plan_over(data.sample_ids), data, lr=0.1, batch_size=5)
 
 
 def test_train_epoch_rejects_targets_the_head_cannot_fit():
     data = random_encoded("multiclass", n_labels=3)
-    with pytest.raises(ValueError, match="out of range for 2 labels"):
+    with pytest.raises(ValueError, match="3 labels do not fit a multiclass head of 2 outputs"):
         train_epoch(tiny_params(vocab_size=10, n_labels=2), plan_over(data.sample_ids), data, 0.1, 5)
     ml = random_encoded("multilabel", n_labels=3)
-    with pytest.raises(ValueError, match="vector of length 4"):
+    with pytest.raises(ValueError, match="3 labels do not fit a multilabel head of 4 outputs"):
         train_epoch(tiny_params(10, 3, 4, "multilabel"), plan_over(ml.sample_ids), ml, 0.1, 5)
     with pytest.raises(ValueError, match="multilabel dataset cannot train multiclass"):
         train_epoch(tiny_params(10, 3, 3), plan_over(ml.sample_ids), ml, 0.1, 5)
@@ -584,7 +584,6 @@ def test_overflowing_parameter_sums_do_not_raise():
         ({"batch_size": 2.5}, "batch_size"),
         ({"lr": float("nan")}, "lr"),
         ({"hidden": 0}, "hidden"),
-        ({"threshold": 7}, "threshold"),
     ],
 )
 def test_train_hyper_rejects_bad_values(kwargs, field):
@@ -698,7 +697,7 @@ def test_encode_packs_train_split_in_id_order():
 @pytest.mark.parametrize(
     "rows, task_kind, match",
     [
-        ([("a", [2], 0), ("b", [], 1)], "multiclass", "'b' has no tokens"),
+        ([("a", [2], 0), ("b", [], 1)], "multiclass", "'b' has no rows"),
         ([("a", [2], 0), ("b", [3, -1], 1)], "multiclass", "'b': token id -1 out of range"),
         ([("a", [2, 10], 0), ("b", [3], 1)], "multiclass", "'a': token id 10 out of range for vocabulary of size 10"),
         ([("a", [2], 0), ("b", [3], 1), ("a", [4], 0)], "multiclass", "duplicate sample id 'a'"),
@@ -709,6 +708,7 @@ def test_encode_packs_train_split_in_id_order():
         ([("a", [2], [0, 1, 0, 1]), ("b", [3], [1, 0, 0, 0])], "multilabel", "rows of length 3"),
         ([("a", [2], [0, 1, 0]), ("b", [3], [1, 2, 0])], "multilabel", "'b': multilabel target must be a 0/1"),
         ([("a", [2], 1), ("b", [3], 0)], "multilabel", "rows of length 3"),
+        ([("a", [2], 0), ("", [3], 1)], "multiclass", "sample 1 has an empty id"),
     ],
 )
 def test_dataset_rejects_bad_samples(rows, task_kind, match):
@@ -721,6 +721,16 @@ def test_dataset_arrays_are_read_only():
     for arr in (data.tokens, data.offsets, data.targets):
         with pytest.raises(ValueError):
             arr[0] = 1
+
+
+def test_every_dump_of_a_run_shares_the_training_layout(monkeypatch):
+    train, valid = make_encoded(n_train=20)
+    dumps = []
+    dump_embeddings = trainer._dump_embeddings
+    monkeypatch.setattr(trainer, "_dump_embeddings", lambda *args: dumps.append(dump_embeddings(*args)) or dumps[-1])
+    run_spdcl(train, valid, CurriculumConfig(bins_k=2, total_epochs_T=3, shuffle_seed=2), TrainHyper(hidden=4))
+    assert len(dumps) == 3
+    assert all(dump.layout is train.layout for dump in dumps)
 
 
 def test_dump_gathered_in_slices_equals_one_cast(monkeypatch):
