@@ -13,7 +13,8 @@ stderr, ``error:<category>: <message>``.  The categories:
 - ``invalid-config``: a run config or schedule setting is rejected;
 - ``diverged``: training hit a non-finite loss or parameter; the message
   names the epoch and batch;
-- ``missing-artifact``: ``report`` found an incomplete run directory;
+- ``missing-artifact``: ``report`` found an incomplete run directory, or
+  an epoch report that is not JSON or lacks its ``norm_stats``;
 - ``invalid-input``: any other invalid value.
 
 Set SPDCL_LOG=debug|info|warning to control verbosity.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import logging
 import os
 import sys
@@ -166,15 +168,14 @@ def cmd_train(args) -> None:
 
 
 def _save_final_params(out_dir: Path, params, train_enc) -> None:
-    tmp = out_dir / ".params_final.npz.tmp"
-    with open(tmp, "wb") as fh:
-        np.savez(
-            fh,
-            embedding_table=params.embedding_table,
-            head_weights=params.head_weights,
-            head_bias=params.head_bias,
-        )
-    os.replace(tmp, out_dir / "params_final.npz")
+    archive = io.BytesIO()
+    np.savez(
+        archive,
+        embedding_table=params.embedding_table,
+        head_weights=params.head_weights,
+        head_bias=params.head_bias,
+    )
+    spdcl_io._atomic_write_bytes(out_dir / "params_final.npz", archive.getvalue())
     spdcl_io.write_json_atomic(
         out_dir / "model_meta.json",
         {

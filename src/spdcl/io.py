@@ -521,32 +521,65 @@ def write_run_config(path, config: RunConfig) -> None:
 # -------------------------------------------------------------- run reports
 
 
-def epoch_report_payload(stats, report: EvalReport) -> dict:
-    """Merge TrainStats and EvalReport into one per-epoch JSON payload.
+def epoch_report_payload(stats, report: EvalReport, table: ScoreTable) -> dict:
+    """Merge TrainStats, EvalReport and the epoch's norm statistics into one JSON payload.
 
-    Nothing time-dependent goes in: persisted reports must be byte-identical
-    across reruns of the same seeded configuration.
+    ``norm_stats`` summarises the raw nuclear norms of ``table``, the
+    epoch's scores.  Nothing time-dependent goes in: persisted reports must
+    be byte-identical across reruns of the same seeded configuration.
     """
     payload = {
         "epoch": stats.epoch,
         "mean_loss": stats.mean_loss,
         "samples_seen": stats.samples_seen,
+        # In rank order, the order of the score file's lines: the mean's
+        # pairwise summation depends on it.
+        "norm_stats": _norm_stats(table.norm[table.order]),
     }
     payload.update(asdict(report))
     return payload
 
 
 def _norm_stats(xs: np.ndarray) -> dict:
-    q1, median, q3 = (float(v) for v in np.percentile(xs, [25.0, 50.0, 75.0], method="linear"))
+    """Count, mean, min, quartiles and max of ``xs``, box-plot data.
+
+    The quartiles are numpy's "linear" percentiles, computed here from one
+    sort with numpy's own arithmetic, so every value equals
+    ``np.percentile(xs, ..., method="linear")`` bit for bit.  (That call
+    imports ``numpy.ma``, about 1-2 MB of resident memory.)
+    """
+    ranked = np.sort(xs)
+    n = ranked.size
+
+    def quantile(q):
+        virtual = n * q + (1 - q) - 1
+        i = math.floor(virtual)
+        t = virtual - i
+        a, b = float(ranked[i]), float(ranked[min(i + 1, n - 1)])
+        return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
     return {
-        "count": int(xs.size),
+        "count": n,
         "mean": float(xs.mean()),
-        "min": float(xs.min()),
-        "q1": q1,
-        "median": median,
-        "q3": q3,
-        "max": float(xs.max()),
+        "min": float(ranked[0]),
+        "q1": quantile(0.25),
+        "median": quantile(0.5),
+        "q3": quantile(0.75),
+        "max": float(ranked[-1]),
     }
+
+
+_NORM_STAT_KEYS = frozenset(("count", "mean", "min", "q1", "median", "q3", "max"))
+
+
+def _well_formed_norm_stats(payload) -> bool:
+    stats = payload.get("norm_stats") if type(payload) is dict else None
+    return (
+        type(stats) is dict
+        and stats.keys() == _NORM_STAT_KEYS
+        and type(stats["count"]) is int
+        and all(type(stats[key]) in _NUMBER for key in _NORM_STAT_KEYS)
+    )
 
 
 def _epoch_paths(run_dir: Path, epoch: int) -> dict[str, Path]:
@@ -559,6 +592,11 @@ def _epoch_paths(run_dir: Path, epoch: int) -> dict[str, Path]:
 
 
 def _collect_run(run_dir: Path) -> dict:
+    """The run's config and epoch reports; every epoch's three files must exist.
+
+    Only ``run_config.json`` and the epoch reports are read: each report
+    carries its epoch's norm statistics, so no score file is parsed.
+    """
     config_path = run_dir / "run_config.json"
     missing = [] if config_path.exists() else [str(config_path)]
     epochs = []
@@ -571,11 +609,12 @@ def _collect_run(run_dir: Path) -> dict:
             missing.extend(absent)
             continue
         with open(paths["report"], "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        table = read_scores(paths["scores"])
-        # In rank order, the order of the file's lines: the mean's pairwise
-        # summation depends on it.
-        payload["norm_stats"] = _norm_stats(table.norm[table.order])
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{paths['report']}: not valid JSON: {exc}") from exc
+        if not _well_formed_norm_stats(payload):
+            raise FormatError(f"{paths['report']}: no well-formed norm_stats object")
         epochs.append(payload)
     if missing:
         raise FormatError(f"incomplete run in {run_dir}: missing {', '.join(sorted(missing))}")
@@ -596,10 +635,11 @@ _CSV_METRICS = (
 def build_report(run_dir, baseline_dir=None) -> dict:
     """Aggregate a run directory into one report document.
 
-    Per epoch: training stats, evaluation metrics, and the distribution of
-    raw nuclear norms (mean plus quartiles, i.e. box-plot data).  When a
-    baseline directory is supplied its epochs are included and a final-epoch
-    metric delta table is added.
+    Per epoch: the epoch report as written at train time, with its training
+    stats, evaluation metrics and the distribution of raw nuclear norms
+    (mean plus quartiles, i.e. box-plot data).  When a baseline directory
+    is supplied its epochs are included and a final-epoch metric delta
+    table is added.
     """
     report = _collect_run(Path(run_dir))
     report["norm_trajectory"] = [e["norm_stats"]["mean"] for e in report["epochs"]]

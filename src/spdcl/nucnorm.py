@@ -62,13 +62,45 @@ def nuclear_norm(matrix) -> float:
     return float(singular_values(matrix).sum())
 
 
+def _views_writable_memory(arr: np.ndarray) -> bool:
+    """Whether ``arr`` views memory that another object can still write."""
+    base = arr.base
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return True
+        base = base.base
+    if base is None:
+        return False
+    try:
+        return not memoryview(base).readonly
+    except TypeError:  # no buffer to ask: assume the worst
+        return True
+
+
+def read_only(given, dtype) -> np.ndarray:
+    """``given`` as a read-only ``dtype`` array that no one else can write.
+
+    Nothing of the caller's is frozen: an array the caller can still write,
+    itself or through the memory it views, is copied first.  A fresh array
+    from the conversion, and an array already read-only over memory no one
+    can write (a frozen array, or a file's bytes), are kept as they are, so
+    a producer that freezes its own fresh array hands it over uncopied.
+    """
+    arr = np.asarray(given, dtype=dtype)
+    if (arr is given or arr.base is not None) and (arr.flags.writeable or _views_writable_memory(arr)):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class DumpLayout:
     """A checked sample layout: sample ``ids[i]`` owns rows ``offsets[i]:offsets[i + 1]``.
 
     The constructor is the one place a layout is checked: ids unique and
     non-empty, ``offsets`` one per sample plus one, starting at 0, and every
-    sample at least one row.  ``row_of`` maps each id to its row.  An
+    sample at least one row.  ``offsets`` is held read-only (see
+    :func:`read_only`).  ``row_of`` maps each id to its row.  An
     ``EncodedDataset`` builds one per split at set-up; every dump of the
     training split shares it.
     """
@@ -85,13 +117,12 @@ class DumpLayout:
             raise ValueError(f"duplicate sample id {dup!r}")
         if "" in row_of:
             raise ValueError(f"sample {row_of['']} has an empty id")
-        offsets = np.asarray(self.offsets, dtype=np.int64)
+        offsets = read_only(self.offsets, np.int64)
         if offsets.shape != (len(ids) + 1,) or offsets[0] != 0:
             raise ValueError(f"row offsets must start at 0, one per sample plus one, got shape {offsets.shape}")
         empty = np.flatnonzero(np.diff(offsets) < 1)
         if empty.size:
             raise ValueError(f"sample {ids[empty[0]]!r} has no rows")
-        offsets.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "row_of", row_of)
@@ -123,7 +154,10 @@ class EmbeddingDump:
     an in-memory dump and scoring the same dump read from disk agree bit for
     bit.  The layout is checked when it is built; the constructor checks
     only the rest: at least one sample, and values 2-D, one row per layout
-    row, at least one column, and finite.
+    row, at least one column, and finite.  The values are held read-only
+    (see :func:`read_only`), so nothing can change a checked dump: the
+    trainer's frozen gather and a dump file's bytes are kept as they are,
+    and values the caller can still write are copied.
     """
 
     layout: DumpLayout
@@ -133,7 +167,7 @@ class EmbeddingDump:
         layout = self.layout
         if not layout.ids:
             raise ValueError("embedding dump is empty")
-        values = np.asarray(self.values, dtype=np.float32)
+        values = read_only(self.values, np.float32)
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError(f"dump values must be 2-D with at least one column, got shape {values.shape}")
         if values.shape[0] != layout.offsets[-1]:
@@ -142,7 +176,6 @@ class EmbeddingDump:
             bad_row = np.argmin(np.isfinite(values).all(axis=1))
             sample = int(np.searchsorted(layout.offsets, bad_row, side="right")) - 1
             raise ValueError(f"sample {layout.ids[sample]!r} contains non-finite values")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property

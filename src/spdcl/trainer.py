@@ -26,7 +26,7 @@ import numpy as np
 from spdcl import io as spdcl_io
 from spdcl.difficulty import ScoreTable, delta_scores, dump_norms, initial_scores
 from spdcl.metrics import EvalReport, evaluate, label_frequency_groups
-from spdcl.nucnorm import DumpLayout, EmbeddingDump
+from spdcl.nucnorm import DumpLayout, EmbeddingDump, read_only
 from spdcl.scheduler import CurriculumConfig, EpochPlan, build_epoch_plan
 
 PAD_INDEX = 0
@@ -321,6 +321,8 @@ class EncodedDataset:
     checks the rest once: token ids in ``[0, vocab.size)``, targets of the
     task's shape and in range.  Every dump of the split shares the layout.
     Training, dumps and prediction slice these arrays; nothing re-packs them.
+    The arrays are held read-only, and arrays the caller can still write are
+    copied first (see :func:`spdcl.nucnorm.read_only`).
     """
 
     sample_ids: tuple[str, ...]
@@ -337,7 +339,7 @@ class EncodedDataset:
         ids, offsets = layout.ids, layout.offsets
         if self.task_kind not in spdcl_io.TASK_KINDS:
             raise ValueError(f"task_kind must be one of {spdcl_io.TASK_KINDS}")
-        tokens = np.asarray(self.tokens, dtype=np.int64)
+        tokens = read_only(self.tokens, np.int64)
         if tokens.shape != (offsets[-1],):
             raise ValueError(f"tokens must be a 1-D array of the offsets' {offsets[-1]} ids, got shape {tokens.shape}")
         bad = np.flatnonzero((tokens < 0) | (tokens >= self.vocab.size))
@@ -365,8 +367,7 @@ class EncodedDataset:
             if bad.size:
                 raise ValueError(f"sample {ids[bad[0]]!r}: multilabel target must be a 0/1 vector")
         targets = targets.astype(np.int64)
-        for arr in (tokens, targets):
-            arr.setflags(write=False)
+        targets.setflags(write=False)
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "offsets", offsets)
@@ -445,6 +446,8 @@ def encode_datasets(
                 targets[row, [label_index[lab] for lab in s.labels]] = 1
         offsets = np.zeros(len(samples) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
+        for arr in (tokens, offsets):  # fresh arrays, handed over frozen and so not copied
+            arr.setflags(write=False)
         return EncodedDataset(
             sample_ids=[s.sample_id for s in samples],
             tokens=tokens,
@@ -601,6 +604,7 @@ def _dump_embeddings(params: ModelParams, data: EncodedDataset) -> EmbeddingDump
     step = max(1, _DUMP_SLICE_VALUES // table.shape[1])
     for start in range(0, tokens.size, step):
         values[start : start + step] = table.take(tokens[start : start + step], axis=0)
+    values.setflags(write=False)  # handed over frozen, and so not copied
     return EmbeddingDump(data.layout, values)
 
 
@@ -617,7 +621,7 @@ def _persist_epoch(out_dir, epoch, dump, table, plan, stats, report):
     spdcl_io.write_scores(out / f"epoch{epoch:03d}.scores.jsonl", table)
     spdcl_io.write_manifest(out / f"epoch{epoch:03d}.manifest.jsonl", plan)
     spdcl_io.write_json_atomic(
-        out / f"epoch{epoch:03d}.report.json", spdcl_io.epoch_report_payload(stats, report)
+        out / f"epoch{epoch:03d}.report.json", spdcl_io.epoch_report_payload(stats, report, table)
     )
 
 

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from spdcl import cli
 from spdcl.cli import main
 from spdcl.io import (
     RunConfig,
@@ -14,6 +16,7 @@ from spdcl.io import (
     write_run_config,
 )
 from spdcl.synth import make_zipfian_dataset
+from spdcl.trainer import encode_datasets, init_params
 
 from dumps import pack_dump
 from tables import ranked_ids, score_table
@@ -336,6 +339,33 @@ def test_train_rejects_wrong_typed_config(run_dirs, capsys, config, field):
     err = capsys.readouterr().err
     assert err.startswith("error:invalid-config:") and field in err
     assert "Traceback" not in err
+
+
+def _final_params():
+    train, _ = encode_datasets(*make_zipfian_dataset(10, 3, n_classes=2, seed=1), "multiclass")
+    return init_params(train.vocab.size, 3, 2, "multiclass", seed=0), train
+
+
+def test_final_params_are_what_savez_writes_to_a_file(tmp_path):
+    params, train = _final_params()
+    cli._save_final_params(tmp_path, params, train)
+    with open(tmp_path / "direct.npz", "wb") as fh:
+        np.savez(fh, embedding_table=params.embedding_table, head_weights=params.head_weights,
+                 head_bias=params.head_bias)
+    assert (tmp_path / "params_final.npz").read_bytes() == (tmp_path / "direct.npz").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.npz", "model_meta.json", "params_final.npz"]
+
+
+def test_final_params_leave_no_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    params, train = _final_params()
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        cli._save_final_params(tmp_path, params, train)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_divergence_names_epoch(run_dirs, capsys):

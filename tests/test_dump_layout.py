@@ -22,6 +22,7 @@ from spdcl.cli import main
 from spdcl.io import (
     RunConfig,
     TextSample,
+    read_embedding_dump,
     write_dataset,
     write_embedding_dump,
     write_run_config,
@@ -125,6 +126,44 @@ def test_dump_checks_only_the_values():
     dump = EmbeddingDump(layout, np.zeros((3, 2)))
     assert dump.layout is layout and dump.ids is layout.ids and dump.offsets is layout.offsets
     assert not dump.values.flags.writeable
+
+
+def test_layout_and_dump_leave_the_callers_arrays_writable():
+    offsets = np.array([0, 1, 3], dtype=np.int64)
+    layout = DumpLayout(["a", "b"], offsets)
+    assert offsets.flags.writeable and not layout.offsets.flags.writeable
+    offsets[1] = 2
+    assert layout.offsets.tolist() == [0, 1, 3]
+
+    base = np.ones((3, 2), dtype=np.float32)
+    dump = EmbeddingDump(layout, base[:])
+    base[0, 0] = np.nan
+    assert base.flags.writeable
+    assert np.isfinite(dump.values).all()
+    assert dump.nuclear_norms().tolist() == EmbeddingDump(layout, np.ones((3, 2))).nuclear_norms().tolist()
+
+
+def test_dump_copies_only_values_someone_else_can_write(tmp_path):
+    layout = DumpLayout(["a", "b"], [0, 1, 3])
+    writable = np.ones((3, 2), dtype=np.float32)
+    copied = EmbeddingDump(layout, writable).values
+    assert copied is not writable and writable.flags.writeable
+    # A frozen array, a view of one, and an array over a file's bytes are
+    # kept as they are: no one can write them.
+    frozen = np.ones((3, 2), dtype=np.float32)
+    frozen.setflags(write=False)
+    assert EmbeddingDump(layout, frozen).values is frozen
+    assert EmbeddingDump(layout, frozen[:]).values.base is frozen
+    from_bytes = np.frombuffer(np.arange(6, dtype="<f4").tobytes(), dtype="<f4").reshape(3, 2)
+    assert EmbeddingDump(layout, from_bytes).values is from_bytes
+    write_embedding_dump(tmp_path / "dump.bin", EmbeddingDump(layout, frozen))
+    read = read_embedding_dump(tmp_path / "dump.bin")
+    assert isinstance(read.values.base.base, bytes)
+    # A read-only view of writable memory is copied all the same.
+    base = np.ones((3, 2), dtype=np.float32)
+    view = base[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(EmbeddingDump(layout, view).values, base)
 
 
 def test_score_files_write_each_tables_own_ids(tmp_path):

@@ -12,6 +12,7 @@ from spdcl.io import TextSample
 from spdcl.nucnorm import nuclear_norm
 from spdcl.scheduler import CurriculumConfig, EpochPlan
 from spdcl.trainer import (
+    EncodedDataset,
     ModelParams,
     TrainingDiverged,
     TrainHyper,
@@ -721,6 +722,23 @@ def test_dataset_arrays_are_read_only():
     for arr in (data.tokens, data.offsets, data.targets):
         with pytest.raises(ValueError):
             arr[0] = 1
+
+
+@pytest.mark.parametrize("task_kind", ["multiclass", "multilabel"])
+def test_dataset_leaves_the_callers_arrays_writable(task_kind):
+    tokens = np.array([2, 3, 4], dtype=np.int64)
+    offsets = np.array([0, 1, 3], dtype=np.int64)
+    targets = np.array([0, 1] if task_kind == "multiclass" else [[1, 0], [0, 1]], dtype=np.int64)
+    data = EncodedDataset(
+        sample_ids=["a", "b"], tokens=tokens, offsets=offsets, targets=targets,
+        vocab=Vocabulary(index_of={f"w{i}": i for i in range(2, 6)}, max_len=8),
+        label_names=["x", "y"], task_kind=task_kind,
+    )
+    for arr in (tokens, offsets, targets):
+        assert arr.flags.writeable
+        arr[0] = 5
+    assert data.tokens.tolist() == [2, 3, 4] and data.offsets.tolist() == [0, 1, 3]
+    assert data.targets[0].tolist() == (0 if task_kind == "multiclass" else [1, 0])
 
 
 def test_every_dump_of_a_run_shares_the_training_layout(monkeypatch):
