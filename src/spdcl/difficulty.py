@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spdcl.nucnorm import EmbeddingDump
+from spdcl.nucnorm import EmbeddingDump, read_only
 
 ALIGNMENT_MODES = ("rank", "identity")
 DELTA_ORDERINGS = ("magnitude", "signed")
@@ -40,7 +40,8 @@ class ScoreTable:
     sample ``ids[order[r]]`` has rank ``r``.  ``initial_scores``,
     ``delta_scores`` and ``spdcl.io.read_scores`` build tables whose ids
     ascend and whose ``order`` is a permutation; the constructor checks only
-    the column shapes.  The columns are read-only.
+    the column shapes.  The columns are held read-only without freezing the
+    caller's arrays (see :func:`spdcl.nucnorm.read_only`).
     """
 
     epoch: int
@@ -53,16 +54,18 @@ class ScoreTable:
         ids = tuple(self.ids)
         object.__setattr__(self, "ids", ids)
         for name, dtype in (("norm", np.float64), ("score", np.float64), ("order", np.int64)):
-            column = np.asarray(getattr(self, name), dtype=dtype)
+            column = read_only(getattr(self, name), dtype)
             if column.shape != (len(ids),):
                 raise ValueError(f"{name} must hold one value per sample, got shape {column.shape}")
-            column.setflags(write=False)
             object.__setattr__(self, name, column)
 
 
 def _by_key(key: np.ndarray) -> np.ndarray:
     # Rows are in ascending id order, so a stable sort breaks ties by id.
-    return np.argsort(key, kind="stable")
+    # The order is fresh, so it is frozen here and a table keeps it uncopied.
+    order = np.argsort(key, kind="stable")
+    order.setflags(write=False)
+    return order
 
 
 def dump_norms(dump: EmbeddingDump) -> tuple[tuple[str, ...], np.ndarray]:
@@ -82,6 +85,7 @@ def initial_scores(ids: tuple[str, ...], norm: np.ndarray) -> ScoreTable:
 
     ``ids`` must ascend and ``norm`` align to them, as ``dump_norms`` gives them.
     """
+    norm = read_only(norm, np.float64)
     return ScoreTable(1, ids, norm, norm, _by_key(norm))
 
 
@@ -105,12 +109,13 @@ def delta_scores(
         raise ValueError(f"ordering must be one of {DELTA_ORDERINGS}, got {ordering!r}")
     if tuple(ids) != previous.ids:
         raise ValueError("sample-id set differs from the previous epoch")
-    norm = np.asarray(norm, dtype=np.float64)
+    norm = read_only(norm, np.float64)
     if mode == "rank":
         current = _by_key(norm)
         delta = np.empty_like(norm)
         delta[current] = norm[current] - previous.norm[_by_key(previous.norm)]
     else:
         delta = norm - previous.norm
+    delta.setflags(write=False)
     key = -np.abs(delta) if ordering == "magnitude" else -delta
     return ScoreTable(previous.epoch + 1, previous.ids, norm, delta, _by_key(key))

