@@ -22,7 +22,6 @@ from spdcl.scheduler import (
     EpochPlan,
     build_epoch_plan,
     partition_bins,
-    visible_set,
 )
 from spdcl.metrics import (
     EvalReport,

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from spdcl import io as spdcl_io
-from spdcl.difficulty import delta_scores, dump_norms, initial_scores
+from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, delta_scores, dump_norms, initial_scores
 from spdcl.io import FormatError
 from spdcl.scheduler import CurriculumConfig, build_epoch_plan
 from spdcl.trainer import TrainHyper, TrainingDiverged, encode_datasets, run_baseline, run_spdcl
@@ -219,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prev-scores", default=None, help="previous epoch's score file (epoch >= 2)")
     p.add_argument("--epoch", type=int, required=True)
     p.add_argument("--out", required=True, help="output score file (JSONL)")
-    p.add_argument("--alignment", choices=["rank", "identity"], default="rank")
-    p.add_argument("--ordering", choices=["magnitude", "signed"], default="magnitude")
+    p.add_argument("--alignment", choices=ALIGNMENT_MODES, default=ALIGNMENT_MODES[0])
+    p.add_argument("--ordering", choices=DELTA_ORDERINGS, default=DELTA_ORDERINGS[0])
 
     p = sub.add_parser("schedule", help="epoch training manifest from a score file")
     p.add_argument("--scores", required=True)

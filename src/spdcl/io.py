@@ -438,12 +438,13 @@ def read_manifest(path) -> EpochPlan:
         bin_of = rec["bin_of"]
         if not isinstance(bin_of, dict) or "" in bin_of:
             raise TypeError(f"bin_of {bin_of!r} is not an object keyed by non-empty ids")
+        # Plans number epochs and bins from 1.
         epoch = rec["epoch"]
-        if type(epoch) is not int:
-            raise TypeError(f"epoch {epoch!r} is not an integer")
+        if type(epoch) is not int or epoch < 1:
+            raise ValueError(f"epoch {epoch!r} is not an integer >= 1")
         for sid, number in bin_of.items():
-            if type(number) is not int:
-                raise TypeError(f"bin of {sid!r} {number!r} is not an integer")
+            if type(number) is not int or number < 1:
+                raise ValueError(f"bin of {sid!r} {number!r} is not an integer >= 1")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed manifest record: {exc}") from exc
     if len(set(order)) != len(order):
@@ -460,6 +461,14 @@ def read_manifest(path) -> EpochPlan:
 
 
 # ---------------------------------------------------------------- run config
+
+
+def _finite_float(value) -> bool:
+    """Whether a number converts to a finite float; an int may be too large for one."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -498,10 +507,9 @@ class RunConfig:
             raise FormatError("epochs_T must be >= 1")
         if self.seed < 0:
             raise FormatError("seed must be >= 0")
-        # json.load accepts NaN and Infinity; an int is always finite (and
-        # may be too large for math.isfinite).
-        if isinstance(self.lr, float) and not math.isfinite(self.lr):
-            raise FormatError(f"lr must be finite, got {self.lr!r}")
+        # json.load accepts NaN and Infinity, and an int too large for a float.
+        if not _finite_float(self.lr):
+            raise FormatError(f"lr must convert to a finite float, got {self.lr!r}")
         if self.lr < 0:
             raise FormatError("lr must be >= 0")
         if self.batch < 1:

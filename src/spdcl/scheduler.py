@@ -94,17 +94,6 @@ def partition_bins(ordered_ids, k: int) -> list:
     return bins
 
 
-def visible_set(epoch: int, bins: list[list[str]]) -> list[str]:
-    """Bins 1..min(epoch, k) concatenated; the whole dataset once epoch >= k."""
-    if epoch < 1:
-        raise ValueError("epoch must be >= 1")
-    width = min(epoch, len(bins))
-    out: list[str] = []
-    for part in bins[:width]:
-        out.extend(part)
-    return out
-
-
 def build_epoch_plan(table: ScoreTable, config: CurriculumConfig, epoch: int) -> EpochPlan:
     """Bin, widen, shuffle: the full plan for one epoch from its score table.
 

@@ -305,9 +305,8 @@ class TrainHyper:
                 raise ValueError(f"{name} must be >= 1")
         if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float)):
             raise ValueError(f"lr must be a number, got {self.lr!r}")
-        # An int is always finite (and may be too large for math.isfinite).
-        if (isinstance(self.lr, float) and not math.isfinite(self.lr)) or self.lr < 0:
-            raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
+        if not spdcl_io._finite_float(self.lr) or self.lr < 0:
+            raise ValueError(f"lr must be a number >= 0 that converts to a finite float, got {self.lr!r}")
 
 
 @dataclass(frozen=True, eq=False)

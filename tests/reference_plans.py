@@ -1,14 +1,27 @@
-"""The baseline's plan builder as it was before the baseline became the
-one-bin curriculum, the oracle for ``spdcl.trainer.run_baseline``.
+"""Plan oracles that share no code with ``spdcl.scheduler.build_epoch_plan``
+but the (seed, epoch)-keyed generator.
 
-Every epoch permutes the sorted training ids with the scheduler's
-(seed, epoch)-keyed generator and puts every sample in bin 1.  It shares no
-code with ``spdcl.scheduler.build_epoch_plan`` but the generator, so a
-baseline run whose plans equal these checks the one-bin curriculum against
-a second code.
+``visible_set`` is the visible set as an id list, bins 1..min(epoch, k)
+concatenated, which ``build_epoch_plan`` computes as one slice of the rank
+order.  ``baseline_plan`` is the baseline's plan builder as it was before the
+baseline became the one-bin curriculum, the oracle for
+``spdcl.trainer.run_baseline``: every epoch permutes the sorted training ids
+and puts every sample in bin 1, so a baseline run whose plans equal these
+checks the one-bin curriculum against a second code.
 """
 
 from spdcl.scheduler import EpochPlan, epoch_rng
+
+
+def visible_set(epoch: int, bins: list[list[str]]) -> list[str]:
+    """Bins 1..min(epoch, k) concatenated; the whole dataset once epoch >= k."""
+    if epoch < 1:
+        raise ValueError("epoch must be >= 1")
+    width = min(epoch, len(bins))
+    out: list[str] = []
+    for part in bins[:width]:
+        out.extend(part)
+    return out
 
 
 def baseline_plan(sample_ids, shuffle_seed: int, epoch: int) -> EpochPlan:

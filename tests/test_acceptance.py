@@ -29,7 +29,7 @@ from spdcl.metrics import (
     subset_accuracy,
 )
 from spdcl.nucnorm import nuclear_norm, singular_values
-from spdcl.scheduler import CurriculumConfig, build_epoch_plan, partition_bins, visible_set
+from spdcl.scheduler import CurriculumConfig, build_epoch_plan, partition_bins
 from spdcl.synth import make_separable_dataset, make_zipfian_dataset
 from spdcl.trainer import (
     TrainHyper,
@@ -44,7 +44,7 @@ from spdcl.trainer import (
 from dumps import pack_dump
 from tables import ranked_ids, score_table
 from jacobi_oracle import nuclear_norm_oracle
-from reference_plans import baseline_plan
+from reference_plans import baseline_plan, visible_set
 from test_trainer import fd_gradient  # central-difference oracle
 from test_metrics import (
     oracle_counts,

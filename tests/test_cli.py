@@ -325,6 +325,7 @@ def test_train_invalid_config_fails_before_training(run_dirs, capsys):
         ('{"bins_k": 2.5}', "bins_k"),
         ('{"shuffle_within_epoch": "no"}', "shuffle_within_epoch"),
         ('{"lr": NaN}', "lr"),
+        pytest.param('{"lr": 1' + "0" * 400 + "}", "lr", id="lr-too-large-for-a-float"),
     ],
 )
 def test_train_rejects_wrong_typed_config(run_dirs, capsys, config, field):

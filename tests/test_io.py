@@ -421,6 +421,23 @@ def test_manifest_rejects_non_integer_epoch_and_bin(tmp_path, field, value):
         read_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ('{"epoch":0,"order":["a"],"bin_of":{"a":0,"b":-3}}', "epoch"),
+        ('{"epoch":-1,"order":["a"],"bin_of":{"a":1}}', "epoch"),
+        ('{"epoch":1,"order":["a"],"bin_of":{"a":1,"b":-3}}', "bin of 'b'"),
+        ('{"epoch":2,"order":["a"],"bin_of":{"a":0}}', "bin of 'a'"),
+    ],
+)
+def test_manifest_rejects_epochs_and_bins_below_one(tmp_path, record, field):
+    # build_epoch_plan numbers epochs and bins from 1; no writer makes a 0.
+    path = tmp_path / "m.jsonl"
+    path.write_text(record + "\n")
+    with pytest.raises(FormatError, match=f"malformed manifest record: {field} .*is not an integer >= 1"):
+        read_manifest(path)
+
+
 # ----------------------------------------------------------------- run config
 
 
@@ -466,6 +483,16 @@ def test_run_config_validation(tmp_path):
     path.write_text('{"lr": 1, "shuffle_within_epoch": false}')
     config = load_run_config(path)
     assert config.lr == 1 and config.shuffle_within_epoch is False
+
+
+def test_run_config_rejects_an_lr_too_large_for_a_float(tmp_path):
+    with pytest.raises(FormatError, match="lr must convert to a finite float"):
+        RunConfig(lr=10**400)
+    path = tmp_path / "config.json"
+    path.write_text('{"lr": 1' + "0" * 400 + "}")
+    with pytest.raises(FormatError, match="lr must convert to a finite float"):
+        load_run_config(path)
+    assert RunConfig(lr=10**300).lr == 10**300
 
 
 def test_run_config_defaults_follow_reference_settings():

@@ -7,9 +7,9 @@ from spdcl.scheduler import (
     build_epoch_plan,
     epoch_rng,
     partition_bins,
-    visible_set,
 )
 
+from reference_plans import visible_set
 from tables import score_table
 
 

@@ -586,6 +586,7 @@ def test_overflowing_parameter_sums_do_not_raise():
         ({"batch_size": 2.5}, "batch_size"),
         ({"lr": float("nan")}, "lr"),
         ({"hidden": 0}, "hidden"),
+        pytest.param({"lr": 10**400}, "lr", id="lr-too-large-for-a-float"),
     ],
 )
 def test_train_hyper_rejects_bad_values(kwargs, field):
