@@ -40,8 +40,20 @@ def spdcl_call(argv, separate=False) -> int:
 
 def stats_differ(stats, scores: Path) -> bool:
     """Whether ``stats`` are not ``io._norm_stats`` of the score file's norms in rank order."""
+    io._last_scores = ()  # forget the kept score file, so this read parses the file
     table = io.read_scores(scores)
     return json.dumps(stats, sort_keys=True) != json.dumps(io._norm_stats(table.norm[table.order]), sort_keys=True)
+
+
+def table_bits(table) -> tuple:
+    return (type(table.epoch), table.epoch, table.ids, *(c.tobytes() for c in (table.norm, table.score, table.order)))
+
+
+def reads_differ_warm_and_cold(scores: Path) -> bool:
+    """Whether the score file reads to another table with the kept entry as it is than after parsing."""
+    warm = table_bits(io.read_scores(scores))
+    io._last_scores = ()
+    return warm != table_bits(io.read_scores(scores))
 
 
 def differ(paths, out_dir: Path, how: str) -> list[str]:
@@ -54,6 +66,7 @@ def check_run(run: Path, work: Path, baseline=False, separate=False) -> list[str
 
     Per epoch, ``spdcl score`` on the dump (chained on the re-derived scores of the epoch before) and
     ``spdcl schedule`` (one shuffled bin for a baseline) must write the run's score and manifest files,
+    each re-derived score file must read to the same table from ``io``'s kept entry as when parsed,
     and the epoch report's ``norm_stats`` must be the score file's.  Each dump, read and written again
     after a fresh header walk, and in one process on the first dump's layout, must give its own bytes.
     """
@@ -74,6 +87,8 @@ def check_run(run: Path, work: Path, baseline=False, separate=False) -> list[str
             return bad + [f"{dump}: spdcl score or schedule failed on it"]
         prev = ["--prev-scores", out]
         bad += differ([scores, manifest], work, f"from what spdcl score and schedule derive from {dump.name}")
+        if reads_differ_warm_and_cold(out):
+            bad.append(f"{out}: reads to another table from the kept entry than when parsed")
         try:
             if stats_differ(json.loads(report.read_text())["norm_stats"], scores):
                 bad.append(f"{report}: norm_stats differ from those of {scores.name}")

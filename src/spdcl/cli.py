@@ -1,20 +1,28 @@
 """Command-line surface: score, schedule, train, report.
 
-Each subcommand is an independent process over the file formats in
-:mod:`spdcl.io`.  Errors exit nonzero with a single machine-parsable line on
-stderr, ``error:<category>: <message>``.  The categories:
+Each subcommand is a step over the file formats in :mod:`spdcl.io`, run as
+its own process from a shell or as one :func:`main` call among others in
+one process.  The only state the calls share is what :mod:`spdcl.io` keeps:
+the last dump layout walked, and the last score file read or written with
+its table, which a later ``schedule`` or ``--prev-scores`` read of the same
+bytes gets back without parsing.  Neither changes an output.
+
+Errors exit nonzero with a single machine-parsable line on stderr,
+``error:<category>: <message>``.  The categories:
 
 - ``bad-arguments``: a flag value out of range (``score --epoch``);
 - ``malformed-dump``, ``malformed-scores``, ``malformed-dataset``: an input
-  file that cannot be read or encoded;
+  file that cannot be read or encoded (bad JSON or UTF-8, a lone surrogate
+  escape, an integer past Python's int-string digit limit, a bad field);
 - ``epoch-mismatch``: a score file from the wrong epoch, or ``--prev-scores``
   given or missing for the epoch;
 - ``sample-mismatch``: a dump and the previous scores cover different samples;
 - ``invalid-config``: a run config or schedule setting is rejected;
 - ``diverged``: training hit a non-finite loss or parameter; the message
   names the epoch and batch;
-- ``missing-artifact``: ``report`` found an incomplete run directory, or
-  an epoch report that is not JSON or lacks its ``norm_stats``;
+- ``missing-artifact``: ``report`` found an incomplete run directory, a
+  run config or epoch report it cannot read, or an epoch report without
+  its ``norm_stats``;
 - ``invalid-input``: any other invalid value.
 
 Set SPDCL_LOG=debug|info|warning to control verbosity.

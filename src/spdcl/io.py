@@ -9,8 +9,22 @@ their scores and norms must be finite.  Readers decode each line on its own
 with one shared ``json.JSONDecoder``: they accept any valid JSON object per
 line, in any key order, and reject anything after a line's value.  Epochs,
 ranks and bins must be JSON integers, scores and norms JSON numbers, and
-dataset texts strings.  ``read_scores`` returns the table with its ids
-ascending, whatever the order of the file's lines.
+dataset texts strings.  A string that cannot be encoded as UTF-8 (a lone
+surrogate escape such as ``"\\ud800"``) is rejected on its line, and an
+integer past Python's int-string digit limit is a bad line too; the JSON
+files (run config, epoch reports) are held to the same rules.  Every
+reading error is a :class:`FormatError` naming the file.  ``read_scores``
+returns the table with its ids ascending, whatever the order of the file's
+lines.
+
+One score file is kept in memory per process: the bytes of the last one
+``read_scores`` read or ``write_scores`` wrote, with its table.  A later
+read of the same bytes returns that table without parsing, so an in-process
+chain (``score`` writes epoch t, ``schedule`` reads it, ``score`` reads it
+again as ``--prev-scores``) parses no file it has just written or read.
+A writer keeps its table only when reading its bytes back would give that
+exact table.  With one process per command the entry starts empty, and
+every file is parsed.
 
 Embedding dumps are a small binary format:
 
@@ -35,10 +49,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import mmap
 import os
 import struct
 import tempfile
 from dataclasses import asdict, dataclass
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -106,22 +122,56 @@ def write_text_atomic(path, text: str) -> None:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _read_jsonl(path) -> Iterator[tuple[int, object]]:
-    """Yield ``(physical line number, value)`` for each non-blank line, one at a time."""
-    # Iterating the text handle splits on newlines only: str.splitlines()
-    # would also split inside an id holding a raw U+2028 or U+2029.
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj, end = _raw_decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
-            yield lineno, obj
+def _read_jsonl(path, blob: bytes | None = None) -> Iterator[tuple[int, object]]:
+    """Yield ``(physical line number, value)`` for each non-blank line, one at a time.
+
+    The lines are those of the file at ``path``, or of ``blob`` when the
+    caller has read the file's bytes already; ``path`` then only names the
+    file in errors.  Every error is a :class:`FormatError` naming the file.
+    """
+    # Iterating a text handle splits on universal newlines only:
+    # str.splitlines() would also split inside an id holding a raw U+2028.
+    source = open(path, "rb") if blob is None else BytesIO(blob)
+    with TextIOWrapper(source, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj, end = _raw_decode(line)
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
+                except ValueError as exc:  # bad JSON, or an integer past Python's int-string limit
+                    raise FormatError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
+                # Only a \u escape decodes to a lone surrogate, which no writer can encode.
+                if "\\u" in line and not _encodable(obj):
+                    raise FormatError(f"{path}: line {lineno} holds a string with a lone surrogate escape")
+                yield lineno, obj
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
+def _encodable(obj) -> bool:
+    """Whether every string of a decoded JSON value encodes as UTF-8."""
+    try:
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _load_json(path):
+    """The one JSON value of a file; any decoding error is a :class:`FormatError` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        value = json.loads(text)
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's int-string limit
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    if "\\u" in text and not _encodable(value):
+        raise FormatError(f"{path}: holds a string with a lone surrogate escape")
+    return value
 
 
 # -------------------------------------------------------------- dataset files
@@ -321,6 +371,27 @@ def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[slice]]:
 _json_ids = functools.lru_cache(maxsize=1)(lambda ids: tuple(map(_encode_json_str, ids)))
 
 
+@functools.lru_cache(maxsize=1)
+def _ids_read_back(ids: tuple) -> bool:
+    """Whether ``read_scores`` gives these ids back as they are: non-empty strings, strictly ascending."""
+    return bool(ids) and all(type(sid) is str and sid for sid in ids) and all(map(str.__lt__, ids, ids[1:]))
+
+
+# The last score file read or written, and its table: (file bytes, ScoreTable).
+# Empty, not None, before the first, as _last_walk is.  The bytes are copied
+# into anonymous pages of their own: kept as one long-lived heap block (0.25
+# MB at N=2,000), they fragmented the heap under the run loop's larger
+# buffers and raised a training run's peak RSS by about 1 MB.
+_last_scores: tuple = ()
+
+
+def _keep_scores(data: bytes, table: ScoreTable) -> None:
+    global _last_scores
+    pages = mmap.mmap(-1, len(data))
+    pages.write(data)
+    _last_scores = (pages, table)
+
+
 def write_scores(path, table: ScoreTable) -> None:
     """Score file: one line per sample in rank order, with the score and the raw norm.
 
@@ -329,7 +400,14 @@ def write_scores(path, table: ScoreTable) -> None:
     and is byte for byte what ``_canonical_json_line`` gives for the record
     with ``float`` score and norm (keys sorted, floats as ``float.__repr__``).
     Scores and norms must be finite.
+
+    The file's bytes and ``table`` become the entry ``read_scores`` serves
+    when ``table`` is exactly what reading them back gives: an ``int``
+    epoch, ids as ``read_scores`` returns them, and an ``order`` that is a
+    permutation.  Any other table leaves the entry empty.
     """
+    global _last_scores
+    _last_scores = ()  # free the kept file's bytes before this file's are built
     order = table.order
     norms, scores = table.norm[order], table.score[order]
     finite = np.isfinite(norms) & np.isfinite(scores)
@@ -346,7 +424,14 @@ def write_scores(path, table: ScoreTable) -> None:
         f'{head}{ids[row]},"norm":{norm!r},"rank":{rank},"score":{score!r}}}\n'
         for rank, (row, norm, score) in enumerate(zip(order.tolist(), norms.tolist(), scores.tolist()))
     ]
-    _atomic_write_bytes(Path(path), "".join(lines).encode("utf-8"))
+    payload = "".join(lines).encode("utf-8")
+    _atomic_write_bytes(Path(path), payload)
+    if (
+        type(table.epoch) is int
+        and _ids_read_back(table.ids)
+        and np.array_equal(np.sort(order), np.arange(len(order)))
+    ):
+        _keep_scores(payload, table)
 
 
 # Readers check the exact type a JSON decoder gives: true and false decode
@@ -370,10 +455,29 @@ def read_scores(path) -> ScoreTable:
 
     Each line is checked on its own; then the file must hold one epoch and
     its ranks must be a permutation of 0..N-1.
+
+    The file is read once, as bytes.  Bytes equal to those of the last score
+    file this process read or wrote give that file's table back, the same
+    frozen object, unparsed; any other bytes are parsed and checked in full,
+    and become the kept entry if they read.
     """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    last = _last_scores
+    # Of equal length, the bytes are found at 0 only if they are equal; find
+    # compares them in place, where a slice would copy the pages to the heap.
+    if last and len(last[0]) == len(blob) and last[0].find(blob, 0) == 0:
+        return last[1]
+    table = _parse_scores(path, blob)
+    _keep_scores(blob, table)
+    return table
+
+
+def _parse_scores(path, blob: bytes) -> ScoreTable:
+    """Parse and check a score file's bytes; ``path`` names the file in errors."""
     ids, epochs, scores, ranks, norms = [], [], [], [], []
     seen = set()
-    for lineno, rec in _read_jsonl(path):
+    for lineno, rec in _read_jsonl(path, blob):
         try:
             sid = rec["id"]
             if type(sid) is not str or not sid:
@@ -537,11 +641,7 @@ class RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    raw = _load_json(path)
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: config must be a JSON object")
     known = {f for f in RunConfig.__dataclass_fields__}
@@ -648,11 +748,7 @@ def _collect_run(run_dir: Path) -> dict:
         if absent:
             missing.extend(absent)
             continue
-        with open(paths["report"], "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{paths['report']}: not valid JSON: {exc}") from exc
+        payload = _load_json(paths["report"])
         if not _well_formed_norm_stats(payload):
             raise FormatError(f"{paths['report']}: no well-formed norm_stats object")
         epochs.append(payload)

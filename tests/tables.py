@@ -27,3 +27,9 @@ def ranked_ids(table: ScoreTable) -> list[str]:
 
 def scores_by_id(table: ScoreTable) -> dict[str, float]:
     return dict(zip(table.ids, table.score.tolist()))
+
+
+def table_bits(table: ScoreTable) -> tuple:
+    """Everything a table holds, bit for bit: epoch type and value, ids, and each column's dtype and bytes."""
+    columns = (table.norm, table.score, table.order)
+    return (type(table.epoch), table.epoch, table.ids, *((c.dtype.str, c.tobytes()) for c in columns))

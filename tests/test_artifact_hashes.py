@@ -10,11 +10,14 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spdcl
+from spdcl import io as spdcl_io
 from spdcl.cli import main
 from spdcl.io import RunConfig, write_dataset, write_run_config
 from spdcl.synth import make_zipfian_dataset
@@ -68,3 +71,17 @@ def test_check_run_names_a_file_changed_by_one_byte(trained_run, tmp_path, name)
     (run / name).write_bytes(bytes(data))
     bad = artifact_hashes.check_run(run, tmp_path / "work")
     assert any(name in line for line in bad), bad
+
+
+def test_check_run_names_a_score_file_the_kept_entry_misreads(trained_run, tmp_path, monkeypatch):
+    # A writer that kept a table its file does not read back as: a numpy epoch.
+    write = spdcl_io.write_scores
+
+    def keep_a_numpy_epoch(path, table):
+        write(path, table)
+        spdcl_io._last_scores = (Path(path).read_bytes(), replace(table, epoch=np.int64(table.epoch)))
+
+    monkeypatch.setattr(spdcl_io, "_last_scores", ())
+    monkeypatch.setattr(spdcl_io, "write_scores", keep_a_numpy_epoch)
+    bad = artifact_hashes.check_run(trained_run, tmp_path / "work")
+    assert any("epoch001.scores.jsonl: reads to another table from the kept entry" in line for line in bad), bad

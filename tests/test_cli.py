@@ -240,6 +240,20 @@ def test_schedule_rejects_bad_score_ids(tmp_path, capsys, lines):
     assert not manifest.exists()
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string digit limit")
+def test_schedule_names_the_line_of_an_integer_past_the_digit_limit(tmp_path, capsys):
+    scores = tmp_path / "scores.jsonl"
+    huge = "1" * (sys.get_int_max_str_digits() + 1)
+    scores.write_text('{"id":"a","epoch":1,"score":1.0,"rank":0,"norm":1.0}\n'
+                      f'{{"id":"b","epoch":1,"score":2.0,"rank":{huge},"norm":2.0}}\n')
+    code = run_cli(
+        "schedule", "--scores", str(scores), "--bins", "1", "--epoch", "1",
+        "--seed", "2", "--out", str(tmp_path / "m.jsonl"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error:malformed-scores: {scores}: line 2 is not valid JSON:")
+
+
 # -------------------------------------------------------------------- train
 
 
@@ -317,6 +331,37 @@ def test_train_invalid_config_fails_before_training(run_dirs, capsys):
     assert code != 0
     assert capsys.readouterr().err.startswith("error:invalid-config:")
     assert not list(out_dir.glob("epoch*")) if out_dir.exists() else True
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string digit limit")
+def test_train_names_a_config_with_an_integer_past_the_digit_limit(run_dirs, capsys):
+    tmp_path, train_path, valid_path, _ = run_dirs
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"lr": 1' + "0" * sys.get_int_max_str_digits() + "}")
+    code = run_cli(
+        "train", "--dataset", str(train_path), "--valid", str(valid_path),
+        "--config", str(bad), "--out-dir", str(tmp_path / "nope"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error:invalid-config: {bad}: not valid JSON:")
+
+
+@pytest.mark.parametrize("field", ["id", "text", "labels"])
+def test_train_rejects_a_lone_surrogate_before_training(run_dirs, capsys, field):
+    tmp_path, train_path, valid_path, config_path = run_dirs
+    lines = train_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[3])
+    record[field] = "\ud800x"
+    lines[3] = json.dumps(record) + "\n"
+    train_path.write_text("".join(lines), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = run_cli(
+        "train", "--dataset", str(train_path), "--valid", str(valid_path),
+        "--config", str(config_path), "--out-dir", str(out_dir),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error:malformed-dataset: {train_path}: line 4 holds a string")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import json
+import re
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spdcl import io as spdcl_io
+from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, ScoreTable, delta_scores, initial_scores
 from spdcl.io import (
     DUMP_MAGIC,
     FormatError,
@@ -29,7 +33,7 @@ from spdcl.io import (
 from spdcl.scheduler import EpochPlan
 
 from dumps import pack_dump
-from tables import ranked_ids, score_table
+from tables import ranked_ids, score_table, table_bits
 
 
 # ------------------------------------------------------------ dataset files
@@ -363,6 +367,197 @@ def test_score_lines_are_canonical_json(rows):
     assert sorted(zip(got.ids, map(repr, got.score.tolist()), map(repr, got.norm.tolist()))) == sorted(
         (sid, repr(float(score)), repr(float(norm))) for sid, _, score, _, norm in rows
     )
+
+
+# ------------------------------------------------- the kept score file
+
+
+def _read_outcome(path):
+    """``read_scores`` of ``path`` as comparable bits, or the error it raised."""
+    try:
+        return table_bits(read_scores(path))
+    except FormatError as exc:
+        return str(exc)
+
+
+def _warm_and_cold(path):
+    """Read ``path`` with the kept entry as it is, then once more with it cleared."""
+    warm = _read_outcome(path)
+    spdcl_io._last_scores = ()
+    return warm, _read_outcome(path)
+
+
+_KEPT_IDS = ["naïve", "\u2028", "a\u2029b", 'q"uote', "back\\slash", "東京", "\U0001f600", "\x85"]
+_kept_ids = st.one_of(st.sampled_from(_KEPT_IDS), st.text(st.characters(codec="utf-8"), min_size=1, max_size=6))
+# Subnormals, both zeros, and magnitudes whose differences stay finite.
+_kept_norms = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, -2.5e-320]),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+@st.composite
+def _norm_epochs(draw):
+    ids = tuple(sorted(draw(st.lists(_kept_ids, min_size=1, max_size=8, unique=True))))
+    n_epochs = draw(st.integers(1, 3))
+    norms = [draw(st.lists(_kept_norms, min_size=len(ids), max_size=len(ids))) for _ in range(n_epochs)]
+    return ids, norms, draw(st.sampled_from(ALIGNMENT_MODES)), draw(st.sampled_from(DELTA_ORDERINGS))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_norm_epochs())
+def test_a_kept_score_table_reads_as_its_file_does(norm_epochs):
+    # Each epoch's table, as initial_scores and delta_scores build it, is
+    # kept by the writer; reading it back from the entry must give exactly
+    # what parsing the file gives.
+    ids, norms, mode, ordering = norm_epochs
+    with tempfile.TemporaryDirectory() as tmp:
+        table = None
+        for epoch, norm in enumerate(norms, start=1):
+            norm = np.array(norm)
+            table = initial_scores(ids, norm) if table is None else delta_scores(ids, norm, table, mode, ordering)
+            path = Path(tmp) / f"epoch{epoch}.scores.jsonl"
+            write_scores(path, table)
+            assert spdcl_io._last_scores[1] is table
+            assert read_scores(path) is table
+            warm, cold = _warm_and_cold(path)
+            assert warm == cold == table_bits(table)
+            # The next epoch chains on a parsed table, as spdcl score does.
+            table = read_scores(path)
+
+
+@pytest.mark.parametrize(
+    "ids, order, epoch",
+    [
+        (("b", "a"), [0, 1], 1),
+        (("a", "a"), [0, 1], 1),
+        (("", "a"), [0, 1], 1),
+        (("a", "b"), [1, 1], 1),
+        (("a", "b"), [0, -1], 1),
+        (("a", "b"), [0, 1], np.int64(1)),
+        (("a", "b"), [0, 1], True),
+    ],
+    ids=["ids-out-of-order", "duplicate-ids", "empty-id", "row-twice", "negative-row", "numpy-epoch", "bool-epoch"],
+)
+def test_a_table_that_would_not_read_back_is_not_kept(tmp_path, ids, order, epoch):
+    table = ScoreTable(epoch, ids, [1.0, 2.0], [0.5, 0.25], order)
+    path = tmp_path / "scores.jsonl"
+    write_scores(path, table)
+    assert spdcl_io._last_scores == ()
+    warm, cold = _warm_and_cold(path)
+    assert warm == cold
+
+
+def test_a_same_size_change_after_the_write_is_parsed(tmp_path):
+    table = score_table([("b", 0.5, 1.25), ("a", 0.25, 3.5)], epoch=2)
+    path = tmp_path / "scores.jsonl"
+    write_scores(path, table)
+    written = path.read_bytes()
+    assert read_scores(path) is table
+    path.write_bytes(written.replace(b'"norm":1.25', b'"norm":1.75'))
+    assert read_scores(path).norm.tolist() == [3.5, 1.75]
+    write_scores(path, table)
+    for changed, match in (
+        (written.replace(b'"rank":1', b'"rank":7'), "permutation"),
+        (written.replace(b'"epoch":2,"id":"a"', b'"epoch":3,"id":"a"'), "mixes epochs"),
+        (written.replace(b'{"epoch":2,"id":"a"', b'["epoch":2,"id":"a"'), "line 2 is not valid JSON"),
+    ):
+        assert len(changed) == len(written) and changed != written
+        path.write_bytes(changed)
+        with pytest.raises(FormatError, match=match):
+            read_scores(path)
+    # A failed read keeps the entry it found.
+    path.write_bytes(written)
+    assert read_scores(path) is table
+
+
+_A = '{"epoch":1,"id":"a\u2028z","norm":2.0,"rank":1,"score":2.0}'
+_B = '{"epoch":1,"id":"b","norm":1.0,"rank":0,"score":1.0}'
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _B + "\r\n" + _A + "\r\n",
+        "\n\n" + _B + "\n  \n" + _A + "\n\n",
+        _B + "\n" + _A,
+        _B + "\r" + _A + "\r\n",
+        "\r\n" + _A + "\r\n\r\n" + _B,
+    ],
+    ids=["crlf", "blank-lines", "no-last-newline", "lone-cr", "crlf-blank-lines-no-last-newline"],
+)
+def test_score_file_lines_split_as_a_text_handle_splits_them(tmp_path, body):
+    path = tmp_path / "scores.jsonl"
+    path.write_bytes(body.encode("utf-8"))
+    table = read_scores(path)
+    assert table.ids == ("a\u2028z", "b")
+    assert ranked_ids(table) == ["b", "a\u2028z"]
+    assert table.norm.tolist() == [2.0, 1.0]
+
+
+def test_score_file_errors_count_lines_as_a_text_handle_does(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    # CRLF, a lone CR and a blank line each end one line: the bad record is line 5.
+    path.write_bytes(("\r\n\r" + _B + "\r\n\n" + '{"id":""}').encode("utf-8"))
+    with pytest.raises(FormatError, match="line 5 is not a valid score record"):
+        read_scores(path)
+
+
+# --------------------------------------------- what a reader must not accept
+
+
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not _INT_DIGITS, reason="no int-string digit limit in this Python")
+
+
+@needs_digit_limit
+def test_readers_name_the_file_of_an_integer_past_the_digit_limit(tmp_path):
+    huge = "1" * (_INT_DIGITS + 1)
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(_B + "\n" + _A.replace('"rank":1', f'"rank":{huge}') + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{scores}: line 2 is not valid JSON: Exceeds the limit")):
+        read_scores(scores)
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(_GOOD_RECORD + f'{{"id":"b","text":"t","labels":{huge}}}\n')
+    with pytest.raises(FormatError, match=re.escape(f"{dataset}: line 2 is not valid JSON: Exceeds the limit")):
+        read_dataset(dataset)
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"lr": {huge}}}')
+    with pytest.raises(FormatError, match=re.escape(f"{config}: not valid JSON: Exceeds the limit")):
+        load_run_config(config)
+
+
+@pytest.mark.parametrize("field", ["id", "text", "labels"])
+def test_dataset_rejects_a_lone_surrogate_escape(tmp_path, field):
+    record = {"id": "b", "text": "t", "labels": "x", field: "\ud800x"}
+    path = tmp_path / "data.jsonl"
+    path.write_text(_GOOD_RECORD + json.dumps(record) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: line 2 holds a string with a lone surrogate")):
+        read_dataset(path)
+
+
+def test_score_files_and_manifests_reject_a_lone_surrogate_escape(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_text(_B + "\n" + _A.replace("a\u2028z", "\\udfffa") + "\n")
+    with pytest.raises(FormatError, match="line 2 holds a string with a lone surrogate"):
+        read_scores(path)
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"epoch":1,"order":["\\ud800"],"bin_of":{"\\ud800":1}}\n')
+    with pytest.raises(FormatError, match="line 1 holds a string with a lone surrogate"):
+        read_manifest(path)
+
+
+def test_readers_take_escaped_pairs_and_backslashes_as_they_are(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"id":"\\ud83d\\ude00","text":"\\\\ud800","labels":"x"}\n')
+    assert read_dataset(path) == [TextSample("\U0001f600", "\\ud800", ("x",))]
+
+
+def test_readers_name_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_bytes(_B.encode() + b"\n\xff\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: not valid UTF-8")):
+        read_scores(path)
 
 
 # ------------------------------------------------------------ manifest files

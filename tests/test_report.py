@@ -173,6 +173,27 @@ def test_report_names_an_epoch_report_that_is_not_json(trained_runs, tmp_path, c
     assert err.startswith(f"error:missing-artifact: {path}: not valid JSON:")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string digit limit")
+def test_report_names_an_epoch_report_with_an_integer_past_the_digit_limit(trained_runs, tmp_path, capsys):
+    run_dir, _ = trained_runs
+    path = run_dir / "epoch004.report.json"
+    path.write_text('{"epoch": 1' + "0" * sys.get_int_max_str_digits() + "}")
+    assert main(["report", "--run-dir", str(run_dir), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:missing-artifact: {path}: not valid JSON:")
+
+
+def test_report_names_an_epoch_report_with_a_lone_surrogate_escape(trained_runs, tmp_path, capsys):
+    run_dir, _ = trained_runs
+    path = run_dir / "epoch002.report.json"
+    payload = json.loads(path.read_text())
+    payload["note"] = "\ud800"
+    path.write_text(json.dumps(payload))
+    assert main(["report", "--run-dir", str(run_dir), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:missing-artifact: {path}: holds a string with a lone surrogate escape")
+
+
 def test_report_still_needs_every_score_file(trained_runs, tmp_path, capsys):
     run_dir, _ = trained_runs
     (run_dir / "epoch003.scores.jsonl").unlink()
