@@ -47,7 +47,6 @@ from spdcl.trainer import (
     loss_and_grad,
     run_baseline,
     run_spdcl,
-    tokenize,
     train_epoch,
 )
 

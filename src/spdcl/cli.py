@@ -44,7 +44,7 @@ from spdcl import io as spdcl_io
 from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, delta_scores, dump_norms, initial_scores
 from spdcl.io import FormatError
 from spdcl.scheduler import CurriculumConfig, build_epoch_plan
-from spdcl.trainer import TrainHyper, TrainingDiverged, encode_datasets, run_baseline, run_spdcl
+from spdcl.trainer import TrainingDiverged, encode_datasets, run_baseline, run_spdcl
 
 log = logging.getLogger("spdcl")
 
@@ -152,16 +152,9 @@ def cmd_train(args) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spdcl_io.write_run_config(out_dir / "run_config.json", config)
-    hyper = TrainHyper(
-        lr=config.lr,
-        batch_size=config.batch,
-        hidden=config.hidden_d,
-        max_len=config.max_len,
-        seed=config.seed,
-    )
     runner = run_baseline if args.baseline else run_spdcl
     try:
-        result = runner(train_enc, valid_enc, config.curriculum(), hyper, out_dir=out_dir)
+        result = runner(train_enc, valid_enc, config.curriculum(), config.hyper(), out_dir=out_dir)
     except TrainingDiverged as exc:
         raise CliError("diverged", str(exc))
     _save_final_params(out_dir, result.params, train_enc)

@@ -63,7 +63,7 @@ import numpy as np
 from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, ScoreTable
 from spdcl.metrics import EvalReport
 from spdcl.nucnorm import DumpLayout, EmbeddingDump
-from spdcl.scheduler import CurriculumConfig, EpochPlan
+from spdcl.scheduler import CurriculumConfig, EpochPlan, check_bool, check_choice, check_int, check_lr
 
 DUMP_MAGIC = b"SPDCLEMB"
 DUMP_VERSION = 1
@@ -567,14 +567,6 @@ def read_manifest(path) -> EpochPlan:
 # ---------------------------------------------------------------- run config
 
 
-def _finite_float(value) -> bool:
-    """Whether a number converts to a finite float; an int may be too large for one."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration, the on-disk face of one experiment."""
@@ -592,42 +584,17 @@ class RunConfig:
     shuffle_within_epoch: bool = True
 
     def __post_init__(self):
-        # Types first, so a wrong-typed value names its field instead of
-        # failing a comparison below or later in training.  bool is an int
-        # subclass, so it is rejected by name.
-        for name in ("bins_k", "epochs_T", "seed", "batch", "hidden_d", "max_len"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise FormatError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float)):
-            raise FormatError(f"lr must be a number, got {self.lr!r}")
-        if not isinstance(self.shuffle_within_epoch, bool):
-            raise FormatError(
-                f"shuffle_within_epoch must be true or false, got {self.shuffle_within_epoch!r}"
-            )
-        if self.bins_k < 1:
-            raise FormatError("bins_k must be >= 1")
-        if self.epochs_T < 1:
-            raise FormatError("epochs_T must be >= 1")
-        if self.seed < 0:
-            raise FormatError("seed must be >= 0")
-        # json.load accepts NaN and Infinity, and an int too large for a float.
-        if not _finite_float(self.lr):
-            raise FormatError(f"lr must convert to a finite float, got {self.lr!r}")
-        if self.lr < 0:
-            raise FormatError("lr must be >= 0")
-        if self.batch < 1:
-            raise FormatError("batch must be >= 1")
-        if self.hidden_d < 1:
-            raise FormatError("hidden_d must be >= 1")
-        if self.max_len < 1:
-            raise FormatError("max_len must be >= 1")
-        if self.task_kind not in TASK_KINDS:
-            raise FormatError(f"task_kind must be one of {TASK_KINDS}")
-        if self.alignment_mode not in ALIGNMENT_MODES:
-            raise FormatError(f"alignment_mode must be one of {ALIGNMENT_MODES}")
-        if self.delta_ordering not in DELTA_ORDERINGS:
-            raise FormatError(f"delta_ordering must be one of {DELTA_ORDERINGS}")
+        try:
+            for name in ("bins_k", "epochs_T", "batch", "hidden_d", "max_len"):
+                check_int(name, getattr(self, name), minimum=1)
+            check_int("seed", self.seed, minimum=0)
+            check_lr(self.lr)
+            check_bool("shuffle_within_epoch", self.shuffle_within_epoch)
+            check_choice("task_kind", self.task_kind, TASK_KINDS)
+            check_choice("alignment_mode", self.alignment_mode, ALIGNMENT_MODES)
+            check_choice("delta_ordering", self.delta_ordering, DELTA_ORDERINGS)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
 
     def curriculum(self) -> CurriculumConfig:
         return CurriculumConfig(
@@ -637,6 +604,14 @@ class RunConfig:
             alignment_mode=self.alignment_mode,
             delta_ordering=self.delta_ordering,
             shuffle_within_epoch=self.shuffle_within_epoch,
+        )
+
+    def hyper(self):
+        """The trainer's settings: ``batch`` is its ``batch_size``, ``hidden_d`` its ``hidden``."""
+        from spdcl.trainer import TrainHyper  # spdcl.trainer imports this module
+
+        return TrainHyper(
+            lr=self.lr, batch_size=self.batch, hidden=self.hidden_d, max_len=self.max_len, seed=self.seed
         )
 
 

@@ -37,15 +37,18 @@ def _validated_values(values) -> np.ndarray:
 
 def _spectrum(arr: np.ndarray) -> np.ndarray:
     # Singular values of each (m, n) matrix in a stack (..., m, n): eigenvalues
-    # of the smaller Gram matrix, clamped to zero so roundoff can never produce
-    # a negative singular value; returned largest first along the last axis,
-    # the order stored norms are summed in.  The larger Gram of a matrix with
-    # fewer rows than columns would add rounding-level zero eigenvalues whose
-    # square roots cost up to ~2e-8 relative error.
+    # of the smaller Gram matrix, returned largest first along the last axis,
+    # the order stored norms are summed in.  A rank-deficient matrix (a sample
+    # that repeats a token) has zero eigenvalues that come out as rounding
+    # noise of about eps * lambda_max, whose square roots would add up to ~1e-8
+    # relative error; every eigenvalue at or below max(m, n) * eps * lambda_max,
+    # negative roundoff included, is taken as exactly zero.
     m, n = arr.shape[-2:]
     arr_t = arr.swapaxes(-1, -2)
     gram = arr_t @ arr if n <= m else arr @ arr_t
-    return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[..., ::-1]
+    eig = np.linalg.eigvalsh(gram)
+    cutoff = max(m, n) * np.finfo(np.float64).eps * eig[..., -1:]
+    return np.sqrt(np.where(eig > cutoff, eig, 0.0))[..., ::-1]
 
 
 def singular_values(matrix) -> np.ndarray:

@@ -10,6 +10,7 @@ table, which is what makes the curriculum dynamic rather than static.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,6 +26,46 @@ def epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng((seed & _SEED_MASK, epoch))
 
 
+# Field checks shared by every config type (CurriculumConfig, TrainHyper,
+# Vocabulary, spdcl.io.RunConfig); each error names the field.
+
+
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    # bool is an int subclass, so it is rejected by name.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _finite_float(value) -> bool:
+    """Whether a number converts to a finite float; an int may be too large for one."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def check_lr(lr) -> None:
+    # json.load accepts NaN and Infinity, and an int too large for a float.
+    if isinstance(lr, bool) or not isinstance(lr, (int, float)):
+        raise ValueError(f"lr must be a number, got {lr!r}")
+    if not _finite_float(lr):
+        raise ValueError(f"lr must convert to a finite float, got {lr!r}")
+    if lr < 0:
+        raise ValueError(f"lr must be >= 0, got {lr!r}")
+
+
+def check_bool(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CurriculumConfig:
     bins_k: int = 5
@@ -35,21 +76,12 @@ class CurriculumConfig:
     shuffle_within_epoch: bool = True
 
     def __post_init__(self):
-        # bool is an int subclass, so it is rejected by name.
-        for name in ("bins_k", "total_epochs_T", "shuffle_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.shuffle_within_epoch, bool):
-            raise ValueError(f"shuffle_within_epoch must be a bool, got {self.shuffle_within_epoch!r}")
-        if self.bins_k < 1:
-            raise ValueError("bins_k must be >= 1")
-        if self.total_epochs_T < 1:
-            raise ValueError("total_epochs_T must be >= 1")
-        if self.alignment_mode not in ALIGNMENT_MODES:
-            raise ValueError(f"alignment_mode must be one of {ALIGNMENT_MODES}")
-        if self.delta_ordering not in DELTA_ORDERINGS:
-            raise ValueError(f"delta_ordering must be one of {DELTA_ORDERINGS}")
+        check_int("bins_k", self.bins_k, minimum=1)
+        check_int("total_epochs_T", self.total_epochs_T, minimum=1)
+        check_int("shuffle_seed", self.shuffle_seed)
+        check_choice("alignment_mode", self.alignment_mode, ALIGNMENT_MODES)
+        check_choice("delta_ordering", self.delta_ordering, DELTA_ORDERINGS)
+        check_bool("shuffle_within_epoch", self.shuffle_within_epoch)
         if self.total_epochs_T < self.bins_k:
             warnings.warn(
                 f"total_epochs_T={self.total_epochs_T} < bins_k={self.bins_k}: "

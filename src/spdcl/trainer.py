@@ -27,7 +27,7 @@ from spdcl import io as spdcl_io
 from spdcl.difficulty import ScoreTable, delta_scores, dump_norms, initial_scores
 from spdcl.metrics import EvalReport, evaluate, label_frequency_groups
 from spdcl.nucnorm import DumpLayout, EmbeddingDump, read_only
-from spdcl.scheduler import CurriculumConfig, EpochPlan, build_epoch_plan
+from spdcl.scheduler import CurriculumConfig, EpochPlan, build_epoch_plan, check_choice, check_int, check_lr
 
 PAD_INDEX = 0
 UNK_INDEX = 1
@@ -43,10 +43,7 @@ class Vocabulary:
     max_len: int
 
     def __post_init__(self):
-        if isinstance(self.max_len, bool) or not isinstance(self.max_len, int):
-            raise ValueError(f"max_len must be an integer, got {self.max_len!r}")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        check_int("max_len", self.max_len, minimum=1)
 
     @property
     def size(self) -> int:
@@ -56,13 +53,8 @@ class Vocabulary:
         return sorted(self.index_of, key=self.index_of.get)
 
 
-def _words(text: str) -> list[str]:
-    """The tokenization rule: lowercase, then split on whitespace."""
-    return text.lower().split()
-
-
 def _split_once(texts: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Lowercase and split each text once, numbering words by first appearance.
+    """Lowercase and split each text once on whitespace, numbering words by first appearance.
 
     Returns the distinct words in that order, every token's word number in
     text order, and each text's token count.  Only the numbers are kept,
@@ -72,7 +64,7 @@ def _split_once(texts: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray
     lengths = []
 
     def split(text):
-        words = _words(text)
+        words = text.lower().split()
         lengths.append(len(words))
         return words
 
@@ -81,39 +73,20 @@ def _split_once(texts: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray
 
 
 def _vocabulary(words: list[str], numbers: np.ndarray, max_len: int) -> tuple[Vocabulary, np.ndarray]:
-    """Indices from 2 upward by descending count, ties alphabetical.
+    """The words of ``numbers``, indexed from 2 upward by descending count, ties alphabetical.
 
+    Words are numbered by first appearance, so ``numbers`` holds exactly the
+    first ``numbers.max() + 1`` of them; every later word maps to UNK.
     Returns the vocabulary and, per word number, its index.
     """
-    counts = np.bincount(numbers, minlength=len(words))
-    alphabetical = np.array(sorted(range(len(words)), key=words.__getitem__), dtype=np.int64)
+    known = int(numbers.max(initial=-1)) + 1
+    counts = np.bincount(numbers, minlength=known)
+    alphabetical = np.array(sorted(range(known), key=words.__getitem__), dtype=np.int64)
     order = alphabetical[np.argsort(-counts[alphabetical], kind="stable")]  # stable: ties stay alphabetical
-    index = np.empty(len(words), dtype=np.int64)
-    index[order] = np.arange(2, len(words) + 2)
-    index_of = dict(zip(map(words.__getitem__, order.tolist()), range(2, len(words) + 2)))
+    index = np.full(len(words), UNK_INDEX, dtype=np.int64)
+    index[order] = np.arange(2, known + 2)
+    index_of = dict(zip(map(words.__getitem__, order.tolist()), range(2, known + 2)))
     return Vocabulary(index_of=index_of, max_len=max_len), index
-
-
-def build_vocabulary(texts: Sequence[str], max_len: int = 250) -> Vocabulary:
-    """Vocabulary from the training split only.
-
-    Tokens get dense indices from 2 upward, ordered by descending corpus
-    frequency with ties broken alphabetically, so the mapping is a pure
-    function of the corpus.
-    """
-    words, numbers, _ = _split_once(texts)
-    return _vocabulary(words, numbers, max_len)[0]
-
-
-def tokenize(text: str, vocab: Vocabulary) -> list[int]:
-    """Lowercase, whitespace-split, map with UNK fallback, truncate.
-
-    Total function: empty text maps to a single UNK token.
-    """
-    ids = [vocab.index_of.get(tok, UNK_INDEX) for tok in _words(text)]
-    if not ids:
-        return [UNK_INDEX]
-    return ids[: vocab.max_len]
 
 
 @dataclass(frozen=True)
@@ -124,8 +97,7 @@ class ModelParams:
     task_kind: str
 
     def __post_init__(self):
-        if self.task_kind not in spdcl_io.TASK_KINDS:
-            raise ValueError(f"task_kind must be one of {spdcl_io.TASK_KINDS}")
+        check_choice("task_kind", self.task_kind, spdcl_io.TASK_KINDS)
         for name in ("embedding_table", "head_weights", "head_bias"):
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)):
@@ -288,6 +260,12 @@ def loss_and_grad(params: ModelParams, ids: Sequence[int], target) -> tuple[floa
 
 @dataclass(frozen=True)
 class TrainHyper:
+    """The trainer's settings; ``RunConfig.hyper()`` builds them from a run config.
+
+    ``max_len`` is checked but never read: ``encode_datasets`` takes its own.
+    It is kept only because the benchmark's workloads pass it.
+    """
+
     lr: float = 0.1
     batch_size: int = 25
     hidden: int = 16
@@ -295,18 +273,10 @@ class TrainHyper:
     seed: int = 2
 
     def __post_init__(self):
-        # bool is an int subclass, so it is rejected by name.
-        for name in ("batch_size", "hidden", "max_len", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("batch_size", "hidden", "max_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if isinstance(self.lr, bool) or not isinstance(self.lr, (int, float)):
-            raise ValueError(f"lr must be a number, got {self.lr!r}")
-        if not spdcl_io._finite_float(self.lr) or self.lr < 0:
-            raise ValueError(f"lr must be a number >= 0 that converts to a finite float, got {self.lr!r}")
+            check_int(name, getattr(self, name), minimum=1)
+        check_int("seed", self.seed)
+        check_lr(self.lr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,8 +306,7 @@ class EncodedDataset:
     def __post_init__(self):
         layout = DumpLayout(self.sample_ids, self.offsets)
         ids, offsets = layout.ids, layout.offsets
-        if self.task_kind not in spdcl_io.TASK_KINDS:
-            raise ValueError(f"task_kind must be one of {spdcl_io.TASK_KINDS}")
+        check_choice("task_kind", self.task_kind, spdcl_io.TASK_KINDS)
         tokens = read_only(self.tokens, np.int64)
         if tokens.shape != (offsets[-1],):
             raise ValueError(f"tokens must be a 1-D array of the offsets' {offsets[-1]} ids, got shape {tokens.shape}")
@@ -409,16 +378,18 @@ def encode_datasets(
     ascending id order, the order of embedding dumps and score tables; the
     validation split keeps its given order.
 
-    Each training text is lowercased and split once, by the same helpers
-    as ``build_vocabulary``: its words are numbered by first appearance,
-    the vocabulary is ordered from their counts, and one gather maps the
-    numbers to indices.  The validation split goes through ``tokenize``.
+    Every text of both splits, training split first, is lowercased and split
+    once, and its words are numbered by first appearance.  The vocabulary
+    holds the training split's words, indexed from 2 upward by descending
+    count with ties alphabetical; a word the training split never holds is
+    UNK (1).  One gather maps the numbers to indices.  Each text keeps its
+    first ``max_len`` tokens, and an empty text is one UNK token.
     """
-    if task_kind not in spdcl_io.TASK_KINDS:
-        raise ValueError(f"task_kind must be one of {spdcl_io.TASK_KINDS}")
+    check_choice("task_kind", task_kind, spdcl_io.TASK_KINDS)
     train = sorted(train, key=operator.attrgetter("sample_id"))
-    words, numbers, lengths = _split_once(s.text for s in train)
-    vocab, index = _vocabulary(words, numbers, max_len)
+    words, numbers, lengths = _split_once(s.text for s in chain(train, valid))
+    n_train = len(train)
+    vocab, index = _vocabulary(words, numbers[: lengths[:n_train].sum()], max_len)
     tokens = index[numbers]
     # Keep each text's first max_len tokens (the vocabulary counted them
     # all), and give an empty text one UNK token.
@@ -430,6 +401,8 @@ def encode_datasets(
     if empty.size:
         tokens = np.insert(tokens, (np.cumsum(lengths) - lengths)[empty], UNK_INDEX)
         lengths[empty] = 1
+    tokens.setflags(write=False)  # fresh, so neither split's slice of it is copied
+    train_tokens, valid_tokens = np.split(tokens, [lengths[:n_train].sum()])
     label_names = sorted({lab for s in train for lab in s.labels})
     label_index = {lab: i for i, lab in enumerate(label_names)}
 
@@ -445,8 +418,7 @@ def encode_datasets(
                 targets[row, [label_index[lab] for lab in s.labels]] = 1
         offsets = np.zeros(len(samples) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        for arr in (tokens, offsets):  # fresh arrays, handed over frozen and so not copied
-            arr.setflags(write=False)
+        offsets.setflags(write=False)  # fresh, handed over frozen and so not copied
         return EncodedDataset(
             sample_ids=[s.sample_id for s in samples],
             tokens=tokens,
@@ -457,14 +429,12 @@ def encode_datasets(
             task_kind=task_kind,
         )
 
-    encoded_train = encode(train, tokens, lengths)
+    encoded_train = encode(train, train_tokens, lengths[:n_train])
     for s in valid:  # training labels are in label_index by construction
         unseen = [lab for lab in s.labels if lab not in label_index]
         if unseen:
             raise ValueError(f"valid sample {s.sample_id!r} has labels unseen in training: {unseen}")
-    id_lists = [tokenize(s.text, vocab) for s in valid]
-    valid_tokens = np.fromiter(chain.from_iterable(id_lists), dtype=np.int64)
-    return encoded_train, encode(valid, valid_tokens, np.fromiter(map(len, id_lists), dtype=np.int64))
+    return encoded_train, encode(valid, valid_tokens, lengths[n_train:])
 
 
 def _check_fits(params: ModelParams, data: EncodedDataset) -> None:

@@ -53,9 +53,14 @@ def jacobi_singular_values(matrix) -> np.ndarray:
             a = np.einsum("ij,ij->j", cols_p, cols_p)
             b = np.einsum("ij,ij->j", cols_q, cols_q)
             c = np.einsum("ij,ij->j", cols_p, cols_q)
-            live = (a > 0.0) & (b > 0.0)
+            # A rank-deficient matrix leaves columns of rounding size: a * b
+            # can underflow to zero and zeta * zeta overflow, so the roots are
+            # taken first, a pair with a zero root is left alone, and the
+            # rotation uses hypot.
+            scale = np.sqrt(a) * np.sqrt(b)
+            live = scale > 0.0
             rel = np.zeros_like(c)
-            rel[live] = np.abs(c[live]) / np.sqrt(a[live] * b[live])
+            rel[live] = np.abs(c[live]) / scale[live]
             if rel.size:
                 off = max(off, float(rel.max()))
             spin = rel > JACOBI_TOL
@@ -65,7 +70,7 @@ def jacobi_singular_values(matrix) -> np.ndarray:
             t = np.where(
                 zeta == 0.0,
                 1.0,
-                np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)),
+                np.sign(zeta) / (np.abs(zeta) + np.hypot(1.0, zeta)),
             )
             cs = 1.0 / np.sqrt(1.0 + t * t)
             sn = cs * t

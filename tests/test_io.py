@@ -361,6 +361,8 @@ def test_score_lines_are_canonical_json(rows):
         write_scores(path, table)
         assert path.read_bytes() == expected.encode("utf-8")
         got = read_scores(path)
+        write_scores(Path(tmp) / "again.jsonl", got)  # write, read, write: the same bytes
+        assert (Path(tmp) / "again.jsonl").read_bytes() == expected.encode("utf-8")
     # repr() tells -0.0 from 0.0
     assert got.epoch == rows[0][1]
     assert ranked_ids(got) == [sid for sid, *_ in rows]
@@ -714,3 +716,98 @@ def test_f32_roundtrip_is_idempotent():
     twice = f32_roundtrip(once)
     assert once.dtype == np.float64
     assert np.array_equal(once, twice)
+
+
+# ------------------------------------ write, read, write: the same bytes
+#
+# Each format's reader gives back what its writer wrote, so writing it again
+# gives the file's bytes.  Score files are checked the same way in
+# test_score_lines_are_canonical_json.
+
+_texts = st.one_of(st.sampled_from(_TRICKY_IDS + [""]), st.text(st.characters(codec="utf-8"), max_size=12))
+
+
+def _rewrites_identically(write, read, value, name):
+    """Write ``value``, read it back, write that: the two files' bytes, and what was read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / f"1.{name}", Path(tmp) / f"2.{name}"
+        write(first, value)
+        got = read(first)
+        write(second, got)
+        assert second.read_bytes() == first.read_bytes()
+    return got
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(
+    st.tuples(_score_ids, _texts, st.lists(_score_ids, min_size=1, max_size=3)), min_size=1, max_size=6,
+    unique_by=lambda row: row[0],
+))
+def test_dataset_rewrites_identically(rows):
+    samples = [TextSample(sid, text, tuple(labels)) for sid, text, labels in rows]
+    assert _rewrites_identically(write_dataset, read_dataset, samples, "jsonl") == samples
+
+
+# An int past 2**64 and floats at the edges of float.__repr__, including
+# subnormals and -0.0 (an lr of -0.0 is >= 0).
+_big_ints = st.one_of(st.integers(1, 10**6), st.integers(1, 10**40))
+_lrs = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.2e-308, 1e-310, 1.7976931348623157e308, 0.1, 10**300]),
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.integers(0, 10**20),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.builds(
+    RunConfig,
+    bins_k=_big_ints, epochs_T=_big_ints, seed=st.integers(0, 10**40), lr=_lrs,
+    batch=_big_ints, hidden_d=_big_ints, max_len=_big_ints,
+    task_kind=st.sampled_from(spdcl_io.TASK_KINDS), alignment_mode=st.sampled_from(ALIGNMENT_MODES),
+    delta_ordering=st.sampled_from(DELTA_ORDERINGS), shuffle_within_epoch=st.booleans(),
+))
+def test_run_config_rewrites_identically(config):
+    got = _rewrites_identically(write_run_config, load_run_config, config, "json")
+    assert got == config and repr(got.lr) == repr(config.lr)
+
+
+@st.composite
+def _plans(draw):
+    ids = draw(st.lists(_score_ids, min_size=1, max_size=8, unique=True))
+    bin_of = {sid: draw(st.integers(1, 10**20)) for sid in ids}
+    order = draw(st.permutations(ids))[: draw(st.integers(0, len(ids)))]
+    return EpochPlan(draw(st.integers(1, 10**20)), 1, order, bin_of)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_plans())
+def test_manifest_rewrites_identically(plan):
+    got = _rewrites_identically(write_manifest, read_manifest, plan, "jsonl")
+    assert (got.epoch, got.ordered_ids, got.bin_of) == (plan.epoch, plan.ordered_ids, plan.bin_of)
+
+
+# float32 values: both zeros, subnormals, the largest finite, and any finite.
+_dump_values = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e-45, -1e-45, 1.1754942e-38, 3.4028235e38]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _dumps(draw):
+    ids = draw(st.lists(_score_ids, min_size=1, max_size=5, unique=True))
+    cols = draw(st.integers(1, 4))
+    blocks = [
+        np.array(draw(st.lists(_dump_values, min_size=rows * cols, max_size=rows * cols)), dtype=np.float32)
+        .reshape(rows, cols)
+        for rows in draw(st.lists(st.integers(1, 4), min_size=len(ids), max_size=len(ids)))
+    ]
+    return pack_dump(zip(ids, blocks))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_dumps())
+def test_embedding_dump_rewrites_identically(dump):
+    got = _rewrites_identically(write_embedding_dump, read_embedding_dump, dump, "bin")
+    assert got.ids == dump.ids and np.array_equal(got.offsets, dump.offsets)
+    assert np.array_equal(got.values.view(np.uint32), dump.values.view(np.uint32))

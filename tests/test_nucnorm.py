@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spdcl.nucnorm import DumpLayout, EmbeddingDump, nuclear_norm, singular_values
 
 from dumps import pack_dump
-from jacobi_oracle import jacobi_singular_values, nuclear_norm_oracle
+from jacobi_oracle import ORACLE_MAX_ELEMENTS, jacobi_singular_values, nuclear_norm_oracle
 
 
 def rel_err(got, want):
@@ -60,11 +60,17 @@ def test_dump_packs_samples_and_scores_each():
 
 def _per_sample_norm(rows):
     # One sample scored on its own, written out: rows stored as float32 and
-    # widened to float64, smaller-side Gram, eigvalsh, clip, sqrt, then the
-    # spectrum summed largest first.
+    # widened to float64, smaller-side Gram, eigvalsh, rounding-level
+    # eigenvalues zeroed, sqrt, then the spectrum summed largest first.
     mat = np.asarray(rows, dtype=np.float32).astype(np.float64)
+    return float(_written_out_spectrum(mat)[::-1].sum())
+
+
+def _written_out_spectrum(mat):
+    # Ascending: eigenvalues at or below max(m, n) * eps * lambda_max count as zero.
     gram = mat.T @ mat if mat.shape[1] <= mat.shape[0] else mat @ mat.T
-    return float(np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[::-1].sum())
+    eig = np.linalg.eigvalsh(gram)
+    return np.sqrt(np.where(eig > max(mat.shape) * np.finfo(np.float64).eps * eig[-1], eig, 0.0))
 
 
 @pytest.mark.parametrize("d", [1, 3, 16, 33])
@@ -108,8 +114,7 @@ def test_norm_sums_spectrum_largest_first():
     reordered = 0
     for _ in range(200):
         mat = rng.normal(size=(int(rng.integers(1, 30)), 16))
-        gram = mat.T @ mat if mat.shape[1] <= mat.shape[0] else mat @ mat.T
-        sv = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+        sv = _written_out_spectrum(mat)
         assert nuclear_norm(mat) == float(sv[::-1].sum())
         reordered += float(sv.sum()) != float(sv[::-1].sum())
     assert reordered > 0
@@ -178,6 +183,25 @@ def test_nuclear_norm_matches_oracle_wide_and_tall():
         n = int(rng.integers(1, 20))
         mat = rng.uniform(-1.0, 1.0, size=(m, n))
         assert rel_err(nuclear_norm(mat), nuclear_norm_oracle(mat)) <= 1e-8
+
+
+@pytest.mark.parametrize("d", [16, 64])
+@pytest.mark.parametrize("shape", ["short", "long"])
+def test_repeated_and_permuted_rows_match_oracle_exactly(d, shape):
+    # A sample that repeats a token has repeated rows, so its matrix is
+    # rank-deficient; the Gram's zero eigenvalues must not leak rounding
+    # noise into the norm.  Rows are float32 table rows, as a dump holds them.
+    rng = np.random.default_rng(d)
+    rows, distinct = (12, 5) if shape == "short" else (ORACLE_MAX_ELEMENTS // d - 6, d // 2 + 3)
+    table = rng.normal(0.0, 1.0 / np.sqrt(d), size=(distinct, d)).astype(np.float32).astype(np.float64)
+    tokens = np.concatenate([np.arange(distinct), rng.integers(0, distinct, size=rows - distinct)])
+    repeated = table[tokens]
+    permuted = table[rng.permutation(tokens)]
+    dump = pack_dump([("repeated", repeated), ("permuted", permuted)])
+    for mat, dumped in zip((repeated, permuted), dump.nuclear_norms()):
+        want = nuclear_norm_oracle(mat)
+        assert rel_err(nuclear_norm(mat), want) <= 1e-12
+        assert rel_err(dumped, want) <= 1e-12
 
 
 def test_element_shuffle_can_change_the_norm():

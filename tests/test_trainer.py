@@ -18,7 +18,6 @@ from spdcl.trainer import (
     TrainingDiverged,
     TrainHyper,
     Vocabulary,
-    build_vocabulary,
     embed_sample,
     encode_datasets,
     forward,
@@ -27,7 +26,6 @@ from spdcl.trainer import (
     predict,
     run_baseline,
     run_spdcl,
-    tokenize,
     train_epoch,
     _dump_embeddings,
 )
@@ -45,16 +43,35 @@ def tiny_params(vocab_size=6, hidden=3, n_labels=2, task_kind="multiclass", seed
 # ------------------------------------------------------------- tokenization
 
 
+def token_lists(data):
+    """Each sample's token ids, in the dataset's row order."""
+    return [data.tokens[a:b].tolist() for a, b in zip(data.offsets[:-1].tolist(), data.offsets[1:].tolist())]
+
+
 def test_tokenize_case_folding_and_unk():
-    vocab = Vocabulary(index_of={"the": 5}, max_len=10)
-    assert tokenize("The THE the", vocab) == [5, 5, 5]
-    assert tokenize("", vocab) == [1]
-    assert tokenize("the unknown", vocab) == [5, 1]
+    # Case folds in both splits; a word the training split never holds is
+    # UNK (1), and so is an empty text, as one token.
+    train = [TextSample("t0", "the THE The", ("x",)), TextSample("t1", "", ("x",)), TextSample("t2", "a", ("x",))]
+    valid = [
+        TextSample("v0", "The THE the", ("x",)),
+        TextSample("v1", "", ("x",)),
+        TextSample("v2", "the unknown UNKNOWN", ("x",)),
+    ]
+    train_enc, valid_enc = encode_datasets(train, valid, "multiclass", max_len=10)
+    assert train_enc.vocab.index_of == {"the": 2, "a": 3}
+    assert token_lists(train_enc) == [[2, 2, 2], [1], [3]]
+    assert token_lists(valid_enc) == [[2, 2, 2], [1], [2, 1, 1]]
 
 
 def test_tokenize_truncates():
-    vocab = Vocabulary(index_of={"a": 2}, max_len=3)
-    assert tokenize("a a a a a", vocab) == [2, 2, 2]
+    # Every text keeps its first max_len tokens; the vocabulary counts all
+    # of them (a: 3, b: 3, c: 1), ties alphabetical.
+    train = [TextSample("t0", "b b a a a", ("x",)), TextSample("t1", "b c", ("x",))]
+    valid = [TextSample("v0", "a a a a a", ("x",)), TextSample("v1", "c zz b", ("x",))]
+    train_enc, valid_enc = encode_datasets(train, valid, "multiclass", max_len=2)
+    assert train_enc.vocab.index_of == {"a": 2, "b": 3, "c": 4}
+    assert token_lists(train_enc) == [[3, 3], [3, 4]]
+    assert token_lists(valid_enc) == [[2, 2], [4, 1]]
 
 
 @pytest.mark.parametrize("max_len", [2.5, True, 0])
@@ -68,8 +85,9 @@ def test_vocabulary_rejects_bad_max_len(max_len):
 def test_vocabulary_hand_enumeration():
     # 3-document corpus; indices by descending frequency, ties alphabetical.
     texts = ["red blue red", "green blue red", "blue zebra"]
-    vocab = build_vocabulary(texts, max_len=16)
-    # counts: red=3, blue=3, green=1, zebra=1
+    train = [TextSample(f"t{i}", text, ("x",)) for i, text in enumerate(texts)]
+    vocab = encode_datasets(train, [TextSample("v0", "okapi", ("x",))], "multiclass", max_len=16)[0].vocab
+    # counts: red=3, blue=3, green=1, zebra=1; a validation word is never counted
     assert vocab.index_of == {"blue": 2, "red": 3, "green": 4, "zebra": 5}
     assert vocab.size == 6
 
@@ -126,11 +144,6 @@ def test_encode_matches_reference(task_kind, data, max_len):
         assert list(g.vocab.index_of.items()) == list(w.vocab.index_of.items())
         assert g.vocab.max_len == w.vocab.max_len
         assert g.label_names == w.label_names
-    texts = [s.text for s in train_s]
-    assert build_vocabulary(texts, max_len) == reference_encode.build_vocabulary(texts, max_len)
-    vocab = got[0].vocab
-    for s in valid_s:
-        assert tokenize(s.text, vocab) == reference_encode.tokenize(s.text, vocab)
 
 
 # ---------------------------------------------------------------- embedding
