@@ -18,7 +18,6 @@ from spdcl.difficulty import (
     initial_scores,
 )
 from spdcl.scheduler import (
-    CurriculumConfig,
     EpochPlan,
     build_epoch_plan,
     partition_bins,

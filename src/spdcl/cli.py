@@ -43,7 +43,7 @@ import numpy as np
 from spdcl import io as spdcl_io
 from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, delta_scores, dump_norms, initial_scores
 from spdcl.io import FormatError
-from spdcl.scheduler import CurriculumConfig, build_epoch_plan
+from spdcl.scheduler import build_epoch_plan
 from spdcl.trainer import TrainingDiverged, encode_datasets, run_baseline, run_spdcl
 
 log = logging.getLogger("spdcl")
@@ -104,14 +104,7 @@ def cmd_schedule(args) -> None:
             f"score file holds epoch {table.epoch}, expected {args.epoch}",
         )
     try:
-        # total_epochs_T is irrelevant for a single-epoch plan; max() just
-        # keeps the config's T >= k recommendation quiet.
-        config = CurriculumConfig(
-            bins_k=args.bins,
-            total_epochs_T=max(args.epoch, args.bins),
-            shuffle_seed=args.seed,
-            shuffle_within_epoch=not args.no_shuffle,
-        )
+        config = spdcl_io.RunConfig(bins_k=args.bins, seed=args.seed, shuffle_within_epoch=not args.no_shuffle)
         plan = build_epoch_plan(table, config, args.epoch)
     except ValueError as exc:
         raise CliError("invalid-config", str(exc))
@@ -154,7 +147,7 @@ def cmd_train(args) -> None:
     spdcl_io.write_run_config(out_dir / "run_config.json", config)
     runner = run_baseline if args.baseline else run_spdcl
     try:
-        result = runner(train_enc, valid_enc, config.curriculum(), config.hyper(), out_dir=out_dir)
+        result = runner(train_enc, valid_enc, config, config.hyper(), out_dir=out_dir)
     except TrainingDiverged as exc:
         raise CliError("diverged", str(exc))
     _save_final_params(out_dir, result.params, train_enc)

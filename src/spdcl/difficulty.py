@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spdcl.nucnorm import EmbeddingDump, read_only
+from spdcl.scheduler import check_choice
 
 ALIGNMENT_MODES = ("rank", "identity")
 DELTA_ORDERINGS = ("magnitude", "signed")
@@ -103,10 +104,8 @@ def delta_scores(
     largest change first (``magnitude``: descending absolute delta;
     ``signed``: descending signed delta).
     """
-    if mode not in ALIGNMENT_MODES:
-        raise ValueError(f"mode must be one of {ALIGNMENT_MODES}, got {mode!r}")
-    if ordering not in DELTA_ORDERINGS:
-        raise ValueError(f"ordering must be one of {DELTA_ORDERINGS}, got {ordering!r}")
+    check_choice("mode", mode, ALIGNMENT_MODES)
+    check_choice("ordering", ordering, DELTA_ORDERINGS)
     if tuple(ids) != previous.ids:
         raise ValueError("sample-id set differs from the previous epoch")
     norm = read_only(norm, np.float64)

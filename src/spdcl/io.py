@@ -63,7 +63,7 @@ import numpy as np
 from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, ScoreTable
 from spdcl.metrics import EvalReport
 from spdcl.nucnorm import DumpLayout, EmbeddingDump
-from spdcl.scheduler import CurriculumConfig, EpochPlan, check_bool, check_choice, check_int, check_lr
+from spdcl.scheduler import EpochPlan, check_bool, check_choice, check_int, check_lr
 
 DUMP_MAGIC = b"SPDCLEMB"
 DUMP_VERSION = 1
@@ -569,7 +569,7 @@ def read_manifest(path) -> EpochPlan:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration, the on-disk face of one experiment."""
+    """Validated run configuration, the on-disk face of one experiment and the curriculum's config."""
 
     bins_k: int = 5
     epochs_T: int = 10
@@ -596,15 +596,9 @@ class RunConfig:
         except ValueError as exc:
             raise FormatError(str(exc)) from None
 
-    def curriculum(self) -> CurriculumConfig:
-        return CurriculumConfig(
-            bins_k=self.bins_k,
-            total_epochs_T=self.epochs_T,
-            shuffle_seed=self.seed,
-            alignment_mode=self.alignment_mode,
-            delta_ordering=self.delta_ordering,
-            shuffle_within_epoch=self.shuffle_within_epoch,
-        )
+    def curriculum(self) -> RunConfig:
+        """The config itself; kept because the benchmark's workloads call it."""
+        return self
 
     def hyper(self):
         """The trainer's settings: ``batch`` is its ``batch_size``, ``hidden_d`` its ``hidden``."""

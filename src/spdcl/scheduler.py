@@ -11,12 +11,14 @@ table, which is what makes the curriculum dynamic rather than static.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, ScoreTable
+if TYPE_CHECKING:  # spdcl.difficulty and spdcl.io import this module
+    from spdcl.difficulty import ScoreTable
+    from spdcl.io import RunConfig
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -26,8 +28,8 @@ def epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng((seed & _SEED_MASK, epoch))
 
 
-# Field checks shared by every config type (CurriculumConfig, TrainHyper,
-# Vocabulary, spdcl.io.RunConfig); each error names the field.
+# Field checks shared by every config type (spdcl.io.RunConfig, TrainHyper,
+# Vocabulary) and by delta_scores; each error names the field.
 
 
 def check_int(name: str, value, minimum: int | None = None) -> None:
@@ -67,30 +69,6 @@ def check_choice(name: str, value, choices: tuple) -> None:
 
 
 @dataclass(frozen=True)
-class CurriculumConfig:
-    bins_k: int = 5
-    total_epochs_T: int = 10
-    shuffle_seed: int = 2
-    alignment_mode: str = "rank"
-    delta_ordering: str = "magnitude"
-    shuffle_within_epoch: bool = True
-
-    def __post_init__(self):
-        check_int("bins_k", self.bins_k, minimum=1)
-        check_int("total_epochs_T", self.total_epochs_T, minimum=1)
-        check_int("shuffle_seed", self.shuffle_seed)
-        check_choice("alignment_mode", self.alignment_mode, ALIGNMENT_MODES)
-        check_choice("delta_ordering", self.delta_ordering, DELTA_ORDERINGS)
-        check_bool("shuffle_within_epoch", self.shuffle_within_epoch)
-        if self.total_epochs_T < self.bins_k:
-            warnings.warn(
-                f"total_epochs_T={self.total_epochs_T} < bins_k={self.bins_k}: "
-                "the hardest bins will never become visible",
-                stacklevel=2,
-            )
-
-
-@dataclass(frozen=True)
 class EpochPlan:
     """Training order for one epoch plus the bin map behind it.
 
@@ -126,14 +104,14 @@ def partition_bins(ordered_ids, k: int) -> list:
     return bins
 
 
-def build_epoch_plan(table: ScoreTable, config: CurriculumConfig, epoch: int) -> EpochPlan:
+def build_epoch_plan(table: ScoreTable, config: RunConfig, epoch: int) -> EpochPlan:
     """Bin, widen, shuffle: the full plan for one epoch from its score table.
 
     The bins are slices of the table's rank order.  The within-epoch shuffle
     permutes the visible ids from a canonical (sorted) base order with a
-    generator seeded by (shuffle_seed, epoch), so the plan is a pure
-    function of the visible id set and the seed; it does not depend on how
-    the ranking happened to order equally-visible samples.  With
+    generator seeded by (seed, epoch), so the plan is a pure function of the
+    visible id set and the seed; it does not depend on how the ranking
+    happened to order equally-visible samples.  With
     ``shuffle_within_epoch=False`` the visible set is presented in rank
     order, easiest first.
     """
@@ -145,7 +123,7 @@ def build_epoch_plan(table: ScoreTable, config: CurriculumConfig, epoch: int) ->
     if config.shuffle_within_epoch:
         # The table's ids ascend, so sorted row indices are the sorted ids.
         canonical = np.sort(visible)
-        visible = canonical[epoch_rng(config.shuffle_seed, epoch).permutation(len(canonical))]
+        visible = canonical[epoch_rng(config.seed, epoch).permutation(len(canonical))]
     bin_by_row = np.empty(len(table.ids), dtype=np.int64)
     for number, part in enumerate(bins, start=1):
         bin_by_row[part] = number

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import chain, count
@@ -27,7 +28,7 @@ from spdcl import io as spdcl_io
 from spdcl.difficulty import ScoreTable, delta_scores, dump_norms, initial_scores
 from spdcl.metrics import EvalReport, evaluate, label_frequency_groups
 from spdcl.nucnorm import DumpLayout, EmbeddingDump, read_only
-from spdcl.scheduler import CurriculumConfig, EpochPlan, build_epoch_plan, check_choice, check_int, check_lr
+from spdcl.scheduler import EpochPlan, build_epoch_plan, check_choice, check_int, check_lr
 
 PAD_INDEX = 0
 UNK_INDEX = 1
@@ -597,7 +598,7 @@ def _persist_epoch(out_dir, epoch, dump, table, plan, stats, report):
 def run_spdcl(
     train: EncodedDataset,
     valid: EncodedDataset,
-    config: CurriculumConfig,
+    config: spdcl_io.RunConfig,
     hyper: TrainHyper,
     out_dir: str | Path | None = None,
 ) -> RunResult:
@@ -609,10 +610,17 @@ def run_spdcl(
     re-scores by norm deltas, re-bins, and trains on the widened visible
     set.  Scoring always reads the float32-quantized embeddings, exactly
     what the dump files store, so rescoring a dump from disk reproduces the
-    run's scores bit for bit.
+    run's scores bit for bit.  A ``UserWarning`` says when ``epochs_T <
+    bins_k`` leaves the hardest bins untrained.
     """
     if not valid.sample_ids:
         raise ValueError("the validation split is empty: every epoch is evaluated on it")
+    if config.epochs_T < config.bins_k:
+        warnings.warn(
+            f"epochs_T={config.epochs_T} < bins_k={config.bins_k}: "
+            "the hardest bins will never become visible",
+            stacklevel=2,
+        )
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     params = init_params(
@@ -623,7 +631,7 @@ def run_spdcl(
     stats_log: list[TrainStats] = []
     reports: list[EvalReport] = []
     plans: list[EpochPlan] = []
-    for epoch in range(1, config.total_epochs_T + 1):
+    for epoch in range(1, config.epochs_T + 1):
         dump = _dump_embeddings(params, train)
         ids, norm = dump_norms(dump)
         if epoch == 1:
@@ -647,7 +655,7 @@ def run_spdcl(
 def run_baseline(
     train: EncodedDataset,
     valid: EncodedDataset,
-    config: CurriculumConfig,
+    config: spdcl_io.RunConfig,
     hyper: TrainHyper,
     out_dir: str | Path | None = None,
 ) -> RunResult:
@@ -655,7 +663,7 @@ def run_baseline(
 
     The baseline is the one-bin curriculum: ``run_spdcl`` with
     ``bins_k=1`` and ``shuffle_within_epoch=True``, so every epoch trains
-    on the whole training set, shuffled with the (shuffle_seed, epoch)-keyed
+    on the whole training set, shuffled with the (seed, epoch)-keyed
     generator.  It ignores ``config.bins_k`` and
     ``config.shuffle_within_epoch``.  Embeddings are still dumped and scored
     each epoch, purely so the nuclear-norm trajectory is observable; with

@@ -11,6 +11,7 @@ import numpy as np
 # exceeding the sweep cap.
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
+_EPS2 = np.finfo(np.float64).eps ** 2
 
 ORACLE_MAX_ELEMENTS = 10_000
 
@@ -36,7 +37,10 @@ def jacobi_singular_values(matrix) -> np.ndarray:
     """Singular values, non-increasing, by one-sided Jacobi orthogonalization of the columns.
 
     Sweeps run until the largest relative column-pair inner product drops
-    below ``JACOBI_TOL`` (at most ``JACOBI_MAX_SWEEPS`` sweeps).
+    below ``JACOBI_TOL`` (at most ``JACOBI_MAX_SWEEPS`` sweeps).  A pair in
+    which either column's squared norm is at most eps**2 times the sweep's
+    largest counts as converged: a rank-deficient matrix leaves columns of
+    rounding size, whose direction no rotation settles.
     """
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.size > ORACLE_MAX_ELEMENTS:
@@ -46,6 +50,7 @@ def jacobi_singular_values(matrix) -> np.ndarray:
     work = arr.copy() if arr.shape[0] >= arr.shape[1] else arr.T.copy()
     rounds = _disjoint_rotation_rounds(work.shape[1])
     for _ in range(JACOBI_MAX_SWEEPS):
+        floor = _EPS2 * np.einsum("ij,ij->j", work, work).max(initial=0.0)
         off = 0.0
         for p_idx, q_idx in rounds:
             cols_p = work[:, p_idx]
@@ -55,18 +60,22 @@ def jacobi_singular_values(matrix) -> np.ndarray:
             c = np.einsum("ij,ij->j", cols_p, cols_q)
             # A rank-deficient matrix leaves columns of rounding size: a * b
             # can underflow to zero and zeta * zeta overflow, so the roots are
-            # taken first, a pair with a zero root is left alone, and the
-            # rotation uses hypot.
+            # taken first and the rotation uses hypot.  A pair with a column
+            # at or below the floor (a zero column too) is left alone.
+            live = np.minimum(a, b) > floor
             scale = np.sqrt(a) * np.sqrt(b)
-            live = scale > 0.0
-            rel = np.zeros_like(c)
-            rel[live] = np.abs(c[live]) / scale[live]
-            if rel.size:
-                off = max(off, float(rel.max()))
+            if live.all():
+                rel = np.abs(c) / scale
+            else:
+                rel = np.divide(np.abs(c), scale, out=np.zeros_like(c), where=live)
+            off = max(off, float(rel.max()))
             spin = rel > JACOBI_TOL
-            if not spin.any():
-                continue
-            zeta = (b[spin] - a[spin]) / (2.0 * c[spin])
+            if not spin.all():
+                if not spin.any():
+                    continue
+                p_idx, q_idx, a, b, c = p_idx[spin], q_idx[spin], a[spin], b[spin], c[spin]
+                cols_p, cols_q = cols_p[:, spin], cols_q[:, spin]
+            zeta = (b - a) / (2.0 * c)
             t = np.where(
                 zeta == 0.0,
                 1.0,
@@ -74,10 +83,8 @@ def jacobi_singular_values(matrix) -> np.ndarray:
             )
             cs = 1.0 / np.sqrt(1.0 + t * t)
             sn = cs * t
-            rot_p = cols_p[:, spin]
-            rot_q = cols_q[:, spin]
-            work[:, p_idx[spin]] = cs * rot_p - sn * rot_q
-            work[:, q_idx[spin]] = sn * rot_p + cs * rot_q
+            work[:, p_idx] = cs * cols_p - sn * cols_q
+            work[:, q_idx] = sn * cols_p + cs * cols_q
         if off <= JACOBI_TOL:
             break
     sv = np.sqrt(np.einsum("ij,ij->j", work, work))

@@ -24,9 +24,9 @@ def visible_set(epoch: int, bins: list[list[str]]) -> list[str]:
     return out
 
 
-def baseline_plan(sample_ids, shuffle_seed: int, epoch: int) -> EpochPlan:
+def baseline_plan(sample_ids, seed: int, epoch: int) -> EpochPlan:
     all_ids = sorted(sample_ids)
-    perm = epoch_rng(shuffle_seed, epoch).permutation(len(all_ids))
+    perm = epoch_rng(seed, epoch).permutation(len(all_ids))
     return EpochPlan(
         epoch=epoch,
         visible_bins=1,

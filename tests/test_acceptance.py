@@ -9,7 +9,6 @@ pins its tolerance inline.  Run with::
 import json
 import math
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -29,7 +28,7 @@ from spdcl.metrics import (
     subset_accuracy,
 )
 from spdcl.nucnorm import nuclear_norm, singular_values
-from spdcl.scheduler import CurriculumConfig, build_epoch_plan, partition_bins
+from spdcl.scheduler import build_epoch_plan, partition_bins
 from spdcl.synth import make_separable_dataset, make_zipfian_dataset
 from spdcl.trainer import (
     TrainHyper,
@@ -168,9 +167,7 @@ def test_criterion_4_schedule_invariants(tmp_path):
             assert max(sizes) - min(sizes) <= 1
             assert [sid for b in bins for sid in b] == ranked_ids  # contiguous
 
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # T < k combos warn by design
-                config = CurriculumConfig(bins_k=k, total_epochs_T=t, shuffle_seed=11)
+            config = RunConfig(bins_k=k, epochs_T=t, seed=11)
             prev: set[str] = set()
             full = set(ids)
             for epoch in range(1, t + 1):
@@ -228,13 +225,13 @@ def test_criterion_6_degenerate_curriculum_equivalence():
     with criterion(6, "k=1 curriculum equals no-curriculum baseline"):
         train_s, valid_s = make_zipfian_dataset(120, 30, n_classes=4, seed=6)
         train, valid = encode_datasets(train_s, valid_s, "multiclass", max_len=32)
-        config = CurriculumConfig(bins_k=1, total_epochs_T=8, shuffle_seed=2)
+        config = RunConfig(bins_k=1, epochs_T=8, seed=2)
         hyper = TrainHyper(lr=0.3, batch_size=25, hidden=8, seed=2)
         curriculum = run_spdcl(train, valid, config, hyper)
         # The baseline ignores bins_k and shuffle_within_epoch, and its plans
         # equal those of the reference builder, a code apart from the scheduler.
         baseline = run_baseline(train, valid, replace(config, bins_k=3, shuffle_within_epoch=False), hyper)
-        assert baseline.plans == [baseline_plan(train.sample_ids, config.shuffle_seed, epoch) for epoch in range(1, 9)]
+        assert baseline.plans == [baseline_plan(train.sample_ids, config.seed, epoch) for epoch in range(1, 9)]
         assert [s.mean_loss for s in curriculum.stats] == [s.mean_loss for s in baseline.stats]
         assert curriculum.reports[-1] == baseline.reports[-1]
         assert np.array_equal(
@@ -287,9 +284,9 @@ def zipf_run(tmp_path_factory):
     write_run_config(out_dir / "run_config.json", run_config)
     hyper = TrainHyper(lr=0.5, batch_size=25, hidden=16, seed=2)
     started = time.perf_counter()
-    result = run_spdcl(train, valid, run_config.curriculum(), hyper, out_dir=out_dir)
+    result = run_spdcl(train, valid, run_config, hyper, out_dir=out_dir)
     elapsed = time.perf_counter() - started
-    return out_dir, result, elapsed, run_config.curriculum()
+    return out_dir, result, elapsed, run_config
 
 
 def test_criterion_8_end_to_end_smoke(zipf_run):
@@ -298,16 +295,16 @@ def test_criterion_8_end_to_end_smoke(zipf_run):
         assert elapsed < 60.0, f"run took {elapsed:.1f}s"
         manifests = sorted(out_dir.glob("epoch*.manifest.jsonl"))
         reports = sorted(out_dir.glob("epoch*.report.json"))
-        assert len(manifests) == config.total_epochs_T
-        assert len(reports) == config.total_epochs_T
-        assert len(result.reports) == config.total_epochs_T
+        assert len(manifests) == config.epochs_T
+        assert len(reports) == config.epochs_T
+        assert len(result.reports) == config.epochs_T
 
         train_s, valid_s = make_separable_dataset(1000, 200, n_classes=10, seed=8)
         train, valid = encode_datasets(train_s, valid_s, "multiclass", max_len=32)
         sep = run_spdcl(
             train,
             valid,
-            CurriculumConfig(bins_k=5, total_epochs_T=20, shuffle_seed=2),
+            RunConfig(bins_k=5, epochs_T=20, seed=2),
             TrainHyper(lr=0.5, batch_size=25, hidden=16, seed=2),
         )
         train_acc = float((predict(sep.params, train) == train.truth()).mean())
@@ -332,7 +329,7 @@ def test_criterion_9_norm_trajectory_report(zipf_run):
     with criterion(9, "per-epoch nuclear-norm trajectory in reports"):
         out_dir, _, _, config = zipf_run
         report = build_report(out_dir)
-        assert len(report["norm_trajectory"]) == config.total_epochs_T
+        assert len(report["norm_trajectory"]) == config.epochs_T
         for epoch_payload in report["epochs"]:
             stats = epoch_payload["norm_stats"]
             scores_path = out_dir / f"epoch{epoch_payload['epoch']:03d}.scores.jsonl"

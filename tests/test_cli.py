@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spdcl import cli
 from spdcl.cli import main
 from spdcl.io import (
     RunConfig,
+    read_manifest,
     read_scores,
     write_dataset,
     write_embedding_dump,
@@ -19,6 +21,7 @@ from spdcl.synth import make_zipfian_dataset
 from spdcl.trainer import encode_datasets, init_params
 
 from dumps import pack_dump
+from reference_plans import baseline_plan
 from tables import ranked_ids, score_table
 
 
@@ -174,10 +177,13 @@ def scores_file(tmp_path, n=10, epoch=1):
 def test_schedule_epoch1_takes_first_bin(tmp_path):
     scores = scores_file(tmp_path, n=10)
     manifest = tmp_path / "m.jsonl"
-    code = run_cli(
-        "schedule", "--scores", str(scores), "--bins", "5", "--epoch", "1",
-        "--seed", "2", "--out", str(manifest),
-    )
+    # Fewer epochs than bins is a run's warning; one plan does not warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "schedule", "--scores", str(scores), "--bins", "5", "--epoch", "1",
+            "--seed", "2", "--out", str(manifest),
+        )
     assert code == 0
     rec = json.loads(manifest.read_text())
     assert len(rec["order"]) == 2
@@ -203,6 +209,19 @@ def test_schedule_rejects_k_over_n(tmp_path, capsys):
     )
     assert code != 0
     assert capsys.readouterr().err.startswith("error:invalid-config:")
+
+
+def test_schedule_seed_follows_the_run_config_rule(tmp_path, capsys):
+    # The seed is an integer >= 0, as in a run config.  Seeds are masked to
+    # 64 bits, so the plan a negative seed once gave is its two's complement's.
+    scores = scores_file(tmp_path, n=10)
+    manifest = tmp_path / "m.jsonl"
+    common = ["schedule", "--scores", str(scores), "--bins", "1", "--epoch", "1", "--out", str(manifest)]
+    assert run_cli(*common, "--seed", "-1") == 1
+    assert capsys.readouterr().err == "error:invalid-config: seed must be >= 0, got -1\n"
+    assert not manifest.exists()
+    assert run_cli(*common, "--seed", str(2**64 - 1)) == 0
+    assert read_manifest(manifest) == baseline_plan(read_scores(scores).ids, -1, 1)
 
 
 def test_schedule_epoch_mismatch(tmp_path, capsys):

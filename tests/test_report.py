@@ -26,7 +26,6 @@ from spdcl.io import (
     write_json_atomic,
     write_run_config,
 )
-from spdcl.scheduler import CurriculumConfig
 from spdcl.synth import make_zipfian_dataset
 from spdcl.trainer import TrainHyper, encode_datasets, run_baseline, run_spdcl
 
@@ -71,7 +70,7 @@ def recomputed_stats(run_dir, epoch) -> dict:
 @pytest.mark.parametrize("task_kind", ["multiclass", "multilabel"])
 def test_epoch_reports_hold_the_score_files_norm_stats(tmp_path, runner, task_kind):
     train, valid = _datasets(task_kind)
-    config = CurriculumConfig(bins_k=3, total_epochs_T=4, shuffle_seed=2)
+    config = RunConfig(bins_k=3, epochs_T=4, seed=2)
     result = runner(train, valid, config, TrainHyper(lr=0.3, batch_size=8, hidden=4), out_dir=tmp_path)
     for epoch, table in enumerate(result.scores, start=1):
         payload = json.loads((tmp_path / f"epoch{epoch:03d}.report.json").read_text())
@@ -215,7 +214,7 @@ def test_run_and_report_leave_numpy_ma_unimported(tmp_path):
         train, valid = encode_datasets(*make_zipfian_dataset(40, 12, n_classes=3, seed=1), "multiclass")
         config = RunConfig(bins_k=2, epochs_T=3)
         write_run_config(out + "/run_config.json", config)
-        run_spdcl(train, valid, config.curriculum(), TrainHyper(hidden=4), out_dir=out)
+        run_spdcl(train, valid, config, TrainHyper(hidden=4), out_dir=out)
         assert len(build_report(out)["epochs"]) == 3
         print("numpy.ma" in sys.modules)
         """

@@ -1,9 +1,11 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdcl.io import RunConfig
 from spdcl.scheduler import (
-    CurriculumConfig,
     build_epoch_plan,
     epoch_rng,
     partition_bins,
@@ -60,7 +62,7 @@ def test_visible_set_widens_then_saturates():
 
 def test_epoch1_plan_is_shuffled_bin1():
     ids = [f"s{i}" for i in range(10)]
-    config = CurriculumConfig(bins_k=5, total_epochs_T=10, shuffle_seed=7)
+    config = RunConfig(bins_k=5, epochs_T=10, seed=7)
     plan = build_epoch_plan(table_for(ids), config, 1)
     assert plan.visible_bins == 1
     assert sorted(plan.ordered_ids) == ids[:2]
@@ -69,7 +71,7 @@ def test_epoch1_plan_is_shuffled_bin1():
 
 def test_plan_is_deterministic():
     ids = [f"s{i}" for i in range(30)]
-    config = CurriculumConfig(bins_k=4, total_epochs_T=8, shuffle_seed=123)
+    config = RunConfig(bins_k=4, epochs_T=8, seed=123)
     a = build_epoch_plan(table_for(ids), config, 3)
     b = build_epoch_plan(table_for(ids), config, 3)
     assert a.ordered_ids == b.ordered_ids
@@ -78,7 +80,7 @@ def test_plan_is_deterministic():
 
 def test_plan_depends_only_on_visible_set_not_rank_order():
     # Ranks permuted inside one bin leave the plan's order unchanged.
-    config = CurriculumConfig(bins_k=2, total_epochs_T=4, shuffle_seed=9)
+    config = RunConfig(bins_k=2, epochs_T=4, seed=9)
     a = build_epoch_plan(table_for(["a", "b", "c", "d"]), config, 1)
     b = build_epoch_plan(table_for(["b", "a", "c", "d"]), config, 1)
     assert a.ordered_ids == b.ordered_ids
@@ -86,14 +88,14 @@ def test_plan_depends_only_on_visible_set_not_rank_order():
 
 def test_no_shuffle_mode_presents_rank_order():
     ids = [f"s{i}" for i in range(9)]
-    config = CurriculumConfig(bins_k=3, total_epochs_T=6, shuffle_seed=1, shuffle_within_epoch=False)
+    config = RunConfig(bins_k=3, epochs_T=6, seed=1, shuffle_within_epoch=False)
     plan = build_epoch_plan(table_for(ids), config, 2)
     assert plan.ordered_ids == ids[:6]
 
 
 def test_plan_beyond_k_covers_everything():
     ids = [f"s{i}" for i in range(11)]
-    config = CurriculumConfig(bins_k=4, total_epochs_T=10, shuffle_seed=5)
+    config = RunConfig(bins_k=4, epochs_T=10, seed=5)
     plan = build_epoch_plan(table_for(ids), config, 7)
     assert sorted(plan.ordered_ids) == sorted(ids)
     assert plan.visible_bins == 4
@@ -101,26 +103,30 @@ def test_plan_beyond_k_covers_everything():
 
 def test_config_validation_and_warning():
     with pytest.raises(ValueError):
-        CurriculumConfig(bins_k=0)
+        RunConfig(bins_k=0)
     with pytest.raises(ValueError):
-        CurriculumConfig(alignment_mode="nope")
-    with pytest.warns(UserWarning, match="never become visible"):
-        CurriculumConfig(bins_k=10, total_epochs_T=3)
+        RunConfig(alignment_mode="nope")
+    # Fewer epochs than bins is a run's warning (run_spdcl), not the config's
+    # or a plan's.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = RunConfig(bins_k=10, epochs_T=3)
+        build_epoch_plan(table_for([f"s{i}" for i in range(10)]), config, 3)
 
 
 @pytest.mark.parametrize(
     "kwargs, field",
     [
         ({"bins_k": 2.5}, "bins_k"),
-        ({"total_epochs_T": 2.5}, "total_epochs_T"),
-        ({"shuffle_seed": 1.5}, "shuffle_seed"),
+        ({"epochs_T": 2.5}, "epochs_T"),
+        ({"seed": 1.5}, "seed"),
         ({"bins_k": True}, "bins_k"),
         ({"shuffle_within_epoch": "no"}, "shuffle_within_epoch"),
     ],
 )
 def test_config_rejects_wrong_types(kwargs, field):
     with pytest.raises(ValueError, match=field):
-        CurriculumConfig(**kwargs)
+        RunConfig(**kwargs)
 
 
 # --------------------------------------------------------------- properties
@@ -145,7 +151,7 @@ def test_partition_sizes_and_adjacency(n, data):
 def test_nested_and_saturating_visibility(n, data):
     k = data.draw(st.integers(1, n))
     ids = [f"s{i:04d}" for i in range(n)]
-    config = CurriculumConfig(bins_k=k, total_epochs_T=max(k, 3), shuffle_seed=0)
+    config = RunConfig(bins_k=k, epochs_T=max(k, 3), seed=0)
     prev: set[str] = set()
     for epoch in range(1, k + 2):
         plan = build_epoch_plan(table_for(ids), config, epoch)
@@ -165,7 +171,7 @@ def test_plan_matches_list_oracle(n, data):
     epoch = data.draw(st.integers(1, k + 1))
     shuffle = data.draw(st.booleans())
     ranked = data.draw(st.permutations([f"s{i:03d}" for i in range(n)]))
-    config = CurriculumConfig(bins_k=k, total_epochs_T=max(k, 2), shuffle_seed=n,
+    config = RunConfig(bins_k=k, epochs_T=max(k, 2), seed=n,
                               shuffle_within_epoch=shuffle)
     plan = build_epoch_plan(table_for(ranked), config, epoch)
 

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdcl import trainer
-from spdcl.io import TextSample
+from spdcl.io import RunConfig, TextSample
 from spdcl.nucnorm import nuclear_norm
-from spdcl.scheduler import CurriculumConfig, EpochPlan
+from spdcl.scheduler import EpochPlan
 from spdcl.trainer import (
     EncodedDataset,
     ModelParams,
@@ -396,7 +396,7 @@ def test_train_epoch_rejects_bad_batch_size():
 
 def test_two_runs_bit_identical():
     train, valid = make_encoded(n_train=30)
-    config = CurriculumConfig(bins_k=3, total_epochs_T=4, shuffle_seed=2)
+    config = RunConfig(bins_k=3, epochs_T=4, seed=2)
     hyper = TrainHyper(lr=0.2, batch_size=5, hidden=4, seed=2)
     a = run_spdcl(train, valid, config, hyper)
     b = run_spdcl(train, valid, config, hyper)
@@ -611,7 +611,7 @@ def test_dump_then_train_ordering():
     # Epoch t's stored norms reflect parameters before epoch t's update:
     # epoch 1 norms come from the untouched initialization.
     train, valid = make_encoded(n_train=20)
-    config = CurriculumConfig(bins_k=2, total_epochs_T=2, shuffle_seed=4)
+    config = RunConfig(bins_k=2, epochs_T=2, seed=4)
     hyper = TrainHyper(lr=0.3, batch_size=4, hidden=4, seed=4)
     result = run_spdcl(train, valid, config, hyper)
     params0 = init_params(train.vocab.size, 4, len(train.label_names), "multiclass", 4)
@@ -626,7 +626,7 @@ def test_dump_then_train_ordering():
 
 def test_k1_equals_baseline_exactly():
     train, valid = make_encoded(n_train=30, n_valid=10)
-    config = CurriculumConfig(bins_k=1, total_epochs_T=5, shuffle_seed=2)
+    config = RunConfig(bins_k=1, epochs_T=5, seed=2)
     hyper = TrainHyper(lr=0.2, batch_size=7, hidden=4, seed=2)
     spdcl_run = run_spdcl(train, valid, config, hyper)
     base_run = run_baseline(train, valid, config, hyper)
@@ -645,16 +645,38 @@ def test_run_rejects_empty_validation_split(runner, tmp_path, monkeypatch):
         raise AssertionError("init_params ran before the validation split was checked")
 
     monkeypatch.setattr(trainer, "init_params", no_init)
-    config = CurriculumConfig(bins_k=2, total_epochs_T=2, shuffle_seed=2)
+    config = RunConfig(bins_k=2, epochs_T=2, seed=2)
     with pytest.raises(ValueError, match="validation split is empty"):
         runner(train, valid, config, TrainHyper(hidden=4), out_dir=tmp_path / "run")
     assert not (tmp_path / "run").exists()
 
 
+def test_run_warns_when_epochs_never_reach_the_hardest_bins():
+    train, valid = make_encoded(n_train=20)
+    config = RunConfig(bins_k=4, epochs_T=2, seed=2)
+    with pytest.warns(UserWarning, match="never become visible"):
+        run_spdcl(train, valid, config, TrainHyper(hidden=4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the baseline has one bin
+        run_baseline(train, valid, config, TrainHyper(hidden=4))
+
+
+def test_a_run_configs_curriculum_is_the_config_itself():
+    train, valid = make_encoded(n_train=20)
+    config = RunConfig(bins_k=2, epochs_T=3, seed=5, alignment_mode="identity", delta_ordering="signed")
+    hyper = TrainHyper(lr=0.3, batch_size=4, hidden=4, seed=5)
+    via, direct = run_spdcl(train, valid, config.curriculum(), hyper), run_spdcl(train, valid, config, hyper)
+    assert via.plans == direct.plans and via.stats == direct.stats and via.reports == direct.reports
+    assert [(t.ids, t.norm.tolist(), t.score.tolist()) for t in via.scores] == [
+        (t.ids, t.norm.tolist(), t.score.tolist()) for t in direct.scores
+    ]
+    assert np.array_equal(via.params.embedding_table, direct.params.embedding_table)
+
+
 def test_separable_data_reaches_high_train_accuracy():
     train_s, valid_s = make_separable_dataset(200, 40, n_classes=2, seed=5)
     train, valid = encode_datasets(train_s, valid_s, "multiclass", max_len=32)
-    config = CurriculumConfig(bins_k=4, total_epochs_T=30, shuffle_seed=2)
+    config = RunConfig(bins_k=4, epochs_T=30, seed=2)
     hyper = TrainHyper(lr=0.5, batch_size=25, hidden=8, seed=2)
     result = run_spdcl(train, valid, config, hyper)
     train_acc = float((predict(result.params, train) == train.truth()).mean())
@@ -673,7 +695,7 @@ def test_multilabel_end_to_end_smoke():
     train_s = [multi_sample("train", i) for i in range(40)]
     valid_s = [multi_sample("valid", i) for i in range(10)]
     train, valid = encode_datasets(train_s, valid_s, "multilabel", max_len=16)
-    config = CurriculumConfig(bins_k=4, total_epochs_T=6, shuffle_seed=1)
+    config = RunConfig(bins_k=4, epochs_T=6, seed=1)
     hyper = TrainHyper(lr=0.5, batch_size=8, hidden=6, seed=1)
     result = run_spdcl(train, valid, config, hyper)
     assert len(result.reports) == 6
@@ -761,7 +783,7 @@ def test_every_dump_of_a_run_shares_the_training_layout(monkeypatch):
     dumps = []
     dump_embeddings = trainer._dump_embeddings
     monkeypatch.setattr(trainer, "_dump_embeddings", lambda *args: dumps.append(dump_embeddings(*args)) or dumps[-1])
-    run_spdcl(train, valid, CurriculumConfig(bins_k=2, total_epochs_T=3, shuffle_seed=2), TrainHyper(hidden=4))
+    run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=3, seed=2), TrainHyper(hidden=4))
     assert len(dumps) == 3
     assert all(dump.layout is train.layout for dump in dumps)
 
@@ -779,7 +801,7 @@ def test_one_dump_alive_at_a_time(monkeypatch, tmp_path):
         return dump
 
     monkeypatch.setattr(trainer, "_dump_embeddings", dumping)
-    config = CurriculumConfig(bins_k=2, total_epochs_T=3, shuffle_seed=2)
+    config = RunConfig(bins_k=2, epochs_T=3, seed=2)
     run_spdcl(train, valid, config, TrainHyper(hidden=4), tmp_path)
     assert alive == [[], [False], [False, False]]
     assert len(list(tmp_path.glob("*.embeddings.bin"))) == 3
