@@ -15,7 +15,8 @@ Errors exit nonzero with a single machine-parsable line on stderr,
   file that cannot be read or encoded (bad JSON or UTF-8, a lone surrogate
   escape, an integer past Python's int-string digit limit, a bad field);
 - ``epoch-mismatch``: a score file from the wrong epoch, or ``--prev-scores``
-  given or missing for the epoch;
+  given or missing for the epoch, which, like ``bad-arguments``, is found
+  before any file is read;
 - ``sample-mismatch``: a dump and the previous scores cover different samples;
 - ``invalid-config``: a run config or schedule setting is rejected;
 - ``diverged``: training hit a non-finite loss or parameter; the message
@@ -59,19 +60,19 @@ class CliError(Exception):
 
 
 def cmd_score(args) -> None:
+    if args.epoch < 1:
+        raise CliError("bad-arguments", "--epoch must be >= 1")
+    if args.epoch == 1 and args.prev_scores is not None:
+        raise CliError("epoch-mismatch", "--prev-scores is only valid for epoch >= 2")
+    if args.epoch > 1 and args.prev_scores is None:
+        raise CliError("epoch-mismatch", f"epoch {args.epoch} requires --prev-scores")
     try:
         dump = spdcl_io.read_embedding_dump(args.embeddings)
     except (FormatError, OSError) as exc:
         raise CliError("malformed-dump", str(exc))
-    if args.epoch < 1:
-        raise CliError("bad-arguments", "--epoch must be >= 1")
     if args.epoch == 1:
-        if args.prev_scores is not None:
-            raise CliError("epoch-mismatch", "--prev-scores is only valid for epoch >= 2")
         table = initial_scores(*dump_norms(dump))
     else:
-        if args.prev_scores is None:
-            raise CliError("epoch-mismatch", f"epoch {args.epoch} requires --prev-scores")
         try:
             previous = spdcl_io.read_scores(args.prev_scores)
         except (FormatError, OSError) as exc:

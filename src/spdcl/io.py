@@ -38,10 +38,13 @@ Embedding dumps are a small binary format:
 
 Every sample in a dump has the same column count.  Values are single
 precision on disk and in memory (:class:`spdcl.nucnorm.EmbeddingDump`);
-scoring widens them to double.  Dump headers are packed once per layout and
-column count, and are walked again only when they differ from the last dump
-read; score-file ids are JSON-escaped once per id tuple.  Every write goes
-through a temp file in the target directory followed by an atomic rename.
+scoring widens them to double.  ``write_embedding_dump`` writes a dump in
+bounded chunks of contiguous samples, whichever row source it has, so it
+never holds the whole file; the format is the same whatever the chunking.
+Dump headers are packed once per layout and column count, and are walked
+again only when they differ from the last dump read; score-file ids are
+JSON-escaped once per id tuple.  Every write goes through a temp file in
+the target directory followed by an atomic rename.
 """
 
 from __future__ import annotations
@@ -82,12 +85,18 @@ class FormatError(ValueError):
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+    _atomic_write_chunks(path, (payload,))
+
+
+def _atomic_write_chunks(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` one after another to a temp file, then rename it to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -261,14 +270,23 @@ def _dump_headers(layout: DumpLayout, cols: int) -> tuple[bytes, tuple[bytes, ..
 
 
 def write_embedding_dump(path, dump: EmbeddingDump) -> None:
+    """Write a dump one chunk of contiguous samples at a time (see :meth:`EmbeddingDump.chunks`):
+    one join of their packed headers and float32 rows per chunk, never the whole file."""
     cols = dump.values.shape[1]
     head, headers = _dump_headers(dump.layout, cols)
-    raw = memoryview(np.ascontiguousarray(dump.values, dtype="<f4")).cast("B")
-    bounds = (dump.offsets * (4 * cols)).tolist()
-    parts = [head] * (2 * len(headers) + 1)
-    parts[1::2] = headers
-    parts[2::2] = map(raw.__getitem__, map(slice, bounds, bounds[1:]))
-    _atomic_write_bytes(Path(path), b"".join(parts))
+    row_bytes = 4 * cols
+
+    def chunks():
+        yield head
+        for first, stop, rows in dump.chunks():
+            raw = memoryview(np.ascontiguousarray(rows, dtype="<f4")).cast("B")
+            bounds = ((dump.offsets[first : stop + 1] - dump.offsets[first]) * row_bytes).tolist()
+            parts = [b""] * (2 * (stop - first))
+            parts[0::2] = headers[first:stop]
+            parts[1::2] = map(raw.__getitem__, map(slice, bounds, bounds[1:]))
+            yield b"".join(parts)
+
+    _atomic_write_chunks(Path(path), chunks())
 
 
 # The last layout read_embedding_dump walked: (file size, the spans of the

@@ -4,23 +4,27 @@ The nuclear norm is the sum of the singular values, equivalently
 ``tr(sqrt(E^T E))``.  It is computed from the smaller Gram matrix by a
 symmetric eigendecomposition.  :class:`DumpLayout` is the checked layout
 (ids, row offsets) that a training set builds once and all its dumps share.
-:class:`EmbeddingDump` holds every sample's token-by-hidden rows in one
-float32 array and checks only those, so scoring a dump runs the kernel on
-plain arrays: one stacked call per group of samples that share a row count,
-planned once per layout and column count.  Everything here is a pure
-function over immutable inputs and safe to call from many workers at once.
+:class:`EmbeddingDump` has two row sources, every sample's token-by-hidden
+rows in one float32 array (a dump read from a file) or a float32 table with
+a row index (the run loop's embedding table and token ids), and one scoring
+path over plain arrays: one stacked call per group of samples that share a
+row count, planned once per layout and column count, each gathering its
+rows through the index if there is one.  Everything here is a pure function
+over immutable inputs and safe to call from many workers at once.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 # Float64 values scored per stacked kernel call: 2 MiB.  Slicing each
 # row-count group to this size keeps scoring's memory constant, however many
 # samples share a length (every text longer than max_len truncates to it).
+# A dump file is written in chunks of at most as many float32 values.
 _SCORE_SLICE_VALUES = 1 << 18
 
 
@@ -149,22 +153,28 @@ def _score_slices(layout: DumpLayout, cols: int) -> tuple[tuple[np.ndarray, np.n
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingDump:
-    """Every sample's token-by-hidden embedding rows, packed into one array.
+    """Every sample's token-by-hidden embedding rows, from one of two row sources.
 
-    Sample ``ids[i]`` owns rows ``values[offsets[i]:offsets[i + 1]]``, as
-    ``layout`` says; ``ids`` and ``offsets`` are the layout's own.
-    ``values`` is stored as float32, the dump file's precision, so scoring
-    an in-memory dump and scoring the same dump read from disk agree bit for
-    bit.  The layout is checked when it is built; the constructor checks
-    only the rest: at least one sample, and values 2-D, one row per layout
-    row, at least one column, and finite.  The values are held read-only
-    (see :func:`read_only`), so nothing can change a checked dump: the
-    trainer's frozen gather and a dump file's bytes are kept as they are,
-    and values the caller can still write are copied.
+    Sample ``ids[i]`` owns layout rows ``offsets[i]:offsets[i + 1]``, as
+    ``layout`` says; ``ids`` and ``offsets`` are the layout's own.  Layout
+    row ``r`` is ``values[r]`` (a dump read from a file), or
+    ``values[index[r]]`` when there is an ``index``: the run loop's dump is
+    its embedding table with the training split's token ids, and builds no
+    (total rows, d) array.  ``values`` is stored as float32, the dump file's
+    precision, so scoring an in-memory dump and scoring the same dump read
+    from disk agree bit for bit.  The layout is checked when it is built;
+    the constructor checks only the rest: at least one sample, values 2-D
+    with at least one column, one values row (or one in-range index) per
+    layout row, and every row a sample uses finite; an error names the first
+    sample that uses a bad row.  ``values`` and ``index`` are held read-only
+    (see :func:`read_only`): the trainer's frozen table and token ids and a
+    dump file's bytes are kept as they are, and arrays the caller can still
+    write are copied.
     """
 
     layout: DumpLayout
-    values: np.ndarray  # (sum of rows, d) float32
+    values: np.ndarray  # (sum of rows, d) float32, or (table rows, d) with an index
+    index: np.ndarray | None = None  # (sum of rows,) int64 rows of values, or None
 
     def __post_init__(self):
         layout = self.layout
@@ -173,13 +183,24 @@ class EmbeddingDump:
         values = read_only(self.values, np.float32)
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError(f"dump values must be 2-D with at least one column, got shape {values.shape}")
-        if values.shape[0] != layout.offsets[-1]:
+        index = self.index
+        if index is not None:
+            index = read_only(index, np.int64)
+            if index.shape != (layout.offsets[-1],):
+                raise ValueError(f"dump index must hold the layout's {layout.offsets[-1]} rows, got shape {index.shape}")
+            if index.min() < 0 or index.max() >= len(values):
+                raise ValueError(f"dump index out of range for {len(values)} rows")
+        elif values.shape[0] != layout.offsets[-1]:
             raise ValueError(f"dump values must have the layout's {layout.offsets[-1]} rows, got {values.shape[0]}")
         if not np.isfinite(values).all():
-            bad_row = np.argmin(np.isfinite(values).all(axis=1))
-            sample = int(np.searchsorted(layout.offsets, bad_row, side="right")) - 1
-            raise ValueError(f"sample {layout.ids[sample]!r} contains non-finite values")
+            bad = ~np.isfinite(values).all(axis=1)
+            if index is not None:
+                bad = bad[index]
+            if bad.any():
+                sample = int(np.searchsorted(layout.offsets, np.argmax(bad), side="right")) - 1
+                raise ValueError(f"sample {layout.ids[sample]!r} contains non-finite values")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "index", index)
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -189,12 +210,31 @@ class EmbeddingDump:
     def offsets(self) -> np.ndarray:
         return self.layout.offsets
 
+    def rows(self, which) -> np.ndarray:
+        """The float32 rows at ``which``, a slice or an index array of layout rows."""
+        if self.index is None:
+            return self.values[which]
+        return self.values.take(self.index[which], axis=0)
+
+    def chunks(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """``(first, stop, rows)`` for runs of contiguous samples, in ``ids`` order:
+        samples ``first:stop`` and their rows, ``_SCORE_SLICE_VALUES`` values
+        at most (or one sample)."""
+        offsets = self.offsets
+        budget = max(1, _SCORE_SLICE_VALUES // self.values.shape[1])
+        first, n = 0, len(self.ids)
+        while first < n:
+            stop = max(first + 1, int(np.searchsorted(offsets, offsets[first] + budget, side="right")) - 1)
+            yield first, stop, self.rows(slice(offsets[first], offsets[stop]))
+            first = stop
+
     def nuclear_norms(self) -> np.ndarray:
         """Each sample's nuclear norm in ``ids`` order, from its rows widened to float64.
 
         Samples are scored in groups that share a row count, one stacked
         kernel call per slice of a group, so an epoch costs one LAPACK batch
         per distinct length rather than one call per sample.  Each slice
+        gathers its float32 rows (through the index, if there is one) and
         holds at most ``_SCORE_SLICE_VALUES`` float64 values (or one
         sample), which bounds scoring's temporaries whatever the group size.
         Every sample's spectrum and sum are computed exactly as
@@ -203,5 +243,5 @@ class EmbeddingDump:
         """
         norms = np.empty(len(self.ids))
         for members, rows_of in _score_slices(self.layout, self.values.shape[1]):
-            norms[members] = _spectrum(self.values[rows_of].astype(np.float64)).sum(axis=-1)
+            norms[members] = _spectrum(self.rows(rows_of).astype(np.float64)).sum(axis=-1)
         return norms

@@ -32,8 +32,6 @@ from spdcl.scheduler import EpochPlan, build_epoch_plan, check_choice, check_int
 
 PAD_INDEX = 0
 UNK_INDEX = 1
-# Float64 values gathered per slice of an embedding dump: 2 MiB.
-_DUMP_SLICE_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -560,24 +558,6 @@ class RunResult:
     scores: list[ScoreTable]
 
 
-def _dump_embeddings(params: ModelParams, data: EncodedDataset) -> EmbeddingDump:
-    """Every sample's token-embedding rows, in the dataset's row order, quantized to float32.
-
-    A training split from ``encode_datasets`` is held in ascending id order,
-    so its dump is too, in the dataset's own layout.  The rows are gathered
-    in slices of at most ``_DUMP_SLICE_VALUES`` float64 values and cast into
-    one float32 array, so the dump never holds a float64 copy of itself.
-    """
-    _check_fits(params, data)
-    table, tokens = params.embedding_table, data.tokens
-    values = np.empty((tokens.size, table.shape[1]), dtype=np.float32)
-    step = max(1, _DUMP_SLICE_VALUES // table.shape[1])
-    for start in range(0, tokens.size, step):
-        values[start : start + step] = table.take(tokens[start : start + step], axis=0)
-    values.setflags(write=False)  # handed over frozen, and so not copied
-    return EmbeddingDump(data.layout, values)
-
-
 def _eval_epoch(params, valid, groups) -> EvalReport:
     preds = predict(params, valid)
     return evaluate(valid.truth(), preds, n_labels=len(valid.label_names), groups=groups)
@@ -608,10 +588,13 @@ def run_spdcl(
     norm and trains on bin 1 only.  Every later epoch re-dumps embeddings
     (before training, so the dump reflects the previous epoch's parameters),
     re-scores by norm deltas, re-bins, and trains on the widened visible
-    set.  Scoring always reads the float32-quantized embeddings, exactly
-    what the dump files store, so rescoring a dump from disk reproduces the
-    run's scores bit for bit.  A ``UserWarning`` says when ``epochs_T <
-    bins_k`` leaves the hardest bins untrained.
+    set.  Each epoch's dump is the embedding table, cast once to float32,
+    with the training split's token ids as its row index: scoring and the
+    dump file gather the rows from it slice by slice, so no whole dump is
+    ever built.  Scoring always reads the float32-quantized embeddings,
+    exactly what the dump files store, so rescoring a dump from disk
+    reproduces the run's scores bit for bit.  A ``UserWarning`` says when
+    ``epochs_T < bins_k`` leaves the hardest bins untrained.
     """
     if not valid.sample_ids:
         raise ValueError("the validation split is empty: every epoch is evaluated on it")
@@ -632,7 +615,12 @@ def run_spdcl(
     reports: list[EvalReport] = []
     plans: list[EpochPlan] = []
     for epoch in range(1, config.epochs_T + 1):
-        dump = _dump_embeddings(params, train)
+        # A row past float32's range casts to inf, which the dump's
+        # finiteness check reports by the first sample that uses it.
+        with np.errstate(over="ignore"):
+            values = params.embedding_table.astype(np.float32)
+        values.setflags(write=False)  # fresh, handed over frozen and so not copied
+        dump = EmbeddingDump(train.layout, values, train.tokens)
         ids, norm = dump_norms(dump)
         if epoch == 1:
             table = initial_scores(ids, norm)
@@ -644,7 +632,6 @@ def run_spdcl(
         params, stats = train_epoch(params, plan, train, hyper.lr, hyper.batch_size)
         report = _eval_epoch(params, valid, groups)
         _persist_epoch(out_dir, epoch, dump, table, plan, stats, report)
-        del dump  # so the next epoch's dump is not built beside this one
         tables.append(table)
         stats_log.append(stats)
         reports.append(report)

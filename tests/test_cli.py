@@ -155,6 +155,21 @@ def test_score_wrong_prev_epoch(dump_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:epoch-mismatch:")
 
 
+@pytest.mark.parametrize(
+    "flags, category",
+    [
+        (["--epoch", "0"], "bad-arguments"),
+        (["--epoch", "1", "--prev-scores", "e0.jsonl"], "epoch-mismatch"),
+        (["--epoch", "2"], "epoch-mismatch"),
+    ],
+)
+def test_score_checks_its_flags_before_it_reads_the_dump(tmp_path, capsys, flags, category):
+    out = tmp_path / "scores.jsonl"
+    assert run_cli("score", "--embeddings", str(tmp_path / "missing.bin"), "--out", str(out), *flags) == 1
+    assert capsys.readouterr().err.startswith(f"error:{category}:")
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- schedule
 
 

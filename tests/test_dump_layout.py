@@ -129,6 +129,55 @@ def test_dump_checks_only_the_values():
     assert not dump.values.flags.writeable
 
 
+def test_an_indexed_dump_checks_its_index_and_the_rows_it_uses():
+    layout = DumpLayout(["a", "b", "c"], [0, 1, 3, 4])
+    table = np.arange(8, dtype=np.float32).reshape(4, 2)
+    with pytest.raises(ValueError, match="the layout's 4 rows, got shape \\(3,\\)"):
+        EmbeddingDump(layout, table, [0, 1, 2])
+    with pytest.raises(ValueError, match="dump index out of range for 4 rows"):
+        EmbeddingDump(layout, table, [0, 1, 4, 2])
+    with pytest.raises(ValueError, match="dump index out of range"):
+        EmbeddingDump(layout, table, [0, -1, 1, 2])
+    # A non-finite table row is an error for the first sample that uses it,
+    # and no error while no sample does.
+    table[3, 1] = np.inf
+    with pytest.raises(ValueError, match="'b' contains non-finite"):
+        EmbeddingDump(layout, table, [0, 1, 3, 3])
+    dump = EmbeddingDump(layout, table, [0, 1, 2, 0])
+    assert dump.rows(slice(None)).tolist() == [[0, 1], [2, 3], [4, 5], [0, 1]]
+    assert not dump.index.flags.writeable
+
+
+# Two rows of d=4 per chunk.  Five one-row samples leave a short last chunk,
+# a five-row sample is larger than the whole budget, and one-sample dumps
+# are one chunk.
+@pytest.mark.parametrize(
+    "lengths, chunks",
+    [
+        ((1, 1, 1, 1, 1), [(0, 2), (2, 4), (4, 5)]),
+        ((1, 1, 5, 1, 1, 1), [(0, 2), (2, 3), (3, 5), (5, 6)]),
+        ((3,), [(0, 1)]),
+        ((1,), [(0, 1)]),
+    ],
+)
+def test_chunked_writer_writes_the_documented_layout(tmp_path, monkeypatch, lengths, chunks):
+    monkeypatch.setattr(nucnorm, "_SCORE_SLICE_VALUES", 9)
+    rng = np.random.default_rng(len(lengths))
+    table = rng.normal(size=(6, 4)).astype(np.float32)
+    tokens = rng.integers(0, 6, size=sum(lengths))
+    ids = [f"s{i}é" for i in range(len(lengths))]
+    offsets = np.cumsum((0, *lengths))
+    expected = reference_dump_bytes(ids, [table[tokens[a:b]] for a, b in zip(offsets[:-1], offsets[1:])])
+    dump = EmbeddingDump(DumpLayout(ids, offsets), table, tokens)
+    assert [(first, stop) for first, stop, _ in dump.chunks()] == chunks
+    write_embedding_dump(tmp_path / "table.bin", dump)
+    assert (tmp_path / "table.bin").read_bytes() == expected
+    read = read_embedding_dump(tmp_path / "table.bin")
+    assert [(first, stop) for first, stop, _ in read.chunks()] == chunks
+    write_embedding_dump(tmp_path / "read.bin", read)
+    assert (tmp_path / "read.bin").read_bytes() == expected
+
+
 def test_layout_and_dump_leave_the_callers_arrays_writable():
     offsets = np.array([0, 1, 3], dtype=np.int64)
     layout = DumpLayout(["a", "b"], offsets)

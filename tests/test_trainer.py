@@ -1,16 +1,20 @@
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdcl import trainer
+from spdcl import io as spdcl_io
+from spdcl import nucnorm, trainer
+from spdcl.difficulty import dump_norms
 from spdcl.io import RunConfig, TextSample
-from spdcl.nucnorm import nuclear_norm
+from spdcl.nucnorm import DumpLayout, EmbeddingDump, nuclear_norm
 from spdcl.scheduler import EpochPlan
 from spdcl.trainer import (
     EncodedDataset,
@@ -27,7 +31,6 @@ from spdcl.trainer import (
     run_baseline,
     run_spdcl,
     train_epoch,
-    _dump_embeddings,
 )
 from spdcl.synth import make_separable_dataset, make_zipfian_dataset
 
@@ -778,29 +781,31 @@ def test_dataset_leaves_the_callers_arrays_writable(task_kind):
     assert data.targets[0].tolist() == (0 if task_kind == "multiclass" else [1, 0])
 
 
-def test_every_dump_of_a_run_shares_the_training_layout(monkeypatch):
+def test_every_dump_of_a_run_shares_the_training_layout(monkeypatch, tmp_path):
+    # Each epoch scores and writes one dump: the table over the training
+    # split's own layout and token ids, neither of them copied.
     train, valid = make_encoded(n_train=20)
-    dumps = []
-    dump_embeddings = trainer._dump_embeddings
-    monkeypatch.setattr(trainer, "_dump_embeddings", lambda *args: dumps.append(dump_embeddings(*args)) or dumps[-1])
-    run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=3, seed=2), TrainHyper(hidden=4))
-    assert len(dumps) == 3
-    assert all(dump.layout is train.layout for dump in dumps)
+    scored, written = [], []
+    norms_of, write = trainer.dump_norms, spdcl_io.write_embedding_dump
+    monkeypatch.setattr(trainer, "dump_norms", lambda dump: scored.append(dump) or norms_of(dump))
+    monkeypatch.setattr(spdcl_io, "write_embedding_dump", lambda path, dump: written.append(dump) or write(path, dump))
+    run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=3, seed=2), TrainHyper(hidden=4), tmp_path)
+    assert len(scored) == 3 and written == scored
+    assert all(dump.layout is train.layout and dump.index is train.tokens for dump in scored)
 
 
 def test_one_dump_alive_at_a_time(monkeypatch, tmp_path):
-    # Each epoch's dump is released once persisted, before the next is built.
+    # Each epoch's dump is released once persisted, before the next is scored.
     train, valid = make_encoded(n_train=20)
     dumps, alive = [], []
-    dump_embeddings = trainer._dump_embeddings
+    norms_of = trainer.dump_norms
 
-    def dumping(*args):
+    def scoring(dump):
         alive.append([ref() is not None for ref in dumps])
-        dump = dump_embeddings(*args)
         dumps.append(weakref.ref(dump))
-        return dump
+        return norms_of(dump)
 
-    monkeypatch.setattr(trainer, "_dump_embeddings", dumping)
+    monkeypatch.setattr(trainer, "dump_norms", scoring)
     config = RunConfig(bins_k=2, epochs_T=3, seed=2)
     run_spdcl(train, valid, config, TrainHyper(hidden=4), tmp_path)
     assert alive == [[], [False], [False, False]]
@@ -808,11 +813,75 @@ def test_one_dump_alive_at_a_time(monkeypatch, tmp_path):
 
 
 def test_dump_gathered_in_slices_equals_one_cast(monkeypatch):
-    data = random_encoded("multiclass")
-    params = init_params(data.vocab.size, 4, len(data.label_names), "multiclass", seed=2)
-    expected = params.embedding_table[data.tokens].astype(np.float32)
-    dump = _dump_embeddings(params, data)
-    assert np.array_equal(dump.values, expected)
-    assert dump.ids == data.sample_ids and dump.offsets is data.offsets
-    monkeypatch.setattr(trainer, "_DUMP_SLICE_VALUES", 9)  # two rows of d=4 per slice
-    assert np.array_equal(_dump_embeddings(params, data).values, expected)
+    # The run loop's dump holds the table and the token ids; its rows are
+    # the table's rows at the tokens cast once to float32, and it scores as
+    # its materialized twin does, bit for bit, however it is sliced.
+    train, valid = make_encoded(n_train=20)
+    dumps = []
+    norms_of = trainer.dump_norms
+    monkeypatch.setattr(trainer, "dump_norms", lambda dump: dumps.append(dump) or norms_of(dump))
+    run_spdcl(train, valid, RunConfig(bins_k=1, epochs_T=1, seed=2), TrainHyper(hidden=4, seed=3))
+    params = init_params(train.vocab.size, 4, len(train.label_names), train.task_kind, 3)
+    expected = params.embedding_table[train.tokens].astype(np.float32)
+    (dump,) = dumps
+    assert dump.values.shape == (train.vocab.size, 4) and dump.values.dtype == np.float32
+    assert np.array_equal(dump.rows(slice(None)), expected)
+    twin = EmbeddingDump(train.layout, expected)
+    assert dump.nuclear_norms().tobytes() == twin.nuclear_norms().tobytes()
+    monkeypatch.setattr(nucnorm, "_SCORE_SLICE_VALUES", 9)  # two rows of d=4 per slice
+    nucnorm._score_slices.cache_clear()
+    try:
+        assert dump.nuclear_norms().tobytes() == twin.nuclear_norms().tobytes()
+    finally:
+        nucnorm._score_slices.cache_clear()
+
+
+def test_dump_scoring_and_writing_memory_does_not_follow_the_dump(tmp_path):
+    # Scoring gathers the table's rows slice by slice and the writer chunk by
+    # chunk, so once the slice plan and the headers are warm, doubling the
+    # samples barely moves the peak.  A whole gathered dump, or a whole-file
+    # join, would add at least the dump's size.
+    length, vocab_size, hidden = 20, 50, 64
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((vocab_size, hidden)).astype(np.float32)
+    table.setflags(write=False)
+    peaks, sizes = [], []
+    for n in (1000, 2000):
+        layout = DumpLayout([f"s{i:05d}" for i in range(n)], np.arange(n + 1) * length)
+        dump = EmbeddingDump(layout, table, rng.integers(0, vocab_size, size=n * length))
+        path = tmp_path / "dump.bin"
+        dump_norms(dump)  # warm the slice plan and the packed headers
+        spdcl_io.write_embedding_dump(path, dump)
+        tracemalloc.start()
+        try:
+            dump_norms(dump)
+            spdcl_io.write_embedding_dump(path, dump)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(n * length * hidden * 4)
+    assert peaks[1] - peaks[0] < sizes[0] / 10, (peaks, sizes)
+
+
+@pytest.mark.parametrize("persist", [False, True])
+def test_a_table_row_past_float32_range_names_the_first_sample_that_uses_it(monkeypatch, tmp_path, persist):
+    # Finite in float64, inf in float32: the dump rejects the row and names
+    # the first sample that uses it, before anything of the epoch is written.
+    train, valid = make_encoded(n_train=20)
+    # The token whose first use comes last, so that the named sample is not the first one.
+    tokens, first_use = np.unique(train.tokens, return_index=True)
+    token = int(tokens[np.argmax(first_use)])
+    first = train.sample_ids[int(np.searchsorted(train.offsets, first_use.max(), side="right")) - 1]
+    assert first != train.sample_ids[0]
+    init = trainer.init_params
+
+    def init_with_huge_row(*args):
+        params = init(*args)
+        table = params.embedding_table.copy()
+        table[token] = 1e39
+        return replace(params, embedding_table=table)
+
+    monkeypatch.setattr(trainer, "init_params", init_with_huge_row)
+    with pytest.raises(ValueError, match=re.escape(f"sample {first!r} contains non-finite values")):
+        run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=2, seed=2), TrainHyper(hidden=4), tmp_path if persist else None)
+    assert not list(tmp_path.iterdir())
