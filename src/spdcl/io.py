@@ -39,8 +39,10 @@ Embedding dumps are a small binary format:
 Every sample in a dump has the same column count.  Values are single
 precision on disk and in memory (:class:`spdcl.nucnorm.EmbeddingDump`);
 scoring widens them to double.  ``write_embedding_dump`` writes a dump in
-bounded chunks of contiguous samples, whichever row source it has, so it
-never holds the whole file; the format is the same whatever the chunking.
+chunks of contiguous samples, whichever row source it has: 64 KiB of
+float32 values each (``nucnorm._DUMP_CHUNK_VALUES``, or one sample if a
+sample is larger), one chunk alive at a time, so its memory follows the
+chunk size, not the file's; the format is the same whatever the chunking.
 Dump headers are packed once per layout and column count, and are walked
 again only when they differ from the last dump read; score-file ids are
 JSON-escaped once per id tuple.  Every write goes through a temp file in
@@ -58,6 +60,7 @@ import struct
 import tempfile
 from dataclasses import asdict, dataclass
 from io import BytesIO, TextIOWrapper
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -95,8 +98,9 @@ def _atomic_write_chunks(path: Path, chunks: Iterable[bytes]) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            # writelines releases each chunk before it asks for the next, so
+            # a generator's chunks are held one at a time.
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -271,22 +275,27 @@ def _dump_headers(layout: DumpLayout, cols: int) -> tuple[bytes, tuple[bytes, ..
 
 def write_embedding_dump(path, dump: EmbeddingDump) -> None:
     """Write a dump one chunk of contiguous samples at a time (see :meth:`EmbeddingDump.chunks`):
-    one join of their packed headers and float32 rows per chunk, never the whole file."""
+    one join of their packed headers and float32 rows per chunk, never the whole file.
+
+    A chunk's rows, parts and bytes are dropped before the next chunk's rows
+    are gathered, so the writer holds one chunk at a time.
+    """
     cols = dump.values.shape[1]
     head, headers = _dump_headers(dump.layout, cols)
     row_bytes = 4 * cols
 
-    def chunks():
-        yield head
-        for first, stop, rows in dump.chunks():
-            raw = memoryview(np.ascontiguousarray(rows, dtype="<f4")).cast("B")
-            bounds = ((dump.offsets[first : stop + 1] - dump.offsets[first]) * row_bytes).tolist()
-            parts = [b""] * (2 * (stop - first))
-            parts[0::2] = headers[first:stop]
-            parts[1::2] = map(raw.__getitem__, map(slice, bounds, bounds[1:]))
-            yield b"".join(parts)
+    def pack(chunk) -> bytes:
+        first, stop, rows = chunk
+        raw = memoryview(np.ascontiguousarray(rows, dtype="<f4")).cast("B")
+        bounds = ((dump.offsets[first : stop + 1] - dump.offsets[first]) * row_bytes).tolist()
+        parts = [b""] * (2 * (stop - first))
+        parts[0::2] = headers[first:stop]
+        parts[1::2] = map(raw.__getitem__, map(slice, bounds, bounds[1:]))
+        return b"".join(parts)
 
-    _atomic_write_chunks(Path(path), chunks())
+    # map binds no chunk between calls: each chunk's locals go when pack
+    # returns, and its bytes once written.
+    _atomic_write_chunks(Path(path), chain((head,), map(pack, dump.chunks())))
 
 
 # The last layout read_embedding_dump walked: (file size, the spans of the
@@ -574,12 +583,18 @@ def read_manifest(path) -> EpochPlan:
     unknown = [sid for sid in order if sid not in bin_of]
     if unknown:
         raise FormatError(f"{path}: ordered ids missing from bin_of: {unknown[:5]}")
-    return EpochPlan(
-        epoch=epoch,
-        visible_bins=max((bin_of[sid] for sid in order), default=1),
-        ordered_ids=order,
-        bin_of=bin_of,
-    )
+    # A written plan trains on bins 1..w, w at most its epoch, and holds
+    # every sample of them: its unique order is exactly those samples when
+    # it is as long as they are many.
+    if not order:
+        raise FormatError(f"{path}: manifest order is empty")
+    widest = max(bin_of[sid] for sid in order)
+    if widest > epoch:
+        raise FormatError(f"{path}: order reaches bin {widest} at epoch {epoch}")
+    held = sum(number <= widest for number in bin_of.values())
+    if held != len(order):
+        raise FormatError(f"{path}: order holds {len(order)} of the {held} samples of bins 1..{widest}")
+    return EpochPlan(epoch=epoch, visible_bins=widest, ordered_ids=order, bin_of=bin_of)
 
 
 # ---------------------------------------------------------------- run config

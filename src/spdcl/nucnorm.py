@@ -24,8 +24,12 @@ import numpy as np
 # Float64 values scored per stacked kernel call: 2 MiB.  Slicing each
 # row-count group to this size keeps scoring's memory constant, however many
 # samples share a length (every text longer than max_len truncates to it).
-# A dump file is written in chunks of at most as many float32 values.
 _SCORE_SLICE_VALUES = 1 << 18
+
+# Float32 values per chunk a dump file is written in: 64 KiB (or one sample,
+# if a sample is larger).  The writer holds one chunk at a time, so its
+# memory follows this constant, not the dump's size.
+_DUMP_CHUNK_VALUES = 1 << 14
 
 
 def _validated_values(values) -> np.ndarray:
@@ -218,10 +222,12 @@ class EmbeddingDump:
 
     def chunks(self) -> Iterator[tuple[int, int, np.ndarray]]:
         """``(first, stop, rows)`` for runs of contiguous samples, in ``ids`` order:
-        samples ``first:stop`` and their rows, ``_SCORE_SLICE_VALUES`` values
-        at most (or one sample)."""
+        samples ``first:stop`` and their float32 rows, ``_DUMP_CHUNK_VALUES``
+        values at most (or one sample).  Each chunk's rows are gathered only
+        when it is reached, so a consumer that drops one chunk before asking
+        for the next holds one at a time."""
         offsets = self.offsets
-        budget = max(1, _SCORE_SLICE_VALUES // self.values.shape[1])
+        budget = max(1, _DUMP_CHUNK_VALUES // self.values.shape[1])
         first, n = 0, len(self.ids)
         while first < n:
             stop = max(first + 1, int(np.searchsorted(offsets, offsets[first] + budget, side="right")) - 1)

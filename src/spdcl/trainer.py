@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from spdcl import io as spdcl_io
-from spdcl.difficulty import ScoreTable, delta_scores, dump_norms, initial_scores
+from spdcl.difficulty import delta_scores, dump_norms, initial_scores
 from spdcl.metrics import EvalReport, evaluate, label_frequency_groups
 from spdcl.nucnorm import DumpLayout, EmbeddingDump, read_only
 from spdcl.scheduler import EpochPlan, build_epoch_plan, check_choice, check_int, check_lr
@@ -551,16 +551,30 @@ def predict(params: ModelParams, data: EncodedDataset) -> np.ndarray:
 
 @dataclass
 class RunResult:
+    """A run's final parameters and each epoch's training stats and evaluation.
+
+    Epoch plans and score tables are not kept: the run directory's manifests
+    and score files are the record of the curriculum.
+    """
+
     params: ModelParams
     stats: list[TrainStats]
     reports: list[EvalReport]
-    plans: list[EpochPlan]
-    scores: list[ScoreTable]
 
 
 def _eval_epoch(params, valid, groups) -> EvalReport:
     preds = predict(params, valid)
     return evaluate(valid.truth(), preds, n_labels=len(valid.label_names), groups=groups)
+
+
+def _table_dump(params: ModelParams, train: EncodedDataset) -> EmbeddingDump:
+    """The epoch's dump: the embedding table cast once to float32, indexed by the training tokens."""
+    # A row past float32's range casts to inf, which the dump's finiteness
+    # check reports by the first sample that uses it.
+    with np.errstate(over="ignore"):
+        values = params.embedding_table.astype(np.float32)
+    values.setflags(write=False)  # fresh, handed over frozen and so not copied
+    return EmbeddingDump(train.layout, values, train.tokens)
 
 
 def _persist_epoch(out_dir, epoch, dump, table, plan, stats, report):
@@ -595,6 +609,13 @@ def run_spdcl(
     exactly what the dump files store, so rescoring a dump from disk
     reproduces the run's scores bit for bit.  A ``UserWarning`` says when
     ``epochs_T < bins_k`` leaves the hardest bins untrained.
+
+    The loop holds one epoch at a time: the current score table, which the
+    next epoch's deltas need, and the current plan and dump, both dropped
+    once the epoch is persisted.  The returned ``RunResult`` keeps the final parameters
+    and each epoch's stats and report; with ``out_dir``, each epoch's dump,
+    scores, manifest and report are written there, and those files are the
+    record of its plan and scores.
     """
     if not valid.sample_ids:
         raise ValueError("the validation split is empty: every epoch is evaluated on it")
@@ -610,17 +631,10 @@ def run_spdcl(
         train.vocab.size, hyper.hidden, len(train.label_names), train.task_kind, hyper.seed
     )
     groups = label_frequency_groups(train.truth(), n_groups=min(4, len(train.label_names)))
-    tables: list[ScoreTable] = []
     stats_log: list[TrainStats] = []
     reports: list[EvalReport] = []
-    plans: list[EpochPlan] = []
     for epoch in range(1, config.epochs_T + 1):
-        # A row past float32's range casts to inf, which the dump's
-        # finiteness check reports by the first sample that uses it.
-        with np.errstate(over="ignore"):
-            values = params.embedding_table.astype(np.float32)
-        values.setflags(write=False)  # fresh, handed over frozen and so not copied
-        dump = EmbeddingDump(train.layout, values, train.tokens)
+        dump = _table_dump(params, train)
         ids, norm = dump_norms(dump)
         if epoch == 1:
             table = initial_scores(ids, norm)
@@ -632,11 +646,10 @@ def run_spdcl(
         params, stats = train_epoch(params, plan, train, hyper.lr, hyper.batch_size)
         report = _eval_epoch(params, valid, groups)
         _persist_epoch(out_dir, epoch, dump, table, plan, stats, report)
-        tables.append(table)
+        del dump, plan  # the next epoch needs only this epoch's table
         stats_log.append(stats)
         reports.append(report)
-        plans.append(plan)
-    return RunResult(params=params, stats=stats_log, reports=reports, plans=plans, scores=tables)
+    return RunResult(params=params, stats=stats_log, reports=reports)
 
 
 def run_baseline(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from spdcl.difficulty import dump_norms, initial_scores
-from spdcl.io import RunConfig, build_report, write_manifest, write_run_config
+from spdcl.io import RunConfig, build_report, read_manifest, write_manifest, write_run_config
 from spdcl.metrics import (
     binary_f1,
     hamming_loss,
@@ -221,7 +221,7 @@ def test_criterion_5_gradient_check():
 # ---------------------------------------------------------------------- 6
 
 
-def test_criterion_6_degenerate_curriculum_equivalence():
+def test_criterion_6_degenerate_curriculum_equivalence(tmp_path):
     with criterion(6, "k=1 curriculum equals no-curriculum baseline"):
         train_s, valid_s = make_zipfian_dataset(120, 30, n_classes=4, seed=6)
         train, valid = encode_datasets(train_s, valid_s, "multiclass", max_len=32)
@@ -230,8 +230,12 @@ def test_criterion_6_degenerate_curriculum_equivalence():
         curriculum = run_spdcl(train, valid, config, hyper)
         # The baseline ignores bins_k and shuffle_within_epoch, and its plans
         # equal those of the reference builder, a code apart from the scheduler.
-        baseline = run_baseline(train, valid, replace(config, bins_k=3, shuffle_within_epoch=False), hyper)
-        assert baseline.plans == [baseline_plan(train.sample_ids, config.seed, epoch) for epoch in range(1, 9)]
+        baseline = run_baseline(
+            train, valid, replace(config, bins_k=3, shuffle_within_epoch=False), hyper, out_dir=tmp_path
+        )
+        assert [read_manifest(tmp_path / f"epoch{epoch:03d}.manifest.jsonl") for epoch in range(1, 9)] == [
+            baseline_plan(train.sample_ids, config.seed, epoch) for epoch in range(1, 9)
+        ]
         assert [s.mean_loss for s in curriculum.stats] == [s.mean_loss for s in baseline.stats]
         assert curriculum.reports[-1] == baseline.reports[-1]
         assert np.array_equal(

@@ -161,7 +161,7 @@ def test_an_indexed_dump_checks_its_index_and_the_rows_it_uses():
     ],
 )
 def test_chunked_writer_writes_the_documented_layout(tmp_path, monkeypatch, lengths, chunks):
-    monkeypatch.setattr(nucnorm, "_SCORE_SLICE_VALUES", 9)
+    monkeypatch.setattr(nucnorm, "_DUMP_CHUNK_VALUES", 9)
     rng = np.random.default_rng(len(lengths))
     table = rng.normal(size=(6, 4)).astype(np.float32)
     tokens = rng.integers(0, 6, size=sum(lengths))

@@ -635,6 +635,26 @@ def test_manifest_rejects_epochs_and_bins_below_one(tmp_path, record, field):
         read_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ('{"epoch":1,"order":[],"bin_of":{}}', "manifest order is empty"),
+        ('{"epoch":1,"order":[],"bin_of":{"a":1}}', "manifest order is empty"),
+        ('{"epoch":2,"order":["c"],"bin_of":{"a":1,"b":2,"c":3}}', "order reaches bin 3 at epoch 2"),
+        ('{"epoch":1,"order":["a","b"],"bin_of":{"a":1,"b":2}}', "order reaches bin 2 at epoch 1"),
+        ('{"epoch":3,"order":["c"],"bin_of":{"a":1,"b":2,"c":3}}', "order holds 1 of the 3 samples of bins 1..3"),
+        ('{"epoch":2,"order":["a"],"bin_of":{"a":1,"b":1}}', "order holds 1 of the 2 samples of bins 1..1"),
+        ('{"epoch":2,"order":["b","c"],"bin_of":{"a":1,"b":1,"c":2}}', "order holds 2 of the 3 samples of bins 1..2"),
+    ],
+)
+def test_manifest_rejects_an_order_no_plan_can_have(tmp_path, record, message):
+    # A plan trains on every sample of bins 1..w, w at most its epoch.
+    path = tmp_path / "m.jsonl"
+    path.write_text(record + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        read_manifest(path)
+
+
 # ----------------------------------------------------------------- run config
 
 
@@ -773,17 +793,20 @@ def test_run_config_rewrites_identically(config):
 
 @st.composite
 def _plans(draw):
+    # Plans a writer can write: the order is every sample of bins 1..w, in
+    # any order, and the epoch is at least w.
     ids = draw(st.lists(_score_ids, min_size=1, max_size=8, unique=True))
     bin_of = {sid: draw(st.integers(1, 10**20)) for sid in ids}
-    order = draw(st.permutations(ids))[: draw(st.integers(0, len(ids)))]
-    return EpochPlan(draw(st.integers(1, 10**20)), 1, order, bin_of)
+    widest = draw(st.sampled_from(sorted(set(bin_of.values()))))
+    order = draw(st.permutations([sid for sid in ids if bin_of[sid] <= widest]))
+    return EpochPlan(draw(st.integers(widest, widest + 10**20)), widest, order, bin_of)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_plans())
 def test_manifest_rewrites_identically(plan):
     got = _rewrites_identically(write_manifest, read_manifest, plan, "jsonl")
-    assert (got.epoch, got.ordered_ids, got.bin_of) == (plan.epoch, plan.ordered_ids, plan.bin_of)
+    assert got == plan
 
 
 # float32 values: both zeros, subnormals, the largest finite, and any finite.

@@ -71,10 +71,11 @@ def recomputed_stats(run_dir, epoch) -> dict:
 def test_epoch_reports_hold_the_score_files_norm_stats(tmp_path, runner, task_kind):
     train, valid = _datasets(task_kind)
     config = RunConfig(bins_k=3, epochs_T=4, seed=2)
-    result = runner(train, valid, config, TrainHyper(lr=0.3, batch_size=8, hidden=4), out_dir=tmp_path)
-    for epoch, table in enumerate(result.scores, start=1):
+    runner(train, valid, config, TrainHyper(lr=0.3, batch_size=8, hidden=4), out_dir=tmp_path)
+    assert len(list(tmp_path.glob("*.report.json"))) == config.epochs_T
+    for epoch in range(1, config.epochs_T + 1):
         payload = json.loads((tmp_path / f"epoch{epoch:03d}.report.json").read_text())
-        assert payload["norm_stats"] == recomputed_stats(tmp_path, epoch) == _norm_stats(table.norm[table.order])
+        assert payload["norm_stats"] == recomputed_stats(tmp_path, epoch)
         assert payload["norm_stats"]["count"] == len(train.sample_ids)
 
 

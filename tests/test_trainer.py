@@ -397,15 +397,23 @@ def test_train_epoch_rejects_bad_batch_size():
         train_epoch(params, plan_over(data.sample_ids), data, 0.1, 2.5)
 
 
-def test_two_runs_bit_identical():
+def run_files(out_dir) -> dict[str, bytes]:
+    """Every file a run wrote, by name: its dumps, scores, manifests and reports."""
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+def test_two_runs_bit_identical(tmp_path):
     train, valid = make_encoded(n_train=30)
     config = RunConfig(bins_k=3, epochs_T=4, seed=2)
     hyper = TrainHyper(lr=0.2, batch_size=5, hidden=4, seed=2)
-    a = run_spdcl(train, valid, config, hyper)
-    b = run_spdcl(train, valid, config, hyper)
+    a = run_spdcl(train, valid, config, hyper, tmp_path / "a")
+    b = run_spdcl(train, valid, config, hyper, tmp_path / "b")
     assert [s.mean_loss for s in a.stats] == [s.mean_loss for s in b.stats]
     assert np.array_equal(a.params.embedding_table, b.params.embedding_table)
-    assert [p.ordered_ids for p in a.plans] == [p.ordered_ids for p in b.plans]
+    files = run_files(tmp_path / "a")
+    assert len(files) == 4 * 4 and files == run_files(tmp_path / "b")
+    orders = [spdcl_io.read_manifest(tmp_path / "a" / f"epoch{e:03d}.manifest.jsonl").ordered_ids for e in range(1, 5)]
+    assert [len(order) for order in orders] == [10, 20, 30, 30]
 
 
 def random_encoded(task_kind, n=23, vocab_size=10, n_labels=3, seed=0):
@@ -610,32 +618,34 @@ def test_train_hyper_rejects_bad_values(kwargs, field):
         TrainHyper(**kwargs)
 
 
-def test_dump_then_train_ordering():
+def test_dump_then_train_ordering(tmp_path):
     # Epoch t's stored norms reflect parameters before epoch t's update:
     # epoch 1 norms come from the untouched initialization.
     train, valid = make_encoded(n_train=20)
     config = RunConfig(bins_k=2, epochs_T=2, seed=4)
     hyper = TrainHyper(lr=0.3, batch_size=4, hidden=4, seed=4)
-    result = run_spdcl(train, valid, config, hyper)
+    run_spdcl(train, valid, config, hyper, tmp_path)
     params0 = init_params(train.vocab.size, 4, len(train.label_names), "multiclass", 4)
     from spdcl.io import f32_roundtrip
 
-    table = result.scores[0]
+    table = spdcl_io.read_scores(tmp_path / "epoch001.scores.jsonl")
     easiest = table.order[0]
     sid, expected_norm = table.ids[easiest], table.norm[easiest]
     fresh = f32_roundtrip(embed_sample(params0, sample_rows(train)[sid][0]))
     assert nuclear_norm(fresh) == expected_norm
 
 
-def test_k1_equals_baseline_exactly():
+def test_k1_equals_baseline_exactly(tmp_path):
     train, valid = make_encoded(n_train=30, n_valid=10)
     config = RunConfig(bins_k=1, epochs_T=5, seed=2)
     hyper = TrainHyper(lr=0.2, batch_size=7, hidden=4, seed=2)
-    spdcl_run = run_spdcl(train, valid, config, hyper)
-    base_run = run_baseline(train, valid, config, hyper)
+    spdcl_run = run_spdcl(train, valid, config, hyper, tmp_path / "spdcl")
+    base_run = run_baseline(train, valid, config, hyper, tmp_path / "base")
     assert [s.mean_loss for s in spdcl_run.stats] == [s.mean_loss for s in base_run.stats]
     assert spdcl_run.reports[-1] == base_run.reports[-1]
-    assert [p.ordered_ids for p in spdcl_run.plans] == [p.ordered_ids for p in base_run.plans]
+    # Plans, scores, dumps and reports: every file of the two runs alike.
+    assert len(run_files(tmp_path / "spdcl")) == 5 * 4
+    assert run_files(tmp_path / "spdcl") == run_files(tmp_path / "base")
     assert np.array_equal(spdcl_run.params.embedding_table, base_run.params.embedding_table)
 
 
@@ -664,15 +674,15 @@ def test_run_warns_when_epochs_never_reach_the_hardest_bins():
         run_baseline(train, valid, config, TrainHyper(hidden=4))
 
 
-def test_a_run_configs_curriculum_is_the_config_itself():
+def test_a_run_configs_curriculum_is_the_config_itself(tmp_path):
     train, valid = make_encoded(n_train=20)
     config = RunConfig(bins_k=2, epochs_T=3, seed=5, alignment_mode="identity", delta_ordering="signed")
     hyper = TrainHyper(lr=0.3, batch_size=4, hidden=4, seed=5)
-    via, direct = run_spdcl(train, valid, config.curriculum(), hyper), run_spdcl(train, valid, config, hyper)
-    assert via.plans == direct.plans and via.stats == direct.stats and via.reports == direct.reports
-    assert [(t.ids, t.norm.tolist(), t.score.tolist()) for t in via.scores] == [
-        (t.ids, t.norm.tolist(), t.score.tolist()) for t in direct.scores
-    ]
+    via = run_spdcl(train, valid, config.curriculum(), hyper, tmp_path / "via")
+    direct = run_spdcl(train, valid, config, hyper, tmp_path / "direct")
+    assert via.stats == direct.stats and via.reports == direct.reports
+    assert len(run_files(tmp_path / "via")) == 3 * 4
+    assert run_files(tmp_path / "via") == run_files(tmp_path / "direct")
     assert np.array_equal(via.params.embedding_table, direct.params.embedding_table)
 
 
@@ -861,6 +871,50 @@ def test_dump_scoring_and_writing_memory_does_not_follow_the_dump(tmp_path):
             tracemalloc.stop()
         sizes.append(n * length * hidden * 4)
     assert peaks[1] - peaks[0] < sizes[0] / 10, (peaks, sizes)
+
+
+def test_memory_held_after_a_run_does_not_grow_with_its_epochs():
+    # A RunResult keeps each epoch's stats and report, a few hundred bytes,
+    # and no plan or score table: those are N-sized (about 27 kB an epoch
+    # at N=400), and six more epochs of them would pass the bound.
+    train, valid = make_encoded(n_train=400)
+    hyper = TrainHyper(lr=0.3, batch_size=8, hidden=4)
+    run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=2, seed=2), hyper)  # warm the caches
+    held = {}
+    for epochs in (2, 8):
+        tracemalloc.start()
+        try:
+            result = run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=epochs, seed=2), hyper)
+            held[epochs] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(result.stats) == len(result.reports) == epochs
+        del result
+    assert held[8] - held[2] < 16 * 1024, held
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_dump_writer_holds_one_small_chunk(tmp_path, n):
+    # Once the headers are packed, the writer's peak is about two chunks
+    # (gathered rows and their joined bytes), whatever the dump's size.
+    length, vocab_size, hidden = 20, 50, 64
+    rng = np.random.default_rng(n)
+    table = rng.standard_normal((vocab_size, hidden)).astype(np.float32)
+    table.setflags(write=False)
+    layout = DumpLayout([f"s{i:05d}" for i in range(n)], np.arange(n + 1) * length)
+    dump = EmbeddingDump(layout, table, rng.integers(0, vocab_size, size=n * length))
+    path = tmp_path / "dump.bin"
+    spdcl_io.write_embedding_dump(path, dump)  # warm the packed headers
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spdcl_io.write_embedding_dump(path, dump)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    chunk = 4 * max(nucnorm._DUMP_CHUNK_VALUES, length * hidden)
+    assert peak < 4 * chunk, (peak, chunk)
+    assert path.stat().st_size > 50 * chunk  # the file is many chunks long
 
 
 @pytest.mark.parametrize("persist", [False, True])
