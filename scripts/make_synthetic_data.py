@@ -10,7 +10,7 @@ import argparse
 from pathlib import Path
 
 from spdcl.io import write_dataset
-from spdcl.synth import make_separable_dataset, make_zipfian_dataset
+from spdcl.synth import make_zipfian_dataset
 
 
 def main():
@@ -23,8 +23,11 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    maker = make_zipfian_dataset if args.flavor == "zipfian" else make_separable_dataset
-    train, valid = maker(args.train, args.valid, n_classes=args.classes, seed=args.seed)
+    # The separable set is the Zipfian one without shared filler words.
+    noise = {"noise_rate": 0.0} if args.flavor == "separable" else {}
+    train, valid = make_zipfian_dataset(
+        args.train, args.valid, n_classes=args.classes, seed=args.seed, **noise
+    )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_dataset(out / f"{args.flavor}_train.jsonl", train)

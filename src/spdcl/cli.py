@@ -24,6 +24,10 @@ Errors exit nonzero with a single machine-parsable line on stderr,
 - ``missing-artifact``: ``report`` found an incomplete run directory, a
   run config or epoch report it cannot read, or an epoch report without
   its ``norm_stats``;
+- ``unwritable-output``: an output path cannot be written (a directory
+  where a file goes, a file where a directory goes, no permission, a full
+  disk); every input read maps its ``OSError`` to a category above, so an
+  ``OSError`` left over comes from an output;
 - ``invalid-input``: any other invalid value.
 
 Set SPDCL_LOG=debug|info|warning to control verbosity.
@@ -252,6 +256,9 @@ def main(argv=None) -> int:
         return 1
     except (FormatError, ValueError) as exc:
         print(f"error:invalid-input: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error:unwritable-output: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -1,9 +1,10 @@
 """Evaluation metrics for imbalanced classification.
 
-Micro/Macro-F1, Hamming loss, subset accuracy, Matthews correlation and
-binary F1, plus long-tail breakdowns: labels are grouped by training-set
-frequency and Macro-F1 is reported per group so improvements on rare labels
-stay visible.
+``evaluate`` is the one entry: it checks the labels once and reports
+Micro/Macro-F1, Hamming loss and subset accuracy, Matthews correlation and
+binary F1 for a binary task, and a long-tail breakdown: labels are grouped
+by training-set frequency (``label_frequency_groups``) and Macro-F1 is
+reported per group so improvements on rare labels stay visible.
 
 Zero-denominator convention throughout: any F1 or Mcc whose denominator
 vanishes is reported as 0 rather than NaN.
@@ -44,91 +45,11 @@ def as_indicator(labels, n_labels: int | None = None) -> np.ndarray:
     raise ValueError(f"labels must be 1-D or 2-D, got shape {arr.shape}")
 
 
-def _pair(truth, pred, n_labels=None) -> tuple[np.ndarray, np.ndarray]:
-    t = as_indicator(truth, n_labels)
-    p = as_indicator(pred, n_labels if n_labels is not None else t.shape[1])
-    if t.shape != p.shape:
-        raise ValueError(f"shape mismatch: truth {t.shape} vs pred {p.shape}")
-    return t, p
-
-
 def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
     denom = 2 * tp + fp + fn
     if denom == 0:
         return 0.0
     return 2.0 * tp / denom
-
-
-def micro_f1(truth, pred, n_labels: int | None = None) -> float:
-    """F1 over globally pooled true/false positives and false negatives."""
-    return _micro_f1(*_pair(truth, pred, n_labels))
-
-
-def _micro_f1(t: np.ndarray, p: np.ndarray) -> float:
-    tp = int(((t == 1) & (p == 1)).sum())
-    fp = int(((t == 0) & (p == 1)).sum())
-    fn = int(((t == 1) & (p == 0)).sum())
-    return _f1_from_counts(tp, fp, fn)
-
-
-def _per_label_f1(t: np.ndarray, p: np.ndarray) -> list[float]:
-    tp = ((t == 1) & (p == 1)).sum(axis=0)
-    fp = ((t == 0) & (p == 1)).sum(axis=0)
-    fn = ((t == 1) & (p == 0)).sum(axis=0)
-    return [_f1_from_counts(int(a), int(b), int(c)) for a, b, c in zip(tp, fp, fn)]
-
-
-def macro_f1(truth, pred, n_labels: int | None = None) -> float:
-    """Unweighted mean of per-label F1; labels absent everywhere count as 0."""
-    scores = _per_label_f1(*_pair(truth, pred, n_labels))
-    return sum(scores) / len(scores)
-
-
-def hamming_loss(truth, pred, n_labels: int | None = None) -> float:
-    """Fraction of label positions where truth and prediction disagree."""
-    return _hamming_loss(*_pair(truth, pred, n_labels))
-
-
-def _hamming_loss(t: np.ndarray, p: np.ndarray) -> float:
-    return int((t != p).sum()) / t.size
-
-
-def subset_accuracy(truth, pred, n_labels: int | None = None) -> float:
-    """Fraction of samples whose whole label vector matches exactly."""
-    return _subset_accuracy(*_pair(truth, pred, n_labels))
-
-
-def _subset_accuracy(t: np.ndarray, p: np.ndarray) -> float:
-    return int((t == p).all(axis=1).sum()) / t.shape[0]
-
-
-def _binary_counts(truth, pred) -> tuple[int, int, int, int]:
-    t = np.asarray(truth)
-    p = np.asarray(pred)
-    if t.ndim != 1 or p.ndim != 1 or t.shape != p.shape:
-        raise ValueError("binary metrics need two 1-D vectors of equal length")
-    if not (np.isin(t, (0, 1)).all() and np.isin(p, (0, 1)).all()):
-        raise ValueError("binary metrics need 0/1 labels")
-    tp = int(((t == 1) & (p == 1)).sum())
-    tn = int(((t == 0) & (p == 0)).sum())
-    fp = int(((t == 0) & (p == 1)).sum())
-    fn = int(((t == 1) & (p == 0)).sum())
-    return tp, tn, fp, fn
-
-
-def matthews(truth, pred) -> float:
-    """Matthews correlation coefficient for a binary task; 0 when undefined."""
-    tp, tn, fp, fn = _binary_counts(truth, pred)
-    denom_sq = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-    if denom_sq == 0:
-        return 0.0
-    return (tp * tn - fp * fn) / math.sqrt(denom_sq)
-
-
-def binary_f1(truth, pred) -> float:
-    """F1 of the positive class for a binary task."""
-    tp, _, fp, fn = _binary_counts(truth, pred)
-    return _f1_from_counts(tp, fp, fn)
 
 
 def label_frequency_groups(train_labels, n_groups: int = 4) -> np.ndarray:
@@ -151,11 +72,6 @@ def label_frequency_groups(train_labels, n_groups: int = 4) -> np.ndarray:
     for g, members in enumerate(np.array_split(order, n_groups)):
         assignment[members] = g
     return assignment
-
-
-def macro_f1_per_group(truth, pred, groups, n_labels: int | None = None) -> list[float]:
-    """Macro-F1 restricted to each frequency group's labels."""
-    return _group_macro_f1(_per_label_f1(*_pair(truth, pred, n_labels)), groups)
 
 
 def _group_macro_f1(scores: list[float], groups) -> list[float]:
@@ -191,20 +107,39 @@ class EvalReport:
 
 
 def evaluate(truth, pred, n_labels: int | None = None, groups=None) -> EvalReport:
-    """All metrics at once, from labels checked once; binary extras appear for 2-class index vectors."""
-    t, p = _pair(truth, pred, n_labels)
+    """All metrics at once, from labels checked once.
+
+    ``truth`` and ``pred`` are each a 1-D class-index vector or a 0/1
+    indicator matrix.  Micro-F1 pools true/false positives and false
+    negatives over all labels; Macro-F1 is the unweighted mean of per-label
+    F1, a label absent everywhere counting as 0; Hamming loss is the share
+    of label positions that disagree; subset accuracy the share of samples
+    whose whole label vector matches.  A 2-class index vector ``truth`` is a
+    binary task: Matthews correlation and binary F1 are then computed for
+    class 1 (0 when undefined).  ``groups`` (one group id per label, ids
+    covering 0..G-1) adds Macro-F1 restricted to each group's labels.
+    """
+    t = as_indicator(truth, n_labels)
+    p = as_indicator(pred, n_labels if n_labels is not None else t.shape[1])
+    if t.shape != p.shape:
+        raise ValueError(f"shape mismatch: truth {t.shape} vs pred {p.shape}")
+    tp = ((t == 1) & (p == 1)).sum(axis=0)
+    fp = ((t == 0) & (p == 1)).sum(axis=0)
+    fn = ((t == 1) & (p == 0)).sum(axis=0)
+    scores = [_f1_from_counts(int(a), int(b), int(c)) for a, b, c in zip(tp, fp, fn)]
     mcc = None
     bf1 = None
-    truth_arr = np.asarray(truth)
-    if truth_arr.ndim == 1 and t.shape[1] == 2:
-        mcc = matthews(truth_arr, np.asarray(pred))
-        bf1 = binary_f1(truth_arr, np.asarray(pred))
-    scores = _per_label_f1(t, p)
+    if np.ndim(truth) == 1 and t.shape[1] == 2:
+        tp1, fp1, fn1 = int(tp[1]), int(fp[1]), int(fn[1])
+        tn1 = t.shape[0] - tp1 - fp1 - fn1
+        denom_sq = (tp1 + fp1) * (tp1 + fn1) * (tn1 + fp1) * (tn1 + fn1)
+        mcc = 0.0 if denom_sq == 0 else (tp1 * tn1 - fp1 * fn1) / math.sqrt(denom_sq)
+        bf1 = scores[1]
     return EvalReport(
-        micro_f1=_micro_f1(t, p),
+        micro_f1=_f1_from_counts(int(tp.sum()), int(fp.sum()), int(fn.sum())),
         macro_f1=sum(scores) / len(scores),
-        hamming_loss=_hamming_loss(t, p),
-        subset_accuracy=_subset_accuracy(t, p),
+        hamming_loss=int((t != p).sum()) / t.size,
+        subset_accuracy=int((t == p).all(axis=1).sum()) / t.shape[0],
         matthews_corr=mcc,
         binary_f1=bf1,
         per_group_macro_f1=None if groups is None else _group_macro_f1(scores, groups),

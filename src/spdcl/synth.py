@@ -1,10 +1,11 @@
 """Synthetic text datasets for desk-scale experiments.
 
-Two flavours: a Zipf-distributed multiclass set whose class frequencies form
-a long tail, and a linearly separable variant where every class draws from
-its own disjoint token pool (so a linear model can fit it perfectly).  Text
-lengths vary per sample, which is what makes the length-vs-norm behaviour
-observable on epoch-1 scores.
+A Zipf-distributed multiclass set whose class frequencies form a long
+tail.  Every class draws from its own disjoint token pool, mixed with shared
+filler words at ``noise_rate``; with ``noise_rate=0.0`` the set is linearly
+separable (a linear model can fit it perfectly).  Text lengths vary per
+sample, which is what makes the length-vs-norm behaviour observable on
+epoch-1 scores.
 """
 
 from __future__ import annotations
@@ -61,16 +62,3 @@ def make_zipfian_dataset(
     valid = _split(rng, "valid", n_valid, n_classes, probs, noise_rate, min_len, max_len)
     return train, valid
 
-
-def make_separable_dataset(
-    n_train: int = 1000,
-    n_valid: int = 200,
-    n_classes: int = 10,
-    seed: int = 0,
-    min_len: int = 3,
-    max_len: int = 20,
-) -> tuple[list[TextSample], list[TextSample]]:
-    """Like the Zipfian set but with zero shared tokens between classes."""
-    return make_zipfian_dataset(
-        n_train, n_valid, n_classes, seed=seed, noise_rate=0.0, min_len=min_len, max_len=max_len
-    )

@@ -178,12 +178,6 @@ def _pool(table: np.ndarray, flat: np.ndarray, starts: np.ndarray, lengths: np.n
     return np.add.reduceat(table.take(flat, axis=0), starts, axis=0) / lengths[:, None]
 
 
-def forward(params: ModelParams, ids: Sequence[int]) -> np.ndarray:
-    """Logits: mean-pooled token embeddings through the linear head."""
-    pooled = _pool(params.embedding_table, *_pack([ids], params.embedding_table.shape[0]))
-    return (pooled @ params.head_weights + params.head_bias)[0]
-
-
 def _target_array(params: ModelParams, targets: Sequence) -> np.ndarray:
     """Targets as one array: class indices (multiclass) or 0/1 rows (multilabel)."""
     if params.task_kind == "multiclass":
@@ -341,9 +335,6 @@ class EncodedDataset:
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "label_names", labels)
         object.__setattr__(self, "layout", layout)
-
-    def truth(self) -> np.ndarray:
-        return self.targets
 
     def rows_of(self, ids: Sequence[str]) -> np.ndarray:
         """Row indices of ``ids``; a ValueError names the ids the dataset lacks."""
@@ -564,7 +555,7 @@ class RunResult:
 
 def _eval_epoch(params, valid, groups) -> EvalReport:
     preds = predict(params, valid)
-    return evaluate(valid.truth(), preds, n_labels=len(valid.label_names), groups=groups)
+    return evaluate(valid.targets, preds, n_labels=len(valid.label_names), groups=groups)
 
 
 def _table_dump(params: ModelParams, train: EncodedDataset) -> EmbeddingDump:
@@ -630,7 +621,7 @@ def run_spdcl(
     params = init_params(
         train.vocab.size, hyper.hidden, len(train.label_names), train.task_kind, hyper.seed
     )
-    groups = label_frequency_groups(train.truth(), n_groups=min(4, len(train.label_names)))
+    groups = label_frequency_groups(train.targets, n_groups=min(4, len(train.label_names)))
     stats_log: list[TrainStats] = []
     reports: list[EvalReport] = []
     for epoch in range(1, config.epochs_T + 1):

@@ -581,6 +581,39 @@ def test_report_incomplete_run_lists_missing(run_dirs, capsys):
     assert "epoch003.manifest.jsonl" in err
 
 
+# ------------------------------------------------------------ output errors
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("score", "--out"), ("schedule", "--out"), ("report", "--out"), ("report", "--csv"), ("train", "--out-dir")],
+)
+def test_an_unwritable_output_is_one_error_line(run_dirs, dump_path, command, flag, capsys):
+    tmp_path, train_path, valid_path, config_path = run_dirs
+    train_args = ["--dataset", str(train_path), "--valid", str(valid_path), "--config", str(config_path)]
+    target = tmp_path / "target"
+    if command == "train":
+        target.write_text("")  # a file where the run directory goes
+        inputs = train_args
+    else:
+        target.mkdir()  # a directory where a file goes
+    if command == "score":
+        inputs = ["--embeddings", str(dump_path), "--epoch", "1"]
+    elif command == "schedule":
+        inputs = ["--scores", str(scores_file(tmp_path)), "--bins", "2", "--epoch", "1", "--seed", "0"]
+    elif command == "report":
+        assert run_cli("train", *train_args, "--out-dir", str(tmp_path / "run")) == 0
+        inputs = ["--run-dir", str(tmp_path / "run")]
+        if flag == "--csv":
+            inputs += ["--out", str(tmp_path / "report.json")]
+    argv = [command, *inputs, flag, str(target)]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:unwritable-output:") and err.count("\n") == 1, err
+    assert list(tmp_path.glob(".target.*")) == []  # the atomic writer removed its temp file
+
+
 # ------------------------------------------------------------ entry points
 
 

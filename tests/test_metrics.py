@@ -5,21 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdcl.metrics import (
-    binary_f1,
-    evaluate,
-    hamming_loss,
-    label_frequency_groups,
-    macro_f1,
-    macro_f1_per_group,
-    matthews,
-    micro_f1,
-    subset_accuracy,
-)
+from spdcl.metrics import evaluate, label_frequency_groups
 
 # --------------------------------------------------------- counting oracles
-# Plain-Python loops, no numpy: the independent route the implementations
-# must agree with exactly.
+# Plain-Python loops, no numpy: the independent route every field of
+# evaluate's report must agree with exactly.
 
 
 def oracle_counts(truth, pred, label):
@@ -85,68 +75,69 @@ def random_pair(rng, n, labels):
 
 def test_micro_f1_endpoints_and_hand_case():
     truth = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]])
-    assert micro_f1(truth, truth) == 1.0
-    assert micro_f1(truth, np.zeros_like(truth)) == 0.0
+    assert evaluate(truth, truth).micro_f1 == 1.0
+    assert evaluate(truth, np.zeros_like(truth)).micro_f1 == 0.0
     # hand count: pred flips one positive off and one negative on
     pred = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]])
     # tp=5, fn=1, fp=1 -> 2*5/(10+1+1)
-    assert micro_f1(truth, pred) == pytest.approx(10 / 12)
+    assert evaluate(truth, pred).micro_f1 == pytest.approx(10 / 12)
 
 
 def test_macro_f1_zero_convention():
     # one label predicted perfectly, one label absent everywhere -> (1+0)/2
     truth = np.array([[1, 0], [1, 0], [0, 0]])
     pred = truth.copy()
-    assert macro_f1(truth, pred) == pytest.approx(0.5)
+    assert evaluate(truth, pred).macro_f1 == pytest.approx(0.5)
     full = np.array([[1, 1], [1, 1]])
-    assert macro_f1(full, full) == 1.0
+    assert evaluate(full, full).macro_f1 == 1.0
 
 
 def test_hamming_loss_cases():
     truth = np.array([[1, 0], [0, 1]])
-    assert hamming_loss(truth, truth) == 0.0
+    assert evaluate(truth, truth).hamming_loss == 0.0
     one_bit = np.array([[1, 1], [0, 1]])
-    assert hamming_loss(truth, one_bit) == 0.25
-    assert hamming_loss(truth, 1 - truth) == 1.0
+    assert evaluate(truth, one_bit).hamming_loss == 0.25
+    assert evaluate(truth, 1 - truth).hamming_loss == 1.0
 
 
 def test_subset_accuracy_cases():
     truth = np.array([[1, 0], [0, 1], [1, 1], [0, 0]])
-    assert subset_accuracy(truth, truth) == 1.0
-    assert subset_accuracy(truth, 1 - truth) == 0.0
+    assert evaluate(truth, truth).subset_accuracy == 1.0
+    assert evaluate(truth, 1 - truth).subset_accuracy == 0.0
     half = truth.copy()
     half[2:] = 1 - half[2:]
-    assert subset_accuracy(truth, half) == 0.5
+    assert evaluate(truth, half).subset_accuracy == 0.5
 
 
 def test_matthews_cases():
     truth = np.array([1, 0, 1, 0, 1])
-    assert matthews(truth, truth) == pytest.approx(1.0)
-    assert matthews(truth, 1 - truth) == pytest.approx(-1.0)
+    assert evaluate(truth, truth).matthews_corr == pytest.approx(1.0)
+    assert evaluate(truth, 1 - truth).matthews_corr == pytest.approx(-1.0)
     ten_t = np.array([1, 1, 1, 0, 0, 0, 1, 0, 1, 0])
     ten_p = np.array([1, 0, 1, 0, 1, 0, 1, 0, 0, 0])
     # tp=3 tn=4 fp=1 fn=2 -> (12-2)/sqrt(4*5*5*6)
-    assert matthews(ten_t, ten_p) == pytest.approx(10 / math.sqrt(600))
-    assert matthews(np.array([1, 1]), np.array([1, 1])) == 0.0  # degenerate factor
+    assert evaluate(ten_t, ten_p).matthews_corr == pytest.approx(10 / math.sqrt(600))
+    degenerate = evaluate(np.array([1, 1]), np.array([1, 1]), n_labels=2)  # no class-0 sample
+    assert degenerate.matthews_corr == 0.0  # degenerate factor
 
 
 def test_binary_f1_cases():
     truth = np.array([1, 0, 1, 1, 0])
-    assert binary_f1(truth, truth) == 1.0
-    assert binary_f1(truth, np.zeros(5, dtype=int)) == 0.0
+    assert evaluate(truth, truth).binary_f1 == 1.0
+    assert evaluate(truth, np.zeros(5, dtype=int)).binary_f1 == 0.0
     pred = np.array([1, 1, 0, 1, 0])
     # tp=2 fp=1 fn=1
-    assert binary_f1(truth, pred) == pytest.approx(4 / 6)
+    assert evaluate(truth, pred).binary_f1 == pytest.approx(4 / 6)
 
 
 def test_shape_and_type_rejection():
     with pytest.raises(ValueError, match="shape mismatch"):
-        micro_f1(np.zeros((2, 3), dtype=int), np.zeros((3, 2), dtype=int))
-    with pytest.raises(ValueError):
-        matthews(np.array([0, 2]), np.array([0, 1]))
-    with pytest.raises(ValueError):
+        evaluate(np.zeros((2, 3), dtype=int), np.zeros((3, 2), dtype=int))
+    with pytest.raises(ValueError, match="out of range"):  # a binary task holds only classes 0 and 1
+        evaluate(np.array([0, 2]), np.array([0, 1]), n_labels=2)
+    with pytest.raises(ValueError, match="0 or 1"):
         as_bad = np.array([[0.5, 1.0]])
-        hamming_loss(as_bad, as_bad)
+        evaluate(as_bad, as_bad)
 
 
 # --------------------------------------------------------- frequency groups
@@ -192,12 +183,12 @@ def test_groups_match_sort_and_slice_oracle():
 def test_per_group_macro_f1():
     truth = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0]])
     groups = np.array([0, 0, 1, 1])
-    perfect = macro_f1_per_group(truth, truth, groups)
+    perfect = evaluate(truth, truth, groups=groups).per_group_macro_f1
     assert perfect == [1.0, 1.0]
-    whole = macro_f1_per_group(truth, truth, np.zeros(4, dtype=int))
-    assert whole == [macro_f1(truth, truth)]
+    whole = evaluate(truth, truth, groups=np.zeros(4, dtype=int))
+    assert whole.per_group_macro_f1 == [whole.macro_f1]
     with pytest.raises(ValueError, match="cover"):
-        macro_f1_per_group(truth, truth, np.array([0, 0, 2, 2]))
+        evaluate(truth, truth, groups=np.array([0, 0, 2, 2]))
 
 
 # -------------------------------------------------------- oracle equivalence
@@ -210,14 +201,17 @@ def test_all_metrics_match_oracles_exactly():
         labels = int(rng.integers(1, 8))
         truth, pred = random_pair(rng, n, labels)
         t_list, p_list = truth.tolist(), pred.tolist()
-        assert micro_f1(truth, pred) == oracle_micro(t_list, p_list)
-        assert macro_f1(truth, pred) == oracle_macro(t_list, p_list)
-        assert hamming_loss(truth, pred) == oracle_hamming(t_list, p_list)
-        assert subset_accuracy(truth, pred) == oracle_subset(t_list, p_list)
+        report = evaluate(truth, pred)
+        assert report.micro_f1 == oracle_micro(t_list, p_list)
+        assert report.macro_f1 == oracle_macro(t_list, p_list)
+        assert report.hamming_loss == oracle_hamming(t_list, p_list)
+        assert report.subset_accuracy == oracle_subset(t_list, p_list)
+        assert report.matthews_corr is None and report.binary_f1 is None
         tv = rng.integers(0, 2, size=n)
         pv = rng.integers(0, 2, size=n)
-        assert matthews(tv, pv) == oracle_matthews(tv.tolist(), pv.tolist())
-        assert binary_f1(tv, pv) == oracle_f1(
+        binary = evaluate(tv, pv, n_labels=2)
+        assert binary.matthews_corr == oracle_matthews(tv.tolist(), pv.tolist())
+        assert binary.binary_f1 == oracle_f1(
             *oracle_counts([[t] for t in tv.tolist()], [[p] for p in pv.tolist()], 0)
         )
 
@@ -231,10 +225,11 @@ def test_perfect_prediction_is_perfect(seed, n, labels):
     rng = np.random.default_rng(seed)
     truth = rng.integers(0, 2, size=(n, labels))
     truth[0] = 1  # every label represented at least once
-    assert micro_f1(truth, truth) == 1.0
-    assert macro_f1(truth, truth) == 1.0
-    assert subset_accuracy(truth, truth) == 1.0
-    assert hamming_loss(truth, truth) == 0.0
+    report = evaluate(truth, truth)
+    assert report.micro_f1 == 1.0
+    assert report.macro_f1 == 1.0
+    assert report.subset_accuracy == 1.0
+    assert report.hamming_loss == 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -242,7 +237,7 @@ def test_perfect_prediction_is_perfect(seed, n, labels):
 def test_hamming_complement_identity(seed, n, labels):
     rng = np.random.default_rng(seed)
     truth, pred = random_pair(rng, n, labels)
-    assert hamming_loss(truth, pred) + hamming_loss(truth, 1 - pred) == pytest.approx(1.0)
+    assert evaluate(truth, pred).hamming_loss + evaluate(truth, 1 - pred).hamming_loss == pytest.approx(1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -251,10 +246,12 @@ def test_label_permutation_invariance(seed, n, labels):
     rng = np.random.default_rng(seed)
     truth, pred = random_pair(rng, n, labels)
     perm = rng.permutation(labels)
-    assert micro_f1(truth[:, perm], pred[:, perm]) == micro_f1(truth, pred)
-    assert macro_f1(truth[:, perm], pred[:, perm]) == pytest.approx(macro_f1(truth, pred))
-    assert hamming_loss(truth[:, perm], pred[:, perm]) == hamming_loss(truth, pred)
-    assert subset_accuracy(truth[:, perm], pred[:, perm]) == subset_accuracy(truth, pred)
+    permuted = evaluate(truth[:, perm], pred[:, perm])
+    report = evaluate(truth, pred)
+    assert permuted.micro_f1 == report.micro_f1
+    assert permuted.macro_f1 == pytest.approx(report.macro_f1)
+    assert permuted.hamming_loss == report.hamming_loss
+    assert permuted.subset_accuracy == report.subset_accuracy
 
 
 @settings(max_examples=50, deadline=None)
@@ -265,10 +262,10 @@ def test_group_weighted_mean_equals_global_macro(seed, n, labels, data):
     truth, pred = random_pair(rng, n, labels)
     train_labels = rng.integers(0, 2, size=(40, labels))
     groups = label_frequency_groups(train_labels, n_groups=n_groups)
-    per_group = macro_f1_per_group(truth, pred, groups)
+    report = evaluate(truth, pred, groups=groups)
     sizes = [int((groups == g).sum()) for g in range(n_groups)]
-    weighted = sum(f * s for f, s in zip(per_group, sizes)) / labels
-    assert abs(weighted - macro_f1(truth, pred)) <= 1e-12
+    weighted = sum(f * s for f, s in zip(report.per_group_macro_f1, sizes)) / labels
+    assert abs(weighted - report.macro_f1) <= 1e-12
 
 
 # ------------------------------------------------------------- evaluate()
@@ -278,8 +275,9 @@ def test_evaluate_multiclass_binary_extras():
     truth = np.array([0, 1, 1, 0])
     pred = np.array([0, 1, 0, 0])
     report = evaluate(truth, pred, n_labels=2)
-    assert report.matthews_corr == matthews(truth, pred)
-    assert report.binary_f1 == binary_f1(truth, pred)
+    # tp=1 tn=2 fp=0 fn=1 for class 1
+    assert report.matthews_corr == oracle_matthews(truth.tolist(), pred.tolist()) == pytest.approx(2 / math.sqrt(12))
+    assert report.binary_f1 == oracle_f1(1, 0, 1)
     assert report.subset_accuracy == 0.75
 
 

@@ -24,7 +24,6 @@ from spdcl.trainer import (
     Vocabulary,
     embed_sample,
     encode_datasets,
-    forward,
     init_params,
     loss_and_grad,
     predict,
@@ -32,7 +31,7 @@ from spdcl.trainer import (
     run_spdcl,
     train_epoch,
 )
-from spdcl.synth import make_separable_dataset, make_zipfian_dataset
+from spdcl.synth import make_zipfian_dataset
 
 import reference_encode
 from datasets import pack_dataset, sample_rows
@@ -187,7 +186,13 @@ def test_norm_grows_weakly_with_appended_tokens():
     assert all(b >= a - 1e-9 for a, b in zip(norms, norms[1:]))
 
 
-# ------------------------------------------------------------------ forward
+# ------------------------------------------------------------ forward pass
+
+
+def pooled_logits(params, ids):
+    """One sample's logits: the pooling that predict and the batch kernel run, then the head."""
+    pooled = trainer._pool(params.embedding_table, *trainer._pack([ids], params.embedding_table.shape[0]))
+    return (pooled @ params.head_weights + params.head_bias)[0]
 
 
 def test_forward_zero_params_returns_bias():
@@ -198,7 +203,7 @@ def test_forward_zero_params_returns_bias():
         head_bias=bias,
         task_kind="multiclass",
     )
-    assert np.allclose(forward(params, [1, 2]), bias)
+    assert np.allclose(pooled_logits(params, [1, 2]), bias)
 
 
 def test_forward_identity_head_returns_embedding_row():
@@ -209,7 +214,7 @@ def test_forward_identity_head_returns_embedding_row():
         head_bias=np.zeros(2),
         task_kind="multiclass",
     )
-    assert np.allclose(forward(params, [3]), table[3])
+    assert np.allclose(pooled_logits(params, [3]), table[3])
 
 
 def test_forward_hand_computed_two_tokens():
@@ -219,7 +224,7 @@ def test_forward_hand_computed_two_tokens():
     params = ModelParams(table, weights, bias, "multiclass")
     # pooled = mean(row1, row2) = [2, 3]; logits = pooled @ W + b
     expected = np.array([2 * 1.0 + 3 * 0.5 + 0.1, 2 * -1.0 + 3 * 2.0 + 0.2])
-    assert np.allclose(forward(params, [1, 2]), expected)
+    assert np.allclose(pooled_logits(params, [1, 2]), expected)
 
 
 # ------------------------------------------------------------------- losses
@@ -258,7 +263,7 @@ def test_invalid_targets_rejected():
 
 def test_softmax_probabilities_sum_to_one():
     params = tiny_params(vocab_size=9, hidden=4, n_labels=5, seed=3)
-    logits = forward(params, [1, 4, 7])
+    logits = pooled_logits(params, [1, 4, 7])
     shifted = logits - logits.max()
     probs = np.exp(shifted) / np.exp(shifted).sum()
     assert abs(probs.sum() - 1.0) <= 1e-12
@@ -687,12 +692,12 @@ def test_a_run_configs_curriculum_is_the_config_itself(tmp_path):
 
 
 def test_separable_data_reaches_high_train_accuracy():
-    train_s, valid_s = make_separable_dataset(200, 40, n_classes=2, seed=5)
+    train_s, valid_s = make_zipfian_dataset(200, 40, n_classes=2, seed=5, noise_rate=0.0)
     train, valid = encode_datasets(train_s, valid_s, "multiclass", max_len=32)
     config = RunConfig(bins_k=4, epochs_T=30, seed=2)
     hyper = TrainHyper(lr=0.5, batch_size=25, hidden=8, seed=2)
     result = run_spdcl(train, valid, config, hyper)
-    train_acc = float((predict(result.params, train) == train.truth()).mean())
+    train_acc = float((predict(result.params, train) == train.targets).mean())
     assert train_acc >= 0.95
 
 
@@ -739,10 +744,10 @@ def test_encode_packs_train_split_in_id_order():
     a, b, c = (train.vocab.index_of[t] for t in "abc")
     assert train.tokens.tolist() == [a, c, c, b, a]
     assert train.offsets.tolist() == [0, 1, 3, 5]
-    assert train.truth().tolist() == [0, 1, 1]
-    assert valid.truth().tolist() == [0, 1]
+    assert train.targets.tolist() == [0, 1, 1]
+    assert valid.targets.tolist() == [0, 1]
     ml, _ = encode_datasets(train_s, [], "multilabel")
-    assert ml.truth().tolist() == [[1, 0], [0, 1], [0, 1]]
+    assert ml.targets.tolist() == [[1, 0], [0, 1], [0, 1]]
 
 
 @pytest.mark.parametrize(
