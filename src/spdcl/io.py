@@ -312,8 +312,8 @@ def read_embedding_dump(path) -> EmbeddingDump:
     The layout of the last file walked is kept.  A file of the same size
     with the same bytes at that file's header spans would walk exactly as it
     did, so it is not walked again: its values are sliced at the kept spans
-    and checked, and its dump shares the kept layout (and so scoring's slice
-    plan and the writer's packed headers).  Any other file is walked and
+    and checked, and its dump shares the kept layout (and so scoring's plan,
+    while the rows' classes repeat, and the writer's packed headers).  Any other file is walked and
     checked in full, and its layout is kept instead if it reads.
     """
     global _last_walk

@@ -2,20 +2,23 @@
 
 The nuclear norm is the sum of the singular values, equivalently
 ``tr(sqrt(E^T E))``.  It is computed from the smaller Gram matrix by a
-symmetric eigendecomposition.  :class:`DumpLayout` is the checked layout
-(ids, row offsets) that a training set builds once and all its dumps share.
-:class:`EmbeddingDump` has two row sources, every sample's token-by-hidden
-rows in one float32 array (a dump read from a file) or a float32 table with
-a row index (the run loop's embedding table and token ids), and one scoring
-path over plain arrays: one stacked call per group of samples that share a
-row count, planned once per layout and column count, each gathering its
+symmetric eigendecomposition.  A matrix that repeats rows has the same E^T E
+as its distinct rows, each scaled by the square root of its count; when
+those are fewer than ``min(m, d)`` it is scored on them, from a smaller Gram.
+:class:`DumpLayout` is the checked layout (ids, row offsets) that a training
+set builds once and all its dumps share.  :class:`EmbeddingDump` has two row
+sources, every sample's token-by-hidden rows in one float32 array (a dump
+read from a file) or a float32 table with a row index (the run loop's
+embedding table and token ids), and one scoring path over plain arrays: one
+stacked call per group of samples scored on the same number of rows, planned
+once per layout, column count and classes of equal rows, each gathering its
 rows through the index if there is one.  Everything here is a pure function
 over immutable inputs and safe to call from many workers at once.
 """
 
 from __future__ import annotations
 
-import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -25,6 +28,11 @@ import numpy as np
 # row-count group to this size keeps scoring's memory constant, however many
 # samples share a length (every text longer than max_len truncates to it).
 _SCORE_SLICE_VALUES = 1 << 18
+
+# Rows whose classes of equal rows are worked out at once, at most: 4,096.
+# That pass holds about ten int64 values a row (320 KiB), and compares at
+# most one scoring slice of values.
+_CLASS_CHUNK_ROWS = 1 << 12
 
 # Float32 values per chunk a dump file is written in: 64 KiB (or one sample,
 # if a sample is larger).  The writer holds one chunk at a time, so its
@@ -69,8 +77,107 @@ def singular_values(matrix) -> np.ndarray:
 
 
 def nuclear_norm(matrix) -> float:
-    """Sum of singular values: tr(sqrt(E^T E)), summed largest first."""
-    return float(singular_values(matrix).sum())
+    """Sum of singular values: tr(sqrt(E^T E)), summed largest first.
+
+    A matrix whose ``u`` distinct rows (rows are equal when their bytes
+    are) are fewer than ``min(rows, cols)`` is scored on them instead, in
+    first-appearance order, each scaled by the square root of its count:
+    the same E^T E, so the same singular values, from a u x u Gram.  Every
+    other matrix is scored as given.  This is the rule :meth:`EmbeddingDump.nuclear_norms`
+    follows, so a dump's norm equals this one of the sample's rows widened
+    to float64, bit for bit.
+    """
+    arr = _validated_values(matrix)
+    weights = _byte_weights(arr, np.array([0, len(arr)]), arr.shape[1])
+    if not weights.all():
+        kept = np.flatnonzero(weights)
+        arr = arr[kept] * np.sqrt(weights[kept])[:, None]
+    return float(_spectrum(arr).sum())
+
+
+# Odd base of the row hash.  A row's float bits, read as 32-bit words w_j,
+# hash to sum_j w_j * BASE**(j + 1) mod 2**32: byte-equal rows hash alike,
+# and a single changed word always changes the hash.  Rows whose hashes
+# collide are told apart by their bytes, so the hash only saves work.
+_ROW_HASH_BASE = 0x9E3779B1
+
+
+def _row_hashes(rows: np.ndarray) -> np.ndarray:
+    """A hash of each row's bytes, an int64 below 2**32: (R, d) C-contiguous float rows -> (R,)."""
+    bits = rows.view(np.uint32)
+    return (bits @ np.full(bits.shape[-1], _ROW_HASH_BASE, np.uint32).cumprod(dtype=np.uint32)).astype(np.int64)
+
+
+def _first_equal(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """For each row, the index of the first row of its sample (rows
+    ``offsets[i]:offsets[i + 1]``) with an equal key; keys are below 2**32."""
+    lengths = np.diff(offsets)
+    keys = np.repeat(np.arange(len(lengths)) << 32, lengths) | keys
+    # A stable sort puts each sample's rows of one key together, in row
+    # order, so each run of equal keys starts at the first of its rows.
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    first = np.empty(len(keys), dtype=np.int64)
+    first[order] = order[np.maximum.accumulate(np.where(starts, np.arange(len(keys)), 0))]
+    return first
+
+
+def _split_collisions(rows: np.ndarray, first: np.ndarray, suspects: np.ndarray) -> bool:
+    """Check the ``suspects`` rows byte for byte against their first rows by hash.
+
+    A suspect whose bytes differ met a hash collision: the rows of its hash
+    are then sorted out exactly, by their bytes, in ``first``.  Returns
+    whether any collision was found.
+    """
+    bits = rows.view(np.uint32)
+    clashed = suspects[(bits[suspects] != bits[first[suspects]]).any(axis=1)]
+    for head in set(first[clashed].tolist()):
+        run = np.flatnonzero(first == head).tolist()
+        seen: dict[bytes, int] = {}
+        first[run] = [seen.setdefault(rows[r].tobytes(), r) for r in run]
+    return clashed.size > 0
+
+
+def _weights(first: np.ndarray, offsets: np.ndarray, cols: int) -> np.ndarray:
+    """Each row's weight in the matrix its sample is scored on.
+
+    Sample ``i`` owns rows ``offsets[i]:offsets[i + 1]``, and ``first[r]``
+    is the first of them equal to row ``r``.  A sample whose ``u`` distinct
+    rows are fewer than ``min(m, cols)`` is scored on those rows, each
+    weighted by how many rows equal it, and its repeats weigh 0; every row
+    of any other sample weighs 1.
+    """
+    lengths = np.diff(offsets)
+    is_first = first == np.arange(len(first))
+    shrinks = np.add.reduceat(is_first, offsets[:-1], dtype=np.int64) < np.minimum(lengths, cols)
+    tally = np.bincount(first, minlength=len(first)) * is_first
+    return np.where(np.repeat(shrinks, lengths), tally, 1)
+
+
+def _byte_weights(rows: np.ndarray, offsets: np.ndarray, cols: int) -> np.ndarray:
+    """:func:`_weights` of (R, d) float rows, equal when their bytes are."""
+    rows = np.ascontiguousarray(rows)
+    first = _first_equal(_row_hashes(rows), offsets)
+    weights = _weights(first, offsets, cols)
+    # Equal bytes hash alike, so a hash class holds whole byte classes, and
+    # a sample too varied to shrink by hash is too varied by bytes.  Only
+    # the repeats the weights drop need their bytes checked.
+    if _split_collisions(rows, first, np.flatnonzero(weights == 0)):
+        weights = _weights(first, offsets, cols)
+    return weights
+
+
+def _rows_distinct(values: np.ndarray) -> bool:
+    """Whether no two rows of a (rows, d) float table have equal bytes."""
+    hashes = _row_hashes(values)
+    ordered = np.sort(hashes)
+    if (ordered[1:] != ordered[:-1]).all():
+        return True
+    first = _first_equal(hashes, np.array([0, len(values)]))
+    _split_collisions(values, first, np.flatnonzero(first != np.arange(len(first))))
+    return bool((first == np.arange(len(first))).all())
 
 
 def _views_writable_memory(arr: np.ndarray) -> bool:
@@ -139,20 +246,82 @@ class DumpLayout:
         object.__setattr__(self, "row_of", row_of)
 
 
-@functools.lru_cache(maxsize=1)
-def _score_slices(layout: DumpLayout, cols: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(members, rows_of) per stacked kernel call: samples of one row count,
-    ``_SCORE_SLICE_VALUES`` float64 values (or one sample) at most, and their rows."""
-    lengths = np.diff(layout.offsets)
+def _chunk_bounds(offsets: np.ndarray, rows: int) -> Iterator[tuple[int, int]]:
+    """``(first, stop)`` for runs of contiguous samples of ``rows`` rows at most (or one sample)."""
+    first, n = 0, len(offsets) - 1
+    while first < n:
+        stop = max(first + 1, int(np.searchsorted(offsets, offsets[first] + rows, side="right")) - 1)
+        yield first, stop
+        first = stop
+
+
+def _row_weights(dump: EmbeddingDump, by_index: bool) -> np.ndarray:
+    """:func:`_weights` of every layout row, worked out one chunk of
+    contiguous samples at a time: ``_CLASS_CHUNK_ROWS`` rows and
+    ``_SCORE_SLICE_VALUES`` values at most (or one sample).  Rows are equal
+    when their token ids are, if ``by_index``, else when their bytes are."""
+    offsets, cols = dump.offsets, dump.values.shape[1]
+    # A weight is at most its sample's row count: held in the smallest type that fits.
+    weights = np.empty(offsets[-1], dtype=np.min_scalar_type(np.diff(offsets).max()))
+    for first, stop in _chunk_bounds(offsets, max(1, min(_CLASS_CHUNK_ROWS, _SCORE_SLICE_VALUES // cols))):
+        lo, hi = offsets[first], offsets[stop]
+        local = offsets[first : stop + 1] - lo
+        if by_index:  # table rows, so fewer than 2**32
+            weights[lo:hi] = _weights(_first_equal(dump.index[lo:hi], local), local, cols)
+        else:
+            weights[lo:hi] = _byte_weights(dump.rows(slice(lo, hi)), local, cols)
+    return weights
+
+
+def _plan(layout: DumpLayout, cols: int, weights: np.ndarray) -> tuple[tuple[np.ndarray, int, np.ndarray | None], ...]:
+    """(members, rows, gather) per stacked kernel call: samples scored on
+    ``rows`` rows each, ``_SCORE_SLICE_VALUES`` float64 values (or one
+    sample) at most.
+
+    ``gather`` holds each member's rows of non-zero weight when a member
+    shrinks (see :func:`_weights`), and is None when none does: the members
+    then score on their own rows, which are not held.
+    """
+    offsets = layout.offsets
+    # Gather rows are layout rows: held in the smallest type that fits.
+    kept = np.flatnonzero(weights).astype(np.min_scalar_type(len(weights)))
+    lengths = np.add.reduceat(weights > 0, offsets[:-1], dtype=np.int64)
+    shrinks = lengths < np.diff(offsets)
+    start = np.cumsum(lengths) - lengths
     by_length = np.argsort(lengths, kind="stable")
     slices = []
     for group in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
         rows = int(lengths[group[0]])
         step = max(1, _SCORE_SLICE_VALUES // (rows * cols))
-        for start in range(0, len(group), step):
-            members = group[start : start + step]
-            slices.append((members, layout.offsets[members, None] + np.arange(rows)))
+        for begin in range(0, len(group), step):
+            members = group[begin : begin + step]
+            gather = kept[start[members, None] + np.arange(rows)] if shrinks[members].any() else None
+            slices.append((members, rows, gather))
     return tuple(slices)
+
+
+# The last scoring plan: (layout, column count, row weights, a weak
+# reference to the index whose token ids gave them or None, the slices).
+# Empty, not None, before the first plan: perfbench's tracer takes a module
+# global that is None for one of the functions it wraps.
+_last_plan: tuple = ()
+
+
+def _scoring_plan(dump: EmbeddingDump) -> tuple[np.ndarray, tuple]:
+    """The dump's row weights and kernel slices, reused while the layout,
+    the column count and the weights repeat."""
+    global _last_plan
+    layout, cols, index = dump.layout, dump.values.shape[1], dump.index
+    last = _last_plan
+    same_layout = bool(last) and last[0] is layout and last[1] == cols
+    # While the table's rows are pairwise distinct, two rows are equal
+    # exactly when their token ids are, so the weights follow the index.
+    by_index = index is not None and _rows_distinct(dump.values)
+    if not (same_layout and by_index and last[3] is not None and last[3]() is index):
+        weights = _row_weights(dump, by_index)
+        slices = last[4] if same_layout and np.array_equal(last[2], weights) else _plan(layout, cols, weights)
+        last = _last_plan = (layout, cols, weights, weakref.ref(index) if by_index else None, slices)
+    return last[2], last[4]
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,27 +396,40 @@ class EmbeddingDump:
         when it is reached, so a consumer that drops one chunk before asking
         for the next holds one at a time."""
         offsets = self.offsets
-        budget = max(1, _DUMP_CHUNK_VALUES // self.values.shape[1])
-        first, n = 0, len(self.ids)
-        while first < n:
-            stop = max(first + 1, int(np.searchsorted(offsets, offsets[first] + budget, side="right")) - 1)
+        for first, stop in _chunk_bounds(offsets, max(1, _DUMP_CHUNK_VALUES // self.values.shape[1])):
             yield first, stop, self.rows(slice(offsets[first], offsets[stop]))
-            first = stop
 
     def nuclear_norms(self) -> np.ndarray:
         """Each sample's nuclear norm in ``ids`` order, from its rows widened to float64.
 
-        Samples are scored in groups that share a row count, one stacked
-        kernel call per slice of a group, so an epoch costs one LAPACK batch
-        per distinct length rather than one call per sample.  Each slice
-        gathers its float32 rows (through the index, if there is one) and
-        holds at most ``_SCORE_SLICE_VALUES`` float64 values (or one
-        sample), which bounds scoring's temporaries whatever the group size.
-        Every sample's spectrum and sum are computed exactly as
-        ``nuclear_norm`` computes them.  The slices are planned once per
-        layout and column count.
+        A sample whose ``u`` distinct rows are fewer than ``min(m, d)`` is
+        scored on those rows, in first-appearance order, each scaled by the
+        square root of its count: the same E^T E from a u x u Gram.  Every
+        other sample is scored on its own rows by the plain kernel.  Either
+        way each norm equals ``nuclear_norm`` of the sample's widened rows,
+        bit for bit.  Rows are equal when their bytes are: with an index
+        whose table rows are pairwise distinct (checked on every call), when
+        their token ids are; otherwise the rows' bytes are compared, chunk
+        by chunk, and every hash match that drops a row is verified exactly.
+        So a dump scores as the same dump read back from its file does.
+
+        Samples are scored in groups that share the number of rows they are
+        scored on, one stacked kernel call per slice of a group, so an epoch
+        costs one LAPACK batch per distinct count rather than one call per
+        sample.  Each slice gathers its float32 rows (through the index, if
+        there is one) and holds at most ``_SCORE_SLICE_VALUES`` float64
+        values (or one sample), which bounds scoring's temporaries whatever
+        the group size.  The plan, its slices and the row weights, is kept
+        for the last layout and column count and reused while the rows'
+        classes repeat: for the same index, or for equal row weights.
         """
         norms = np.empty(len(self.ids))
-        for members, rows_of in _score_slices(self.layout, self.values.shape[1]):
-            norms[members] = _spectrum(self.rows(rows_of).astype(np.float64)).sum(axis=-1)
+        weights, slices = _scoring_plan(self)
+        for members, rows, gather in slices:
+            if gather is None:
+                stack = self.rows(self.offsets[members, None] + np.arange(rows)).astype(np.float64)
+            else:
+                stack = self.rows(gather).astype(np.float64)
+                stack *= np.sqrt(weights[gather], dtype=np.float64)[..., None]
+            norms[members] = _spectrum(stack).sum(axis=-1)
         return norms

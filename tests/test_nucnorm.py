@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdcl import nucnorm
+from spdcl.io import read_embedding_dump, write_embedding_dump
 from spdcl.nucnorm import DumpLayout, EmbeddingDump, nuclear_norm, singular_values
 
 from dumps import pack_dump
@@ -104,6 +106,78 @@ def test_scoring_memory_is_bounded():
         tracemalloc.stop()
     assert len(norms) == n
     assert peak < values.nbytes / 2, (peak, values.nbytes)
+
+
+def test_indexed_scoring_memory_is_bounded():
+    # The run loop's twin of the dump above: a 40-row table and token ids.
+    # Nearly every sample repeats a token and scores on its distinct rows,
+    # so the plan holds their gather rows and the row weights; scoring, plan
+    # included, stays under the same bound as the materialized dump's.
+    n, rows, d = 1 << 14, 16, 16
+    rng = np.random.default_rng(0)
+    table = rng.standard_normal((40, d), dtype=np.float32)
+    tokens = rng.integers(0, 40, size=n * rows)
+    by_sample = np.sort(tokens.reshape(n, rows), axis=1)
+    assert (by_sample[:, 1:] == by_sample[:, :-1]).any(axis=1).mean() > 0.9
+    dump = EmbeddingDump(DumpLayout(tuple(f"s{i}" for i in range(n)), np.arange(n + 1) * rows), table, tokens)
+    tracemalloc.start()
+    try:
+        norms = dump.nuclear_norms()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(norms) == n
+    assert peak < n * rows * d * 4 / 2, (peak, n * rows * d * 4)
+
+
+def test_distinct_rows_rule_boundary():
+    # d=4 and twelve rows each.  Six distinct rows, or four (u equal to
+    # min(m, d)), do not shrink the Gram: those samples keep their own rows
+    # and score as the plain kernel does.  Three distinct rows do: the sample
+    # scores on them in first-appearance order, each scaled by the square
+    # root of its count.  Twenty tables, so that no case holds by chance.
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        table = rng.standard_normal((6, 4)).astype(np.float32).astype(np.float64)
+        six = table[[0, 1, 2, 3, 4, 5, 5, 4, 3, 2, 1, 0]]
+        four = table[[0, 1, 2, 3] * 3]
+        three = table[[2, 0, 2, 1, 0, 2, 2, 1, 0, 2, 1, 2]]
+        norms = pack_dump([("six", six), ("four", four), ("three", three)]).nuclear_norms()
+        assert norms[0] == _per_sample_norm(six) == nuclear_norm(six)
+        assert norms[1] == _per_sample_norm(four) == nuclear_norm(four)
+        weighted = table[[2, 0, 1]] * np.sqrt([6.0, 3.0, 3.0])[:, None]
+        assert norms[2] == float(_written_out_spectrum(weighted)[::-1].sum()) == nuclear_norm(three)
+        assert rel_err(norms[2], nuclear_norm_oracle(three)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["as-is", "one-sample-chunks", "every-hash-collides"])
+def test_indexed_and_read_back_dumps_score_alike(tmp_path, monkeypatch, case):
+    # Tokens 3 and 7 have bytewise-equal float32 rows, so token ids are not
+    # the classes of equal rows: the table check must see that and compare
+    # the rows' bytes, as scoring the dump read back from its file does.
+    # Every norm must equal nuclear_norm of the sample's widened rows, also
+    # when the rows are classed one sample at a time, or when every row hash
+    # collides and the exact byte comparison alone tells rows apart.
+    rng = np.random.default_rng(11)
+    table = rng.standard_normal((10, 8)).astype(np.float32)
+    table[7] = table[3]
+    lengths = rng.integers(1, 14, size=300)
+    lengths[0] = 4
+    tokens = rng.integers(0, 10, size=int(lengths.sum()))
+    tokens[:4] = [3, 7, 3, 7]
+    offsets = np.cumsum([0, *lengths])
+    want = [nuclear_norm(table[tokens[a:b]].astype(np.float64)) for a, b in zip(offsets[:-1], offsets[1:])]
+    if case == "one-sample-chunks":
+        monkeypatch.setattr(nucnorm, "_DUMP_CHUNK_VALUES", 1)
+    if case == "every-hash-collides":
+        monkeypatch.setattr(nucnorm, "_ROW_HASH_BASE", 0)
+    monkeypatch.setattr(nucnorm, "_last_plan", ())
+    dump = EmbeddingDump(DumpLayout([f"s{i}" for i in range(len(lengths))], offsets), table, tokens)
+    indexed = dump.nuclear_norms()
+    write_embedding_dump(tmp_path / "dump.bin", dump)
+    monkeypatch.setattr(nucnorm, "_last_plan", ())
+    read_back = read_embedding_dump(tmp_path / "dump.bin").nuclear_norms()
+    assert indexed.tobytes() == read_back.tobytes() == np.array(want).tobytes()
 
 
 def test_norm_sums_spectrum_largest_first():

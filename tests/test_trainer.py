@@ -844,11 +844,8 @@ def test_dump_gathered_in_slices_equals_one_cast(monkeypatch):
     twin = EmbeddingDump(train.layout, expected)
     assert dump.nuclear_norms().tobytes() == twin.nuclear_norms().tobytes()
     monkeypatch.setattr(nucnorm, "_SCORE_SLICE_VALUES", 9)  # two rows of d=4 per slice
-    nucnorm._score_slices.cache_clear()
-    try:
-        assert dump.nuclear_norms().tobytes() == twin.nuclear_norms().tobytes()
-    finally:
-        nucnorm._score_slices.cache_clear()
+    monkeypatch.setattr(nucnorm, "_last_plan", ())  # teardown restores the plan of the usual size
+    assert dump.nuclear_norms().tobytes() == twin.nuclear_norms().tobytes()
 
 
 def test_dump_scoring_and_writing_memory_does_not_follow_the_dump(tmp_path):
