@@ -273,20 +273,14 @@ def _row_weights(dump: EmbeddingDump, by_index: bool) -> np.ndarray:
     return weights
 
 
-def _plan(layout: DumpLayout, cols: int, weights: np.ndarray) -> tuple[tuple[np.ndarray, int, np.ndarray | None], ...]:
-    """(members, rows, gather) per stacked kernel call: samples scored on
-    ``rows`` rows each, ``_SCORE_SLICE_VALUES`` float64 values (or one
-    sample) at most.
-
-    ``gather`` holds each member's rows of non-zero weight when a member
-    shrinks (see :func:`_weights`), and is None when none does: the members
-    then score on their own rows, which are not held.
-    """
-    offsets = layout.offsets
+def _plan(layout: DumpLayout, cols: int, weights: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(members, gather) per stacked kernel call: samples scored on the same
+    number of rows, ``_SCORE_SLICE_VALUES`` float64 values (or one sample)
+    at most, and the layout rows of non-zero weight (see :func:`_weights`)
+    of each member, one member per row of ``gather``."""
     # Gather rows are layout rows: held in the smallest type that fits.
     kept = np.flatnonzero(weights).astype(np.min_scalar_type(len(weights)))
-    lengths = np.add.reduceat(weights > 0, offsets[:-1], dtype=np.int64)
-    shrinks = lengths < np.diff(offsets)
+    lengths = np.add.reduceat(weights > 0, layout.offsets[:-1], dtype=np.int64)
     start = np.cumsum(lengths) - lengths
     by_length = np.argsort(lengths, kind="stable")
     slices = []
@@ -295,8 +289,7 @@ def _plan(layout: DumpLayout, cols: int, weights: np.ndarray) -> tuple[tuple[np.
         step = max(1, _SCORE_SLICE_VALUES // (rows * cols))
         for begin in range(0, len(group), step):
             members = group[begin : begin + step]
-            gather = kept[start[members, None] + np.arange(rows)] if shrinks[members].any() else None
-            slices.append((members, rows, gather))
+            slices.append((members, kept[start[members, None] + np.arange(rows)]))
     return tuple(slices)
 
 
@@ -425,11 +418,9 @@ class EmbeddingDump:
         """
         norms = np.empty(len(self.ids))
         weights, slices = _scoring_plan(self)
-        for members, rows, gather in slices:
-            if gather is None:
-                stack = self.rows(self.offsets[members, None] + np.arange(rows)).astype(np.float64)
-            else:
-                stack = self.rows(gather).astype(np.float64)
-                stack *= np.sqrt(weights[gather], dtype=np.float64)[..., None]
+        for members, gather in slices:
+            # A row of weight 1 is scaled by 1.0, which keeps its bits.
+            stack = self.rows(gather).astype(np.float64)
+            stack *= np.sqrt(weights[gather], dtype=np.float64)[..., None]
             norms[members] = _spectrum(stack).sum(axis=-1)
         return norms

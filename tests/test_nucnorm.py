@@ -151,16 +151,20 @@ def test_distinct_rows_rule_boundary():
 
 
 @pytest.mark.parametrize("case", ["as-is", "one-sample-chunks", "every-hash-collides"])
-def test_indexed_and_read_back_dumps_score_alike(tmp_path, monkeypatch, case):
-    # Tokens 3 and 7 have bytewise-equal float32 rows, so token ids are not
-    # the classes of equal rows: the table check must see that and compare
-    # the rows' bytes, as scoring the dump read back from its file does.
-    # Every norm must equal nuclear_norm of the sample's widened rows, also
-    # when the rows are classed one sample at a time, or when every row hash
+@pytest.mark.parametrize("table_rows", ["distinct", "two-equal"])
+def test_indexed_and_read_back_dumps_score_alike(tmp_path, monkeypatch, case, table_rows):
+    # The indexed dump takes the classes of equal rows from its token ids
+    # while the table's rows are distinct.  With "two-equal", tokens 3 and 7
+    # have bytewise-equal float32 rows, so token ids are not the classes:
+    # the table check must see that and compare the rows' bytes.  The dump
+    # read back from its file always compares bytes.  Every norm must equal
+    # nuclear_norm of the sample's widened rows, also when the rows are
+    # classed and written one sample at a time, or when every row hash
     # collides and the exact byte comparison alone tells rows apart.
     rng = np.random.default_rng(11)
     table = rng.standard_normal((10, 8)).astype(np.float32)
-    table[7] = table[3]
+    if table_rows == "two-equal":
+        table[7] = table[3]
     lengths = rng.integers(1, 14, size=300)
     lengths[0] = 4
     tokens = rng.integers(0, 10, size=int(lengths.sum()))
@@ -168,9 +172,11 @@ def test_indexed_and_read_back_dumps_score_alike(tmp_path, monkeypatch, case):
     offsets = np.cumsum([0, *lengths])
     want = [nuclear_norm(table[tokens[a:b]].astype(np.float64)) for a, b in zip(offsets[:-1], offsets[1:])]
     if case == "one-sample-chunks":
+        monkeypatch.setattr(nucnorm, "_CLASS_CHUNK_ROWS", 1)
         monkeypatch.setattr(nucnorm, "_DUMP_CHUNK_VALUES", 1)
     if case == "every-hash-collides":
         monkeypatch.setattr(nucnorm, "_ROW_HASH_BASE", 0)
+    assert nucnorm._rows_distinct(table) == (table_rows == "distinct")
     monkeypatch.setattr(nucnorm, "_last_plan", ())
     dump = EmbeddingDump(DumpLayout([f"s{i}" for i in range(len(lengths))], offsets), table, tokens)
     indexed = dump.nuclear_norms()
