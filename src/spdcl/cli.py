@@ -3,9 +3,10 @@
 Each subcommand is a step over the file formats in :mod:`spdcl.io`, run as
 its own process from a shell or as one :func:`main` call among others in
 one process.  The only state the calls share is what :mod:`spdcl.io` keeps:
-the last dump layout walked, and the last score file read or written with
-its table, which a later ``schedule`` or ``--prev-scores`` read of the same
-bytes gets back without parsing.  Neither changes an output.
+the last dump layout walked, which carries its scoring plan and packed
+headers, and the last score file read or written with its table, which a
+later ``schedule`` or ``--prev-scores`` read of the same bytes gets back
+without parsing.  Neither changes an output.
 
 Errors exit nonzero with a single machine-parsable line on stderr,
 ``error:<category>: <message>``.  The categories:

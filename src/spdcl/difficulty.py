@@ -21,12 +21,13 @@ deterministic.  The previous epoch's table is all the history a delta needs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from spdcl.nucnorm import EmbeddingDump, read_only
-from spdcl.scheduler import check_choice
+from spdcl.scheduler import check_choice, check_int
 
 ALIGNMENT_MODES = ("rank", "identity")
 DELTA_ORDERINGS = ("magnitude", "signed")
@@ -38,11 +39,12 @@ class ScoreTable:
 
     ``norm`` (the raw nuclear norm) and ``score`` are float64 columns
     aligned to ``ids``.  ``order`` lists the row indices easiest first: the
-    sample ``ids[order[r]]`` has rank ``r``.  ``initial_scores``,
-    ``delta_scores`` and ``spdcl.io.read_scores`` build tables whose ids
-    ascend and whose ``order`` is a permutation; the constructor checks only
-    the column shapes.  The columns are held read-only without freezing the
-    caller's arrays (see :func:`spdcl.nucnorm.read_only`).
+    sample ``ids[order[r]]`` has rank ``r``.  The constructor checks that a
+    score file reads back as the table: an ``int`` epoch of at least 1, ids
+    that are non-empty strings, strictly ascending, one value per sample in
+    each column, and an ``order`` that is a permutation.  The columns are
+    held read-only without freezing the caller's arrays (see
+    :func:`spdcl.nucnorm.read_only`).
     """
 
     epoch: int
@@ -52,13 +54,24 @@ class ScoreTable:
     order: np.ndarray
 
     def __post_init__(self):
+        check_int("epoch", self.epoch, minimum=1)
         ids = tuple(self.ids)
+        if not _ids_ascend(ids):
+            raise ValueError("a table needs at least one id, and its ids must be non-empty strings, strictly ascending")
         object.__setattr__(self, "ids", ids)
         for name, dtype in (("norm", np.float64), ("score", np.float64), ("order", np.int64)):
             column = read_only(getattr(self, name), dtype)
             if column.shape != (len(ids),):
                 raise ValueError(f"{name} must hold one value per sample, got shape {column.shape}")
             object.__setattr__(self, name, column)
+        if not np.array_equal(np.sort(self.order), np.arange(len(ids))):
+            raise ValueError("order must be a permutation of the rows")
+
+
+@functools.lru_cache(maxsize=1)  # a run's tables share one id tuple
+def _ids_ascend(ids: tuple) -> bool:
+    """Whether there are ids, all non-empty strings, strictly ascending."""
+    return bool(ids) and all(type(sid) is str and sid for sid in ids) and all(map(str.__lt__, ids, ids[1:]))
 
 
 def _by_key(key: np.ndarray) -> np.ndarray:

@@ -22,9 +22,8 @@ One score file is kept in memory per process: the bytes of the last one
 read of the same bytes returns that table without parsing, so an in-process
 chain (``score`` writes epoch t, ``schedule`` reads it, ``score`` reads it
 again as ``--prev-scores``) parses no file it has just written or read.
-A writer keeps its table only when reading its bytes back would give that
-exact table.  With one process per command the entry starts empty, and
-every file is parsed.
+With one process per command the entry starts empty, and every file is
+parsed.
 
 Embedding dumps are a small binary format:
 
@@ -43,10 +42,10 @@ chunks of contiguous samples, whichever row source it has: 64 KiB of
 float32 values each (``nucnorm._DUMP_CHUNK_VALUES``, or one sample if a
 sample is larger), one chunk alive at a time, so its memory follows the
 chunk size, not the file's; the format is the same whatever the chunking.
-Dump headers are packed once per layout and column count, and are walked
-again only when they differ from the last dump read; score-file ids are
-JSON-escaped once per id tuple.  Every write goes through a temp file in
-the target directory followed by an atomic rename.
+Dump headers are packed once per layout and column count and kept on the
+layout, and are walked again only when they differ from the last dump
+read; score-file ids are JSON-escaped once per id tuple.  Every write goes
+through a temp file in the target directory followed by an atomic rename.
 """
 
 from __future__ import annotations
@@ -263,14 +262,17 @@ def f32_roundtrip(values) -> np.ndarray:
     return np.asarray(values, dtype="<f4").astype(np.float64)
 
 
-@functools.lru_cache(maxsize=1)
 def _dump_headers(layout: DumpLayout, cols: int) -> tuple[bytes, tuple[bytes, ...]]:
-    """A dump file's header, and each sample's header: id length, UTF-8 id, rows, cols."""
-    headers = []
-    for sid, rows in zip(layout.ids, np.diff(layout.offsets).tolist()):
-        id_bytes = sid.encode("utf-8")
-        headers.append(_DUMP_ID_LEN.pack(len(id_bytes)) + id_bytes + _DUMP_SHAPE.pack(rows, cols))
-    return DUMP_MAGIC + _DUMP_HEADER.pack(DUMP_VERSION, len(headers)), tuple(headers)
+    """A dump file's header, and each sample's (id length, UTF-8 id, rows, cols), kept on the layout."""
+    kept = layout._memo.get(("headers", cols))
+    if kept is None:
+        headers = []
+        for sid, rows in zip(layout.ids, np.diff(layout.offsets).tolist()):
+            id_bytes = sid.encode("utf-8")
+            headers.append(_DUMP_ID_LEN.pack(len(id_bytes)) + id_bytes + _DUMP_SHAPE.pack(rows, cols))
+        kept = DUMP_MAGIC + _DUMP_HEADER.pack(DUMP_VERSION, len(headers)), tuple(headers)
+        layout._memo[("headers", cols)] = kept
+    return kept
 
 
 def write_embedding_dump(path, dump: EmbeddingDump) -> None:
@@ -312,9 +314,10 @@ def read_embedding_dump(path) -> EmbeddingDump:
     The layout of the last file walked is kept.  A file of the same size
     with the same bytes at that file's header spans would walk exactly as it
     did, so it is not walked again: its values are sliced at the kept spans
-    and checked, and its dump shares the kept layout (and so scoring's plan,
-    while the rows' classes repeat, and the writer's packed headers).  Any other file is walked and
-    checked in full, and its layout is kept instead if it reads.
+    and checked, and its dump shares the kept layout, and with it what the
+    layout keeps: scoring's plan, reused while the rows' classes repeat,
+    and the writer's packed headers.  Any other file is walked and checked
+    in full, and its layout is kept instead if it reads.
     """
     global _last_walk
     with open(path, "rb") as fh:
@@ -398,12 +401,6 @@ def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[slice]]:
 _json_ids = functools.lru_cache(maxsize=1)(lambda ids: tuple(map(_encode_json_str, ids)))
 
 
-@functools.lru_cache(maxsize=1)
-def _ids_read_back(ids: tuple) -> bool:
-    """Whether ``read_scores`` gives these ids back as they are: non-empty strings, strictly ascending."""
-    return bool(ids) and all(type(sid) is str and sid for sid in ids) and all(map(str.__lt__, ids, ids[1:]))
-
-
 # The last score file read or written, and its table: (file bytes, ScoreTable).
 # Empty, not None, before the first, as _last_walk is.  The bytes are copied
 # into anonymous pages of their own: kept as one long-lived heap block (0.25
@@ -426,12 +423,9 @@ def write_scores(path, table: ScoreTable) -> None:
     for epoch 1 the two values coincide.  Each line is formatted directly
     and is byte for byte what ``_canonical_json_line`` gives for the record
     with ``float`` score and norm (keys sorted, floats as ``float.__repr__``).
-    Scores and norms must be finite.
-
-    The file's bytes and ``table`` become the entry ``read_scores`` serves
-    when ``table`` is exactly what reading them back gives: an ``int``
-    epoch, ids as ``read_scores`` returns them, and an ``order`` that is a
-    permutation.  Any other table leaves the entry empty.
+    Scores and norms must be finite.  The file's bytes and ``table`` become
+    the entry ``read_scores`` serves: a :class:`ScoreTable` is checked to be
+    exactly what reading them back gives.
     """
     global _last_scores
     _last_scores = ()  # free the kept file's bytes before this file's are built
@@ -453,12 +447,7 @@ def write_scores(path, table: ScoreTable) -> None:
     ]
     payload = "".join(lines).encode("utf-8")
     _atomic_write_bytes(Path(path), payload)
-    if (
-        type(table.epoch) is int
-        and _ids_read_back(table.ids)
-        and np.array_equal(np.sort(order), np.arange(len(order)))
-    ):
-        _keep_scores(payload, table)
+    _keep_scores(payload, table)
 
 
 # Readers check the exact type a JSON decoder gives: true and false decode

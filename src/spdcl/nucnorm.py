@@ -10,15 +10,17 @@ set builds once and all its dumps share.  :class:`EmbeddingDump` has two row
 sources, every sample's token-by-hidden rows in one float32 array (a dump
 read from a file) or a float32 table with a row index (the run loop's
 embedding table and token ids), and one scoring path over plain arrays: one
-stacked call per group of samples scored on the same number of rows, planned
-once per layout, column count and classes of equal rows, each gathering its
-rows through the index if there is one.  Everything here is a pure function
-over immutable inputs and safe to call from many workers at once.
+stacked call per group of samples scored on the same number of rows, each
+gathering its rows through the index if there is one.  Rows are equal when
+their bytes are, found in one exact pass (:func:`_byte_classes`).  The plan
+of those calls is kept on the layout, per column count, and reused while
+the classes of equal rows repeat.  The functions are otherwise pure over
+immutable inputs; a kept plan is replaced whole, and whichever plan a call
+finds gives the same norms.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -88,7 +90,8 @@ def nuclear_norm(matrix) -> float:
     to float64, bit for bit.
     """
     arr = _validated_values(matrix)
-    weights = _byte_weights(arr, np.array([0, len(arr)]), arr.shape[1])
+    whole = np.array([0, len(arr)])
+    weights = _weights(_byte_classes(arr, whole), whole, arr.shape[1])
     if not weights.all():
         kept = np.flatnonzero(weights)
         arr = arr[kept] * np.sqrt(weights[kept])[:, None]
@@ -124,20 +127,34 @@ def _first_equal(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return first
 
 
-def _split_collisions(rows: np.ndarray, first: np.ndarray, suspects: np.ndarray) -> bool:
-    """Check the ``suspects`` rows byte for byte against their first rows by hash.
+def _byte_classes(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """For each of (R, d) float rows, the first row of its sample (rows
+    ``offsets[i]:offsets[i + 1]``) with equal bytes.
 
-    A suspect whose bytes differ met a hash collision: the rows of its hash
-    are then sorted out exactly, by their bytes, in ``first``.  Returns
-    whether any collision was found.
+    Rows are grouped by hash, and every row that shares a hash with an
+    earlier row of its sample is compared byte for byte with that row.  If a
+    hash collided, its rows are regrouped by their bytes alone.
     """
+    rows = np.ascontiguousarray(rows)
+    first = _first_equal(_row_hashes(rows), offsets)
     bits = rows.view(np.uint32)
-    clashed = suspects[(bits[suspects] != bits[first[suspects]]).any(axis=1)]
+    repeats = np.flatnonzero(first != np.arange(len(first)))
+    clashed = repeats[(bits[repeats] != bits[first[repeats]]).any(axis=1)]
     for head in set(first[clashed].tolist()):
         run = np.flatnonzero(first == head).tolist()
         seen: dict[bytes, int] = {}
         first[run] = [seen.setdefault(rows[r].tobytes(), r) for r in run]
-    return clashed.size > 0
+    return first
+
+
+def _table_classes(values: np.ndarray) -> np.ndarray | None:
+    """None when no two rows of a (rows, d) float table have equal bytes;
+    otherwise, for each row, the first row with equal bytes."""
+    ordered = np.sort(_row_hashes(values))
+    if (ordered[1:] != ordered[:-1]).all():  # distinct hashes, so distinct rows
+        return None
+    first = _byte_classes(values, np.array([0, len(values)]))
+    return None if (first == np.arange(len(first))).all() else first
 
 
 def _weights(first: np.ndarray, offsets: np.ndarray, cols: int) -> np.ndarray:
@@ -154,30 +171,6 @@ def _weights(first: np.ndarray, offsets: np.ndarray, cols: int) -> np.ndarray:
     shrinks = np.add.reduceat(is_first, offsets[:-1], dtype=np.int64) < np.minimum(lengths, cols)
     tally = np.bincount(first, minlength=len(first)) * is_first
     return np.where(np.repeat(shrinks, lengths), tally, 1)
-
-
-def _byte_weights(rows: np.ndarray, offsets: np.ndarray, cols: int) -> np.ndarray:
-    """:func:`_weights` of (R, d) float rows, equal when their bytes are."""
-    rows = np.ascontiguousarray(rows)
-    first = _first_equal(_row_hashes(rows), offsets)
-    weights = _weights(first, offsets, cols)
-    # Equal bytes hash alike, so a hash class holds whole byte classes, and
-    # a sample too varied to shrink by hash is too varied by bytes.  Only
-    # the repeats the weights drop need their bytes checked.
-    if _split_collisions(rows, first, np.flatnonzero(weights == 0)):
-        weights = _weights(first, offsets, cols)
-    return weights
-
-
-def _rows_distinct(values: np.ndarray) -> bool:
-    """Whether no two rows of a (rows, d) float table have equal bytes."""
-    hashes = _row_hashes(values)
-    ordered = np.sort(hashes)
-    if (ordered[1:] != ordered[:-1]).all():
-        return True
-    first = _first_equal(hashes, np.array([0, len(values)]))
-    _split_collisions(values, first, np.flatnonzero(first != np.arange(len(first))))
-    return bool((first == np.arange(len(first))).all())
 
 
 def _views_writable_memory(arr: np.ndarray) -> bool:
@@ -220,12 +213,14 @@ class DumpLayout:
     sample at least one row.  ``offsets`` is held read-only (see
     :func:`read_only`).  ``row_of`` maps each id to its row.  An
     ``EncodedDataset`` builds one per split at set-up; every dump of the
-    training split shares it.
+    training split shares it, and ``_memo`` keeps what they derive from it,
+    by kind and column count: scoring's plan and ``spdcl.io``'s dump headers.
     """
 
     ids: tuple[str, ...]
     offsets: np.ndarray  # (N + 1,) int64 row offsets, offsets[0] == 0
     row_of: dict[str, int] = field(init=False, repr=False)
+    _memo: dict[tuple[str, int], tuple] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         ids = tuple(self.ids)
@@ -255,21 +250,22 @@ def _chunk_bounds(offsets: np.ndarray, rows: int) -> Iterator[tuple[int, int]]:
         first = stop
 
 
-def _row_weights(dump: EmbeddingDump, by_index: bool) -> np.ndarray:
+def _row_weights(dump: EmbeddingDump, keys: np.ndarray | None) -> np.ndarray:
     """:func:`_weights` of every layout row, worked out one chunk of
     contiguous samples at a time: ``_CLASS_CHUNK_ROWS`` rows and
     ``_SCORE_SLICE_VALUES`` values at most (or one sample).  Rows are equal
-    when their token ids are, if ``by_index``, else when their bytes are."""
+    when their ``keys`` (table rows) are, or without keys when their bytes are."""
     offsets, cols = dump.offsets, dump.values.shape[1]
     # A weight is at most its sample's row count: held in the smallest type that fits.
     weights = np.empty(offsets[-1], dtype=np.min_scalar_type(np.diff(offsets).max()))
     for first, stop in _chunk_bounds(offsets, max(1, min(_CLASS_CHUNK_ROWS, _SCORE_SLICE_VALUES // cols))):
         lo, hi = offsets[first], offsets[stop]
         local = offsets[first : stop + 1] - lo
-        if by_index:  # table rows, so fewer than 2**32
-            weights[lo:hi] = _weights(_first_equal(dump.index[lo:hi], local), local, cols)
-        else:
-            weights[lo:hi] = _byte_weights(dump.rows(slice(lo, hi)), local, cols)
+        if keys is None:
+            equal = _byte_classes(dump.rows(slice(lo, hi)), local)
+        else:  # table rows, so fewer than 2**32
+            equal = _first_equal(keys[lo:hi], local)
+        weights[lo:hi] = _weights(equal, local, cols)
     return weights
 
 
@@ -293,28 +289,27 @@ def _plan(layout: DumpLayout, cols: int, weights: np.ndarray) -> tuple[tuple[np.
     return tuple(slices)
 
 
-# The last scoring plan: (layout, column count, row weights, a weak
-# reference to the index whose token ids gave them or None, the slices).
-# Empty, not None, before the first plan: perfbench's tracer takes a module
-# global that is None for one of the functions it wraps.
-_last_plan: tuple = ()
-
-
 def _scoring_plan(dump: EmbeddingDump) -> tuple[np.ndarray, tuple]:
-    """The dump's row weights and kernel slices, reused while the layout,
-    the column count and the weights repeat."""
-    global _last_plan
+    """The dump's row weights and kernel slices, kept on its layout as ``(keys, weights, slices)``.
+
+    An indexed dump's rows are equal when their token ids map to the same
+    table class: its keys are the token ids (read-only, so the same array
+    reuses the kept plan), or their classes if two table rows have equal
+    bytes.  Without an index the keys are None.  Equal row weights reuse the
+    kept slices.
+    """
     layout, cols, index = dump.layout, dump.values.shape[1], dump.index
-    last = _last_plan
-    same_layout = bool(last) and last[0] is layout and last[1] == cols
-    # While the table's rows are pairwise distinct, two rows are equal
-    # exactly when their token ids are, so the weights follow the index.
-    by_index = index is not None and _rows_distinct(dump.values)
-    if not (same_layout and by_index and last[3] is not None and last[3]() is index):
-        weights = _row_weights(dump, by_index)
-        slices = last[4] if same_layout and np.array_equal(last[2], weights) else _plan(layout, cols, weights)
-        last = _last_plan = (layout, cols, weights, weakref.ref(index) if by_index else None, slices)
-    return last[2], last[4]
+    keys = None
+    if index is not None:
+        classes = _table_classes(dump.values)
+        keys = index if classes is None else classes[index]
+    kept = layout._memo.get(("plan", cols))
+    if kept and keys is not None and kept[0] is keys:
+        return kept[1], kept[2]
+    weights = _row_weights(dump, keys)
+    slices = kept[2] if kept and np.array_equal(kept[1], weights) else _plan(layout, cols, weights)
+    layout._memo[("plan", cols)] = (keys, weights, slices)
+    return weights, slices
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,10 +395,9 @@ class EmbeddingDump:
         square root of its count: the same E^T E from a u x u Gram.  Every
         other sample is scored on its own rows by the plain kernel.  Either
         way each norm equals ``nuclear_norm`` of the sample's widened rows,
-        bit for bit.  Rows are equal when their bytes are: with an index
-        whose table rows are pairwise distinct (checked on every call), when
-        their token ids are; otherwise the rows' bytes are compared, chunk
-        by chunk, and every hash match that drops a row is verified exactly.
+        bit for bit.  Rows are equal when their bytes are: with an index,
+        when their token ids map to the same class of the table's rows (found
+        on every call); without one, by the rows' own bytes, chunk by chunk.
         So a dump scores as the same dump read back from its file does.
 
         Samples are scored in groups that share the number of rows they are
@@ -413,8 +407,8 @@ class EmbeddingDump:
         there is one) and holds at most ``_SCORE_SLICE_VALUES`` float64
         values (or one sample), which bounds scoring's temporaries whatever
         the group size.  The plan, its slices and the row weights, is kept
-        for the last layout and column count and reused while the rows'
-        classes repeat: for the same index, or for equal row weights.
+        on the layout per column count and reused while the rows' classes
+        repeat: for the same token ids, or for equal row weights.
         """
         norms = np.empty(len(self.ids))
         weights, slices = _scoring_plan(self)

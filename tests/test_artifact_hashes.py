@@ -13,7 +13,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import spdcl
@@ -74,14 +73,14 @@ def test_check_run_names_a_file_changed_by_one_byte(trained_run, tmp_path, name)
 
 
 def test_check_run_names_a_score_file_the_kept_entry_misreads(trained_run, tmp_path, monkeypatch):
-    # A writer that kept a table its file does not read back as: a numpy epoch.
+    # A writer that kept a table its file does not read back as: other scores.
     write = spdcl_io.write_scores
 
-    def keep_a_numpy_epoch(path, table):
+    def keep_other_scores(path, table):
         write(path, table)
-        spdcl_io._last_scores = (Path(path).read_bytes(), replace(table, epoch=np.int64(table.epoch)))
+        spdcl_io._last_scores = (Path(path).read_bytes(), replace(table, score=table.score + 1.0))
 
     monkeypatch.setattr(spdcl_io, "_last_scores", ())
-    monkeypatch.setattr(spdcl_io, "write_scores", keep_a_numpy_epoch)
+    monkeypatch.setattr(spdcl_io, "write_scores", keep_other_scores)
     bad = artifact_hashes.check_run(trained_run, tmp_path / "work")
     assert any("epoch001.scores.jsonl: reads to another table from the kept entry" in line for line in bad), bad

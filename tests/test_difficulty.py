@@ -244,7 +244,7 @@ def test_signed_zero_deltas_match_oracle(mode, ordering):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
 def test_rank_permutation_validity(seed, n):
     rng = np.random.default_rng(seed)
-    ids = tuple(f"s{i}" for i in range(n))
+    ids = tuple(f"s{i:02d}" for i in range(n))
     table = delta_scores(ids, rng.uniform(0, 5, size=n), initial_scores(ids, rng.uniform(0, 5, size=n)))
     assert sorted(table.order.tolist()) == list(range(n))
 

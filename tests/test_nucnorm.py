@@ -176,14 +176,62 @@ def test_indexed_and_read_back_dumps_score_alike(tmp_path, monkeypatch, case, ta
         monkeypatch.setattr(nucnorm, "_DUMP_CHUNK_VALUES", 1)
     if case == "every-hash-collides":
         monkeypatch.setattr(nucnorm, "_ROW_HASH_BASE", 0)
-    assert nucnorm._rows_distinct(table) == (table_rows == "distinct")
-    monkeypatch.setattr(nucnorm, "_last_plan", ())
+    assert (nucnorm._table_classes(table) is None) == (table_rows == "distinct")
     dump = EmbeddingDump(DumpLayout([f"s{i}" for i in range(len(lengths))], offsets), table, tokens)
     indexed = dump.nuclear_norms()
     write_embedding_dump(tmp_path / "dump.bin", dump)
-    monkeypatch.setattr(nucnorm, "_last_plan", ())
     read_back = read_embedding_dump(tmp_path / "dump.bin").nuclear_norms()
     assert indexed.tobytes() == read_back.tobytes() == np.array(want).tobytes()
+
+
+def _byte_classes_oracle(rows, offsets):
+    """For each row, the first row of its sample whose bytes equal its own, one comparison at a time."""
+    first = []
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        for r in range(a, b):
+            first.append(next(q for q in range(a, r + 1) if rows[q].tobytes() == rows[r].tobytes()))
+    return first
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hashes", ["as-is", "every-hash-collides"])
+def test_byte_classes_equal_a_row_by_row_comparison(monkeypatch, dtype, hashes):
+    # Samples drawn from a small pool of rows, so most repeat some; 0.0 and
+    # -0.0 are equal values but not equal bytes.  The first sample (d=2,
+    # m=5, u=3) repeats rows without shrinking, since u >= min(m, d).
+    if hashes == "every-hash-collides":
+        monkeypatch.setattr(nucnorm, "_ROW_HASH_BASE", 0)
+    rng = np.random.default_rng(17)
+    pool = rng.integers(-2, 3, size=(6, 2)).astype(dtype)
+    pool[0], pool[1] = [0.0, 1.0], [-0.0, 1.0]
+    lengths = [5, *rng.integers(1, 9, size=60)]
+    picks = np.concatenate([[2, 3, 2, 4, 3], rng.integers(0, len(pool), size=sum(lengths) - 5)])
+    rows, offsets = pool[picks], np.cumsum([0, *lengths])
+    first = nucnorm._byte_classes(rows, offsets)
+    assert first.tolist() == _byte_classes_oracle(rows, offsets.tolist())
+    assert first[:5].tolist() == [0, 1, 0, 3, 1]
+    assert nucnorm._weights(first, offsets, 2)[:5].tolist() == [1] * 5
+    assert nucnorm._table_classes(pool) is None
+    assert nucnorm._table_classes(pool[[0, 2, 1, 2]]).tolist() == [0, 1, 2, 1]
+
+
+def test_each_layout_keeps_its_own_scoring_plan(monkeypatch):
+    # Two run loops' dumps scored in turn: each layout plans once, and its
+    # plan stays with it while the other layout is scored.
+    plans = []
+    plan = nucnorm._plan
+    monkeypatch.setattr(nucnorm, "_plan", lambda *args: plans.append(args[0]) or plan(*args))
+    rng = np.random.default_rng(23)
+    table = rng.standard_normal((12, 4)).astype(np.float32)
+    dumps = []
+    for n in (30, 40):
+        lengths = rng.integers(1, 9, size=n)
+        layout = DumpLayout([f"s{i:02d}" for i in range(n)], np.cumsum([0, *lengths]))
+        dumps.append(EmbeddingDump(layout, table, rng.integers(0, 12, size=int(lengths.sum()))))
+    want = [dump.nuclear_norms().tobytes() for dump in dumps]
+    for _ in range(2):
+        assert [dump.nuclear_norms().tobytes() for dump in dumps] == want
+    assert plans == [dumps[0].layout, dumps[1].layout]
 
 
 def test_norm_sums_spectrum_largest_first():

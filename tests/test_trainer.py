@@ -827,6 +827,17 @@ def test_one_dump_alive_at_a_time(monkeypatch, tmp_path):
     assert len(list(tmp_path.glob("*.embeddings.bin"))) == 3
 
 
+def test_a_run_keeps_no_layout_once_its_dataset_is_dropped(tmp_path):
+    # The scoring plan and the packed dump headers live on the training
+    # layout, so they go with the dataset; no module cache holds it.
+    train, valid = make_encoded(n_train=20)
+    run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=2, seed=2), TrainHyper(hidden=4), tmp_path)
+    layout = weakref.ref(train.layout)
+    assert {kind for kind, _ in train.layout._memo} == {"plan", "headers"}
+    del train, valid
+    assert layout() is None
+
+
 def test_dump_gathered_in_slices_equals_one_cast(monkeypatch):
     # The run loop's dump holds the table and the token ids; its rows are
     # the table's rows at the tokens cast once to float32, and it scores as
@@ -844,7 +855,7 @@ def test_dump_gathered_in_slices_equals_one_cast(monkeypatch):
     twin = EmbeddingDump(train.layout, expected)
     assert dump.nuclear_norms().tobytes() == twin.nuclear_norms().tobytes()
     monkeypatch.setattr(nucnorm, "_SCORE_SLICE_VALUES", 9)  # two rows of d=4 per slice
-    monkeypatch.setattr(nucnorm, "_last_plan", ())  # teardown restores the plan of the usual size
+    monkeypatch.delitem(dump.layout._memo, ("plan", 4))  # teardown restores the plan of the usual size
     assert dump.nuclear_norms().tobytes() == twin.nuclear_norms().tobytes()
 
 
