@@ -4,9 +4,11 @@ Each subcommand is a step over the file formats in :mod:`spdcl.io`, run as
 its own process from a shell or as one :func:`main` call among others in
 one process.  The only state the calls share is what :mod:`spdcl.io` keeps:
 the last dump layout walked, which carries its scoring plan and packed
-headers, and the last score file read or written with its table, which a
-later ``schedule`` or ``--prev-scores`` read of the same bytes gets back
-without parsing.  Neither changes an output.
+headers, and the last score file written with its table, which a later
+``schedule`` or ``--prev-scores`` read of the same bytes gets back without
+parsing.  Neither changes an output.  Only ``train`` loads the trainer
+(and with it :mod:`spdcl.metrics`): ``score``, ``schedule`` and ``report``
+start without them.
 
 Errors exit nonzero with a single machine-parsable line on stderr,
 ``error:<category>: <message>``.  The categories:
@@ -31,7 +33,8 @@ Errors exit nonzero with a single machine-parsable line on stderr,
   ``OSError`` left over comes from an output;
 - ``invalid-input``: any other invalid value.
 
-Set SPDCL_LOG=debug|info|warning to control verbosity.
+Set SPDCL_LOG=debug|info|warning to control verbosity; any other value
+is warning.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ from spdcl import io as spdcl_io
 from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, delta_scores, dump_norms, initial_scores
 from spdcl.io import FormatError
 from spdcl.scheduler import build_epoch_plan
-from spdcl.trainer import TrainingDiverged, encode_datasets, run_baseline, run_spdcl
 
 log = logging.getLogger("spdcl")
+
+_LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING}
 
 
 class CliError(Exception):
@@ -128,6 +132,9 @@ def cmd_schedule(args) -> None:
 
 
 def cmd_train(args) -> None:
+    # Imported here, so that the other commands do not load the trainer.
+    from spdcl.trainer import TrainingDiverged, encode_datasets, run_baseline, run_spdcl
+
     try:
         config = spdcl_io.load_run_config(args.config)
     except (FormatError, OSError) as exc:
@@ -156,7 +163,7 @@ def cmd_train(args) -> None:
         result = runner(train_enc, valid_enc, config, config.hyper(), out_dir=out_dir)
     except TrainingDiverged as exc:
         raise CliError("diverged", str(exc))
-    _save_final_params(out_dir, result.params, train_enc)
+    _save_final_params(out_dir, result.params, train_enc, config.max_len)
     for stats in result.stats:
         log.info(
             "epoch %d: mean_loss=%.6f over %d samples",
@@ -167,7 +174,7 @@ def cmd_train(args) -> None:
     log.info("run complete: %d epochs -> %s", len(result.stats), out_dir)
 
 
-def _save_final_params(out_dir: Path, params, train_enc) -> None:
+def _save_final_params(out_dir: Path, params, train_enc, max_len: int) -> None:
     archive = io.BytesIO()
     np.savez(
         archive,
@@ -182,8 +189,8 @@ def _save_final_params(out_dir: Path, params, train_enc) -> None:
             "task_kind": params.task_kind,
             "hidden": params.hidden,
             "label_names": train_enc.label_names,
-            "vocab_tokens": train_enc.vocab.tokens_in_order(),
-            "max_len": train_enc.vocab.max_len,
+            "vocab_tokens": list(train_enc.vocab.words),
+            "max_len": max_len,
         },
     )
 
@@ -246,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("SPDCL_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(message)s")
+    level = _LOG_LEVELS.get(os.environ.get("SPDCL_LOG", "warning").lower(), logging.WARNING)
+    logging.basicConfig(level=level, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
         # Looked up at each call, not bound into the cached parser.

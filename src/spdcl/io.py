@@ -18,12 +18,12 @@ returns the table with its ids ascending, whatever the order of the file's
 lines.
 
 One score file is kept in memory per process: the bytes of the last one
-``read_scores`` read or ``write_scores`` wrote, with its table.  A later
-read of the same bytes returns that table without parsing, so an in-process
-chain (``score`` writes epoch t, ``schedule`` reads it, ``score`` reads it
-again as ``--prev-scores``) parses no file it has just written or read.
-With one process per command the entry starts empty, and every file is
-parsed.
+``write_scores`` wrote, with its table.  A later read of the same bytes
+returns that table without parsing, so an in-process chain (``score``
+writes epoch t, ``schedule`` reads it, ``score`` reads it again as
+``--prev-scores``) parses no file it has just written.  A file the process
+did not write is parsed on every read and kept nowhere; with one process
+per command, every file read is parsed.
 
 Embedding dumps are a small binary format:
 
@@ -61,14 +61,16 @@ from dataclasses import asdict, dataclass
 from io import BytesIO, TextIOWrapper
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, ScoreTable
-from spdcl.metrics import EvalReport
 from spdcl.nucnorm import DumpLayout, EmbeddingDump
 from spdcl.scheduler import EpochPlan, check_bool, check_choice, check_int, check_lr
+
+if TYPE_CHECKING:  # annotations only: score, schedule and report never load spdcl.metrics
+    from spdcl.metrics import EvalReport
 
 DUMP_MAGIC = b"SPDCLEMB"
 DUMP_VERSION = 1
@@ -401,19 +403,12 @@ def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[slice]]:
 _json_ids = functools.lru_cache(maxsize=1)(lambda ids: tuple(map(_encode_json_str, ids)))
 
 
-# The last score file read or written, and its table: (file bytes, ScoreTable).
+# The last score file written, and its table: (file bytes, ScoreTable).
 # Empty, not None, before the first, as _last_walk is.  The bytes are copied
 # into anonymous pages of their own: kept as one long-lived heap block (0.25
 # MB at N=2,000), they fragmented the heap under the run loop's larger
 # buffers and raised a training run's peak RSS by about 1 MB.
 _last_scores: tuple = ()
-
-
-def _keep_scores(data: bytes, table: ScoreTable) -> None:
-    global _last_scores
-    pages = mmap.mmap(-1, len(data))
-    pages.write(data)
-    _last_scores = (pages, table)
 
 
 def write_scores(path, table: ScoreTable) -> None:
@@ -424,8 +419,8 @@ def write_scores(path, table: ScoreTable) -> None:
     and is byte for byte what ``_canonical_json_line`` gives for the record
     with ``float`` score and norm (keys sorted, floats as ``float.__repr__``).
     Scores and norms must be finite.  The file's bytes and ``table`` become
-    the entry ``read_scores`` serves: a :class:`ScoreTable` is checked to be
-    exactly what reading them back gives.
+    the entry ``read_scores`` serves, the only place it is filled: a
+    :class:`ScoreTable` is checked to be exactly what reading them back gives.
     """
     global _last_scores
     _last_scores = ()  # free the kept file's bytes before this file's are built
@@ -447,7 +442,9 @@ def write_scores(path, table: ScoreTable) -> None:
     ]
     payload = "".join(lines).encode("utf-8")
     _atomic_write_bytes(Path(path), payload)
-    _keep_scores(payload, table)
+    pages = mmap.mmap(-1, len(payload))
+    pages.write(payload)
+    _last_scores = (pages, table)
 
 
 # Readers check the exact type a JSON decoder gives: true and false decode
@@ -473,9 +470,9 @@ def read_scores(path) -> ScoreTable:
     its ranks must be a permutation of 0..N-1.
 
     The file is read once, as bytes.  Bytes equal to those of the last score
-    file this process read or wrote give that file's table back, the same
-    frozen object, unparsed; any other bytes are parsed and checked in full,
-    and become the kept entry if they read.
+    file this process wrote give that file's table back, the same frozen
+    object, unparsed; any other bytes are parsed and checked in full, and
+    the kept entry is left as it was.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -484,9 +481,7 @@ def read_scores(path) -> ScoreTable:
     # compares them in place, where a slice would copy the pages to the heap.
     if last and len(last[0]) == len(blob) and last[0].find(blob, 0) == 0:
         return last[1]
-    table = _parse_scores(path, blob)
-    _keep_scores(blob, table)
-    return table
+    return _parse_scores(path, blob)
 
 
 def _parse_scores(path, blob: bytes) -> ScoreTable:
@@ -583,7 +578,7 @@ def read_manifest(path) -> EpochPlan:
     held = sum(number <= widest for number in bin_of.values())
     if held != len(order):
         raise FormatError(f"{path}: order holds {len(order)} of the {held} samples of bins 1..{widest}")
-    return EpochPlan(epoch=epoch, visible_bins=widest, ordered_ids=order, bin_of=bin_of)
+    return EpochPlan(epoch=epoch, ordered_ids=order, bin_of=bin_of)
 
 
 # ---------------------------------------------------------------- run config
@@ -641,7 +636,7 @@ def load_run_config(path) -> RunConfig:
         raise FormatError(f"{path}: unknown config keys {sorted(unknown)}")
     try:
         return RunConfig(**raw)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # FormatError is a ValueError
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -69,15 +69,6 @@ def _spectrum(arr: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(eig > cutoff, eig, 0.0))[..., ::-1]
 
 
-def singular_values(matrix) -> np.ndarray:
-    """Singular values, non-increasing and non-negative; length min(rows, cols).
-
-    Uses E^T E when cols <= rows, else E E^T.  The matrix must be 2-D,
-    non-empty and finite.
-    """
-    return _spectrum(_validated_values(matrix))
-
-
 def nuclear_norm(matrix) -> float:
     """Sum of singular values: tr(sqrt(E^T E)), summed largest first.
 

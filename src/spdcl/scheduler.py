@@ -28,8 +28,8 @@ def epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng((seed & _SEED_MASK, epoch))
 
 
-# Field checks shared by every config type (spdcl.io.RunConfig, TrainHyper,
-# Vocabulary) and by delta_scores; each error names the field.
+# Field checks shared by every config type (spdcl.io.RunConfig, TrainHyper),
+# encode_datasets and delta_scores; each error names the field.
 
 
 def check_int(name: str, value, minimum: int | None = None) -> None:
@@ -72,12 +72,12 @@ def check_choice(name: str, value, choices: tuple) -> None:
 class EpochPlan:
     """Training order for one epoch plus the bin map behind it.
 
-    ``ordered_ids`` is exactly the union of bins 1..``visible_bins``;
-    ``bin_of`` maps every sample (visible or not) to its 1-based bin.
+    ``ordered_ids`` is exactly the union of bins 1..w, w the widest bin
+    among them; ``bin_of`` maps every sample (visible or not) to its
+    1-based bin.
     """
 
     epoch: int
-    visible_bins: int
     ordered_ids: list[str]
     bin_of: dict[str, int] = field(repr=False)
 
@@ -129,7 +129,6 @@ def build_epoch_plan(table: ScoreTable, config: RunConfig, epoch: int) -> EpochP
         bin_by_row[part] = number
     return EpochPlan(
         epoch=epoch,
-        visible_bins=width,
         ordered_ids=list(map(table.ids.__getitem__, visible.tolist())),
         bin_of=dict(zip(table.ids, bin_by_row.tolist())),
     )

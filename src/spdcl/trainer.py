@@ -36,20 +36,13 @@ UNK_INDEX = 1
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Whitespace-token vocabulary with PAD=0 and UNK=1 reserved."""
+    """Whitespace-token vocabulary with PAD=0 and UNK=1 reserved: ``words[i]`` has index ``i + 2``."""
 
-    index_of: dict[str, int]
-    max_len: int
-
-    def __post_init__(self):
-        check_int("max_len", self.max_len, minimum=1)
+    words: tuple[str, ...]
 
     @property
     def size(self) -> int:
-        return len(self.index_of) + 2
-
-    def tokens_in_order(self) -> list[str]:
-        return sorted(self.index_of, key=self.index_of.get)
+        return len(self.words) + 2
 
 
 def _split_once(texts: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -71,7 +64,7 @@ def _split_once(texts: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray
     return list(numbering), numbers, np.array(lengths, dtype=np.int64)
 
 
-def _vocabulary(words: list[str], numbers: np.ndarray, max_len: int) -> tuple[Vocabulary, np.ndarray]:
+def _vocabulary(words: list[str], numbers: np.ndarray) -> tuple[Vocabulary, np.ndarray]:
     """The words of ``numbers``, indexed from 2 upward by descending count, ties alphabetical.
 
     Words are numbered by first appearance, so ``numbers`` holds exactly the
@@ -84,8 +77,7 @@ def _vocabulary(words: list[str], numbers: np.ndarray, max_len: int) -> tuple[Vo
     order = alphabetical[np.argsort(-counts[alphabetical], kind="stable")]  # stable: ties stay alphabetical
     index = np.full(len(words), UNK_INDEX, dtype=np.int64)
     index[order] = np.arange(2, known + 2)
-    index_of = dict(zip(map(words.__getitem__, order.tolist()), range(2, known + 2)))
-    return Vocabulary(index_of=index_of, max_len=max_len), index
+    return Vocabulary(tuple(map(words.__getitem__, order.tolist()))), index
 
 
 @dataclass(frozen=True)
@@ -376,10 +368,11 @@ def encode_datasets(
     first ``max_len`` tokens, and an empty text is one UNK token.
     """
     check_choice("task_kind", task_kind, spdcl_io.TASK_KINDS)
+    check_int("max_len", max_len, minimum=1)
     train = sorted(train, key=operator.attrgetter("sample_id"))
     words, numbers, lengths = _split_once(s.text for s in chain(train, valid))
     n_train = len(train)
-    vocab, index = _vocabulary(words, numbers[: lengths[:n_train].sum()], max_len)
+    vocab, index = _vocabulary(words, numbers[: lengths[:n_train].sum()])
     tokens = index[numbers]
     # Keep each text's first max_len tokens (the vocabulary counted them
     # all), and give an empty text one UNK token.

@@ -17,7 +17,7 @@ def pack_dataset(samples, vocab_size, n_labels, task_kind="multiclass") -> Encod
         tokens=np.array([t for _, tokens, _ in samples for t in tokens], dtype=np.int64),
         offsets=np.cumsum([0] + [len(tokens) for _, tokens, _ in samples]),
         targets=np.array([target for _, _, target in samples], dtype=np.int64),
-        vocab=Vocabulary(index_of={f"w{i}": i for i in range(2, vocab_size)}, max_len=256),
+        vocab=Vocabulary(tuple(f"w{i}" for i in range(2, vocab_size))),
         label_names=[f"l{i}" for i in range(n_labels)],
         task_kind=task_kind,
     )

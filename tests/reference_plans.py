@@ -29,7 +29,6 @@ def baseline_plan(sample_ids, seed: int, epoch: int) -> EpochPlan:
     perm = epoch_rng(seed, epoch).permutation(len(all_ids))
     return EpochPlan(
         epoch=epoch,
-        visible_bins=1,
         ordered_ids=[all_ids[i] for i in perm],
         bin_of={sid: 1 for sid in all_ids},
     )

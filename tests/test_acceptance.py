@@ -18,7 +18,7 @@ import pytest
 from spdcl.difficulty import dump_norms, initial_scores
 from spdcl.io import RunConfig, build_report, read_manifest, write_manifest, write_run_config
 from spdcl.metrics import evaluate, label_frequency_groups
-from spdcl.nucnorm import nuclear_norm, singular_values
+from spdcl.nucnorm import _spectrum, nuclear_norm
 from spdcl.scheduler import build_epoch_plan, partition_bins
 from spdcl.synth import make_zipfian_dataset
 from spdcl.trainer import (
@@ -104,7 +104,7 @@ def test_criterion_2_norm_invariant_suite():
             both = nuclear_norm(mat) + nuclear_norm(other)
             assert nuclear_norm(mat + other) <= both + 1e-9 * max(1.0, both)
 
-            spectrum = singular_values(mat)
+            spectrum = _spectrum(mat)
             frob = float(np.linalg.norm(mat))
             slack = 1e-9 * max(1.0, base)
             assert spectrum[0] <= frob + slack

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spdcl import cli
+from spdcl import cli, io as spdcl_io
 from spdcl.cli import main
 from spdcl.io import (
     RunConfig,
@@ -428,7 +428,7 @@ def _final_params():
 
 def test_final_params_are_what_savez_writes_to_a_file(tmp_path):
     params, train = _final_params()
-    cli._save_final_params(tmp_path, params, train)
+    cli._save_final_params(tmp_path, params, train, 250)
     with open(tmp_path / "direct.npz", "wb") as fh:
         np.savez(fh, embedding_table=params.embedding_table, head_weights=params.head_weights,
                  head_bias=params.head_bias)
@@ -444,7 +444,7 @@ def test_final_params_leave_no_temp_file_when_the_rename_fails(tmp_path, monkeyp
 
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError, match="rename failed"):
-        cli._save_final_params(tmp_path, params, train)
+        cli._save_final_params(tmp_path, params, train, 250)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -632,6 +632,55 @@ def test_subcommand_help():
             [sys.executable, "-m", "spdcl", sub, "--help"], capture_output=True, text=True
         )
         assert result.returncode == 0
+
+
+def test_the_cli_loads_neither_the_trainer_nor_the_metrics():
+    # Only train runs them, and imports them when it runs.
+    script = "import sys, spdcl.cli; print(sorted({'spdcl.trainer', 'spdcl.metrics'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_an_unknown_spdcl_log_value_logs_at_warning(tmp_path):
+    # logging.BASIC_FORMAT is a logging attribute, but a format, not a level.
+    result = subprocess.run(
+        [sys.executable, "-m", "spdcl", "report", "--run-dir", str(tmp_path / "missing"),
+         "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=dict(os.environ, SPDCL_LOG="basic_format"),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:missing-artifact:") and result.stderr.count("\n") == 1
+
+
+def test_an_in_process_rescoring_chain_parses_no_score_file(run_dirs, monkeypatch):
+    # schedule reads the score file that score has just written, and the
+    # next score reads it again as --prev-scores: the kept entry serves both.
+    tmp_path, train_path, valid_path, _ = run_dirs
+    config_path = tmp_path / "config3.json"
+    write_run_config(config_path, RunConfig(bins_k=2, epochs_T=3, seed=2, lr=0.3, batch=8, hidden_d=4, max_len=32))
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(train_path), "--valid", str(valid_path),
+                 "--config", str(config_path), "--out-dir", str(run)]) == 0
+    parsed = []
+    parse = spdcl_io._parse_scores
+    monkeypatch.setattr(spdcl_io, "_parse_scores", lambda path, blob: parsed.append(path) or parse(path, blob))
+    redo = tmp_path / "redo"
+    redo.mkdir()
+    for epoch in (1, 2, 3):
+        scores = redo / f"epoch{epoch:03d}.scores.jsonl"
+        argv = ["score", "--embeddings", str(run / f"epoch{epoch:03d}.embeddings.bin"),
+                "--epoch", str(epoch), "--out", str(scores)]
+        if epoch > 1:
+            argv += ["--prev-scores", str(redo / f"epoch{epoch - 1:03d}.scores.jsonl")]
+        assert main(argv) == 0
+        manifest = redo / f"epoch{epoch:03d}.manifest.jsonl"
+        assert main(["schedule", "--scores", str(scores), "--bins", "2", "--epoch", str(epoch),
+                     "--seed", "2", "--out", str(manifest)]) == 0
+        assert manifest.read_bytes() == (run / manifest.name).read_bytes()
+    assert parsed == []
+    read_scores(redo / "epoch001.scores.jsonl")  # not the last file written: parsed
+    assert parsed == [redo / "epoch001.scores.jsonl"]
 
 
 def test_commands_share_one_parser_in_one_process(run_dirs, capsys):

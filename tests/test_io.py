@@ -471,6 +471,24 @@ def test_a_same_size_change_after_the_write_is_parsed(tmp_path):
     assert read_scores(path) is table
 
 
+def test_a_file_this_process_did_not_write_is_parsed_and_not_kept(tmp_path, monkeypatch):
+    # Only write_scores fills the entry: reading any other file parses it
+    # and leaves the entry as it was, empty or holding the last file written.
+    other = tmp_path / "other.jsonl"
+    other.write_text(_B + "\n")
+    monkeypatch.setattr(spdcl_io, "_last_scores", ())
+    assert ranked_ids(read_scores(other)) == ["b"]
+    assert spdcl_io._last_scores == ()
+    table = score_table([("b", 0.5, 1.25), ("a", 0.25, 3.5)], epoch=2)
+    path = tmp_path / "scores.jsonl"
+    write_scores(path, table)
+    kept = spdcl_io._last_scores
+    first = read_scores(other)
+    assert spdcl_io._last_scores is kept
+    assert read_scores(other) is not first  # parsed again
+    assert read_scores(path) is table
+
+
 _A = '{"epoch":1,"id":"a\u2028z","norm":2.0,"rank":1,"score":2.0}'
 _B = '{"epoch":1,"id":"b","norm":1.0,"rank":0,"score":1.0}'
 
@@ -566,7 +584,6 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path):
 def test_manifest_round_trip(tmp_path):
     plan = EpochPlan(
         epoch=3,
-        visible_bins=2,
         ordered_ids=["c", "a", "b"],
         bin_of={"a": 1, "b": 2, "c": 1, "d": 3},
     )
@@ -664,18 +681,20 @@ def test_run_config_round_trip(tmp_path):
 
 
 def test_run_config_validation(tmp_path):
+    # Every message starts with the file's path, value errors included.
     path = tmp_path / "config.json"
+    named = "^" + re.escape(f"{path}: ") + ".*"
     path.write_text('{"bins_k": 0}')
-    with pytest.raises(FormatError, match="bins_k"):
+    with pytest.raises(FormatError, match=named + "bins_k must be >= 1, got 0"):
         load_run_config(path)
     path.write_text('{"mystery_knob": 3}')
-    with pytest.raises(FormatError, match="unknown config keys"):
+    with pytest.raises(FormatError, match=named + "unknown config keys"):
         load_run_config(path)
     path.write_text('{"task_kind": "regression"}')
-    with pytest.raises(FormatError, match="task_kind"):
+    with pytest.raises(FormatError, match=named + "task_kind"):
         load_run_config(path)
     path.write_text("{")
-    with pytest.raises(FormatError, match="not valid JSON"):
+    with pytest.raises(FormatError, match=named + "not valid JSON"):
         load_run_config(path)
     # types are checked, not only ranges; bool is not an integer or a number
     for bad, field in (
@@ -693,7 +712,7 @@ def test_run_config_validation(tmp_path):
         ('{"lr": -Infinity}', "lr"),
     ):
         path.write_text(bad)
-        with pytest.raises(FormatError, match=field):
+        with pytest.raises(FormatError, match=named + field):
             load_run_config(path)
     path.write_text('{"lr": 1, "shuffle_within_epoch": false}')
     config = load_run_config(path)
@@ -797,7 +816,7 @@ def _plans(draw):
     bin_of = {sid: draw(st.integers(1, 10**20)) for sid in ids}
     widest = draw(st.sampled_from(sorted(set(bin_of.values()))))
     order = draw(st.permutations([sid for sid in ids if bin_of[sid] <= widest]))
-    return EpochPlan(draw(st.integers(widest, widest + 10**20)), widest, order, bin_of)
+    return EpochPlan(draw(st.integers(widest, widest + 10**20)), order, bin_of)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -64,7 +64,7 @@ def test_epoch1_plan_is_shuffled_bin1():
     ids = [f"s{i}" for i in range(10)]
     config = RunConfig(bins_k=5, epochs_T=10, seed=7)
     plan = build_epoch_plan(table_for(ids), config, 1)
-    assert plan.visible_bins == 1
+    assert max(plan.bin_of[sid] for sid in plan.ordered_ids) == 1
     assert sorted(plan.ordered_ids) == ids[:2]
     assert plan.bin_of == {sid: i // 2 + 1 for i, sid in enumerate(ids)}
 
@@ -98,7 +98,7 @@ def test_plan_beyond_k_covers_everything():
     config = RunConfig(bins_k=4, epochs_T=10, seed=5)
     plan = build_epoch_plan(table_for(ids), config, 7)
     assert sorted(plan.ordered_ids) == sorted(ids)
-    assert plan.visible_bins == 4
+    assert max(plan.bin_of[sid] for sid in plan.ordered_ids) == 4
 
 
 def test_config_validation_and_warning():
@@ -182,4 +182,4 @@ def test_plan_matches_list_oracle(n, data):
         visible = [canonical[i] for i in epoch_rng(n, epoch).permutation(len(canonical))]
     assert plan.ordered_ids == visible
     assert plan.bin_of == {sid: b for b, part in enumerate(bins, start=1) for sid in part}
-    assert plan.visible_bins == min(epoch, k)
+    assert max(plan.bin_of[sid] for sid in plan.ordered_ids) == min(epoch, k)

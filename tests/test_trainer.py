@@ -60,7 +60,7 @@ def test_tokenize_case_folding_and_unk():
         TextSample("v2", "the unknown UNKNOWN", ("x",)),
     ]
     train_enc, valid_enc = encode_datasets(train, valid, "multiclass", max_len=10)
-    assert train_enc.vocab.index_of == {"the": 2, "a": 3}
+    assert train_enc.vocab.words == ("the", "a")
     assert token_lists(train_enc) == [[2, 2, 2], [1], [3]]
     assert token_lists(valid_enc) == [[2, 2, 2], [1], [2, 1, 1]]
 
@@ -71,15 +71,13 @@ def test_tokenize_truncates():
     train = [TextSample("t0", "b b a a a", ("x",)), TextSample("t1", "b c", ("x",))]
     valid = [TextSample("v0", "a a a a a", ("x",)), TextSample("v1", "c zz b", ("x",))]
     train_enc, valid_enc = encode_datasets(train, valid, "multiclass", max_len=2)
-    assert train_enc.vocab.index_of == {"a": 2, "b": 3, "c": 4}
+    assert train_enc.vocab.words == ("a", "b", "c")
     assert token_lists(train_enc) == [[3, 3], [3, 4]]
     assert token_lists(valid_enc) == [[2, 2], [4, 1]]
 
 
 @pytest.mark.parametrize("max_len", [2.5, True, 0])
 def test_vocabulary_rejects_bad_max_len(max_len):
-    with pytest.raises(ValueError, match="max_len"):
-        Vocabulary(index_of={}, max_len=max_len)
     with pytest.raises(ValueError, match="max_len"):
         encode_datasets([TextSample("t0", "a b", ("x",))], [], "multiclass", max_len=max_len)
 
@@ -90,7 +88,7 @@ def test_vocabulary_hand_enumeration():
     train = [TextSample(f"t{i}", text, ("x",)) for i, text in enumerate(texts)]
     vocab = encode_datasets(train, [TextSample("v0", "okapi", ("x",))], "multiclass", max_len=16)[0].vocab
     # counts: red=3, blue=3, green=1, zebra=1; a validation word is never counted
-    assert vocab.index_of == {"blue": 2, "red": 3, "green": 4, "zebra": 5}
+    assert vocab.words == ("blue", "red", "green", "zebra")
     assert vocab.size == 6
 
 
@@ -143,8 +141,7 @@ def test_encode_matches_reference(task_kind, data, max_len):
         for name in ("tokens", "offsets", "targets"):
             a, b = getattr(g, name), getattr(w, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert list(g.vocab.index_of.items()) == list(w.vocab.index_of.items())
-        assert g.vocab.max_len == w.vocab.max_len
+        assert g.vocab.words == w.vocab.words
         assert g.label_names == w.label_names
 
 
@@ -345,7 +342,7 @@ def make_encoded(task_kind="multiclass", n_train=24, n_valid=8, n_classes=3, see
 
 
 def plan_over(ids, epoch=1):
-    return EpochPlan(epoch=epoch, visible_bins=1, ordered_ids=list(ids), bin_of={s: 1 for s in ids})
+    return EpochPlan(epoch=epoch, ordered_ids=list(ids), bin_of={s: 1 for s in ids})
 
 
 def test_zero_lr_leaves_params_unchanged():
@@ -741,7 +738,7 @@ def test_encode_packs_train_split_in_id_order():
     train, valid = encode_datasets(train_s, valid_s, "multiclass")
     assert train.sample_ids == ("t0", "t1", "t2")
     assert valid.sample_ids == ("v1", "v0")
-    a, b, c = (train.vocab.index_of[t] for t in "abc")
+    a, b, c = (train.vocab.words.index(t) + 2 for t in "abc")
     assert train.tokens.tolist() == [a, c, c, b, a]
     assert train.offsets.tolist() == [0, 1, 3, 5]
     assert train.targets.tolist() == [0, 1, 1]
@@ -786,7 +783,7 @@ def test_dataset_leaves_the_callers_arrays_writable(task_kind):
     targets = np.array([0, 1] if task_kind == "multiclass" else [[1, 0], [0, 1]], dtype=np.int64)
     data = EncodedDataset(
         sample_ids=["a", "b"], tokens=tokens, offsets=offsets, targets=targets,
-        vocab=Vocabulary(index_of={f"w{i}": i for i in range(2, 6)}, max_len=8),
+        vocab=Vocabulary(("w2", "w3", "w4", "w5")),
         label_names=["x", "y"], task_kind=task_kind,
     )
     for arr in (tokens, offsets, targets):
