@@ -74,8 +74,8 @@ def check_run(run: Path, work: Path, baseline=False, separate=False) -> list[str
     bins, shuffle = (1, True) if baseline else (config.bins_k, config.shuffle_within_epoch)
     bad, prev, dumps = [], [], []
     for epoch in range(1, config.epochs_T + 1):
-        dump, scores, manifest, report = (run / f"epoch{epoch:03d}.{kind}" for kind in
-                                          ("embeddings.bin", "scores.jsonl", "manifest.jsonl", "report.json"))
+        paths = io.epoch_paths(run, epoch)
+        dump, scores, manifest, report = (paths[kind] for kind in ("embeddings", "scores", "manifest", "report"))
         dumps.append(dump)
         out = work / scores.name
         if any(spdcl_call(argv, separate) for argv in (
@@ -132,7 +132,7 @@ def main() -> int:
         document = json.loads((root / "report.json").read_text())
         for name, epochs in (("curriculum", document["epochs"]), ("baseline", document["baseline"]["epochs"])):
             bad += [f"report.json: norm_stats of {name} epoch {e['epoch']} differ from its score file's" for e in epochs
-                    if stats_differ(e["norm_stats"], root / name / f"epoch{e['epoch']:03d}.scores.jsonl")]
+                    if stats_differ(e["norm_stats"], io.epoch_paths(root / name, e["epoch"])["scores"])]
         for rel in sorted(path.relative_to(root).as_posix() for path in root.rglob("*") if path.is_file()):
             print(f"{hashlib.sha256((root / rel).read_bytes()).hexdigest()}  {rel}")
         for line in bad:

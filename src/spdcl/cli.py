@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from spdcl import io as spdcl_io
-from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, delta_scores, dump_norms, initial_scores
+from spdcl.difficulty import ALIGNMENT_MODES, DELTA_ORDERINGS, epoch_scores
 from spdcl.io import FormatError
 from spdcl.scheduler import build_epoch_plan
 
@@ -79,9 +79,8 @@ def cmd_score(args) -> None:
         dump = spdcl_io.read_embedding_dump(args.embeddings)
     except (FormatError, OSError) as exc:
         raise CliError("malformed-dump", str(exc))
-    if args.epoch == 1:
-        table = initial_scores(*dump_norms(dump))
-    else:
+    previous = None
+    if args.epoch > 1:
         try:
             previous = spdcl_io.read_scores(args.prev_scores)
         except (FormatError, OSError) as exc:
@@ -91,11 +90,10 @@ def cmd_score(args) -> None:
                 "epoch-mismatch",
                 f"--prev-scores holds epoch {previous.epoch}, expected {args.epoch - 1}",
             )
-        ids, norm = dump_norms(dump)
-        try:
-            table = delta_scores(ids, norm, previous, mode=args.alignment, ordering=args.ordering)
-        except ValueError as exc:
-            raise CliError("sample-mismatch", str(exc))
+    try:
+        table = epoch_scores(dump, previous, mode=args.alignment, ordering=args.ordering)
+    except ValueError as exc:  # only a later epoch's ids can differ from --prev-scores'
+        raise CliError("sample-mismatch", str(exc))
     spdcl_io.write_scores(args.out, table)
     log.info("scored %d samples for epoch %d -> %s", len(table.ids), args.epoch, args.out)
 

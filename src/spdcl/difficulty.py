@@ -13,8 +13,10 @@ Two readings of "change against the previous epoch" are supported:
   position i last epoch, i.e. easiest-now vs easiest-then.
 * ``identity``: each sample is compared against its own previous norm.
 
-One epoch's scores are one :class:`ScoreTable`: columns aligned to the
-sample ids in ascending order.  Every ordering is a stable ``argsort`` over
+:func:`epoch_scores` is the one rule that scores an epoch's dump, shared by
+the run loop and ``spdcl score``, so rescoring a run's dump reproduces its
+scores.  One epoch's scores are one :class:`ScoreTable`: columns aligned to
+the sample ids in ascending order.  Every ordering is a stable ``argsort`` over
 those columns, so all ties break by ascending sample id and ranking is fully
 deterministic.  The previous epoch's table is all the history a delta needs.
 """
@@ -131,3 +133,11 @@ def delta_scores(
     delta.setflags(write=False)
     key = -np.abs(delta) if ordering == "magnitude" else -delta
     return ScoreTable(previous.epoch + 1, previous.ids, norm, delta, _by_key(key))
+
+
+def epoch_scores(dump: EmbeddingDump, previous: ScoreTable | None, mode="rank", ordering="magnitude") -> ScoreTable:
+    """An epoch's scores from its dump: ``initial_scores`` without a ``previous`` table, else ``delta_scores``."""
+    ids, norm = dump_norms(dump)
+    if previous is None:
+        return initial_scores(ids, norm)
+    return delta_scores(ids, norm, previous, mode=mode, ordering=ordering)

@@ -528,7 +528,10 @@ def _parse_scores(path, blob: bytes) -> ScoreTable:
     columns = np.asarray(norms)[by_id], np.asarray(scores)[by_id], order
     for column in columns:
         column.setflags(write=False)  # fresh, so the table keeps it uncopied
-    return ScoreTable(epochs[0], tuple(ids[i] for i in by_id), *columns)
+    try:
+        return ScoreTable(epochs[0], tuple(ids[i] for i in by_id), *columns)
+    except ValueError as exc:  # an epoch below 1
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ------------------------------------------------------------ manifest files
@@ -708,9 +711,11 @@ def _well_formed_norm_stats(payload) -> bool:
     )
 
 
-def _epoch_paths(run_dir: Path, epoch: int) -> dict[str, Path]:
+def epoch_paths(run_dir: Path, epoch: int) -> dict[str, Path]:
+    """The files a run writes for one epoch, by kind."""
     stem = f"epoch{epoch:03d}"
     return {
+        "embeddings": run_dir / f"{stem}.embeddings.bin",
         "scores": run_dir / f"{stem}.scores.jsonl",
         "manifest": run_dir / f"{stem}.manifest.jsonl",
         "report": run_dir / f"{stem}.report.json",
@@ -718,7 +723,7 @@ def _epoch_paths(run_dir: Path, epoch: int) -> dict[str, Path]:
 
 
 def _collect_run(run_dir: Path) -> dict:
-    """The run's config and epoch reports; every epoch's three files must exist.
+    """The run's config and epoch reports; every epoch's scores, manifest and report must exist.
 
     Only ``run_config.json`` and the epoch reports are read: each report
     carries its epoch's norm statistics, so no score file is parsed.
@@ -729,8 +734,8 @@ def _collect_run(run_dir: Path) -> dict:
     config = load_run_config(config_path) if config_path.exists() else None
     total = config.epochs_T if config else 0
     for epoch in range(1, total + 1):
-        paths = _epoch_paths(run_dir, epoch)
-        absent = [str(p) for p in paths.values() if not p.exists()]
+        paths = epoch_paths(run_dir, epoch)
+        absent = [str(paths[kind]) for kind in ("scores", "manifest", "report") if not paths[kind].exists()]
         if absent:
             missing.extend(absent)
             continue

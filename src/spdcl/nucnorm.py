@@ -187,8 +187,12 @@ def read_only(given, dtype) -> np.ndarray:
     from the conversion, and an array already read-only over memory no one
     can write (a frozen array, or a file's bytes), are kept as they are, so
     a producer that freezes its own fresh array hands it over uncopied.
+    An integer ``dtype`` rejects non-empty input of floats or bools, not truncates it.
     """
-    arr = np.asarray(given, dtype=dtype)
+    arr = np.asarray(given)
+    if arr.size and arr.dtype.kind not in "iu" and np.dtype(dtype).kind in "iu":
+        raise ValueError(f"expected integers, got an array of dtype {arr.dtype}")
+    arr = np.asarray(arr, dtype=dtype)
     if (arr is given or arr.base is not None) and (arr.flags.writeable or _views_writable_memory(arr)):
         arr = arr.copy()
     arr.setflags(write=False)
@@ -312,16 +316,15 @@ class EmbeddingDump:
     row ``r`` is ``values[r]`` (a dump read from a file), or
     ``values[index[r]]`` when there is an ``index``: the run loop's dump is
     its embedding table with the training split's token ids, and builds no
-    (total rows, d) array.  ``values`` is stored as float32, the dump file's
+    (total rows, d) array.  ``values`` is cast to float32, the dump file's
     precision, so scoring an in-memory dump and scoring the same dump read
-    from disk agree bit for bit.  The layout is checked when it is built;
-    the constructor checks only the rest: at least one sample, values 2-D
-    with at least one column, one values row (or one in-range index) per
-    layout row, and every row a sample uses finite; an error names the first
-    sample that uses a bad row.  ``values`` and ``index`` are held read-only
-    (see :func:`read_only`): the trainer's frozen table and token ids and a
-    dump file's bytes are kept as they are, and arrays the caller can still
-    write are copied.
+    from disk agree bit for bit; the run loop's float64 table is cast once,
+    here.  The layout is checked when it is built; the constructor checks
+    only the rest: at least one sample, values 2-D with at least one column,
+    one values row (or one in-range index) per layout row, and every row a
+    sample uses finite; an error names the first sample that uses a bad row.  ``values`` and ``index`` are held read-only
+    (see :func:`read_only`): a fresh cast, the trainer's frozen token ids and
+    a dump file's bytes are kept as they are; writable arrays are copied.
     """
 
     layout: DumpLayout
@@ -332,7 +335,10 @@ class EmbeddingDump:
         layout = self.layout
         if not layout.ids:
             raise ValueError("embedding dump is empty")
-        values = read_only(self.values, np.float32)
+        # A value past float32's range casts to inf, which the finiteness
+        # check below reports by the first sample that uses its row.
+        with np.errstate(over="ignore"):
+            values = read_only(self.values, np.float32)
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError(f"dump values must be 2-D with at least one column, got shape {values.shape}")
         index = self.index

@@ -1,6 +1,7 @@
 """Progressive easy-to-hard training schedules.
 
-The easy-to-hard ordering is cut into ``bins_k`` contiguous bins.  Epoch t
+The easy-to-hard ordering is cut into ``bins_k`` contiguous bins, the earlier
+ones one larger when they do not divide evenly.  Epoch t
 trains on bins 1..min(t, k): the visible set widens by one bin per epoch and
 saturates to the full dataset at epoch k.  Earlier bins are always
 re-included (annealing), so easy samples keep being reviewed while new,
@@ -82,32 +83,11 @@ class EpochPlan:
     bin_of: dict[str, int] = field(repr=False)
 
 
-def partition_bins(ordered_ids, k: int) -> list:
-    """Cut an easy-to-hard ordering into k contiguous slices, easiest first.
-
-    ``ordered_ids`` may be a list of ids or an array of row indices.  Sizes
-    differ by at most one; when N mod k != 0 the earlier bins take the
-    extra element.
-    """
-    n = len(ordered_ids)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n:
-        raise ValueError(f"k={k} exceeds dataset size {n}")
-    base, extra = divmod(n, k)
-    bins = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        bins.append(ordered_ids[start : start + size])
-        start += size
-    return bins
-
-
 def build_epoch_plan(table: ScoreTable, config: RunConfig, epoch: int) -> EpochPlan:
     """Bin, widen, shuffle: the full plan for one epoch from its score table.
 
-    The bins are slices of the table's rank order.  The within-epoch shuffle
+    Bin b holds the next ``n // k`` ranks of the table's order, one more if
+    ``b <= n % k``, and bins 1..min(epoch, k) are visible.  The within-epoch shuffle
     permutes the visible ids from a canonical (sorted) base order with a
     generator seeded by (seed, epoch), so the plan is a pure function of the
     visible id set and the seed; it does not depend on how the ranking
@@ -117,16 +97,17 @@ def build_epoch_plan(table: ScoreTable, config: RunConfig, epoch: int) -> EpochP
     """
     if epoch < 1:
         raise ValueError("epoch must be >= 1")
-    bins = partition_bins(table.order, config.bins_k)
-    width = min(epoch, config.bins_k)
-    visible = table.order[: sum(len(part) for part in bins[:width])]
+    n, k = len(table.ids), config.bins_k
+    if k > n:
+        raise ValueError(f"k={k} exceeds dataset size {n}")
+    sizes = n // k + (np.arange(k) < n % k)
+    visible = table.order[: sizes[: min(epoch, k)].sum()]
     if config.shuffle_within_epoch:
         # The table's ids ascend, so sorted row indices are the sorted ids.
         canonical = np.sort(visible)
         visible = canonical[epoch_rng(config.seed, epoch).permutation(len(canonical))]
-    bin_by_row = np.empty(len(table.ids), dtype=np.int64)
-    for number, part in enumerate(bins, start=1):
-        bin_by_row[part] = number
+    bin_by_row = np.empty(n, dtype=np.int64)
+    bin_by_row[table.order] = np.repeat(np.arange(1, k + 1), sizes)
     return EpochPlan(
         epoch=epoch,
         ordered_ids=list(map(table.ids.__getitem__, visible.tolist())),

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from spdcl import io as spdcl_io
-from spdcl.difficulty import delta_scores, dump_norms, initial_scores
+from spdcl.difficulty import epoch_scores
 from spdcl.metrics import EvalReport, evaluate, label_frequency_groups
 from spdcl.nucnorm import DumpLayout, EmbeddingDump, read_only
 from spdcl.scheduler import EpochPlan, build_epoch_plan, check_choice, check_int, check_lr
@@ -546,31 +546,14 @@ class RunResult:
     reports: list[EvalReport]
 
 
-def _eval_epoch(params, valid, groups) -> EvalReport:
-    preds = predict(params, valid)
-    return evaluate(valid.targets, preds, n_labels=len(valid.label_names), groups=groups)
-
-
-def _table_dump(params: ModelParams, train: EncodedDataset) -> EmbeddingDump:
-    """The epoch's dump: the embedding table cast once to float32, indexed by the training tokens."""
-    # A row past float32's range casts to inf, which the dump's finiteness
-    # check reports by the first sample that uses it.
-    with np.errstate(over="ignore"):
-        values = params.embedding_table.astype(np.float32)
-    values.setflags(write=False)  # fresh, handed over frozen and so not copied
-    return EmbeddingDump(train.layout, values, train.tokens)
-
-
 def _persist_epoch(out_dir, epoch, dump, table, plan, stats, report):
     if out_dir is None:
         return
-    out = Path(out_dir)
-    spdcl_io.write_embedding_dump(out / f"epoch{epoch:03d}.embeddings.bin", dump)
-    spdcl_io.write_scores(out / f"epoch{epoch:03d}.scores.jsonl", table)
-    spdcl_io.write_manifest(out / f"epoch{epoch:03d}.manifest.jsonl", plan)
-    spdcl_io.write_json_atomic(
-        out / f"epoch{epoch:03d}.report.json", spdcl_io.epoch_report_payload(stats, report, table)
-    )
+    paths = spdcl_io.epoch_paths(Path(out_dir), epoch)
+    spdcl_io.write_embedding_dump(paths["embeddings"], dump)
+    spdcl_io.write_scores(paths["scores"], table)
+    spdcl_io.write_manifest(paths["manifest"], plan)
+    spdcl_io.write_json_atomic(paths["report"], spdcl_io.epoch_report_payload(stats, report, table))
 
 
 def run_spdcl(
@@ -586,20 +569,20 @@ def run_spdcl(
     norm and trains on bin 1 only.  Every later epoch re-dumps embeddings
     (before training, so the dump reflects the previous epoch's parameters),
     re-scores by norm deltas, re-bins, and trains on the widened visible
-    set.  Each epoch's dump is the embedding table, cast once to float32,
-    with the training split's token ids as its row index: scoring and the
-    dump file gather the rows from it slice by slice, so no whole dump is
-    ever built.  Scoring always reads the float32-quantized embeddings,
-    exactly what the dump files store, so rescoring a dump from disk
-    reproduces the run's scores bit for bit.  A ``UserWarning`` says when
+    set.  Each epoch's dump is the embedding table, which the dump casts
+    once to float32, with the training split's token ids as its row index:
+    scoring and the dump file gather the rows from it slice by slice, so no
+    whole dump is ever built.  Scoring is ``epoch_scores`` over what the
+    dump files store, as ``spdcl score`` runs it, so rescoring a dump from
+    disk reproduces the run's scores bit for bit.  A ``UserWarning`` says when
     ``epochs_T < bins_k`` leaves the hardest bins untrained.
 
     The loop holds one epoch at a time: the current score table, which the
     next epoch's deltas need, and the current plan and dump, both dropped
     once the epoch is persisted.  The returned ``RunResult`` keeps the final parameters
     and each epoch's stats and report; with ``out_dir``, each epoch's dump,
-    scores, manifest and report are written there, and those files are the
-    record of its plan and scores.
+    scores, manifest and report are written there, named by ``spdcl.io.epoch_paths``;
+    those files are the record of its plan and scores.
     """
     if not valid.sample_ids:
         raise ValueError("the validation split is empty: every epoch is evaluated on it")
@@ -617,18 +600,13 @@ def run_spdcl(
     groups = label_frequency_groups(train.targets, n_groups=min(4, len(train.label_names)))
     stats_log: list[TrainStats] = []
     reports: list[EvalReport] = []
+    table = None
     for epoch in range(1, config.epochs_T + 1):
-        dump = _table_dump(params, train)
-        ids, norm = dump_norms(dump)
-        if epoch == 1:
-            table = initial_scores(ids, norm)
-        else:
-            table = delta_scores(
-                ids, norm, table, mode=config.alignment_mode, ordering=config.delta_ordering
-            )
+        dump = EmbeddingDump(train.layout, params.embedding_table, train.tokens)
+        table = epoch_scores(dump, table, mode=config.alignment_mode, ordering=config.delta_ordering)
         plan = build_epoch_plan(table, config, epoch)
         params, stats = train_epoch(params, plan, train, hyper.lr, hyper.batch_size)
-        report = _eval_epoch(params, valid, groups)
+        report = evaluate(valid.targets, predict(params, valid), n_labels=len(valid.label_names), groups=groups)
         _persist_epoch(out_dir, epoch, dump, table, plan, stats, report)
         del dump, plan  # the next epoch needs only this epoch's table
         stats_log.append(stats)

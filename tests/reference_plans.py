@@ -1,9 +1,10 @@
 """Plan oracles that share no code with ``spdcl.scheduler.build_epoch_plan``
 but the (seed, epoch)-keyed generator.
 
-``visible_set`` is the visible set as an id list, bins 1..min(epoch, k)
-concatenated, which ``build_epoch_plan`` computes as one slice of the rank
-order.  ``baseline_plan`` is the baseline's plan builder as it was before the
+``partition_bins`` cuts an id list into k bins, one list each, and
+``visible_set`` concatenates bins 1..min(epoch, k); ``build_epoch_plan``
+computes both as arrays over the rank order, with no list of bins.
+``baseline_plan`` is the baseline's plan builder as it was before the
 baseline became the one-bin curriculum, the oracle for
 ``spdcl.trainer.run_baseline``: every epoch permutes the sorted training ids
 and puts every sample in bin 1, so a baseline run whose plans equal these
@@ -11,6 +12,27 @@ checks the one-bin curriculum against a second code.
 """
 
 from spdcl.scheduler import EpochPlan, epoch_rng
+
+
+def partition_bins(ordered_ids, k: int) -> list:
+    """Cut an easy-to-hard ordering into k contiguous slices, easiest first.
+
+    Sizes differ by at most one; when N mod k != 0 the earlier bins take
+    the extra element.
+    """
+    n = len(ordered_ids)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > n:
+        raise ValueError(f"k={k} exceeds dataset size {n}")
+    base, extra = divmod(n, k)
+    bins = []
+    start = 0
+    for i in range(k):
+        size = base + (1 if i < extra else 0)
+        bins.append(ordered_ids[start : start + size])
+        start += size
+    return bins
 
 
 def visible_set(epoch: int, bins: list[list[str]]) -> list[str]:

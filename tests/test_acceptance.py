@@ -19,7 +19,7 @@ from spdcl.difficulty import dump_norms, initial_scores
 from spdcl.io import RunConfig, build_report, read_manifest, write_manifest, write_run_config
 from spdcl.metrics import evaluate, label_frequency_groups
 from spdcl.nucnorm import _spectrum, nuclear_norm
-from spdcl.scheduler import build_epoch_plan, partition_bins
+from spdcl.scheduler import build_epoch_plan
 from spdcl.synth import make_zipfian_dataset
 from spdcl.trainer import (
     TrainHyper,
@@ -34,7 +34,7 @@ from spdcl.trainer import (
 from dumps import pack_dump
 from tables import ranked_ids, score_table
 from jacobi_oracle import stacked_singular_values
-from reference_plans import baseline_plan, visible_set
+from reference_plans import baseline_plan, partition_bins, visible_set
 from test_trainer import fd_gradient  # central-difference oracle
 from test_metrics import (
     oracle_counts,
@@ -173,6 +173,7 @@ def test_criterion_4_schedule_invariants(tmp_path):
                 plan = build_epoch_plan(table, config, epoch)
                 assert len(plan.ordered_ids) == len(set(plan.ordered_ids))
                 assert set(plan.ordered_ids) == visible
+            assert plan.bin_of == {sid: b for b, part in enumerate(bins, start=1) for sid in part}
 
             # bit-identical manifests across reruns, spot-checked per combo
             for epoch in (1, min(t, k), t):

@@ -274,6 +274,22 @@ def test_schedule_rejects_bad_score_ids(tmp_path, capsys, lines):
     assert not manifest.exists()
 
 
+@pytest.mark.parametrize("command", ["schedule", "score"])
+def test_a_score_file_epoch_below_one_is_malformed_scores(tmp_path, capsys, dump_path, command):
+    # schedule reads a file of epoch 0, and score one of epoch -3 as --prev-scores.
+    scores = tmp_path / "scores.jsonl"
+    epoch = 0 if command == "schedule" else -3
+    scores.write_text(f'{{"epoch":{epoch},"id":"a","norm":1.0,"rank":0,"score":1.0}}\n')
+    out = tmp_path / "out.jsonl"
+    if command == "schedule":
+        argv = ["schedule", "--scores", scores, "--bins", "1", "--epoch", "1", "--seed", "2", "--out", out]
+    else:
+        argv = ["score", "--embeddings", dump_path, "--prev-scores", scores, "--epoch", "2", "--out", out]
+    assert run_cli(*map(str, argv)) == 1
+    assert capsys.readouterr().err == f"error:malformed-scores: {scores}: epoch must be >= 1, got {epoch}\n"
+    assert not out.exists()
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string digit limit")
 def test_schedule_names_the_line_of_an_integer_past_the_digit_limit(tmp_path, capsys):
     scores = tmp_path / "scores.jsonl"
@@ -479,9 +495,12 @@ def test_train_divergence_names_epoch(run_dirs, capsys):
     ],
     ids=lambda value: {True: "shuffle", False: "no-shuffle"}.get(value, value),
 )
-def test_cli_score_schedule_reproduce_train_artifacts(run_dirs, alignment, ordering, shuffle):
-    # Re-deriving scores and manifests from the emitted dumps, one process
-    # per step, must give byte-identical artifacts to the in-process run.
+def test_cli_score_schedule_reproduce_train_artifacts(run_dirs, monkeypatch, alignment, ordering, shuffle):
+    # Re-deriving scores and manifests from the emitted dumps must give
+    # byte-identical artifacts to the run.  The kept score file is forgotten
+    # before each call, as a new process per call starts without it, so
+    # every score file read is parsed: the shell's path, not the in-process
+    # chain's (test_an_in_process_rescoring_chain_parses_no_score_file).
     tmp_path, train_path, valid_path, _ = run_dirs
     config_path = tmp_path / "config_rederive.json"
     write_run_config(
@@ -494,6 +513,9 @@ def test_cli_score_schedule_reproduce_train_artifacts(run_dirs, alignment, order
         "train", "--dataset", str(train_path), "--valid", str(valid_path),
         "--config", str(config_path), "--out-dir", str(out_dir),
     )
+    parsed = []
+    parse = spdcl_io._parse_scores
+    monkeypatch.setattr(spdcl_io, "_parse_scores", lambda path, blob: parsed.append(path) or parse(path, blob))
     redo = tmp_path / "redo"
     redo.mkdir()
     for epoch in range(1, 6):
@@ -505,16 +527,19 @@ def test_cli_score_schedule_reproduce_train_artifacts(run_dirs, alignment, order
         if epoch > 1:
             argv += ["--prev-scores", str(out_dir / f"epoch{epoch - 1:03d}.scores.jsonl"),
                      "--alignment", alignment, "--ordering", ordering]
+        monkeypatch.setattr(spdcl_io, "_last_scores", ())
         assert run_cli(*argv) == 0
         assert score_out.read_bytes() == (out_dir / score_out.name).read_bytes()
 
         manifest_out = redo / f"epoch{epoch:03d}.manifest.jsonl"
         no_shuffle = [] if shuffle else ["--no-shuffle"]
+        monkeypatch.setattr(spdcl_io, "_last_scores", ())
         assert run_cli(
             "schedule", "--scores", str(score_out), "--bins", "4",
             "--epoch", str(epoch), "--seed", "2", "--out", str(manifest_out), *no_shuffle,
         ) == 0
         assert manifest_out.read_bytes() == (out_dir / manifest_out.name).read_bytes()
+    assert len(parsed) == 2 * 5 - 1  # each --prev-scores of epochs 2-5, and each schedule
 
 
 # ------------------------------------------------------------------- report

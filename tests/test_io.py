@@ -283,6 +283,14 @@ def test_scores_validation(tmp_path):
             read_scores(path)
 
 
+@pytest.mark.parametrize("epoch", [0, -3])
+def test_scores_reject_an_epoch_below_one_naming_the_file(tmp_path, epoch):
+    path = tmp_path / "scores.jsonl"
+    path.write_text(f'{{"epoch":{epoch},"id":"a","norm":1.0,"rank":0,"score":1.0}}\n')
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: epoch must be >= 1, got {epoch}$"):
+        read_scores(path)
+
+
 def test_scores_and_manifests_reject_empty_ids(tmp_path):
     path = tmp_path / "scores.jsonl"
     path.write_text('{"id":"a","epoch":1,"score":1.0,"rank":0,"norm":1.0}\n\n'

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdcl import nucnorm
+from spdcl.difficulty import ScoreTable
 from spdcl.io import read_embedding_dump, write_embedding_dump
 from spdcl.nucnorm import DumpLayout, EmbeddingDump, _spectrum, nuclear_norm
+from spdcl.trainer import EncodedDataset, Vocabulary
 
 from dumps import pack_dump
 from jacobi_oracle import ORACLE_MAX_ELEMENTS, jacobi_singular_values, nuclear_norm_oracle
@@ -278,6 +280,26 @@ def test_dump_rejects_bad_layout():
         EmbeddingDump(layout, np.ones(2))
     with pytest.raises(ValueError, match="column"):
         EmbeddingDump(layout, np.ones((2, 0)))
+
+
+# Per integer column, a constructor call and the float and bool columns that
+# would truncate to a valid one: floats round toward 0, bools read as 0 and 1.
+INTEGER_COLUMNS = {
+    "layout-offsets": (lambda col: DumpLayout(("a",), col), [0.0, 1.5], [False, True]),
+    "dump-index": (lambda col: EmbeddingDump(DumpLayout(("a",), [0, 2]), np.ones((3, 2)), col),
+                   [0.9, 2.5], [True, False]),
+    "table-order": (lambda col: ScoreTable(1, ("a", "b"), [1.0, 2.0], [1.0, 2.0], col), [1.2, 0.7], [True, False]),
+    "dataset-tokens": (lambda col: EncodedDataset(("a",), col, [0, 2], [0], Vocabulary(("w2", "w3")), ("x",),
+                                                  "multiclass"), [2.0, 3.5], [True, False]),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "bool"])
+@pytest.mark.parametrize("column", INTEGER_COLUMNS)
+def test_integer_columns_reject_floats_and_bools(column, kind):
+    build, floats, bools = INTEGER_COLUMNS[column]
+    with pytest.raises(ValueError, match="expected integers, got an array of dtype (float64|bool)"):
+        build(floats if kind == "float" else bools)
 
 
 def test_rejects_zero_dimension():

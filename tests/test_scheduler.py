@@ -5,13 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdcl.io import RunConfig
-from spdcl.scheduler import (
-    build_epoch_plan,
-    epoch_rng,
-    partition_bins,
-)
+from spdcl.scheduler import build_epoch_plan, epoch_rng
 
-from reference_plans import visible_set
+from reference_plans import partition_bins, visible_set
 from tables import score_table
 
 
@@ -19,31 +15,40 @@ def table_for(ids_in_rank_order, epoch=1):
     return score_table(((sid, float(i), float(i)) for i, sid in enumerate(ids_in_rank_order)), epoch)
 
 
+def bins_of(ids_in_rank_order, k):
+    """The bins ``build_epoch_plan`` cuts, as id lists in rank order."""
+    bin_of = build_epoch_plan(table_for(ids_in_rank_order), RunConfig(bins_k=k, epochs_T=k), 1).bin_of
+    bins = [[] for _ in range(k)]
+    for sid in ids_in_rank_order:
+        bins[bin_of[sid] - 1].append(sid)
+    return bins
+
+
 # ------------------------------------------------------------ partitioning
 
 
 def test_even_partition():
     ids = [f"s{i}" for i in range(10)]
-    bins = partition_bins(ids, 5)
+    bins = bins_of(ids, 5)
     assert [len(b) for b in bins] == [2, 2, 2, 2, 2]
     assert [sid for b in bins for sid in b] == ids
 
 
 def test_remainder_goes_to_earliest_bins():
-    bins = partition_bins([f"s{i}" for i in range(7)], 3)
+    bins = bins_of([f"s{i}" for i in range(7)], 3)
     assert [len(b) for b in bins] == [3, 2, 2]
 
 
 def test_corpus_scale_partition_divides_exactly():
     # 53 840 samples over 10 bins: a realistic training-set size that
     # divides evenly, so every bin must come out the same.
-    bins = partition_bins([f"s{i}" for i in range(53_840)], 10)
+    bins = bins_of([f"s{i}" for i in range(53_840)], 10)
     assert [len(b) for b in bins] == [5384] * 10
 
 
 def test_partition_rejects_k_over_n():
     with pytest.raises(ValueError, match="exceeds"):
-        partition_bins(["a", "b"], 3)
+        build_epoch_plan(table_for(["a", "b"]), RunConfig(bins_k=3, epochs_T=3), 1)
 
 
 # ------------------------------------------------------------- visible set
@@ -137,7 +142,7 @@ def test_config_rejects_wrong_types(kwargs, field):
 def test_partition_sizes_and_adjacency(n, data):
     k = data.draw(st.integers(1, n))
     ids = [f"s{i:04d}" for i in range(n)]
-    bins = partition_bins(ids, k)
+    bins = bins_of(ids, k)
     sizes = [len(b) for b in bins]
     assert sum(sizes) == n
     assert max(sizes) - min(sizes) <= 1

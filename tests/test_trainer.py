@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdcl import io as spdcl_io
-from spdcl import nucnorm, trainer
+from spdcl import difficulty, nucnorm, trainer
 from spdcl.difficulty import dump_norms
 from spdcl.io import RunConfig, TextSample
 from spdcl.nucnorm import DumpLayout, EmbeddingDump, nuclear_norm
@@ -798,8 +798,8 @@ def test_every_dump_of_a_run_shares_the_training_layout(monkeypatch, tmp_path):
     # split's own layout and token ids, neither of them copied.
     train, valid = make_encoded(n_train=20)
     scored, written = [], []
-    norms_of, write = trainer.dump_norms, spdcl_io.write_embedding_dump
-    monkeypatch.setattr(trainer, "dump_norms", lambda dump: scored.append(dump) or norms_of(dump))
+    norms_of, write = difficulty.dump_norms, spdcl_io.write_embedding_dump
+    monkeypatch.setattr(difficulty, "dump_norms", lambda dump: scored.append(dump) or norms_of(dump))
     monkeypatch.setattr(spdcl_io, "write_embedding_dump", lambda path, dump: written.append(dump) or write(path, dump))
     run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=3, seed=2), TrainHyper(hidden=4), tmp_path)
     assert len(scored) == 3 and written == scored
@@ -810,14 +810,14 @@ def test_one_dump_alive_at_a_time(monkeypatch, tmp_path):
     # Each epoch's dump is released once persisted, before the next is scored.
     train, valid = make_encoded(n_train=20)
     dumps, alive = [], []
-    norms_of = trainer.dump_norms
+    norms_of = difficulty.dump_norms
 
     def scoring(dump):
         alive.append([ref() is not None for ref in dumps])
         dumps.append(weakref.ref(dump))
         return norms_of(dump)
 
-    monkeypatch.setattr(trainer, "dump_norms", scoring)
+    monkeypatch.setattr(difficulty, "dump_norms", scoring)
     config = RunConfig(bins_k=2, epochs_T=3, seed=2)
     run_spdcl(train, valid, config, TrainHyper(hidden=4), tmp_path)
     assert alive == [[], [False], [False, False]]
@@ -841,8 +841,8 @@ def test_dump_gathered_in_slices_equals_one_cast(monkeypatch):
     # its materialized twin does, bit for bit, however it is sliced.
     train, valid = make_encoded(n_train=20)
     dumps = []
-    norms_of = trainer.dump_norms
-    monkeypatch.setattr(trainer, "dump_norms", lambda dump: dumps.append(dump) or norms_of(dump))
+    norms_of = difficulty.dump_norms
+    monkeypatch.setattr(difficulty, "dump_norms", lambda dump: dumps.append(dump) or norms_of(dump))
     run_spdcl(train, valid, RunConfig(bins_k=1, epochs_T=1, seed=2), TrainHyper(hidden=4, seed=3))
     params = init_params(train.vocab.size, 4, len(train.label_names), train.task_kind, 3)
     expected = params.embedding_table[train.tokens].astype(np.float32)
