@@ -61,17 +61,17 @@ def differ(paths, out_dir: Path, how: str) -> list[str]:
             if not (copy := out_dir / p.name).is_file() or p.read_bytes() != copy.read_bytes()]
 
 
-def check_run(run: Path, work: Path, baseline=False, separate=False) -> list[str]:
+def check_run(run: Path, work: Path, separate=False) -> list[str]:
     """The files of ``run`` that re-deriving them into ``work`` does not reproduce, each with how.
 
     Per epoch, ``spdcl score`` on the dump (chained on the re-derived scores of the epoch before) and
-    ``spdcl schedule`` (one shuffled bin for a baseline) must write the run's score and manifest files,
-    each re-derived score file must read to the same table from ``io``'s kept entry as when parsed,
-    and the epoch report's ``norm_stats`` must be the score file's.  Each dump, read and written again
-    after a fresh header walk, and in one process on the first dump's layout, must give its own bytes.
+    ``spdcl schedule`` (with the bins and shuffle the run's ``run_config.json`` records, a baseline's
+    too) must write the run's score and manifest files, each re-derived score file must read to the
+    same table from ``io``'s kept entry as when parsed, and the epoch report's ``norm_stats`` must be
+    the score file's.  Each dump, read and written again after a fresh header walk, and in one
+    process on the first dump's layout, must give its own bytes.
     """
     config = io.load_run_config(run / "run_config.json")
-    bins, shuffle = (1, True) if baseline else (config.bins_k, config.shuffle_within_epoch)
     bad, prev, dumps = [], [], []
     for epoch in range(1, config.epochs_T + 1):
         paths = io.epoch_paths(run, epoch)
@@ -81,8 +81,8 @@ def check_run(run: Path, work: Path, baseline=False, separate=False) -> list[str
         if any(spdcl_call(argv, separate) for argv in (
             ["score", "--embeddings", dump, *prev, "--epoch", epoch, "--out", out,
              "--alignment", config.alignment_mode, "--ordering", config.delta_ordering],
-            ["schedule", "--scores", out, "--bins", bins, "--epoch", epoch, "--seed", config.seed,
-             "--out", work / manifest.name, *["--no-shuffle"] * (not shuffle)],
+            ["schedule", "--scores", out, "--bins", config.bins_k, "--epoch", epoch, "--seed", config.seed,
+             "--out", work / manifest.name, *["--no-shuffle"] * (not config.shuffle_within_epoch)],
         )):
             return bad + [f"{dump}: spdcl score or schedule failed on it"]
         prev = ["--prev-scores", out]
@@ -118,14 +118,14 @@ def main() -> int:
             for split, samples in zip(("train", "valid"), make_zipfian_dataset(**kwargs)):
                 io.write_dataset(root / "data" / name / f"{split}.jsonl", samples)
         for name, (data, config, baseline) in RUNS.items():
-            io.write_run_config(work / f"{name}.json", config)  # the run's run_config.json holds it
+            io.write_run_config(work / f"{name}.json", config)  # a --baseline run records config.baseline()
             if spdcl_call(["train", "--dataset", root / "data" / data / "train.jsonl", "--valid",
                            root / "data" / data / "valid.jsonl", "--config", work / f"{name}.json",
                            "--out-dir", root / name, *["--baseline"] * baseline]):
                 sys.exit(f"spdcl train failed for the {name} run")
-            bad += check_run(root / name, work / name, baseline)
+            bad += check_run(root / name, work / name)
             if name in SEPARATE:
-                bad += check_run(root / name, work / f"{name}-separate", baseline, separate=True)
+                bad += check_run(root / name, work / f"{name}-separate", separate=True)
         if spdcl_call(["report", "--run-dir", root / "curriculum", "--baseline-dir", root / "baseline",
                        "--out", root / "report.json", "--csv", root / "report.csv"], separate=True):
             sys.exit("spdcl report failed")

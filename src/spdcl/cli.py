@@ -26,7 +26,8 @@ Errors exit nonzero with a single machine-parsable line on stderr,
   names the epoch and batch;
 - ``missing-artifact``: ``report`` found an incomplete run directory, a
   run config or epoch report it cannot read, or an epoch report without
-  its ``norm_stats``;
+  its ``norm_stats`` or integer ``epoch``, or with a statistic or metric
+  that is not a number;
 - ``unwritable-output``: an output path cannot be written (a directory
   where a file goes, a file where a directory goes, no permission, a full
   disk); every input read maps its ``OSError`` to a category above, so an
@@ -131,12 +132,14 @@ def cmd_schedule(args) -> None:
 
 def cmd_train(args) -> None:
     # Imported here, so that the other commands do not load the trainer.
-    from spdcl.trainer import TrainingDiverged, encode_datasets, run_baseline, run_spdcl
+    from spdcl.trainer import TrainHyper, TrainingDiverged, encode_datasets, run_spdcl
 
     try:
         config = spdcl_io.load_run_config(args.config)
     except (FormatError, OSError) as exc:
         raise CliError("invalid-config", str(exc))
+    if args.baseline:  # checked, recorded and run as the one-bin config
+        config = config.baseline()
     try:
         train_samples = spdcl_io.read_dataset(args.dataset)
         valid_samples = spdcl_io.read_dataset(args.valid)
@@ -154,11 +157,10 @@ def cmd_train(args) -> None:
             f"bins_k={config.bins_k} exceeds training-set size {len(train_enc.sample_ids)}",
         )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spdcl_io.write_run_config(out_dir / "run_config.json", config)
-    runner = run_baseline if args.baseline else run_spdcl
+    hyper = TrainHyper(lr=config.lr, batch_size=config.batch, hidden=config.hidden_d, seed=config.seed)
     try:
-        result = runner(train_enc, valid_enc, config, config.hyper(), out_dir=out_dir)
+        result = run_spdcl(train_enc, valid_enc, config, hyper, out_dir=out_dir)
     except TrainingDiverged as exc:
         raise CliError("diverged", str(exc))
     _save_final_params(out_dir, result.params, train_enc, config.max_len)

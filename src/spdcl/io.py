@@ -56,8 +56,9 @@ import math
 import mmap
 import os
 import struct
+import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from io import BytesIO, TextIOWrapper
 from itertools import chain
 from pathlib import Path
@@ -589,7 +590,7 @@ def read_manifest(path) -> EpochPlan:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration, the on-disk face of one experiment and the curriculum's config."""
+    """Validated run configuration, the curriculum's config; a run's ``run_config.json`` is the one it ran."""
 
     bins_k: int = 5
     epochs_T: int = 10
@@ -620,13 +621,9 @@ class RunConfig:
         """The config itself; kept because the benchmark's workloads call it."""
         return self
 
-    def hyper(self):
-        """The trainer's settings: ``batch`` is its ``batch_size``, ``hidden_d`` its ``hidden``."""
-        from spdcl.trainer import TrainHyper  # spdcl.trainer imports this module
-
-        return TrainHyper(
-            lr=self.lr, batch_size=self.batch, hidden=self.hidden_d, max_len=self.max_len, seed=self.seed
-        )
+    def baseline(self) -> RunConfig:
+        """The no-curriculum comparison: one bin, shuffled each epoch; what ``spdcl train --baseline`` runs."""
+        return replace(self, bins_k=1, shuffle_within_epoch=True)
 
 
 def load_run_config(path) -> RunConfig:
@@ -701,14 +698,14 @@ def _norm_stats(xs: np.ndarray) -> dict:
 _NORM_STAT_KEYS = frozenset(("count", "mean", "min", "q1", "median", "q3", "max"))
 
 
-def _well_formed_norm_stats(payload) -> bool:
+def _well_formed_report(payload) -> bool:
+    """Whether an epoch report has an int epoch, norm_stats, and other figures as numbers ``float()`` takes."""
     stats = payload.get("norm_stats") if type(payload) is dict else None
-    return (
-        type(stats) is dict
-        and stats.keys() == _NORM_STAT_KEYS
-        and type(stats["count"]) is int
-        and all(type(stats[key]) in _NUMBER for key in _NORM_STAT_KEYS)
-    )
+    if type(stats) is not dict or stats.keys() != _NORM_STAT_KEYS or type(stats["count"]) is not int:
+        return False
+    figures = [*stats.values(), *(payload[key] for key in _CSV_METRICS if payload.get(key) is not None)]
+    real = all(type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max) for x in figures)
+    return real and type(payload.get("epoch")) is int
 
 
 def epoch_paths(run_dir: Path, epoch: int) -> dict[str, Path]:
@@ -726,25 +723,24 @@ def _collect_run(run_dir: Path) -> dict:
     """The run's config and epoch reports; every epoch's scores, manifest and report must exist.
 
     Only ``run_config.json`` and the epoch reports are read: each report
-    carries its epoch's norm statistics, so no score file is parsed.
+    carries its epoch's norm statistics, so no score file is parsed.  The
+    first epoch that lacks a file stops the walk, and the error names its
+    missing files: the cost follows the files present, not ``epochs_T``.
     """
     config_path = run_dir / "run_config.json"
-    missing = [] if config_path.exists() else [str(config_path)]
-    epochs = []
-    config = load_run_config(config_path) if config_path.exists() else None
-    total = config.epochs_T if config else 0
+    if not config_path.exists():
+        raise FormatError(f"incomplete run in {run_dir}: missing {config_path}")
+    config = load_run_config(config_path)
+    total, epochs = config.epochs_T, []
     for epoch in range(1, total + 1):
         paths = epoch_paths(run_dir, epoch)
-        absent = [str(paths[kind]) for kind in ("scores", "manifest", "report") if not paths[kind].exists()]
+        absent = [str(paths[kind]) for kind in ("manifest", "report", "scores") if not paths[kind].exists()]
         if absent:
-            missing.extend(absent)
-            continue
+            raise FormatError(f"incomplete run in {run_dir}: epoch {epoch} of {total} lacks {', '.join(absent)}")
         payload = _load_json(paths["report"])
-        if not _well_formed_norm_stats(payload):
-            raise FormatError(f"{paths['report']}: no well-formed norm_stats object")
+        if not _well_formed_report(payload):
+            raise FormatError(f"{paths['report']}: no integer epoch, well-formed norm_stats or numeric metrics")
         epochs.append(payload)
-    if missing:
-        raise FormatError(f"incomplete run in {run_dir}: missing {', '.join(sorted(missing))}")
     return {"config": asdict(config), "epochs": epochs}
 
 

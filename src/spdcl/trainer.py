@@ -17,7 +17,7 @@ import math
 import operator
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, count
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -245,8 +245,9 @@ def loss_and_grad(params: ModelParams, ids: Sequence[int], target) -> tuple[floa
 
 @dataclass(frozen=True)
 class TrainHyper:
-    """The trainer's settings; ``RunConfig.hyper()`` builds them from a run config.
+    """The trainer's settings; ``spdcl train`` builds them from its run config.
 
+    ``batch_size`` is the config's ``batch`` and ``hidden`` its ``hidden_d``.
     ``max_len`` is checked but never read: ``encode_datasets`` takes its own.
     It is kept only because the benchmark's workloads pass it.
     """
@@ -592,8 +593,6 @@ def run_spdcl(
             "the hardest bins will never become visible",
             stacklevel=2,
         )
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
     params = init_params(
         train.vocab.size, hyper.hidden, len(train.label_names), train.task_kind, hyper.seed
     )
@@ -623,12 +622,12 @@ def run_baseline(
 ) -> RunResult:
     """Plain full-data training, the no-curriculum comparison run.
 
-    The baseline is the one-bin curriculum: ``run_spdcl`` with
-    ``bins_k=1`` and ``shuffle_within_epoch=True``, so every epoch trains
-    on the whole training set, shuffled with the (seed, epoch)-keyed
-    generator.  It ignores ``config.bins_k`` and
-    ``config.shuffle_within_epoch``.  Embeddings are still dumped and scored
-    each epoch, purely so the nuclear-norm trajectory is observable; with
-    one bin, the scores never influence the training order.
+    The baseline is the one-bin curriculum: ``run_spdcl`` on
+    ``config.baseline()``, so every epoch trains on the whole training set,
+    shuffled with the (seed, epoch)-keyed generator, whatever the config's
+    ``bins_k`` and ``shuffle_within_epoch``.  Embeddings are still dumped
+    and scored each epoch, purely so the nuclear-norm trajectory is
+    observable; with one bin, the scores never influence the training order.
+    ``spdcl train --baseline`` calls ``run_spdcl`` on that config itself.
     """
-    return run_spdcl(train, valid, replace(config, bins_k=1, shuffle_within_epoch=True), hyper, out_dir)
+    return run_spdcl(train, valid, config.baseline(), hyper, out_dir)

@@ -339,7 +339,8 @@ def test_train_rerun_is_byte_identical(run_dirs):
 
 def test_train_baseline_matches_k1_curriculum(run_dirs):
     # The baseline ignores bins_k and shuffle_within_epoch: trained with
-    # three unshuffled bins, it writes the one-bin curriculum's files.
+    # three unshuffled bins, it writes the one-bin curriculum's files, every
+    # one of them, run_config.json included, since it records what it ran.
     tmp_path, train_path, valid_path, config_path = run_dirs
     k1_config = tmp_path / "k1.json"
     base_config = tmp_path / "base.json"
@@ -362,11 +363,28 @@ def test_train_baseline_matches_k1_curriculum(run_dirs):
         "train", "--dataset", str(train_path), "--valid", str(valid_path),
         "--config", str(base_config), "--out-dir", str(base_dir), "--baseline",
     ) == 0
-    names = sorted(p.name for p in k1_dir.glob("epoch*"))
-    assert len(names) == 5 * 4
-    assert sorted(p.name for p in base_dir.glob("epoch*")) == names
-    for name in names + ["params_final.npz"]:
+    names = sorted(p.name for p in k1_dir.iterdir())
+    assert len(names) == 5 * 4 + 3  # run_config.json, params_final.npz, model_meta.json
+    assert sorted(p.name for p in base_dir.iterdir()) == names
+    for name in names:
         assert (k1_dir / name).read_bytes() == (base_dir / name).read_bytes(), name
+
+
+def test_train_baseline_takes_more_bins_than_samples(tmp_path, capsys):
+    # The baseline trains one bin, so a config's bins_k past the training
+    # set's size does not stop it.
+    train, valid = make_zipfian_dataset(4, 3, n_classes=2, seed=1)
+    write_dataset(tmp_path / "train.jsonl", train)
+    write_dataset(tmp_path / "valid.jsonl", valid)
+    write_run_config(tmp_path / "config.json", RunConfig(bins_k=5, epochs_T=2, batch=2, hidden_d=4, max_len=16))
+    assert run_cli(
+        "train", "--dataset", str(tmp_path / "train.jsonl"), "--valid", str(tmp_path / "valid.jsonl"),
+        "--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path / "base"), "--baseline",
+    ) == 0, capsys.readouterr().err
+    assert spdcl_io.load_run_config(tmp_path / "base" / "run_config.json").bins_k == 1
+    assert read_manifest(tmp_path / "base" / "epoch002.manifest.jsonl").bin_of == dict.fromkeys(
+        (s.sample_id for s in train), 1
+    )
 
 
 def test_train_invalid_config_fails_before_training(run_dirs, capsys):

@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,6 +149,18 @@ def test_report_reads_no_score_file(trained_runs, tmp_path, monkeypatch):
         lambda p: p["norm_stats"].update(count=4.0),
         lambda p: p["norm_stats"].update(mean="1.5"),
         lambda p: p["norm_stats"].update(median=True),
+        # The CSV converts every metric and quartile with float(): a list,
+        # a string, a bool or an int past float's range is the report's fault.
+        lambda p: p["norm_stats"].update(q1=-(10**400)),
+        lambda p: p["norm_stats"].update(count=10**400),
+        lambda p: p.update(micro_f1=[0.5]),
+        lambda p: p.update(macro_f1={"f1": 0.5}),
+        lambda p: p.update(hamming_loss="0.5"),
+        lambda p: p.update(mean_loss=True),
+        lambda p: p.update(subset_accuracy=10**400),
+        # The CSV's first column is the report's epoch.
+        lambda p: p.pop("epoch"),
+        lambda p: p.update(epoch="2"),
     ],
 )
 def test_report_rejects_epoch_report_without_norm_stats(trained_runs, tmp_path, capsys, corrupt):
@@ -157,11 +170,12 @@ def test_report_rejects_epoch_report_without_norm_stats(trained_runs, tmp_path, 
     corrupt(payload)
     write_json_atomic(path, payload)
     capsys.readouterr()
-    assert main(["report", "--run-dir", str(run_dir), "--out", str(tmp_path / "r.json")]) == 1
+    assert main(["report", "--run-dir", str(run_dir), "--out", str(tmp_path / "r.json"),
+                 "--csv", str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:missing-artifact:")
+    assert err.startswith("error:missing-artifact:") and err.count("\n") == 1
     assert str(path) in err and "norm_stats" in err
-    assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
 
 
 def test_report_names_an_epoch_report_that_is_not_json(trained_runs, tmp_path, capsys):
@@ -200,6 +214,26 @@ def test_report_still_needs_every_score_file(trained_runs, tmp_path, capsys):
     assert main(["report", "--run-dir", str(run_dir), "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:missing-artifact:") and "epoch003.scores.jsonl" in err
+
+
+def test_report_stops_at_the_first_epoch_a_claimed_epoch_count_lacks(tmp_path, capsys):
+    # A run config claiming 100,000 epochs over a 2-epoch run: the report
+    # walks no further than epoch 3, and its one error line names that epoch.
+    train, valid = make_zipfian_dataset(20, 6, n_classes=2, seed=1)
+    write_dataset(tmp_path / "train.jsonl", train)
+    write_dataset(tmp_path / "valid.jsonl", valid)
+    config = RunConfig(bins_k=2, epochs_T=2, batch=8, hidden_d=4, max_len=16)
+    write_run_config(tmp_path / "config.json", config)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--dataset", str(tmp_path / "train.jsonl"), "--valid", str(tmp_path / "valid.jsonl"),
+                 "--config", str(tmp_path / "config.json"), "--out-dir", str(run_dir)]) == 0
+    write_run_config(run_dir / "run_config.json", replace(config, epochs_T=100_000))
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 1024, len(err)
+    assert err.startswith(f"error:missing-artifact: incomplete run in {run_dir}: epoch 3 of 100000 lacks ")
+    assert str(run_dir / "epoch003.manifest.jsonl") in err
 
 
 def test_run_and_report_leave_numpy_ma_unimported(tmp_path):
