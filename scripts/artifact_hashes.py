@@ -13,7 +13,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from spdcl import io
+from spdcl import difficulty, io
 from spdcl.cli import main as cli_main
 from spdcl.synth import make_zipfian_dataset
 
@@ -69,7 +69,9 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
     too) must write the run's score and manifest files, each re-derived score file must read to the
     same table from ``io``'s kept entry as when parsed, and the epoch report's ``norm_stats`` must be
     the score file's.  Each dump, read and written again after a fresh header walk, and in one
-    process on the first dump's layout, must give its own bytes.
+    process on the first dump's layout, must give its own bytes; scored on that shared layout,
+    where every dump after the first is scored on the classes of equal rows the first one's
+    scoring kept while they hold, it must give its score file's norms bit for bit.
     """
     config = io.load_run_config(run / "run_config.json")
     bad, prev, dumps = [], [], []
@@ -102,8 +104,12 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
         bad += differ([dump], work, "when written back after a fresh header walk")
     if not separate:
         reads = [io.read_embedding_dump(dump) for dump in dumps]
-        for dump, read in zip(dumps, reads):
+        for epoch, (dump, read) in enumerate(zip(dumps, reads), start=1):
             io.write_embedding_dump(work / "kept" / dump.name, read)
+            ids, norm = difficulty.dump_norms(read)
+            table = io.read_scores(io.epoch_paths(run, epoch)["scores"])
+            if ids != table.ids or norm.tobytes() != table.norm.tobytes():
+                bad.append(f"{dump}: scored on the first dump's layout, gives other norms than its score file")
         if any(read.layout is not reads[0].layout for read in reads):
             bad.append(f"{run}: its dumps were walked again, though their headers repeat the first")
         bad += differ(dumps, work / "kept", "when read in one process on the first dump's layout and written back")

@@ -27,7 +27,7 @@ Errors exit nonzero with a single machine-parsable line on stderr,
 - ``missing-artifact``: ``report`` found an incomplete run directory, a
   run config or epoch report it cannot read, or an epoch report without
   its ``norm_stats`` or integer ``epoch``, or with a statistic or metric
-  that is not a number;
+  that is not a finite number;
 - ``unwritable-output``: an output path cannot be written (a directory
   where a file goes, a file where a directory goes, no permission, a full
   disk); every input read maps its ``OSError`` to a category above, so an

@@ -115,7 +115,7 @@ _encode_json_str = json.encoder.encode_basestring
 
 
 def _canonical_json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
 
 
 def write_jsonl_atomic(path, records: Iterable[dict]) -> None:
@@ -124,7 +124,7 @@ def write_jsonl_atomic(path, records: Iterable[dict]) -> None:
 
 
 def write_json_atomic(path, obj) -> None:
-    body = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    body = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     _atomic_write_bytes(Path(path), body.encode("utf-8"))
 
 
@@ -699,12 +699,18 @@ _NORM_STAT_KEYS = frozenset(("count", "mean", "min", "q1", "median", "q3", "max"
 
 
 def _well_formed_report(payload) -> bool:
-    """Whether an epoch report has an int epoch, norm_stats, and other figures as numbers ``float()`` takes."""
+    """Whether an epoch report has an int epoch, norm_stats, and other figures as finite numbers.
+
+    ``json`` decodes ``NaN`` and ``Infinity``, which no writer emits and
+    strict JSON lacks, so a figure must be a finite float or an int that
+    ``float()`` takes.
+    """
     stats = payload.get("norm_stats") if type(payload) is dict else None
     if type(stats) is not dict or stats.keys() != _NORM_STAT_KEYS or type(stats["count"]) is not int:
         return False
     figures = [*stats.values(), *(payload[key] for key in _CSV_METRICS if payload.get(key) is not None)]
-    real = all(type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max) for x in figures)
+    real = all(math.isfinite(x) if type(x) is float else type(x) is int and abs(x) <= sys.float_info.max
+               for x in figures)
     return real and type(payload.get("epoch")) is int
 
 
@@ -739,7 +745,7 @@ def _collect_run(run_dir: Path) -> dict:
             raise FormatError(f"incomplete run in {run_dir}: epoch {epoch} of {total} lacks {', '.join(absent)}")
         payload = _load_json(paths["report"])
         if not _well_formed_report(payload):
-            raise FormatError(f"{paths['report']}: no integer epoch, well-formed norm_stats or numeric metrics")
+            raise FormatError(f"{paths['report']}: no integer epoch, well-formed norm_stats or finite numeric metrics")
         epochs.append(payload)
     return {"config": asdict(config), "epochs": epochs}
 

@@ -14,9 +14,10 @@ stacked call per group of samples scored on the same number of rows, each
 gathering its rows through the index if there is one.  Rows are equal when
 their bytes are, found in one exact pass (:func:`_byte_classes`).  The plan
 of those calls is kept on the layout, per column count, and reused while
-the classes of equal rows repeat.  The functions are otherwise pure over
-immutable inputs; a kept plan is replaced whole, and whichever plan a call
-finds gives the same norms.
+the classes of equal rows repeat; a dump read from a file checks the kept
+classes, exactly, instead of finding them again.  The functions are
+otherwise pure over immutable inputs; a kept plan is replaced whole, and
+whichever plan a call finds gives the same norms.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ _ROW_HASH_BASE = 0x9E3779B1
 def _row_hashes(rows: np.ndarray) -> np.ndarray:
     """A hash of each row's bytes, an int64 below 2**32: (R, d) C-contiguous float rows -> (R,)."""
     bits = rows.view(np.uint32)
-    return (bits @ np.full(bits.shape[-1], _ROW_HASH_BASE, np.uint32).cumprod(dtype=np.uint32)).astype(np.int64)
+    powers = np.full(bits.shape[-1], _ROW_HASH_BASE, np.uint32).cumprod(dtype=np.uint32)
+    # einsum's uint32 sum of products is exact mod 2**32, as ``bits @ powers`` is, and faster.
+    return np.einsum("ij,j->i", bits, powers).astype(np.int64)
 
 
 def _first_equal(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -209,7 +212,9 @@ class DumpLayout:
     :func:`read_only`).  ``row_of`` maps each id to its row.  An
     ``EncodedDataset`` builds one per split at set-up; every dump of the
     training split shares it, and ``_memo`` keeps what they derive from it,
-    by kind and column count: scoring's plan and ``spdcl.io``'s dump headers.
+    by kind and column count: scoring's plan (with, after a dump read from a
+    file, the classes of equal rows its pass found, one head offset per row
+    in the smallest type that fits) and ``spdcl.io``'s dump headers.
     """
 
     ids: tuple[str, ...]
@@ -245,23 +250,64 @@ def _chunk_bounds(offsets: np.ndarray, rows: int) -> Iterator[tuple[int, int]]:
         first = stop
 
 
-def _row_weights(dump: EmbeddingDump, keys: np.ndarray | None) -> np.ndarray:
-    """:func:`_weights` of every layout row, worked out one chunk of
-    contiguous samples at a time: ``_CLASS_CHUNK_ROWS`` rows and
-    ``_SCORE_SLICE_VALUES`` values at most (or one sample).  Rows are equal
-    when their ``keys`` (table rows) are, or without keys when their bytes are."""
-    offsets, cols = dump.offsets, dump.values.shape[1]
-    # A weight is at most its sample's row count: held in the smallest type that fits.
-    weights = np.empty(offsets[-1], dtype=np.min_scalar_type(np.diff(offsets).max()))
-    for first, stop in _chunk_bounds(offsets, max(1, min(_CLASS_CHUNK_ROWS, _SCORE_SLICE_VALUES // cols))):
-        lo, hi = offsets[first], offsets[stop]
-        local = offsets[first : stop + 1] - lo
+def _class_chunks(dump: EmbeddingDump) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(lo, hi, local)`` for the chunks the classes of equal rows are worked
+    out in: layout rows ``lo:hi`` of contiguous samples, ``_CLASS_CHUNK_ROWS``
+    rows and ``_SCORE_SLICE_VALUES`` values at most (or one sample), and
+    their row offsets from ``lo``."""
+    offsets = dump.offsets
+    rows = max(1, min(_CLASS_CHUNK_ROWS, _SCORE_SLICE_VALUES // dump.values.shape[1]))
+    for first, stop in _chunk_bounds(offsets, rows):
+        lo, hi = int(offsets[first]), int(offsets[stop])
+        yield lo, hi, offsets[first : stop + 1] - lo
+
+
+def _row_weights(dump: EmbeddingDump, keys: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_weights` of every layout row, worked out one class chunk at a
+    time (see :func:`_class_chunks`).  Rows are equal when their ``keys``
+    (table rows) are, or without keys when their bytes are; then each row's
+    head, the first row of its sample equal to it, is also returned, as an
+    offset within the sample (None with keys)."""
+    offsets = dump.offsets
+    # A weight is at most its sample's row count, a head offset less: each
+    # held in the smallest type that fits.
+    longest = np.diff(offsets).max()
+    weights = np.empty(offsets[-1], dtype=np.min_scalar_type(longest))
+    heads = None if keys is not None else np.empty(offsets[-1], dtype=np.min_scalar_type(longest - 1))
+    for lo, hi, local in _class_chunks(dump):
         if keys is None:
             equal = _byte_classes(dump.rows(slice(lo, hi)), local)
+            heads[lo:hi] = equal - np.repeat(local[:-1], np.diff(local))
         else:  # table rows, so fewer than 2**32
             equal = _first_equal(keys[lo:hi], local)
-        weights[lo:hi] = _weights(equal, local, cols)
-    return weights
+        weights[lo:hi] = _weights(equal, local, dump.values.shape[1])
+    return weights, heads
+
+
+def _classes_hold(dump: EmbeddingDump, heads: np.ndarray) -> bool:
+    """Whether the rows of an unindexed dump fall, exactly, into the classes
+    of equal rows that ``heads`` (from :func:`_row_weights`) records.
+
+    Checked one class chunk at a time: every row that is not its own head
+    must be byte-equal to its head, and the heads of each sample must have
+    pairwise distinct :func:`_row_hashes`, so distinct bytes.  Then each
+    row's first equal row in its sample is its head, as a fresh pass would
+    find.  A hash tie is not looked into: the answer is False.
+    """
+    for lo, hi, local in _class_chunks(dump):
+        rows = np.ascontiguousarray(dump.rows(slice(lo, hi)))
+        bits = rows.view(np.uint32)
+        sample = np.repeat(np.arange(len(local) - 1), np.diff(local))
+        head = local[sample] + heads[lo:hi]
+        is_head = head == np.arange(len(head))
+        repeats = np.flatnonzero(~is_head)
+        if not (bits.take(repeats, axis=0) == bits.take(head[repeats], axis=0)).all():
+            return False
+        hashed = ((sample << 32) | _row_hashes(rows))[is_head]
+        hashed.sort()
+        if (hashed[1:] == hashed[:-1]).any():
+            return False
+    return True
 
 
 def _plan(layout: DumpLayout, cols: int, weights: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -285,13 +331,18 @@ def _plan(layout: DumpLayout, cols: int, weights: np.ndarray) -> tuple[tuple[np.
 
 
 def _scoring_plan(dump: EmbeddingDump) -> tuple[np.ndarray, tuple]:
-    """The dump's row weights and kernel slices, kept on its layout as ``(keys, weights, slices)``.
+    """The dump's row weights and kernel slices, kept on its layout as
+    ``(keys, weights, slices, heads)``.
 
     An indexed dump's rows are equal when their token ids map to the same
     table class: its keys are the token ids (read-only, so the same array
     reuses the kept plan), or their classes if two table rows have equal
-    bytes.  Without an index the keys are None.  Equal row weights reuse the
-    kept slices.
+    bytes.  Without an index the keys are None, and rows are equal when
+    their bytes are; the pass that finds those classes also keeps them, as
+    ``heads``, and a later unindexed dump whose rows still fall into them
+    (:func:`_classes_hold`) has the kept weights and slices, with no pass.
+    Otherwise the weights are worked out again, and equal row weights
+    reuse the kept slices.
     """
     layout, cols, index = dump.layout, dump.values.shape[1], dump.index
     keys = None
@@ -301,9 +352,11 @@ def _scoring_plan(dump: EmbeddingDump) -> tuple[np.ndarray, tuple]:
     kept = layout._memo.get(("plan", cols))
     if kept and keys is not None and kept[0] is keys:
         return kept[1], kept[2]
-    weights = _row_weights(dump, keys)
+    if kept and keys is None and kept[3] is not None and _classes_hold(dump, kept[3]):
+        return kept[1], kept[2]
+    weights, heads = _row_weights(dump, keys)
     slices = kept[2] if kept and np.array_equal(kept[1], weights) else _plan(layout, cols, weights)
-    layout._memo[("plan", cols)] = (keys, weights, slices)
+    layout._memo[("plan", cols)] = (keys, weights, slices, heads)
     return weights, slices
 
 
@@ -396,6 +449,11 @@ class EmbeddingDump:
         when their token ids map to the same class of the table's rows (found
         on every call); without one, by the rows' own bytes, chunk by chunk.
         So a dump scores as the same dump read back from its file does.
+        Without an index, the classes the last pass on the layout found are
+        kept and checked first, chunk by chunk: if every repeat is
+        byte-equal to its head and each sample's heads have distinct row
+        hashes, they are this dump's classes and no pass runs; on any
+        mismatch or hash tie the pass runs, and its classes are kept.
 
         Samples are scored in groups that share the number of rows they are
         scored on, one stacked kernel call per slice of a group, so an epoch
@@ -405,7 +463,8 @@ class EmbeddingDump:
         values (or one sample), which bounds scoring's temporaries whatever
         the group size.  The plan, its slices and the row weights, is kept
         on the layout per column count and reused while the rows' classes
-        repeat: for the same token ids, or for equal row weights.
+        repeat: for the same token ids, for kept classes that hold, or for
+        equal row weights.
         """
         norms = np.empty(len(self.ids))
         weights, slices = _scoring_plan(self)

@@ -13,10 +13,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spdcl
 from spdcl import io as spdcl_io
+from spdcl import nucnorm
 from spdcl.cli import main
 from spdcl.io import RunConfig, write_dataset, write_run_config
 from spdcl.synth import make_zipfian_dataset
@@ -84,3 +86,31 @@ def test_check_run_names_a_score_file_the_kept_entry_misreads(trained_run, tmp_p
     monkeypatch.setattr(spdcl_io, "write_scores", keep_other_scores)
     bad = artifact_hashes.check_run(trained_run, tmp_path / "work")
     assert any("epoch001.scores.jsonl: reads to another table from the kept entry" in line for line in bad), bad
+
+
+def test_check_run_scores_later_dumps_on_the_kept_classes(trained_run, tmp_path, monkeypatch):
+    # The shared-layout reads score every dump after the first on the classes
+    # of equal rows the first one's pass kept; a kept entry that misweighs
+    # them must be named by the dump whose norms it changed.
+    held = []
+    classes_hold = nucnorm._classes_hold
+
+    def counted(dump, heads):
+        held.append(classes_hold(dump, heads))
+        return held[-1]
+
+    monkeypatch.setattr(nucnorm, "_classes_hold", counted)
+    assert artifact_hashes.check_run(trained_run, tmp_path / "work") == []
+    assert held.count(True) >= 2
+
+    def hold_but_misweigh(dump, heads):
+        if not classes_hold(dump, heads):
+            return False
+        key = ("plan", dump.values.shape[1])
+        keys, weights, slices, heads = dump.layout._memo[key]
+        dump.layout._memo[key] = (keys, np.ones_like(weights), slices, heads)
+        return True
+
+    monkeypatch.setattr(nucnorm, "_classes_hold", hold_but_misweigh)
+    bad = artifact_hashes.check_run(trained_run, tmp_path / "misweighed")
+    assert any("epoch003.embeddings.bin: scored on the first dump's layout" in line for line in bad), bad

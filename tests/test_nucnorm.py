@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdcl import io as spdcl_io
 from spdcl import nucnorm
 from spdcl.difficulty import ScoreTable
 from spdcl.io import read_embedding_dump, write_embedding_dump
@@ -234,6 +235,137 @@ def test_each_layout_keeps_its_own_scoring_plan(monkeypatch):
     for _ in range(2):
         assert [dump.nuclear_norms().tobytes() for dump in dumps] == want
     assert plans == [dumps[0].layout, dumps[1].layout]
+
+
+def _count_class_passes(monkeypatch) -> list:
+    """Patch ``_byte_classes`` to log each call; returns the log."""
+    calls = []
+    byte_classes = nucnorm._byte_classes
+    monkeypatch.setattr(nucnorm, "_byte_classes", lambda *args: calls.append(1) or byte_classes(*args))
+    return calls
+
+
+def _per_sample_norms(values, offsets) -> bytes:
+    return np.array([nuclear_norm(values[a:b].astype(np.float64)) for a, b in zip(offsets[:-1], offsets[1:])]).tobytes()
+
+
+def _hash_twin(row: np.ndarray) -> np.ndarray:
+    """A finite float32 row with other bytes than ``row`` and the same ``_row_hashes``.
+
+    Adding ``b`` to word 1 and ``-b * BASE`` to word 0 leaves
+    ``sum_j w_j * BASE**(j + 1)`` unchanged mod 2**32."""
+    bits = row.view(np.uint32)
+    for b in range(1, 1000):
+        twin = bits.copy()
+        twin[0] -= np.uint32(b * nucnorm._ROW_HASH_BASE % (1 << 32))
+        twin[1] += np.uint32(b)
+        if np.isfinite(twin.view(np.float32)).all():
+            return twin.view(np.float32)
+    raise AssertionError("no finite twin")
+
+
+@pytest.mark.parametrize("change", ["rows-become-equal", "repeat-changes", "heads-hash-alike", "none"])
+@pytest.mark.parametrize("hashes", ["as-is", "every-hash-collides"])
+def test_a_later_read_dump_scores_as_a_cold_read(tmp_path, monkeypatch, change, hashes):
+    # Two dumps of one layout read in one process, as spdcl score reads a
+    # run's epochs: the second is scored on the classes of equal rows that
+    # the first one's pass kept if its rows still fall into them, and by a
+    # fresh pass otherwise.  Both dumps draw each sample's rows from a table
+    # by the same token ids; the second, from a new table, is then changed
+    # in one sample that shrinks.  Its norms must equal those of a cold read
+    # (a fresh header walk, so a layout with nothing kept) and nuclear_norm
+    # of each sample, bit for bit.
+    if hashes == "every-hash-collides":
+        monkeypatch.setattr(nucnorm, "_ROW_HASH_BASE", 0)
+    monkeypatch.setattr(spdcl_io, "_last_walk", ())
+    rng = np.random.default_rng(29)
+    lengths = rng.integers(1, 14, size=300)
+    offsets = np.cumsum([0, *lengths])
+    tokens = rng.integers(0, 7, size=int(offsets[-1]))
+    before = rng.standard_normal((7, 8)).astype(np.float32)[tokens]
+    after = rng.standard_normal((7, 8)).astype(np.float32)[tokens]
+    # A sample of eight rows or more, from a seven-row table, has fewer
+    # distinct rows than min(m, d=8), so it shrinks.
+    sample = next(i for i, m in enumerate(lengths) if m >= 8 and len(set(tokens[offsets[i] : offsets[i + 1]])) >= 2)
+    rows = np.arange(offsets[sample], offsets[sample + 1])
+    t1, t2 = list(dict.fromkeys(tokens[rows]))[:2]  # the sample's first two distinct tokens
+    head1, head2 = rows[tokens[rows] == t1][0], rows[tokens[rows] == t2][0]
+    if change == "rows-become-equal":  # the classes of t1 and t2 merge
+        after[rows[tokens[rows] == t2]] = after[head1]
+    elif change == "repeat-changes":
+        repeat = next(r for r in rows if tokens[r] in tokens[offsets[sample] : r])
+        after[repeat] += 0.5
+    elif change == "heads-hash-alike":  # two heads of other bytes and one hash
+        after[rows[tokens[rows] == t2]] = _hash_twin(after[head1])
+        assert after[head2].tobytes() != after[head1].tobytes()
+        assert nucnorm._row_hashes(after[[head1, head2]]).tolist() == [nucnorm._row_hashes(after[[head1]])[0]] * 2
+    want = _per_sample_norms(after, offsets)
+    layout = DumpLayout([f"s{i:03d}" for i in range(len(lengths))], offsets)
+    for name, values in (("before.bin", before), ("after.bin", after)):
+        write_embedding_dump(tmp_path / name, EmbeddingDump(layout, values))
+    passes = _count_class_passes(monkeypatch)
+    first = read_embedding_dump(tmp_path / "before.bin")
+    first.nuclear_norms()
+    assert passes == [1]
+    warm = read_embedding_dump(tmp_path / "after.bin")
+    assert warm.layout is first.layout
+    assert warm.nuclear_norms().tobytes() == want
+    kept_classes_hold = change == "none" and hashes == "as-is"
+    assert len(passes) == (1 if kept_classes_hold else 2)
+    if change in ("rows-become-equal", "repeat-changes") and hashes == "as-is":
+        # The fresh pass's classes are kept: the same dump read again has no pass.
+        assert read_embedding_dump(tmp_path / "after.bin").nuclear_norms().tobytes() == want
+        assert len(passes) == 2
+    monkeypatch.setattr(spdcl_io, "_last_walk", ())
+    cold = read_embedding_dump(tmp_path / "after.bin")
+    assert cold.layout is not first.layout and not cold.layout._memo
+    assert cold.nuclear_norms().tobytes() == want
+
+
+def test_read_dumps_whose_classes_hold_run_one_class_pass(tmp_path, monkeypatch):
+    # Five epochs' dumps of one run: a new table each, the same token ids.
+    # The first one's pass finds the classes of equal rows; the other four
+    # are checked against them and need no pass, and every norm is still
+    # nuclear_norm of its sample's rows.
+    monkeypatch.setattr(spdcl_io, "_last_walk", ())
+    rng = np.random.default_rng(31)
+    lengths = rng.integers(1, 14, size=200)
+    offsets = np.cumsum([0, *lengths])
+    assert offsets[-1] <= nucnorm._CLASS_CHUNK_ROWS  # one class chunk, so one call per pass
+    tokens = rng.integers(0, 12, size=int(offsets[-1]))
+    layout = DumpLayout([f"s{i:03d}" for i in range(len(lengths))], offsets)
+    passes = _count_class_passes(monkeypatch)
+    for epoch in range(5):
+        values = rng.standard_normal((12, 6)).astype(np.float32)[tokens]
+        write_embedding_dump(tmp_path / f"epoch{epoch}.bin", EmbeddingDump(layout, values))
+        norms = read_embedding_dump(tmp_path / f"epoch{epoch}.bin").nuclear_norms()
+        assert norms.tobytes() == _per_sample_norms(values, offsets)
+    assert len(passes) == 1 + 5 * 200  # the one dump pass, and nuclear_norm's pass per sample
+
+
+def test_checked_read_dump_scoring_memory_is_bounded(monkeypatch):
+    # Two dumps on one layout, not indexed, whose samples repeat rows of a
+    # 40-row table at the same token ids.  The first one's pass keeps the
+    # classes of equal rows, one byte per row, since every sample has fewer
+    # than 256 rows; scoring the second checks them and stays under the
+    # bound of test_scoring_memory_is_bounded.
+    n, rows, d = 1 << 14, 16, 16
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, 40, size=n * rows)
+    layout = DumpLayout(tuple(f"s{i}" for i in range(n)), np.arange(n + 1) * rows)
+    first, second = (EmbeddingDump(layout, rng.standard_normal((40, d), dtype=np.float32)[tokens]) for _ in range(2))
+    first.nuclear_norms()
+    heads = layout._memo[("plan", d)][3]
+    assert heads.itemsize == 1 and heads.nbytes == n * rows
+    passes = _count_class_passes(monkeypatch)
+    tracemalloc.start()
+    try:
+        norms = second.nuclear_norms()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(norms) == n and not passes
+    assert peak < second.values.nbytes / 2, (peak, second.values.nbytes)
 
 
 def test_norm_sums_spectrum_largest_first():

@@ -178,6 +178,40 @@ def test_report_rejects_epoch_report_without_norm_stats(trained_runs, tmp_path, 
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "corrupt, token",
+    [
+        (lambda p: p.update(micro_f1=float("nan")), '"micro_f1": NaN'),
+        (lambda p: p["norm_stats"].update(max=float("inf")), '"max": Infinity'),
+    ],
+    ids=["nan-metric", "infinite-norm-stat"],
+)
+def test_report_rejects_a_non_finite_figure(trained_runs, tmp_path, capsys, corrupt, token):
+    # json decodes NaN and Infinity, which no writer emits and strict JSON
+    # lacks; report must name the file, not copy the figure into report.json.
+    run_dir, _ = trained_runs
+    path = run_dir / "epoch002.report.json"
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    assert token in path.read_text()
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir), "--out", str(tmp_path / "r.json"),
+                 "--csv", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:missing-artifact: {path}:") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_json_writers_refuse_non_finite_floats(tmp_path):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            write_json_atomic(tmp_path / "r.json", {"x": value})
+        with pytest.raises(ValueError):
+            spdcl_io.write_jsonl_atomic(tmp_path / "r.jsonl", [{"x": value}])
+    assert not list(tmp_path.iterdir())
+
+
 def test_report_names_an_epoch_report_that_is_not_json(trained_runs, tmp_path, capsys):
     run_dir, _ = trained_runs
     path = run_dir / "epoch004.report.json"
