@@ -13,8 +13,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from spdcl import difficulty, io
-from spdcl.cli import main as cli_main
+from spdcl import cli, difficulty, io
 from spdcl.synth import make_zipfian_dataset
 
 # The demo's shape, and a long-text set whose samples repeat tokens (20-250 tokens, d=64).
@@ -35,12 +34,11 @@ REWRITE = "import sys; from spdcl import io; io.write_embedding_dump(sys.argv[2]
 
 
 def spdcl_call(argv, separate=False) -> int:
-    return subprocess.run([*CHILD, "-m", "spdcl", *map(str, argv)]).returncode if separate else cli_main([*map(str, argv)])
+    return subprocess.run([*CHILD, "-m", "spdcl", *map(str, argv)]).returncode if separate else cli.main([*map(str, argv)])
 
 
 def stats_differ(stats, scores: Path) -> bool:
     """Whether ``stats`` are not ``io._norm_stats`` of the score file's norms in rank order."""
-    io._last_scores = ()  # forget the kept score file, so this read parses the file
     table = io.read_scores(scores)
     return json.dumps(stats, sort_keys=True) != json.dumps(io._norm_stats(table.norm[table.order]), sort_keys=True)
 
@@ -50,9 +48,8 @@ def table_bits(table) -> tuple:
 
 
 def reads_differ_warm_and_cold(scores: Path) -> bool:
-    """Whether the score file reads to another table with the kept entry as it is than after parsing."""
-    warm = table_bits(io.read_scores(scores))
-    io._last_scores = ()
+    """Whether the score file reads to another table with the CLI's hand-off than when parsed."""
+    warm = table_bits(io.read_scores(scores, written=cli._handoff.get("written")))
     return warm != table_bits(io.read_scores(scores))
 
 
@@ -67,8 +64,8 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
     Per epoch, ``spdcl score`` on the dump (chained on the re-derived scores of the epoch before) and
     ``spdcl schedule`` (with the bins and shuffle the run's ``run_config.json`` records, a baseline's
     too) must write the run's score and manifest files, each re-derived score file must read to the
-    same table from ``io``'s kept entry as when parsed, and the epoch report's ``norm_stats`` must be
-    the score file's.  Each dump, read and written again after a fresh header walk, and in one
+    same table from the CLI's hand-off (the last file ``score`` wrote) as when parsed, and the epoch
+    report's ``norm_stats`` must be the score file's.  Each dump, read and written again after a fresh header walk, and in one
     process on the first dump's layout, must give its own bytes; scored on that shared layout,
     where every dump after the first is scored on the classes of equal rows the first one's
     scoring kept while they hold, it must give its score file's norms bit for bit.
@@ -90,7 +87,7 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
         prev = ["--prev-scores", out]
         bad += differ([scores, manifest], work, f"from what spdcl score and schedule derive from {dump.name}")
         if reads_differ_warm_and_cold(out):
-            bad.append(f"{out}: reads to another table from the kept entry than when parsed")
+            bad.append(f"{out}: reads to another table from the hand-off than when parsed")
         try:
             if stats_differ(json.loads(report.read_text())["norm_stats"], scores):
                 bad.append(f"{report}: norm_stats differ from those of {scores.name}")
@@ -98,12 +95,13 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
             bad.append(f"{report}: norm_stats not checked: {exc!r}")
         if separate:  # a new process walks the dump's headers
             subprocess.run([*CHILD, "-c", REWRITE, dump, work / dump.name])
-        else:
-            io._last_walk = ()  # forget the kept layout, so this read walks the headers
+        else:  # a read without a layout to share walks the headers
             io.write_embedding_dump(work / dump.name, io.read_embedding_dump(dump))
         bad += differ([dump], work, "when written back after a fresh header walk")
     if not separate:
-        reads = [io.read_embedding_dump(dump) for dump in dumps]
+        reads = [io.read_embedding_dump(dumps[0])]
+        like = reads[0].layout, reads[0].values.shape[1]
+        reads += [io.read_embedding_dump(dump, like=like) for dump in dumps[1:]]
         for epoch, (dump, read) in enumerate(zip(dumps, reads), start=1):
             io.write_embedding_dump(work / "kept" / dump.name, read)
             ids, norm = difficulty.dump_norms(read)

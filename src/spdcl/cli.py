@@ -2,8 +2,9 @@
 
 Each subcommand is a step over the file formats in :mod:`spdcl.io`, run as
 its own process from a shell or as one :func:`main` call among others in
-one process.  The only state the calls share is what :mod:`spdcl.io` keeps:
-the last dump layout walked, which carries its scoring plan and packed
+one process.  The only state the calls share is the hand-off that
+``score`` and ``schedule`` pass to the :mod:`spdcl.io` readers: the layout
+of the last dump read, which carries its walk, scoring plan and packed
 headers, and the last score file written with its table, which a later
 ``schedule`` or ``--prev-scores`` read of the same bytes gets back without
 parsing.  Neither changes an output.  Only ``train`` loads the trainer
@@ -22,8 +23,9 @@ Errors exit nonzero with a single machine-parsable line on stderr,
   before any file is read;
 - ``sample-mismatch``: a dump and the previous scores cover different samples;
 - ``invalid-config``: a run config or schedule setting is rejected;
-- ``diverged``: training hit a non-finite loss or parameter; the message
-  names the epoch and batch;
+- ``diverged``: training hit a non-finite loss or parameter, or took the
+  embedding table past the float32 range its dumps store; the message
+  names the epoch, and the batch when one hit a non-finite value;
 - ``missing-artifact``: ``report`` found an incomplete run directory, a
   run config or epoch report it cannot read, or an epoch report without
   its ``norm_stats`` or integer ``epoch``, or with a statistic or metric
@@ -60,6 +62,12 @@ log = logging.getLogger("spdcl")
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING}
 
 
+# What the last command left for the next read: ``like``, the layout and
+# column count of the last dump read, and ``written``, the last score file
+# written with its table (see spdcl.io).  No dump values are held.
+_handoff: dict[str, tuple] = {}
+
+
 class CliError(Exception):
     def __init__(self, category: str, message: str):
         super().__init__(message)
@@ -77,13 +85,14 @@ def cmd_score(args) -> None:
     if args.epoch > 1 and args.prev_scores is None:
         raise CliError("epoch-mismatch", f"epoch {args.epoch} requires --prev-scores")
     try:
-        dump = spdcl_io.read_embedding_dump(args.embeddings)
+        dump = spdcl_io.read_embedding_dump(args.embeddings, like=_handoff.get("like"))
     except (FormatError, OSError) as exc:
         raise CliError("malformed-dump", str(exc))
+    _handoff["like"] = dump.layout, dump.values.shape[1]
     previous = None
     if args.epoch > 1:
         try:
-            previous = spdcl_io.read_scores(args.prev_scores)
+            previous = spdcl_io.read_scores(args.prev_scores, written=_handoff.get("written"))
         except (FormatError, OSError) as exc:
             raise CliError("malformed-scores", str(exc))
         if previous.epoch != args.epoch - 1:
@@ -95,7 +104,8 @@ def cmd_score(args) -> None:
         table = epoch_scores(dump, previous, mode=args.alignment, ordering=args.ordering)
     except ValueError as exc:  # only a later epoch's ids can differ from --prev-scores'
         raise CliError("sample-mismatch", str(exc))
-    spdcl_io.write_scores(args.out, table)
+    _handoff.pop("written", None)  # free the kept file's bytes before this file's are built
+    _handoff["written"] = spdcl_io.write_scores(args.out, table)
     log.info("scored %d samples for epoch %d -> %s", len(table.ids), args.epoch, args.out)
 
 
@@ -104,7 +114,7 @@ def cmd_score(args) -> None:
 
 def cmd_schedule(args) -> None:
     try:
-        table = spdcl_io.read_scores(args.scores)
+        table = spdcl_io.read_scores(args.scores, written=_handoff.get("written"))
     except (FormatError, OSError) as exc:
         raise CliError("malformed-scores", str(exc))
     if table.epoch != args.epoch:

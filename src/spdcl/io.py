@@ -17,13 +17,14 @@ reading error is a :class:`FormatError` naming the file.  ``read_scores``
 returns the table with its ids ascending, whatever the order of the file's
 lines.
 
-One score file is kept in memory per process: the bytes of the last one
-``write_scores`` wrote, with its table.  A later read of the same bytes
-returns that table without parsing, so an in-process chain (``score``
-writes epoch t, ``schedule`` reads it, ``score`` reads it again as
-``--prev-scores``) parses no file it has just written.  A file the process
-did not write is parsed on every read and kept nowhere; with one process
-per command, every file read is parsed.
+No read consults state left by an earlier call: every reader is a function
+of its arguments and the file.  A caller that chains reads hands each one
+what the last left.  ``write_scores`` returns the bytes it wrote with their
+table, and ``read_scores(path, written=...)`` gives that table back, unparsed,
+for a file of exactly those bytes, so an in-process chain (``score`` writes
+epoch t, ``schedule`` reads it, ``score`` reads it again as
+``--prev-scores``) parses no file it has just written.  Without ``written``
+every file is parsed.
 
 Embedding dumps are a small binary format:
 
@@ -43,8 +44,9 @@ float32 values each (``nucnorm._DUMP_CHUNK_VALUES``, or one sample if a
 sample is larger), one chunk alive at a time, so its memory follows the
 chunk size, not the file's; the format is the same whatever the chunking.
 Dump headers are packed once per layout and column count and kept on the
-layout, and are walked again only when they differ from the last dump
-read; score-file ids are JSON-escaped once per id tuple.  Every write goes
+layout.  A read dump's layout keeps its walk too, and a read given that
+layout (``like``) walks no header that repeats; score-file ids are
+JSON-escaped once per id tuple.  Every write goes
 through a temp file in the target directory followed by an atomic rename.
 """
 
@@ -53,7 +55,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import mmap
 import os
 import struct
 import sys
@@ -303,43 +304,35 @@ def write_embedding_dump(path, dump: EmbeddingDump) -> None:
     _atomic_write_chunks(Path(path), chain((head,), map(pack, dump.chunks())))
 
 
-# The last layout read_embedding_dump walked: (file size, the spans of the
-# file's headers, their bytes, layout, column count, the span of each
-# sample's values).  Only slices are kept, never the file's bytes.  Empty,
-# not None, before the first walk: perfbench's tracer takes a module global
-# that is None for one of the functions it wraps.
-_last_walk: tuple = ()
-
-
-def read_embedding_dump(path) -> EmbeddingDump:
+def read_embedding_dump(path, like: tuple[DumpLayout, int] | None = None) -> EmbeddingDump:
     """Read a v1 dump; every sample must share one column count.
 
-    The layout of the last file walked is kept.  A file of the same size
-    with the same bytes at that file's header spans would walk exactly as it
-    did, so it is not walked again: its values are sliced at the kept spans
-    and checked, and its dump shares the kept layout, and with it what the
-    layout keeps: scoring's plan, reused while the rows' classes repeat,
-    and the writer's packed headers.  Any other file is walked and checked
-    in full, and its layout is kept instead if it reads.
+    ``like`` is the layout and column count of a dump the caller read
+    before.  A file of the same size with the same bytes at that dump's
+    header spans would walk exactly as it did, so it is not walked again:
+    its values are sliced at the kept spans and checked, and its dump
+    shares ``like``'s layout, and with it what the layout keeps: scoring's
+    plan, reused while the rows' classes repeat, and the writer's packed
+    headers.  Any other file, and every file read without ``like``, is
+    walked and checked in full, and its walk is kept on its new layout.
     """
-    global _last_walk
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)
-    last = _last_walk
-    if last and last[0] == len(blob) and b"".join(map(view.__getitem__, last[1])) == last[2]:
-        layout, cols, spans = last[3:]
+    walk = like[0]._memo.get(("walk", like[1])) if like else None
+    if walk and walk[0] == len(blob) and b"".join(map(view.__getitem__, walk[1])) == walk[2]:
+        (layout, cols), spans = like, walk[3]
     else:
         layout, cols, spans = _walk_dump(path, blob)
+        # The file's size, the spans of its headers, their bytes and the span
+        # of each sample's values: only slices, never the file's bytes.
         heads = list(map(slice, [0] + [span.stop for span in spans[:-1]], [span.start for span in spans]))
-        last = (len(blob), heads, b"".join(map(view.__getitem__, heads)), layout, cols, spans)
+        layout._memo[("walk", cols)] = (len(blob), heads, b"".join(map(view.__getitem__, heads)), spans)
     values = np.frombuffer(b"".join(map(view.__getitem__, spans)), dtype="<f4")
     try:
-        dump = EmbeddingDump(layout, values.reshape(layout.offsets[-1], cols))
+        return EmbeddingDump(layout, values.reshape(layout.offsets[-1], cols))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    _last_walk = last
-    return dump
 
 
 def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[slice]]:
@@ -404,27 +397,17 @@ def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[slice]]:
 _json_ids = functools.lru_cache(maxsize=1)(lambda ids: tuple(map(_encode_json_str, ids)))
 
 
-# The last score file written, and its table: (file bytes, ScoreTable).
-# Empty, not None, before the first, as _last_walk is.  The bytes are copied
-# into anonymous pages of their own: kept as one long-lived heap block (0.25
-# MB at N=2,000), they fragmented the heap under the run loop's larger
-# buffers and raised a training run's peak RSS by about 1 MB.
-_last_scores: tuple = ()
-
-
-def write_scores(path, table: ScoreTable) -> None:
+def write_scores(path, table: ScoreTable) -> tuple[bytes, ScoreTable]:
     """Score file: one line per sample in rank order, with the score and the raw norm.
 
     The raw nuclear norm rides along so the next epoch can diff against it;
     for epoch 1 the two values coincide.  Each line is formatted directly
     and is byte for byte what ``_canonical_json_line`` gives for the record
     with ``float`` score and norm (keys sorted, floats as ``float.__repr__``).
-    Scores and norms must be finite.  The file's bytes and ``table`` become
-    the entry ``read_scores`` serves, the only place it is filled: a
+    Scores and norms must be finite.  Returns the file's bytes and
+    ``table``, which ``read_scores`` takes as ``written``: a
     :class:`ScoreTable` is checked to be exactly what reading them back gives.
     """
-    global _last_scores
-    _last_scores = ()  # free the kept file's bytes before this file's are built
     order = table.order
     norms, scores = table.norm[order], table.score[order]
     finite = np.isfinite(norms) & np.isfinite(scores)
@@ -443,9 +426,7 @@ def write_scores(path, table: ScoreTable) -> None:
     ]
     payload = "".join(lines).encode("utf-8")
     _atomic_write_bytes(Path(path), payload)
-    pages = mmap.mmap(-1, len(payload))
-    pages.write(payload)
-    _last_scores = (pages, table)
+    return payload, table
 
 
 # Readers check the exact type a JSON decoder gives: true and false decode
@@ -464,24 +445,21 @@ def _mistyped_score_field(rec: dict) -> str:
     return ""
 
 
-def read_scores(path) -> ScoreTable:
+def read_scores(path, written: tuple[bytes, ScoreTable] | None = None) -> ScoreTable:
     """Read a score file, in any line order, as a table with the ids ascending.
 
     Each line is checked on its own; then the file must hold one epoch and
     its ranks must be a permutation of 0..N-1.
 
-    The file is read once, as bytes.  Bytes equal to those of the last score
-    file this process wrote give that file's table back, the same frozen
-    object, unparsed; any other bytes are parsed and checked in full, and
-    the kept entry is left as it was.
+    The file is read once, as bytes.  ``written`` is what ``write_scores``
+    returned for a file the caller wrote: bytes equal to its payload give
+    its table back, the same frozen object, unparsed.  Any other bytes, and
+    every file read without ``written``, are parsed and checked in full.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    last = _last_scores
-    # Of equal length, the bytes are found at 0 only if they are equal; find
-    # compares them in place, where a slice would copy the pages to the heap.
-    if last and len(last[0]) == len(blob) and last[0].find(blob, 0) == 0:
-        return last[1]
+    if written and written[0] == blob:
+        return written[1]
     return _parse_scores(path, blob)
 
 

@@ -214,7 +214,8 @@ class DumpLayout:
     training split shares it, and ``_memo`` keeps what they derive from it,
     by kind and column count: scoring's plan (with, after a dump read from a
     file, the classes of equal rows its pass found, one head offset per row
-    in the smallest type that fits) and ``spdcl.io``'s dump headers.
+    in the smallest type that fits), ``spdcl.io``'s dump headers and, on a
+    layout read from a file, that file's walk.
     """
 
     ids: tuple[str, ...]
@@ -341,8 +342,7 @@ def _scoring_plan(dump: EmbeddingDump) -> tuple[np.ndarray, tuple]:
     their bytes are; the pass that finds those classes also keeps them, as
     ``heads``, and a later unindexed dump whose rows still fall into them
     (:func:`_classes_hold`) has the kept weights and slices, with no pass.
-    Otherwise the weights are worked out again, and equal row weights
-    reuse the kept slices.
+    Otherwise the weights and slices are worked out again.
     """
     layout, cols, index = dump.layout, dump.values.shape[1], dump.index
     keys = None
@@ -355,7 +355,7 @@ def _scoring_plan(dump: EmbeddingDump) -> tuple[np.ndarray, tuple]:
     if kept and keys is None and kept[3] is not None and _classes_hold(dump, kept[3]):
         return kept[1], kept[2]
     weights, heads = _row_weights(dump, keys)
-    slices = kept[2] if kept and np.array_equal(kept[1], weights) else _plan(layout, cols, weights)
+    slices = _plan(layout, cols, weights)
     layout._memo[("plan", cols)] = (keys, weights, slices, heads)
     return weights, slices
 
@@ -463,8 +463,7 @@ class EmbeddingDump:
         values (or one sample), which bounds scoring's temporaries whatever
         the group size.  The plan, its slices and the row weights, is kept
         on the layout per column count and reused while the rows' classes
-        repeat: for the same token ids, for kept classes that hold, or for
-        equal row weights.
+        repeat: for the same token ids, or for kept classes that hold.
         """
         norms = np.empty(len(self.ids))
         weights, slices = _scoring_plan(self)

@@ -120,7 +120,7 @@ class Gradients:
 
 
 class TrainingDiverged(ValueError):
-    """SGD produced a non-finite loss or parameter; the message names the epoch and batch."""
+    """SGD produced a non-finite loss or parameter, or a table past float32's range; the message names the epoch."""
 
 
 @dataclass(frozen=True)
@@ -576,7 +576,9 @@ def run_spdcl(
     whole dump is ever built.  Scoring is ``epoch_scores`` over what the
     dump files store, as ``spdcl score`` runs it, so rescoring a dump from
     disk reproduces the run's scores bit for bit.  A ``UserWarning`` says when
-    ``epochs_T < bins_k`` leaves the hardest bins untrained.
+    ``epochs_T < bins_k`` leaves the hardest bins untrained.  Training that
+    takes the table past the float32 range a dump stores raises
+    ``TrainingDiverged`` naming that epoch, as a non-finite batch does.
 
     The loop holds one epoch at a time: the current score table, which the
     next epoch's deltas need, and the current plan and dump, both dropped
@@ -601,7 +603,16 @@ def run_spdcl(
     reports: list[EvalReport] = []
     table = None
     for epoch in range(1, config.epochs_T + 1):
-        dump = EmbeddingDump(train.layout, params.embedding_table, train.tokens)
+        try:
+            dump = EmbeddingDump(train.layout, params.embedding_table, train.tokens)
+        except ValueError as exc:
+            if epoch == 1:  # the initial table: not training's doing
+                raise
+            # The float64 table is finite, so only its cast to float32 overflowed.
+            raise TrainingDiverged(
+                f"training at epoch {epoch - 1} took the embedding table past the float32 range "
+                f"of the epoch {epoch} dump (lr={hyper.lr}): {exc}"
+            ) from None
         table = epoch_scores(dump, table, mode=config.alignment_mode, ordering=config.delta_ordering)
         plan = build_epoch_plan(table, config, epoch)
         params, stats = train_epoch(params, plan, train, hyper.lr, hyper.batch_size)

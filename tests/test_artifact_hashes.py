@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import spdcl
+from spdcl import cli
 from spdcl import io as spdcl_io
 from spdcl import nucnorm
 from spdcl.cli import main
@@ -75,17 +76,17 @@ def test_check_run_names_a_file_changed_by_one_byte(trained_run, tmp_path, name)
 
 
 def test_check_run_names_a_score_file_the_kept_entry_misreads(trained_run, tmp_path, monkeypatch):
-    # A writer that kept a table its file does not read back as: other scores.
+    # A writer that hands the CLI a table its file does not read back as: other scores.
     write = spdcl_io.write_scores
 
-    def keep_other_scores(path, table):
-        write(path, table)
-        spdcl_io._last_scores = (Path(path).read_bytes(), replace(table, score=table.score + 1.0))
+    def hand_off_other_scores(path, table):
+        payload, _ = write(path, table)
+        return payload, replace(table, score=table.score + 1.0)
 
-    monkeypatch.setattr(spdcl_io, "_last_scores", ())
-    monkeypatch.setattr(spdcl_io, "write_scores", keep_other_scores)
+    monkeypatch.setattr(cli, "_handoff", {})
+    monkeypatch.setattr(spdcl_io, "write_scores", hand_off_other_scores)
     bad = artifact_hashes.check_run(trained_run, tmp_path / "work")
-    assert any("epoch001.scores.jsonl: reads to another table from the kept entry" in line for line in bad), bad
+    assert any("epoch001.scores.jsonl: reads to another table from the hand-off" in line for line in bad), bad
 
 
 def test_check_run_scores_later_dumps_on_the_kept_classes(trained_run, tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from spdcl.io import (
     write_embedding_dump,
     write_run_config,
 )
+from spdcl.nucnorm import DumpLayout
 from spdcl.synth import make_zipfian_dataset
 from spdcl.trainer import encode_datasets, init_params
 
@@ -499,6 +500,22 @@ def test_train_divergence_names_epoch(run_dirs, capsys):
     assert "epoch 1," in err
 
 
+def test_train_past_the_dump_range_is_diverged_naming_the_epoch(tmp_path, capsys):
+    # At lr 1e5 the float64 table stays finite but passes float32's range in
+    # epoch 2's training, so epoch 3's dump cannot hold it.
+    train, valid = make_zipfian_dataset(60, 20, 4, seed=1)
+    write_dataset(tmp_path / "train.jsonl", train)
+    write_dataset(tmp_path / "valid.jsonl", valid)
+    write_run_config(tmp_path / "config.json", RunConfig(bins_k=2, epochs_T=6, batch=5, hidden_d=8, lr=1e5))
+    code = run_cli(
+        "train", "--dataset", str(tmp_path / "train.jsonl"), "--valid", str(tmp_path / "valid.jsonl"),
+        "--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path / "run"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:diverged: training at epoch 2 ") and err.count("\n") == 1, err
+
+
 # --------------------------------------------- CLI pipeline == in-process run
 
 
@@ -515,7 +532,7 @@ def test_train_divergence_names_epoch(run_dirs, capsys):
 )
 def test_cli_score_schedule_reproduce_train_artifacts(run_dirs, monkeypatch, alignment, ordering, shuffle):
     # Re-deriving scores and manifests from the emitted dumps must give
-    # byte-identical artifacts to the run.  The kept score file is forgotten
+    # byte-identical artifacts to the run.  The CLI's hand-off is emptied
     # before each call, as a new process per call starts without it, so
     # every score file read is parsed: the shell's path, not the in-process
     # chain's (test_an_in_process_rescoring_chain_parses_no_score_file).
@@ -545,13 +562,13 @@ def test_cli_score_schedule_reproduce_train_artifacts(run_dirs, monkeypatch, ali
         if epoch > 1:
             argv += ["--prev-scores", str(out_dir / f"epoch{epoch - 1:03d}.scores.jsonl"),
                      "--alignment", alignment, "--ordering", ordering]
-        monkeypatch.setattr(spdcl_io, "_last_scores", ())
+        monkeypatch.setattr(cli, "_handoff", {})
         assert run_cli(*argv) == 0
         assert score_out.read_bytes() == (out_dir / score_out.name).read_bytes()
 
         manifest_out = redo / f"epoch{epoch:03d}.manifest.jsonl"
         no_shuffle = [] if shuffle else ["--no-shuffle"]
-        monkeypatch.setattr(spdcl_io, "_last_scores", ())
+        monkeypatch.setattr(cli, "_handoff", {})
         assert run_cli(
             "schedule", "--scores", str(score_out), "--bins", "4",
             "--epoch", str(epoch), "--seed", "2", "--out", str(manifest_out), *no_shuffle,
@@ -724,6 +741,39 @@ def test_an_in_process_rescoring_chain_parses_no_score_file(run_dirs, monkeypatc
     assert parsed == []
     read_scores(redo / "epoch001.scores.jsonl")  # not the last file written: parsed
     assert parsed == [redo / "epoch001.scores.jsonl"]
+
+
+def test_an_in_process_chain_walks_one_dump_and_parses_no_score_file(run_dirs, monkeypatch):
+    # Over a T-epoch run, each score call gets the last dump's layout and
+    # each read the last score file written from the CLI's hand-off: the
+    # first dump is walked, no other, and no score file is parsed.
+    tmp_path, train_path, valid_path, config_path = run_dirs
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(train_path), "--valid", str(valid_path),
+                 "--config", str(config_path), "--out-dir", str(run)]) == 0
+    monkeypatch.setattr(cli, "_handoff", {})
+    walked, parsed = [], []
+    walk, parse = spdcl_io._walk_dump, spdcl_io._parse_scores
+    monkeypatch.setattr(spdcl_io, "_walk_dump", lambda path, blob: walked.append(path) or walk(path, blob))
+    monkeypatch.setattr(spdcl_io, "_parse_scores", lambda path, blob: parsed.append(path) or parse(path, blob))
+    redo = tmp_path / "redo"
+    epochs = spdcl_io.load_run_config(config_path).epochs_T
+    for epoch in range(1, epochs + 1):
+        paths, out = spdcl_io.epoch_paths(run, epoch), spdcl_io.epoch_paths(redo, epoch)
+        argv = ["score", "--embeddings", str(paths["embeddings"]), "--epoch", str(epoch), "--out", str(out["scores"])]
+        if epoch > 1:
+            argv += ["--prev-scores", str(spdcl_io.epoch_paths(redo, epoch - 1)["scores"])]
+        assert main(argv) == 0
+        assert main(["schedule", "--scores", str(out["scores"]), "--bins", "4", "--epoch", str(epoch),
+                     "--seed", "2", "--out", str(out["manifest"])]) == 0
+        for kind in ("scores", "manifest"):
+            assert out[kind].read_bytes() == paths[kind].read_bytes()
+    assert walked == [str(spdcl_io.epoch_paths(run, 1)["embeddings"])]
+    assert parsed == []
+    # The hand-off holds a layout and a score file's bytes, no dump values.
+    (layout, cols), (payload, table) = cli._handoff["like"], cli._handoff["written"]
+    assert isinstance(layout, DumpLayout) and cols == 4
+    assert payload == spdcl_io.epoch_paths(redo, epochs)["scores"].read_bytes() and table.epoch == epochs
 
 
 def test_commands_share_one_parser_in_one_process(run_dirs, capsys):

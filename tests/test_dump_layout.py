@@ -29,6 +29,7 @@ from spdcl.io import (
     write_run_config,
     write_scores,
 )
+from spdcl import io as spdcl_io
 from spdcl import nucnorm
 from spdcl.nucnorm import DumpLayout, EmbeddingDump
 from spdcl.synth import make_zipfian_dataset
@@ -264,9 +265,10 @@ def test_runs_on_two_training_sets_in_one_process_match_runs_alone(tmp_path):
 
 # ------------------------------------------------- the reader's kept layout
 #
-# read_embedding_dump keeps the layout of the last file it walked, and reads
-# a file of the same size with the same header bytes without walking it.
-# Each test below first reads the file it wants kept.
+# read_embedding_dump keeps a walked file's walk on its layout, and a read
+# given that layout (``like``) takes a file of the same size with the same
+# header bytes without walking it.  Each test below first reads the file
+# whose layout it hands on.
 
 BASE_IDS, BASE_LENGTHS = ("a", "b", "c"), (2, 1, 3)
 
@@ -274,6 +276,10 @@ BASE_IDS, BASE_LENGTHS = ("a", "b", "c"), (2, 1, 3)
 def _write(path: Path, ids, blocks) -> Path:
     path.write_bytes(reference_dump_bytes(ids, blocks))
     return path
+
+
+def _like(dump: EmbeddingDump) -> tuple[DumpLayout, int]:
+    return dump.layout, dump.values.shape[1]
 
 
 def _read_fresh(path: Path) -> dict:
@@ -292,7 +298,7 @@ def test_second_read_of_a_same_layout_dump_shares_the_layout(tmp_path):
     paths = [_write(tmp_path / f"epoch{i}.bin", BASE_IDS, b) for i, b in enumerate(blocks)]
     first = read_embedding_dump(paths[0])
     for path, written in zip(paths, blocks):
-        dump = read_embedding_dump(path)
+        dump = read_embedding_dump(path, like=_like(first))
         assert dump.layout is first.layout
         assert np.array_equal(dump.values, np.concatenate(written))
         assert isinstance(dump.values.base.base, bytes)
@@ -309,8 +315,10 @@ def test_alternated_reads_of_two_runs_match_fresh_process_reads(tmp_path):
     alternated = [path for pair in zip(*runs) for path in pair] * 2
     assert len({path.stat().st_size for path in alternated}) == 1
     fresh = {path: _read_fresh(path) for run in runs for path in run}
-    for path in alternated:
-        dump = read_embedding_dump(path)
+    like = None
+    for path in alternated:  # each read handed the layout of the one before
+        dump = read_embedding_dump(path, like=like)
+        like = _like(dump)
         got = [list(dump.ids), dump.offsets.tolist(), dump.values.tobytes().hex(), dump.nuclear_norms().tolist()]
         assert got == fresh[path], path
 
@@ -329,12 +337,12 @@ def test_same_size_dumps_that_walk_differently_get_their_own_layout(tmp_path, id
     blocks = random_blocks(rng, lengths, cols)
     other = _write(tmp_path / "other.bin", ids, blocks)
     assert other.stat().st_size == base.stat().st_size
-    kept = read_embedding_dump(base).layout
-    dump = read_embedding_dump(other)
-    assert dump.layout is not kept
+    kept = read_embedding_dump(base)
+    dump = read_embedding_dump(other, like=_like(kept))
+    assert dump.layout is not kept.layout
     assert dump.ids == ids and dump.offsets.tolist() == np.cumsum((0, *lengths)).tolist()
     assert np.array_equal(dump.values, np.concatenate(blocks))
-    assert read_embedding_dump(other).layout is dump.layout
+    assert read_embedding_dump(other, like=_like(dump)).layout is dump.layout
 
 
 def test_kept_headers_do_not_excuse_a_bad_file(tmp_path):
@@ -346,23 +354,40 @@ def test_kept_headers_do_not_excuse_a_bad_file(tmp_path):
         (blob + b"\0" * 4, "4 trailing bytes"),
         (b"XXXXXXXX" + blob[8:], "bad magic"),
     ]
+    like = _like(read_embedding_dump(base))
     for content, match in cases:
-        read_embedding_dump(base)
         bad = tmp_path / "bad.bin"
         bad.write_bytes(content)
         with pytest.raises(FormatError, match=match) as info:
-            read_embedding_dump(bad)
+            read_embedding_dump(bad, like=like)
         assert str(bad) in str(info.value)
 
 
 def test_non_finite_value_under_a_kept_layout_names_the_file(tmp_path):
     rng = np.random.default_rng(8)
     base = _write(tmp_path / "base.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2))
-    kept = read_embedding_dump(base).layout
+    like = _like(read_embedding_dump(base))
     blocks = random_blocks(rng, BASE_LENGTHS, 2)
     blocks[1][0, 1] = np.nan
     bad = _write(tmp_path / "nan.bin", BASE_IDS, blocks)
     with pytest.raises(FormatError, match="'b' contains non-finite") as info:
-        read_embedding_dump(bad)
+        read_embedding_dump(bad, like=like)
     assert str(bad) in str(info.value)
-    assert read_embedding_dump(base).layout is kept
+    assert read_embedding_dump(base, like=like).layout is like[0]
+
+
+def test_reads_without_a_layout_walk_every_time_and_share_nothing(tmp_path, monkeypatch):
+    # A read depends only on its arguments and the file: without ``like``,
+    # a file read twice is walked twice, whatever was read before.
+    rng = np.random.default_rng(9)
+    path = _write(tmp_path / "base.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2))
+    walked = []
+    walk = spdcl_io._walk_dump
+    monkeypatch.setattr(spdcl_io, "_walk_dump", lambda path, blob: walked.append(path) or walk(path, blob))
+    first, second = read_embedding_dump(path), read_embedding_dump(path)
+    assert len(walked) == 2
+    assert first.layout is not second.layout
+    assert first.ids == second.ids and np.array_equal(first.values, second.values)
+    # Handed the first read's layout, a third read walks nothing and shares it.
+    assert read_embedding_dump(path, like=_like(first)).layout is first.layout
+    assert len(walked) == 2

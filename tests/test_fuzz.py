@@ -11,11 +11,13 @@ place of a JSON value (``NaN``, ``1e999``, a 5,000-digit integer,
 A reader either rejects the file with a ``FormatError`` whose message
 starts with the file's path, or returns a value that, written and read
 back, is equal to it and writes the same bytes again.  Every read parses
-or walks its file: the kept score file and dump layout are reset first.
+or walks its file: no reader is handed a layout or a written score file.
 ``score``, ``schedule`` and ``report`` on a mutated input exit 0, or exit 1
 with one stderr line in a category the ``spdcl.cli`` docstring gives that
-command.  ``train`` is covered through its readers only: a mutated config
-that still loads may ask for a long run.
+command; they run as one in-process chain, with the CLI's hand-off between
+calls.  ``train`` runs on a mutated run config, one field set to a value in
+or out of its range and then maybe mutated as above, with the same rule;
+``assume`` keeps out configs that load and ask for a long run.
 """
 
 import contextlib
@@ -23,10 +25,12 @@ import io
 import math
 import re
 import struct
+import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from spdcl import cli
 from spdcl import io as spdcl_io
 from spdcl.cli import main
 from spdcl.io import FormatError, RunConfig
@@ -100,20 +104,6 @@ READERS = {
 }
 
 
-@contextlib.contextmanager
-def _nothing_kept():
-    """No kept score file or dump layout, so that every read parses or walks its file."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spdcl_io, "_last_scores", ())
-        mp.setattr(spdcl_io, "_last_walk", ())
-        yield
-
-
-def _fresh_read(read, path):
-    with _nothing_kept():
-        return read(path)
-
-
 @pytest.mark.parametrize("kind", READERS)
 def test_reader_rejects_by_path_or_reads_what_rewrites_canonically(run_dir, kind):
     name, read, write, bits = READERS[kind]
@@ -127,12 +117,12 @@ def test_reader_rejects_by_path_or_reads_what_rewrites_canonically(run_dir, kind
     def check(blob):
         path.write_bytes(blob)
         try:
-            value = _fresh_read(read, path)
+            value = read(path)
         except FormatError as exc:
             assert str(exc).startswith(f"{path}:"), str(exc)
             return
         write(first, value)
-        again = _fresh_read(read, first)
+        again = read(first)
         assert bits(again) == bits(value)
         write(second, again)
         assert second.read_bytes() == first.read_bytes()
@@ -168,7 +158,8 @@ CLI_INPUTS = {
 
 
 @pytest.mark.parametrize("command", CATEGORIES)
-def test_command_on_a_mutated_input_exits_0_or_with_one_documented_line(run_dir, command):
+def test_command_on_a_mutated_input_exits_0_or_with_one_documented_line(run_dir, command, monkeypatch):
+    monkeypatch.setattr(cli, "_handoff", {})  # the chain starts empty, whatever ran before
     out = run_dir.parent / f"cli-{command}"
     sources = {name: (run_dir / name).read_bytes() for name in CLI_INPUTS[command]}
 
@@ -181,7 +172,7 @@ def test_command_on_a_mutated_input_exits_0_or_with_one_documented_line(run_dir,
         stderr = io.StringIO()
         try:
             (run_dir / name).write_bytes(data.draw(mutated(sources[name])))
-            with _nothing_kept(), contextlib.redirect_stderr(stderr):
+            with contextlib.redirect_stderr(stderr):
                 code = main(_argv(command, run_dir, out, epoch, bins))
         finally:
             (run_dir / name).write_bytes(sources[name])
@@ -192,5 +183,52 @@ def test_command_on_a_mutated_input_exits_0_or_with_one_documented_line(run_dir,
         assert code == 1 and err.count("\n") == 1 and err.endswith("\n"), err
         category = err.split(":", 2)[1] if err.startswith("error:") else None
         assert category in CATEGORIES[command], err
+
+    check()
+
+
+# Values a mutated run config may give one field: in and out of each field's
+# range, and learning rates that overflow float32, float64, or neither.
+CONFIG_VALUES = (b"0", b"1", b"3", b"-1", b"40", b"2.5", b"1e5", b"1e12", b"1e40", b"1e300", b"1e999",
+                 b'"rank"', b"true", b"null")
+# The categories the spdcl.cli docstring gives train for a config it reads.
+TRAIN_CATEGORIES = {"invalid-config", "diverged"}
+
+
+@st.composite
+def config_mutated(draw, blob: bytes) -> bytes:
+    """``blob`` with one JSON value set to one of CONFIG_VALUES, then maybe ``mutated``."""
+    start, end = draw(st.sampled_from([m.span(1) for m in _SCALAR.finditer(blob)]))
+    blob = blob[:start] + draw(st.sampled_from(CONFIG_VALUES)) + blob[end:]
+    return draw(mutated(blob)) if draw(st.booleans()) else blob
+
+
+def test_train_on_a_mutated_config_exits_0_or_with_one_documented_line(run_dir):
+    root = run_dir.parent
+    config, out = root / "train-config.json", root / "train-run"
+    source = (run_dir / "run_config.json").read_bytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(config_mutated(source))
+    def check(blob):
+        config.write_bytes(blob)
+        try:
+            loaded = spdcl_io.load_run_config(config)
+        except FormatError:
+            pass  # train must reject it
+        else:
+            assume(loaded.epochs_T <= 3 and loaded.hidden_d <= 32)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # epochs_T < bins_k
+            code = main(["train", "--dataset", str(root / "train.jsonl"), "--valid", str(root / "valid.jsonl"),
+                         "--config", str(config), "--out-dir", str(out)])
+        err = stderr.getvalue()
+        if code == 0:
+            assert err == ""
+            return
+        assert code == 1 and err.count("\n") == 1 and err.endswith("\n"), err
+        category = err.split(":", 2)[1] if err.startswith("error:") else None
+        assert category in TRAIN_CATEGORIES, err
 
     check()

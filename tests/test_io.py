@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import struct
@@ -379,22 +380,20 @@ def test_score_lines_are_canonical_json(rows):
     )
 
 
-# ------------------------------------------------- the kept score file
+# ------------------------------------------------- the written score file
 
 
-def _read_outcome(path):
+def _read_outcome(path, written=None):
     """``read_scores`` of ``path`` as comparable bits, or the error it raised."""
     try:
-        return table_bits(read_scores(path))
+        return table_bits(read_scores(path, written))
     except FormatError as exc:
         return str(exc)
 
 
-def _warm_and_cold(path):
-    """Read ``path`` with the kept entry as it is, then once more with it cleared."""
-    warm = _read_outcome(path)
-    spdcl_io._last_scores = ()
-    return warm, _read_outcome(path)
+def _warm_and_cold(path, written):
+    """Read ``path`` handed ``written``, then once more without it."""
+    return _read_outcome(path, written), _read_outcome(path)
 
 
 _KEPT_IDS = ["naïve", "\u2028", "a\u2029b", 'q"uote', "back\\slash", "東京", "\U0001f600", "\x85"]
@@ -418,8 +417,8 @@ def _norm_epochs(draw):
 @given(_norm_epochs())
 def test_a_kept_score_table_reads_as_its_file_does(norm_epochs):
     # Each epoch's table, as initial_scores and delta_scores build it, is
-    # kept by the writer; reading it back from the entry must give exactly
-    # what parsing the file gives.
+    # returned by the writer; reading it back from that pair must give
+    # exactly what parsing the file gives.
     ids, norms, mode, ordering = norm_epochs
     with tempfile.TemporaryDirectory() as tmp:
         table = None
@@ -427,10 +426,10 @@ def test_a_kept_score_table_reads_as_its_file_does(norm_epochs):
             norm = np.array(norm)
             table = initial_scores(ids, norm) if table is None else delta_scores(ids, norm, table, mode, ordering)
             path = Path(tmp) / f"epoch{epoch}.scores.jsonl"
-            write_scores(path, table)
-            assert spdcl_io._last_scores[1] is table
-            assert read_scores(path) is table
-            warm, cold = _warm_and_cold(path)
+            written = write_scores(path, table)
+            assert written == (path.read_bytes(), table) and written[1] is table
+            assert read_scores(path, written) is table
+            warm, cold = _warm_and_cold(path, written)
             assert warm == cold == table_bits(table)
             # The next epoch chains on a parsed table, as spdcl score does.
             table = read_scores(path)
@@ -451,7 +450,7 @@ def test_a_kept_score_table_reads_as_its_file_does(norm_epochs):
 )
 def test_a_table_that_would_not_read_back_is_not_kept(ids, order, epoch):
     # A table that no score file can hold is not built, so write_scores
-    # keeps every table it writes.
+    # can hand back every table it writes.
     with pytest.raises(ValueError, match="epoch|ids|permutation"):
         ScoreTable(epoch, ids, [1.0, 2.0], [0.5, 0.25], order)
 
@@ -459,12 +458,12 @@ def test_a_table_that_would_not_read_back_is_not_kept(ids, order, epoch):
 def test_a_same_size_change_after_the_write_is_parsed(tmp_path):
     table = score_table([("b", 0.5, 1.25), ("a", 0.25, 3.5)], epoch=2)
     path = tmp_path / "scores.jsonl"
-    write_scores(path, table)
+    kept = write_scores(path, table)
     written = path.read_bytes()
-    assert read_scores(path) is table
+    assert read_scores(path, kept) is table
     path.write_bytes(written.replace(b'"norm":1.25', b'"norm":1.75'))
-    assert read_scores(path).norm.tolist() == [3.5, 1.75]
-    write_scores(path, table)
+    assert read_scores(path, kept).norm.tolist() == [3.5, 1.75]
+    kept = write_scores(path, table)
     for changed, match in (
         (written.replace(b'"rank":1', b'"rank":7'), "permutation"),
         (written.replace(b'"epoch":2,"id":"a"', b'"epoch":3,"id":"a"'), "mixes epochs"),
@@ -473,28 +472,49 @@ def test_a_same_size_change_after_the_write_is_parsed(tmp_path):
         assert len(changed) == len(written) and changed != written
         path.write_bytes(changed)
         with pytest.raises(FormatError, match=match):
-            read_scores(path)
-    # A failed read keeps the entry it found.
+            read_scores(path, kept)
+    # A failed read leaves the pair as it was.
     path.write_bytes(written)
-    assert read_scores(path) is table
+    assert read_scores(path, kept) is table
 
 
-def test_a_file_this_process_did_not_write_is_parsed_and_not_kept(tmp_path, monkeypatch):
-    # Only write_scores fills the entry: reading any other file parses it
-    # and leaves the entry as it was, empty or holding the last file written.
+def test_a_file_this_process_did_not_write_is_parsed_and_not_kept(tmp_path):
+    # Only write_scores makes a pair: reading any other file, with or
+    # without the pair of the last file written, parses it every time.
     other = tmp_path / "other.jsonl"
     other.write_text(_B + "\n")
-    monkeypatch.setattr(spdcl_io, "_last_scores", ())
     assert ranked_ids(read_scores(other)) == ["b"]
-    assert spdcl_io._last_scores == ()
+    table = score_table([("b", 0.5, 1.25), ("a", 0.25, 3.5)], epoch=2)
+    path = tmp_path / "scores.jsonl"
+    kept = write_scores(path, table)
+    first = read_scores(other, kept)
+    assert ranked_ids(first) == ["b"]
+    assert read_scores(other, kept) is not first  # parsed again
+    assert read_scores(path, kept) is table
+
+
+def test_a_score_file_just_written_is_parsed_without_its_pair(tmp_path, monkeypatch):
+    # A read depends only on its arguments and the file: right after a
+    # write, a read that is not handed the writer's pair parses the file.
+    parsed = []
+    parse = spdcl_io._parse_scores
+    monkeypatch.setattr(spdcl_io, "_parse_scores", lambda path, blob: parsed.append(path) or parse(path, blob))
     table = score_table([("b", 0.5, 1.25), ("a", 0.25, 3.5)], epoch=2)
     path = tmp_path / "scores.jsonl"
     write_scores(path, table)
-    kept = spdcl_io._last_scores
-    first = read_scores(other)
-    assert spdcl_io._last_scores is kept
-    assert read_scores(other) is not first  # parsed again
-    assert read_scores(path) is table
+    got = read_scores(path)
+    assert parsed == [path]
+    assert got is not table and table_bits(got) == table_bits(table)
+
+
+def test_io_holds_no_state_a_read_could_consult():
+    # No global statement, and no module value that a call can change: every
+    # reader is a function of its arguments and the file.
+    tree = ast.parse(Path(spdcl_io.__file__).read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Global, ast.Nonlocal))]
+    assert "mmap" not in vars(spdcl_io)
+    mutable = {name for name, value in vars(spdcl_io).items() if type(value) in (dict, list, set, bytearray)}
+    assert mutable <= {"__builtins__"}, mutable
 
 
 _A = '{"epoch":1,"id":"a\u2028z","norm":2.0,"rank":1,"score":2.0}'

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdcl import io as spdcl_io
 from spdcl import nucnorm
 from spdcl.difficulty import ScoreTable
 from spdcl.io import read_embedding_dump, write_embedding_dump
@@ -273,11 +272,10 @@ def test_a_later_read_dump_scores_as_a_cold_read(tmp_path, monkeypatch, change, 
     # fresh pass otherwise.  Both dumps draw each sample's rows from a table
     # by the same token ids; the second, from a new table, is then changed
     # in one sample that shrinks.  Its norms must equal those of a cold read
-    # (a fresh header walk, so a layout with nothing kept) and nuclear_norm
-    # of each sample, bit for bit.
+    # (a fresh header walk, so a layout that keeps only its walk) and
+    # nuclear_norm of each sample, bit for bit.
     if hashes == "every-hash-collides":
         monkeypatch.setattr(nucnorm, "_ROW_HASH_BASE", 0)
-    monkeypatch.setattr(spdcl_io, "_last_walk", ())
     rng = np.random.default_rng(29)
     lengths = rng.integers(1, 14, size=300)
     offsets = np.cumsum([0, *lengths])
@@ -307,18 +305,18 @@ def test_a_later_read_dump_scores_as_a_cold_read(tmp_path, monkeypatch, change, 
     first = read_embedding_dump(tmp_path / "before.bin")
     first.nuclear_norms()
     assert passes == [1]
-    warm = read_embedding_dump(tmp_path / "after.bin")
+    like = first.layout, 8
+    warm = read_embedding_dump(tmp_path / "after.bin", like=like)
     assert warm.layout is first.layout
     assert warm.nuclear_norms().tobytes() == want
     kept_classes_hold = change == "none" and hashes == "as-is"
     assert len(passes) == (1 if kept_classes_hold else 2)
     if change in ("rows-become-equal", "repeat-changes") and hashes == "as-is":
         # The fresh pass's classes are kept: the same dump read again has no pass.
-        assert read_embedding_dump(tmp_path / "after.bin").nuclear_norms().tobytes() == want
+        assert read_embedding_dump(tmp_path / "after.bin", like=like).nuclear_norms().tobytes() == want
         assert len(passes) == 2
-    monkeypatch.setattr(spdcl_io, "_last_walk", ())
     cold = read_embedding_dump(tmp_path / "after.bin")
-    assert cold.layout is not first.layout and not cold.layout._memo
+    assert cold.layout is not first.layout and list(cold.layout._memo) == [("walk", 8)]
     assert cold.nuclear_norms().tobytes() == want
 
 
@@ -326,8 +324,8 @@ def test_read_dumps_whose_classes_hold_run_one_class_pass(tmp_path, monkeypatch)
     # Five epochs' dumps of one run: a new table each, the same token ids.
     # The first one's pass finds the classes of equal rows; the other four
     # are checked against them and need no pass, and every norm is still
-    # nuclear_norm of its sample's rows.
-    monkeypatch.setattr(spdcl_io, "_last_walk", ())
+    # nuclear_norm of its sample's rows.  Each read is handed the layout of
+    # the one before, as spdcl score chains a run's epochs in one process.
     rng = np.random.default_rng(31)
     lengths = rng.integers(1, 14, size=200)
     offsets = np.cumsum([0, *lengths])
@@ -335,11 +333,13 @@ def test_read_dumps_whose_classes_hold_run_one_class_pass(tmp_path, monkeypatch)
     tokens = rng.integers(0, 12, size=int(offsets[-1]))
     layout = DumpLayout([f"s{i:03d}" for i in range(len(lengths))], offsets)
     passes = _count_class_passes(monkeypatch)
+    like = None
     for epoch in range(5):
         values = rng.standard_normal((12, 6)).astype(np.float32)[tokens]
         write_embedding_dump(tmp_path / f"epoch{epoch}.bin", EmbeddingDump(layout, values))
-        norms = read_embedding_dump(tmp_path / f"epoch{epoch}.bin").nuclear_norms()
-        assert norms.tobytes() == _per_sample_norms(values, offsets)
+        read = read_embedding_dump(tmp_path / f"epoch{epoch}.bin", like=like)
+        like = read.layout, 6
+        assert read.nuclear_norms().tobytes() == _per_sample_norms(values, offsets)
     assert len(passes) == 1 + 5 * 200  # the one dump pass, and nuclear_norm's pass per sample
 
 

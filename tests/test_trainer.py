@@ -949,3 +949,32 @@ def test_a_table_row_past_float32_range_names_the_first_sample_that_uses_it(monk
     with pytest.raises(ValueError, match=re.escape(f"sample {first!r} contains non-finite values")):
         run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=2, seed=2), TrainHyper(hidden=4), tmp_path if persist else None)
     assert not list(tmp_path.iterdir())
+
+
+def test_training_past_the_dump_range_is_diverged_naming_the_epoch(tmp_path):
+    # At lr 1e5 the float64 table stays finite, at 2e24 after epoch 1 and
+    # about 1e75 after epoch 2, but epoch 3's float32 dump cannot hold it.
+    train_s, valid_s = make_zipfian_dataset(60, 20, 4, seed=1)
+    train, valid = encode_datasets(train_s, valid_s, "multiclass", max_len=250)
+    config = RunConfig(bins_k=2, epochs_T=6, batch=5, hidden_d=8, lr=1e5)
+    hyper = TrainHyper(lr=config.lr, batch_size=config.batch, hidden=config.hidden_d, seed=config.seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged, match=r"^training at epoch 2 .* epoch 3 dump \(lr=100000\.0\)"):
+            run_spdcl(train, valid, config, hyper, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        path.name for epoch in (1, 2) for path in spdcl_io.epoch_paths(tmp_path, epoch).values()
+    )
+
+
+def test_a_runs_score_files_are_parsed_when_read(tmp_path, monkeypatch):
+    # The run loop keeps nothing of what it writes: reading a run's score
+    # file back parses it.
+    train, valid = make_encoded(n_train=20)
+    run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=2, seed=2), TrainHyper(hidden=4), tmp_path)
+    parsed = []
+    parse = spdcl_io._parse_scores
+    monkeypatch.setattr(spdcl_io, "_parse_scores", lambda path, blob: parsed.append(path) or parse(path, blob))
+    path = spdcl_io.epoch_paths(tmp_path, 2)["scores"]
+    assert spdcl_io.read_scores(path).epoch == 2
+    assert parsed == [path]
