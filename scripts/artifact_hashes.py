@@ -66,9 +66,10 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
     too) must write the run's score and manifest files, each re-derived score file must read to the
     same table from the CLI's hand-off (the last file ``score`` wrote) as when parsed, and the epoch
     report's ``norm_stats`` must be the score file's.  Each dump, read and written again after a fresh header walk, and in one
-    process on the first dump's layout, must give its own bytes; scored on that shared layout,
-    where every dump after the first is scored on the classes of equal rows the first one's
-    scoring kept while they hold, it must give its score file's norms bit for bit.
+    process on the first dump's layout, must give its own bytes; read on that shared layout, its
+    values must be those a read without the layout gives; scored on it, where every dump after
+    the first is scored on the classes of equal rows the first one's scoring kept while they
+    hold, it must give its score file's norms bit for bit.
     """
     config = io.load_run_config(run / "run_config.json")
     bad, prev, dumps = [], [], []
@@ -103,6 +104,8 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
         like = reads[0].layout, reads[0].values.shape[1]
         reads += [io.read_embedding_dump(dump, like=like) for dump in dumps[1:]]
         for epoch, (dump, read) in enumerate(zip(dumps, reads), start=1):
+            if read.values.tobytes() != io.read_embedding_dump(dump).values.tobytes():
+                bad.append(f"{dump}: read on the first dump's layout, holds other values than a read without it")
             io.write_embedding_dump(work / "kept" / dump.name, read)
             ids, norm = difficulty.dump_norms(read)
             table = io.read_scores(io.epoch_paths(run, epoch)["scores"])

@@ -45,8 +45,10 @@ sample is larger), one chunk alive at a time, so its memory follows the
 chunk size, not the file's; the format is the same whatever the chunking.
 Dump headers are packed once per layout and column count and kept on the
 layout.  A read dump's layout keeps its walk too, and a read given that
-layout (``like``) walks no header that repeats; score-file ids are
-JSON-escaped once per id tuple.  Every write goes
+layout (``like``) walks no header that repeats: where ``os.readv`` exists,
+it reads such a file's values straight into their array, one copy, and
+holds no buffer of the whole file.  Score-file ids are JSON-escaped once
+per id tuple.  Every write goes
 through a temp file in the target directory followed by an atomic rename.
 """
 
@@ -63,7 +65,7 @@ from dataclasses import asdict, dataclass, replace
 from io import BytesIO, TextIOWrapper
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -304,39 +306,107 @@ def write_embedding_dump(path, dump: EmbeddingDump) -> None:
     _atomic_write_chunks(Path(path), chain((head,), map(pack, dump.chunks())))
 
 
+class _Walk(NamedTuple):
+    """A walked dump file, as a read given its layout (``like``) needs it: its
+    header bytes, ``bounds`` (the file offset of each sample's header and of
+    its values, in file order, then the file's size), and where each header
+    lies in the header bytes and each sample's values in the values' bytes."""
+
+    head_bytes: bytes
+    bounds: list[int]
+    in_heads: list[slice]
+    in_values: list[slice]
+
+
+def _joined(blob: bytes, starts: list[int], stops: list[int]) -> bytes:
+    """The spans ``starts[i]:stops[i]`` of ``blob``, joined."""
+    return b"".join(map(memoryview(blob).__getitem__, map(slice, starts, stops)))
+
+
+def _keep_walk(layout: DumpLayout, cols: int, blob: bytes, bounds: list[int]) -> None:
+    """Keep the walk of ``blob``, whose spans ``_walk_dump`` found at ``bounds``, on its layout."""
+    head_ends = [0, *np.cumsum(np.diff(bounds)[0::2]).tolist()]
+    value_ends = (layout.offsets * (4 * cols)).tolist()
+    layout._memo[("walk", cols)] = _Walk(
+        _joined(blob, bounds[:-1:2], bounds[1::2]),
+        bounds,
+        list(map(slice, head_ends[:-1], head_ends[1:])),
+        list(map(slice, value_ends[:-1], value_ends[1:])),
+    )
+
+
+def _read_in_place(fd: int, walk: _Walk, layout: DumpLayout, cols: int) -> np.ndarray | None:
+    """The values of the open file ``fd`` if it repeats ``walk``, read-only, else None.
+
+    The file is read with ``os.readv`` straight into the values array, its
+    headers into one scratch buffer, at most ``SC_IOV_MAX`` buffers a call.
+    Every call must fill its buffers, the scratch must equal the walk's
+    header bytes, and the file must end where the walk did.  No ``mmap``:
+    a file cut short while mapped would kill the process with SIGBUS.
+    """
+    if os.fstat(fd).st_size != walk.bounds[-1]:
+        return None
+    scratch = bytearray(len(walk.head_bytes))
+    values = np.empty((int(layout.offsets[-1]), cols), dtype="<f4")
+    into_heads, into_values = memoryview(scratch), memoryview(values).cast("B")
+    buffers = [into_heads] * (2 * len(walk.in_heads))
+    buffers[0::2] = map(into_heads.__getitem__, walk.in_heads)
+    buffers[1::2] = map(into_values.__getitem__, walk.in_values)
+    step, bounds = os.sysconf("SC_IOV_MAX"), walk.bounds
+    for first in range(0, len(buffers), step):
+        last = min(first + step, len(buffers))
+        if os.readv(fd, buffers[first:last]) != bounds[last] - bounds[first]:
+            return None
+    if scratch != walk.head_bytes or os.read(fd, 1):
+        return None
+    values.setflags(write=False)
+    return values
+
+
 def read_embedding_dump(path, like: tuple[DumpLayout, int] | None = None) -> EmbeddingDump:
     """Read a v1 dump; every sample must share one column count.
 
     ``like`` is the layout and column count of a dump the caller read
     before.  A file of the same size with the same bytes at that dump's
-    header spans would walk exactly as it did, so it is not walked again:
-    its values are sliced at the kept spans and checked, and its dump
-    shares ``like``'s layout, and with it what the layout keeps: scoring's
-    plan, reused while the rows' classes repeat, and the writer's packed
-    headers.  Any other file, and every file read without ``like``, is
-    walked and checked in full, and its walk is kept on its new layout.
+    header spans, ending where it did, would walk exactly as it did, so it
+    is not walked again: its values are read straight into their array
+    with ``os.readv``, its headers into one scratch buffer that must equal
+    the kept header bytes (where there is no ``os.readv``, the file is read
+    whole and its values joined from the kept spans), and then checked.
+    Its dump shares ``like``'s layout, and with it what the layout keeps:
+    scoring's plan, reused while the rows' classes repeat, and the writer's
+    packed headers.  Any other file, and every file read without ``like``,
+    is read whole, walked and checked in full, its values joined into one
+    copy, and its walk is kept on its new layout.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    view = memoryview(blob)
     walk = like[0]._memo.get(("walk", like[1])) if like else None
-    if walk and walk[0] == len(blob) and b"".join(map(view.__getitem__, walk[1])) == walk[2]:
-        (layout, cols), spans = like, walk[3]
+    values = None
+    with open(path, "rb", buffering=0) as fh:
+        if walk and hasattr(os, "readv"):
+            values = _read_in_place(fh.fileno(), walk, *like)
+            walk = None  # a file that does not repeat it is read whole below, and walked
+        if values is None:
+            fh.seek(0)
+            blob = fh.read()
+    if values is not None:
+        layout, cols = like
     else:
-        layout, cols, spans = _walk_dump(path, blob)
-        # The file's size, the spans of its headers, their bytes and the span
-        # of each sample's values: only slices, never the file's bytes.
-        heads = list(map(slice, [0] + [span.stop for span in spans[:-1]], [span.start for span in spans]))
-        layout._memo[("walk", cols)] = (len(blob), heads, b"".join(map(view.__getitem__, heads)), spans)
-    values = np.frombuffer(b"".join(map(view.__getitem__, spans)), dtype="<f4")
+        bounds = walk.bounds if walk else None
+        if bounds and bounds[-1] == len(blob) and _joined(blob, bounds[:-1:2], bounds[1::2]) == walk.head_bytes:
+            layout, cols = like
+        else:
+            layout, cols, bounds = _walk_dump(path, blob)
+            _keep_walk(layout, cols, blob, bounds)
+        values = np.frombuffer(_joined(blob, bounds[1::2], bounds[2::2]), dtype="<f4")
     try:
         return EmbeddingDump(layout, values.reshape(layout.offsets[-1], cols))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[slice]]:
-    """Walk and check a dump's headers: its layout, column count and the span of each sample's values."""
+def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[int]]:
+    """Walk and check a dump's headers: its layout, column count and the file
+    offset of each sample's header and of its values, in file order, then the size."""
     size = len(blob)
     view = memoryview(blob)
 
@@ -353,7 +423,7 @@ def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[slice]]:
     version, count = _DUMP_HEADER.unpack_from(blob, len(DUMP_MAGIC))
     if version != DUMP_VERSION:
         raise FormatError(f"{path}: unsupported dump version {version}")
-    ids, row_offsets, spans = [], [0], []
+    ids, row_offsets, bounds = [], [0], [0]
     cols = 0
     for i in range(count):
         if offset + _DUMP_ID_LEN.size > size:
@@ -378,14 +448,14 @@ def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[slice]]:
         n_bytes = 4 * rows * cols
         if offset + n_bytes > size:
             raise truncated(f"values of {sid!r}")
-        spans.append(slice(offset, offset + n_bytes))
         offset += n_bytes
+        bounds += (offset - n_bytes, offset)
         ids.append(sid)
         row_offsets.append(row_offsets[-1] + rows)
     if offset != size:
         raise FormatError(f"{path}: {size - offset} trailing bytes after declared samples")
     try:
-        return DumpLayout(ids, row_offsets), cols, spans
+        return DumpLayout(ids, row_offsets), cols, bounds
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

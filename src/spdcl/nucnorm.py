@@ -213,9 +213,9 @@ class DumpLayout:
     ``EncodedDataset`` builds one per split at set-up; every dump of the
     training split shares it, and ``_memo`` keeps what they derive from it,
     by kind and column count: scoring's plan (with, after a dump read from a
-    file, the classes of equal rows its pass found, one head offset per row
-    in the smallest type that fits), ``spdcl.io``'s dump headers and, on a
-    layout read from a file, that file's walk.
+    file, the classes of equal rows its pass found, as the chunk-local row
+    indices that check them, in the smallest type that fits), ``spdcl.io``'s
+    dump headers and, on a layout read from a file, that file's walk.
     """
 
     ids: tuple[str, ...]
@@ -263,48 +263,54 @@ def _class_chunks(dump: EmbeddingDump) -> Iterator[tuple[int, int, np.ndarray]]:
         yield lo, hi, offsets[first : stop + 1] - lo
 
 
-def _row_weights(dump: EmbeddingDump, keys: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+def _row_weights(dump: EmbeddingDump, keys: np.ndarray | None) -> tuple[np.ndarray, tuple | None]:
     """:func:`_weights` of every layout row, worked out one class chunk at a
     time (see :func:`_class_chunks`).  Rows are equal when their ``keys``
-    (table rows) are, or without keys when their bytes are; then each row's
-    head, the first row of its sample equal to it, is also returned, as an
-    offset within the sample (None with keys)."""
+    (table rows) are, or without keys when their bytes are; then the classes
+    found are also returned, as :func:`_kept_classes` of each chunk (None
+    with keys)."""
     offsets = dump.offsets
-    # A weight is at most its sample's row count, a head offset less: each
-    # held in the smallest type that fits.
-    longest = np.diff(offsets).max()
-    weights = np.empty(offsets[-1], dtype=np.min_scalar_type(longest))
-    heads = None if keys is not None else np.empty(offsets[-1], dtype=np.min_scalar_type(longest - 1))
+    # A weight is at most its sample's row count: held in the smallest type that fits.
+    weights = np.empty(offsets[-1], dtype=np.min_scalar_type(np.diff(offsets).max()))
+    classes = []
     for lo, hi, local in _class_chunks(dump):
         if keys is None:
             equal = _byte_classes(dump.rows(slice(lo, hi)), local)
-            heads[lo:hi] = equal - np.repeat(local[:-1], np.diff(local))
+            classes.append(_kept_classes(equal, local))
         else:  # table rows, so fewer than 2**32
             equal = _first_equal(keys[lo:hi], local)
         weights[lo:hi] = _weights(equal, local, dump.values.shape[1])
-    return weights, heads
+    return weights, None if keys is not None else tuple(classes)
 
 
-def _classes_hold(dump: EmbeddingDump, heads: np.ndarray) -> bool:
+def _kept_classes(equal: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A class chunk's classes of equal rows (``equal[r]``, the first row of
+    its sample equal to row ``r``) as :func:`_classes_hold` checks them: the
+    repeat rows, each one's head, the head rows and each one's sample, all
+    chunk-local and in the smallest unsigned type that fits."""
+    is_head = equal == np.arange(len(equal))
+    repeats, heads = np.flatnonzero(~is_head), np.flatnonzero(is_head)
+    sample = np.repeat(np.arange(len(local) - 1), np.diff(local))
+    small = np.min_scalar_type(len(equal) - 1)
+    return tuple(rows.astype(small) for rows in (repeats, equal[repeats], heads, sample[heads]))
+
+
+def _classes_hold(dump: EmbeddingDump, classes: tuple) -> bool:
     """Whether the rows of an unindexed dump fall, exactly, into the classes
-    of equal rows that ``heads`` (from :func:`_row_weights`) records.
+    of equal rows that ``classes`` (from :func:`_row_weights`) records.
 
-    Checked one class chunk at a time: every row that is not its own head
-    must be byte-equal to its head, and the heads of each sample must have
-    pairwise distinct :func:`_row_hashes`, so distinct bytes.  Then each
-    row's first equal row in its sample is its head, as a fresh pass would
-    find.  A hash tie is not looked into: the answer is False.
+    Checked one class chunk at a time: every repeat row must be byte-equal
+    to its head, and the heads of each sample must have pairwise distinct
+    :func:`_row_hashes`, so distinct bytes.  Then each row's first equal row
+    in its sample is its head, as a fresh pass would find.  A hash tie is
+    not looked into: the answer is False.
     """
-    for lo, hi, local in _class_chunks(dump):
+    for (lo, hi, _), (repeats, repeat_heads, heads, samples) in zip(_class_chunks(dump), classes):
         rows = np.ascontiguousarray(dump.rows(slice(lo, hi)))
         bits = rows.view(np.uint32)
-        sample = np.repeat(np.arange(len(local) - 1), np.diff(local))
-        head = local[sample] + heads[lo:hi]
-        is_head = head == np.arange(len(head))
-        repeats = np.flatnonzero(~is_head)
-        if not (bits.take(repeats, axis=0) == bits.take(head[repeats], axis=0)).all():
+        if not (bits.take(repeats, axis=0) == bits.take(repeat_heads, axis=0)).all():
             return False
-        hashed = ((sample << 32) | _row_hashes(rows))[is_head]
+        hashed = (samples.astype(np.int64) << 32) | _row_hashes(rows.take(heads, axis=0))
         hashed.sort()
         if (hashed[1:] == hashed[:-1]).any():
             return False
@@ -333,14 +339,14 @@ def _plan(layout: DumpLayout, cols: int, weights: np.ndarray) -> tuple[tuple[np.
 
 def _scoring_plan(dump: EmbeddingDump) -> tuple[np.ndarray, tuple]:
     """The dump's row weights and kernel slices, kept on its layout as
-    ``(keys, weights, slices, heads)``.
+    ``(keys, weights, slices, classes)``.
 
     An indexed dump's rows are equal when their token ids map to the same
     table class: its keys are the token ids (read-only, so the same array
     reuses the kept plan), or their classes if two table rows have equal
     bytes.  Without an index the keys are None, and rows are equal when
     their bytes are; the pass that finds those classes also keeps them, as
-    ``heads``, and a later unindexed dump whose rows still fall into them
+    ``classes``, and a later unindexed dump whose rows still fall into them
     (:func:`_classes_hold`) has the kept weights and slices, with no pass.
     Otherwise the weights and slices are worked out again.
     """
@@ -354,9 +360,9 @@ def _scoring_plan(dump: EmbeddingDump) -> tuple[np.ndarray, tuple]:
         return kept[1], kept[2]
     if kept and keys is None and kept[3] is not None and _classes_hold(dump, kept[3]):
         return kept[1], kept[2]
-    weights, heads = _row_weights(dump, keys)
+    weights, classes = _row_weights(dump, keys)
     slices = _plan(layout, cols, weights)
-    layout._memo[("plan", cols)] = (keys, weights, slices, heads)
+    layout._memo[("plan", cols)] = (keys, weights, slices, classes)
     return weights, slices
 
 

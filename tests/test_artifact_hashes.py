@@ -115,3 +115,21 @@ def test_check_run_scores_later_dumps_on_the_kept_classes(trained_run, tmp_path,
     monkeypatch.setattr(nucnorm, "_classes_hold", hold_but_misweigh)
     bad = artifact_hashes.check_run(trained_run, tmp_path / "misweighed")
     assert any("epoch003.embeddings.bin: scored on the first dump's layout" in line for line in bad), bad
+
+
+def test_check_run_names_a_dump_whose_shared_layout_read_misplaces_values(trained_run, tmp_path, monkeypatch):
+    # A read on a kept layout that puts sample 0's first row after its last
+    # must be named by the dump it misread, against a read without the layout.
+    read_in_place = spdcl_io._read_in_place
+
+    def misplace(fd, walk, layout, cols):
+        values = read_in_place(fd, walk, layout, cols)
+        if values is None:
+            return None
+        stop = int(layout.offsets[1])
+        return np.concatenate([np.roll(values[:stop], -1, axis=0), values[stop:]])
+
+    monkeypatch.setattr(spdcl_io, "_read_in_place", misplace)
+    bad = artifact_hashes.check_run(trained_run, tmp_path / "work")
+    assert any("epoch002.embeddings.bin: read on the first dump's layout, holds other values" in line
+               for line in bad), bad

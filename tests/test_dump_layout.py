@@ -10,6 +10,7 @@ mix them up.
 """
 
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -301,7 +302,7 @@ def test_second_read_of_a_same_layout_dump_shares_the_layout(tmp_path):
         dump = read_embedding_dump(path, like=_like(first))
         assert dump.layout is first.layout
         assert np.array_equal(dump.values, np.concatenate(written))
-        assert isinstance(dump.values.base.base, bytes)
+        assert not dump.values.flags.writeable and not nucnorm._views_writable_memory(dump.values)
 
 
 def test_alternated_reads_of_two_runs_match_fresh_process_reads(tmp_path):
@@ -329,20 +330,93 @@ def test_alternated_reads_of_two_runs_match_fresh_process_reads(tmp_path):
         (("a", "b", "d"), BASE_LENGTHS, 2),  # one id byte
         (BASE_IDS, (4, 2, 6), 1),  # every rows and cols field
         (BASE_IDS, (2, 2, 2), 2),  # one row moved from "c" to "b"
+        (("z", "b", "c"), BASE_LENGTHS, 2),  # one id byte of the first header
+        (BASE_IDS, (2, 1, 2), 2),  # one row of "c" fewer: 8 trailing bytes make up the size
     ],
 )
 def test_same_size_dumps_that_walk_differently_get_their_own_layout(tmp_path, ids, lengths, cols):
     rng = np.random.default_rng(6)
     base = _write(tmp_path / "base.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2))
     blocks = random_blocks(rng, lengths, cols)
-    other = _write(tmp_path / "other.bin", ids, blocks)
-    assert other.stat().st_size == base.stat().st_size
+    content = reference_dump_bytes(ids, blocks)
+    trailing = base.stat().st_size - len(content)
+    other = tmp_path / "other.bin"
+    other.write_bytes(content + rng.bytes(trailing))
     kept = read_embedding_dump(base)
+    if trailing:  # walked, as a read without a layout walks it
+        with pytest.raises(FormatError, match=f"{trailing} trailing bytes") as info:
+            read_embedding_dump(other, like=_like(kept))
+        assert str(other) in str(info.value)
+        return
     dump = read_embedding_dump(other, like=_like(kept))
     assert dump.layout is not kept.layout
     assert dump.ids == ids and dump.offsets.tolist() == np.cumsum((0, *lengths)).tolist()
     assert np.array_equal(dump.values, np.concatenate(blocks))
     assert read_embedding_dump(other, like=_like(dump)).layout is dump.layout
+
+
+@pytest.mark.parametrize("during", ["short-read", "file-shrinks", "file-grows"])
+def test_a_file_that_does_not_read_as_its_walk_is_read_cold(tmp_path, monkeypatch, during):
+    # A read handed a layout fills the values straight from the file, and
+    # must see when the file does not give the walk's bytes: a call that
+    # fills fewer buffers than it was given, or a file cut short or
+    # appended to after its size was checked.  The read is then the one a
+    # read without a layout makes: the file's dump, or its FormatError.
+    rng = np.random.default_rng(10)
+    base = _write(tmp_path / "base.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2))
+    path = _write(tmp_path / "epoch2.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2))
+    like = _like(read_embedding_dump(base))
+    readv = os.readv
+
+    def changing_readv(fd, buffers):
+        if during == "short-read":
+            return readv(fd, buffers[:-1])
+        if during == "file-shrinks":
+            os.truncate(path, path.stat().st_size - 4)
+        else:
+            with open(path, "ab") as fh:
+                fh.write(bytes(4))
+        return readv(fd, buffers)
+
+    monkeypatch.setattr(os, "readv", changing_readv)
+    if during == "short-read":
+        dump, cold = read_embedding_dump(path, like=like), read_embedding_dump(path)
+        assert dump.layout is not like[0]
+        assert dump.ids == cold.ids and dump.values.tobytes() == cold.values.tobytes()
+        return
+    match = "truncated while reading values of 'c'" if during == "file-shrinks" else "4 trailing bytes"
+    with pytest.raises(FormatError, match=match) as info:
+        read_embedding_dump(path, like=like)
+    assert str(path) in str(info.value)
+
+
+def test_a_kept_layout_read_passes_at_most_iov_max_buffers_a_call(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    paths = [_write(tmp_path / f"epoch{i}.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2)) for i in range(2)]
+    like = _like(read_embedding_dump(paths[0]))
+    calls, readv, sysconf = [], os.readv, os.sysconf
+    monkeypatch.setattr(os, "readv", lambda fd, buffers: calls.append(len(buffers)) or readv(fd, buffers))
+    monkeypatch.setattr(os, "sysconf", lambda name: 4 if name == "SC_IOV_MAX" else sysconf(name))
+    dump = read_embedding_dump(paths[1], like=like)
+    assert calls == [4, 2]  # a header and a sample's values per sample
+    assert dump.layout is like[0]
+    assert dump.values.tobytes() == read_embedding_dump(paths[1]).values.tobytes()
+
+
+def test_without_readv_a_kept_layout_read_joins_the_kept_spans(tmp_path, monkeypatch):
+    # Where os has no readv, a read handed a layout reads the file whole and
+    # joins its values from the kept spans; it shares the layout only with
+    # a file whose header bytes repeat.
+    monkeypatch.delattr(os, "readv")
+    rng = np.random.default_rng(12)
+    paths = [_write(tmp_path / f"epoch{i}.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2)) for i in range(3)]
+    first = read_embedding_dump(paths[0])
+    for path in paths:
+        dump = read_embedding_dump(path, like=_like(first))
+        assert dump.layout is first.layout
+        assert dump.values.tobytes() == read_embedding_dump(path).values.tobytes()
+    other = _write(tmp_path / "other.bin", ("a", "b", "d"), random_blocks(rng, BASE_LENGTHS, 2))
+    assert read_embedding_dump(other, like=_like(first)).layout is not first.layout
 
 
 def test_kept_headers_do_not_excuse_a_bad_file(tmp_path):

@@ -346,17 +346,17 @@ def test_read_dumps_whose_classes_hold_run_one_class_pass(tmp_path, monkeypatch)
 def test_checked_read_dump_scoring_memory_is_bounded(monkeypatch):
     # Two dumps on one layout, not indexed, whose samples repeat rows of a
     # 40-row table at the same token ids.  The first one's pass keeps the
-    # classes of equal rows, one byte per row, since every sample has fewer
-    # than 256 rows; scoring the second checks them and stays under the
-    # bound of test_scoring_memory_is_bounded.
+    # classes of equal rows as chunk-local row indices, two per row in two
+    # bytes each, since a class chunk has 4,096 rows; scoring the second
+    # checks them and stays under the bound of test_scoring_memory_is_bounded.
     n, rows, d = 1 << 14, 16, 16
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, 40, size=n * rows)
     layout = DumpLayout(tuple(f"s{i}" for i in range(n)), np.arange(n + 1) * rows)
     first, second = (EmbeddingDump(layout, rng.standard_normal((40, d), dtype=np.float32)[tokens]) for _ in range(2))
     first.nuclear_norms()
-    heads = layout._memo[("plan", d)][3]
-    assert heads.itemsize == 1 and heads.nbytes == n * rows
+    classes = layout._memo[("plan", d)][3]
+    assert sum(part.nbytes for chunk in classes for part in chunk) <= 4 * n * rows
     passes = _count_class_passes(monkeypatch)
     tracemalloc.start()
     try:
