@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from spdcl import cli, difficulty, io
+from spdcl.nucnorm import DumpLayout
 from spdcl.synth import make_zipfian_dataset
 
 # The demo's shape, and a long-text set whose samples repeat tokens (20-250 tokens, d=64).
@@ -66,7 +67,8 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
     too) must write the run's score and manifest files, each re-derived score file must read to the
     same table from the CLI's hand-off (the last file ``score`` wrote) as when parsed, and the epoch
     report's ``norm_stats`` must be the score file's.  Each dump, read and written again after a fresh header walk, and in one
-    process on the first dump's layout, must give its own bytes; read on that shared layout, its
+    process on a fresh copy of the first dump's layout (every read checked against the headers the
+    writer packs for it, none walked), must give its own bytes; read on that shared layout, its
     values must be those a read without the layout gives; scored on it, where every dump after
     the first is scored on the classes of equal rows the first one's scoring kept while they
     hold, it must give its score file's norms bit for bit.
@@ -99,10 +101,10 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
         else:  # a read without a layout to share walks the headers
             io.write_embedding_dump(work / dump.name, io.read_embedding_dump(dump))
         bad += differ([dump], work, "when written back after a fresh header walk")
-    if not separate:
-        reads = [io.read_embedding_dump(dumps[0])]
-        like = reads[0].layout, reads[0].values.shape[1]
-        reads += [io.read_embedding_dump(dump, like=like) for dump in dumps[1:]]
+    if not separate:  # every dump, the first too, read against the headers the writer packs
+        first = io.read_embedding_dump(dumps[0])
+        like = DumpLayout(first.ids, first.offsets), first.values.shape[1]
+        reads = [io.read_embedding_dump(dump, like=like) for dump in dumps]
         for epoch, (dump, read) in enumerate(zip(dumps, reads), start=1):
             if read.values.tobytes() != io.read_embedding_dump(dump).values.tobytes():
                 bad.append(f"{dump}: read on the first dump's layout, holds other values than a read without it")
@@ -111,8 +113,8 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
             table = io.read_scores(io.epoch_paths(run, epoch)["scores"])
             if ids != table.ids or norm.tobytes() != table.norm.tobytes():
                 bad.append(f"{dump}: scored on the first dump's layout, gives other norms than its score file")
-        if any(read.layout is not reads[0].layout for read in reads):
-            bad.append(f"{run}: its dumps were walked again, though their headers repeat the first")
+        if any(read.layout is not like[0] for read in reads):
+            bad.append(f"{run}: its dumps were walked, though their headers are those of the first dump's layout")
         bad += differ(dumps, work / "kept", "when read in one process on the first dump's layout and written back")
     return bad
 

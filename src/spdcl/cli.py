@@ -4,8 +4,8 @@ Each subcommand is a step over the file formats in :mod:`spdcl.io`, run as
 its own process from a shell or as one :func:`main` call among others in
 one process.  The only state the calls share is the hand-off that
 ``score`` and ``schedule`` pass to the :mod:`spdcl.io` readers: the layout
-of the last dump read, which carries its walk, scoring plan and packed
-headers, and the last score file written with its table, which a later
+of the last dump read, which carries its scoring plan, packed headers and
+file spans, and the last score file written with its table, which a later
 ``schedule`` or ``--prev-scores`` read of the same bytes gets back without
 parsing.  Neither changes an output.  Only ``train`` loads the trainer
 (and with it :mod:`spdcl.metrics`): ``score``, ``schedule`` and ``report``

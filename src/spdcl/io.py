@@ -44,11 +44,11 @@ float32 values each (``nucnorm._DUMP_CHUNK_VALUES``, or one sample if a
 sample is larger), one chunk alive at a time, so its memory follows the
 chunk size, not the file's; the format is the same whatever the chunking.
 Dump headers are packed once per layout and column count and kept on the
-layout.  A read dump's layout keeps its walk too, and a read given that
-layout (``like``) walks no header that repeats: where ``os.readv`` exists,
-it reads such a file's values straight into their array, one copy, and
-holds no buffer of the whole file.  Score-file ids are JSON-escaped once
-per id tuple.  Every write goes
+layout.  A read given a layout (``like``) checks a file against those
+packed headers, and where ``os.readv`` exists reads a file that matches
+them straight into its values array, one copy, holding no buffer of the
+whole file; a read without one walks the file and keeps nothing.
+Score-file ids are JSON-escaped once per id tuple.  Every write goes
 through a temp file in the target directory followed by an atomic rename.
 """
 
@@ -65,7 +65,7 @@ from dataclasses import asdict, dataclass, replace
 from io import BytesIO, TextIOWrapper
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -306,58 +306,59 @@ def write_embedding_dump(path, dump: EmbeddingDump) -> None:
     _atomic_write_chunks(Path(path), chain((head,), map(pack, dump.chunks())))
 
 
-class _Walk(NamedTuple):
-    """A walked dump file, as a read given its layout (``like``) needs it: its
-    header bytes, ``bounds`` (the file offset of each sample's header and of
-    its values, in file order, then the file's size), and where each header
-    lies in the header bytes and each sample's values in the values' bytes."""
-
-    head_bytes: bytes
-    bounds: list[int]
-    in_heads: list[slice]
-    in_values: list[slice]
-
-
-def _joined(blob: bytes, starts: list[int], stops: list[int]) -> bytes:
-    """The spans ``starts[i]:stops[i]`` of ``blob``, joined."""
-    return b"".join(map(memoryview(blob).__getitem__, map(slice, starts, stops)))
-
-
-def _keep_walk(layout: DumpLayout, cols: int, blob: bytes, bounds: list[int]) -> None:
-    """Keep the walk of ``blob``, whose spans ``_walk_dump`` found at ``bounds``, on its layout."""
-    head_ends = [0, *np.cumsum(np.diff(bounds)[0::2]).tolist()]
-    value_ends = (layout.offsets * (4 * cols)).tolist()
-    layout._memo[("walk", cols)] = _Walk(
-        _joined(blob, bounds[:-1:2], bounds[1::2]),
-        bounds,
-        list(map(slice, head_ends[:-1], head_ends[1:])),
-        list(map(slice, value_ends[:-1], value_ends[1:])),
-    )
+def _file_spans(layout: DumpLayout, cols: int) -> tuple[bytes, list[int], list[slice], list[slice]]:
+    """Where a dump file of ``layout`` and ``cols`` holds what, kept on the layout:
+    its header bytes (``_dump_headers``, joined), ``bounds`` (the file offset of
+    each header span and of each sample's values, in file order, then the
+    file's size; the file's own header opens the first header span), and
+    where each header span lies in the header bytes and each sample's values
+    in the values' bytes."""
+    kept = layout._memo.get(("spans", cols))
+    if kept is None:
+        head, headers = _dump_headers(layout, cols)
+        head_ends = np.cumsum([len(head), *map(len, headers)])
+        head_ends[0] = 0
+        value_ends = layout.offsets * (4 * cols)
+        bounds = np.empty(2 * len(headers) + 1, dtype=np.int64)
+        bounds[0::2] = head_ends + value_ends
+        bounds[1::2] = head_ends[1:] + value_ends[:-1]
+        head_ends, value_ends = head_ends.tolist(), value_ends.tolist()
+        kept = (
+            head + b"".join(headers),
+            bounds.tolist(),
+            list(map(slice, head_ends[:-1], head_ends[1:])),
+            list(map(slice, value_ends[:-1], value_ends[1:])),
+        )
+        layout._memo[("spans", cols)] = kept
+    return kept
 
 
-def _read_in_place(fd: int, walk: _Walk, layout: DumpLayout, cols: int) -> np.ndarray | None:
-    """The values of the open file ``fd`` if it repeats ``walk``, read-only, else None.
+def _read_in_place(fd: int, layout: DumpLayout, cols: int) -> np.ndarray | None:
+    """The values of the open file ``fd`` if it is the dump file of ``layout``
+    and ``cols`` (see :func:`_file_spans`), read-only, else None.
 
     The file is read with ``os.readv`` straight into the values array, its
     headers into one scratch buffer, at most ``SC_IOV_MAX`` buffers a call.
-    Every call must fill its buffers, the scratch must equal the walk's
-    header bytes, and the file must end where the walk did.  No ``mmap``:
-    a file cut short while mapped would kill the process with SIGBUS.
+    The file must have the spans' size, every call must fill its buffers,
+    the scratch must equal the header bytes the writer packs, and the file
+    must end there.  No ``mmap``: a file cut short while mapped would kill
+    the process with SIGBUS.
     """
-    if os.fstat(fd).st_size != walk.bounds[-1]:
+    head_bytes, bounds, in_heads, in_values = _file_spans(layout, cols)
+    if os.fstat(fd).st_size != bounds[-1]:
         return None
-    scratch = bytearray(len(walk.head_bytes))
+    scratch = bytearray(len(head_bytes))
     values = np.empty((int(layout.offsets[-1]), cols), dtype="<f4")
     into_heads, into_values = memoryview(scratch), memoryview(values).cast("B")
-    buffers = [into_heads] * (2 * len(walk.in_heads))
-    buffers[0::2] = map(into_heads.__getitem__, walk.in_heads)
-    buffers[1::2] = map(into_values.__getitem__, walk.in_values)
-    step, bounds = os.sysconf("SC_IOV_MAX"), walk.bounds
+    buffers = [into_heads] * (len(bounds) - 1)
+    buffers[0::2] = map(into_heads.__getitem__, in_heads)
+    buffers[1::2] = map(into_values.__getitem__, in_values)
+    step = os.sysconf("SC_IOV_MAX")
     for first in range(0, len(buffers), step):
         last = min(first + step, len(buffers))
         if os.readv(fd, buffers[first:last]) != bounds[last] - bounds[first]:
             return None
-    if scratch != walk.head_bytes or os.read(fd, 1):
+    if scratch != head_bytes or os.read(fd, 1):
         return None
     values.setflags(write=False)
     return values
@@ -366,47 +367,33 @@ def _read_in_place(fd: int, walk: _Walk, layout: DumpLayout, cols: int) -> np.nd
 def read_embedding_dump(path, like: tuple[DumpLayout, int] | None = None) -> EmbeddingDump:
     """Read a v1 dump; every sample must share one column count.
 
-    ``like`` is the layout and column count of a dump the caller read
-    before.  A file of the same size with the same bytes at that dump's
-    header spans, ending where it did, would walk exactly as it did, so it
-    is not walked again: its values are read straight into their array
-    with ``os.readv``, its headers into one scratch buffer that must equal
-    the kept header bytes (where there is no ``os.readv``, the file is read
-    whole and its values joined from the kept spans), and then checked.
-    Its dump shares ``like``'s layout, and with it what the layout keeps:
-    scoring's plan, reused while the rows' classes repeat, and the writer's
-    packed headers.  Any other file, and every file read without ``like``,
-    is read whole, walked and checked in full, its values joined into one
-    copy, and its walk is kept on its new layout.
+    ``like`` is a layout and column count, such as those of a dump the
+    caller read or wrote before.  Where ``os.readv`` exists, a file that is
+    exactly the dump file of ``like`` in size and header bytes is not
+    walked: its values are read straight into their array, its headers into
+    one scratch buffer that must equal the header bytes the writer packs
+    for ``like``, and then checked.  Its dump shares ``like``'s layout, and
+    with it what the layout keeps: scoring's plan, reused while the rows'
+    classes repeat, the writer's packed headers and the file's spans.  Any
+    other file, and every file read without ``like`` (or without
+    ``os.readv``), is read whole, walked and checked in full, its values
+    joined into one copy; its new layout keeps nothing.
     """
-    walk = like[0]._memo.get(("walk", like[1])) if like else None
-    values = None
     with open(path, "rb", buffering=0) as fh:
-        if walk and hasattr(os, "readv"):
-            values = _read_in_place(fh.fileno(), walk, *like)
-            walk = None  # a file that does not repeat it is read whole below, and walked
+        values = _read_in_place(fh.fileno(), *like) if like and hasattr(os, "readv") else None
         if values is None:
             fh.seek(0)
-            blob = fh.read()
-    if values is not None:
-        layout, cols = like
-    else:
-        bounds = walk.bounds if walk else None
-        if bounds and bounds[-1] == len(blob) and _joined(blob, bounds[:-1:2], bounds[1::2]) == walk.head_bytes:
-            layout, cols = like
-        else:
-            layout, cols, bounds = _walk_dump(path, blob)
-            _keep_walk(layout, cols, blob, bounds)
-        values = np.frombuffer(_joined(blob, bounds[1::2], bounds[2::2]), dtype="<f4")
+            like, values = _walk_dump(path, fh.read())
+    layout, cols = like
     try:
         return EmbeddingDump(layout, values.reshape(layout.offsets[-1], cols))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[int]]:
-    """Walk and check a dump's headers: its layout, column count and the file
-    offset of each sample's header and of its values, in file order, then the size."""
+def _walk_dump(path, blob: bytes) -> tuple[tuple[DumpLayout, int], np.ndarray]:
+    """Walk and check a dump's headers: its layout and column count (a read's
+    ``like``), and its samples' values joined into one float32 copy."""
     size = len(blob)
     view = memoryview(blob)
 
@@ -423,7 +410,7 @@ def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[int]]:
     version, count = _DUMP_HEADER.unpack_from(blob, len(DUMP_MAGIC))
     if version != DUMP_VERSION:
         raise FormatError(f"{path}: unsupported dump version {version}")
-    ids, row_offsets, bounds = [], [0], [0]
+    ids, row_offsets, spans = [], [0], []
     cols = 0
     for i in range(count):
         if offset + _DUMP_ID_LEN.size > size:
@@ -448,14 +435,14 @@ def _walk_dump(path, blob: bytes) -> tuple[DumpLayout, int, list[int]]:
         n_bytes = 4 * rows * cols
         if offset + n_bytes > size:
             raise truncated(f"values of {sid!r}")
+        spans.append(view[offset : offset + n_bytes])
         offset += n_bytes
-        bounds += (offset - n_bytes, offset)
         ids.append(sid)
         row_offsets.append(row_offsets[-1] + rows)
     if offset != size:
         raise FormatError(f"{path}: {size - offset} trailing bytes after declared samples")
     try:
-        return DumpLayout(ids, row_offsets), cols, bounds
+        return (DumpLayout(ids, row_offsets), cols), np.frombuffer(b"".join(spans), dtype="<f4")
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -212,10 +212,11 @@ class DumpLayout:
     :func:`read_only`).  ``row_of`` maps each id to its row.  An
     ``EncodedDataset`` builds one per split at set-up; every dump of the
     training split shares it, and ``_memo`` keeps what they derive from it,
-    by kind and column count: scoring's plan (with, after a dump read from a
-    file, the classes of equal rows its pass found, as the chunk-local row
-    indices that check them, in the smallest type that fits), ``spdcl.io``'s
-    dump headers and, on a layout read from a file, that file's walk.
+    by kind and column count: scoring's ``"plan"`` (with, after a dump read
+    from a file, the classes of equal rows its pass found, as the chunk-local
+    row indices that check them, in the smallest type that fits), and
+    ``spdcl.io``'s packed dump ``"headers"`` and, once a read is handed the
+    layout, the dump file's ``"spans"``.
     """
 
     ids: tuple[str, ...]

@@ -122,8 +122,8 @@ def test_check_run_names_a_dump_whose_shared_layout_read_misplaces_values(traine
     # must be named by the dump it misread, against a read without the layout.
     read_in_place = spdcl_io._read_in_place
 
-    def misplace(fd, walk, layout, cols):
-        values = read_in_place(fd, walk, layout, cols)
+    def misplace(fd, layout, cols):
+        values = read_in_place(fd, layout, cols)
         if values is None:
             return None
         stop = int(layout.offsets[1])

@@ -34,6 +34,7 @@ from spdcl import io as spdcl_io
 from spdcl import nucnorm
 from spdcl.nucnorm import DumpLayout, EmbeddingDump
 from spdcl.synth import make_zipfian_dataset
+from spdcl.trainer import TrainHyper, encode_datasets, run_spdcl
 
 from dumps import pack_dump
 from tables import score_table
@@ -266,10 +267,10 @@ def test_runs_on_two_training_sets_in_one_process_match_runs_alone(tmp_path):
 
 # ------------------------------------------------- the reader's kept layout
 #
-# read_embedding_dump keeps a walked file's walk on its layout, and a read
-# given that layout (``like``) takes a file of the same size with the same
-# header bytes without walking it.  Each test below first reads the file
-# whose layout it hands on.
+# A read given a layout (``like``) takes a file of that layout's size and
+# packed header bytes without walking it, and shares the layout; a read
+# without one walks the file and keeps nothing on its new layout.  Most
+# tests below first read the file whose layout they hand on.
 
 BASE_IDS, BASE_LENGTHS = ("a", "b", "c"), (2, 1, 3)
 
@@ -291,6 +292,13 @@ def _read_fresh(path: Path) -> dict:
     )
     out = subprocess.run([sys.executable, "-c", script, str(path)], check=True, capture_output=True, text=True)
     return json.loads(out.stdout)
+
+
+def _count_walks(monkeypatch) -> list:
+    """The paths ``_walk_dump`` walks from now on, in call order."""
+    walked, walk = [], spdcl_io._walk_dump
+    monkeypatch.setattr(spdcl_io, "_walk_dump", lambda path, blob: walked.append(path) or walk(path, blob))
+    return walked
 
 
 def test_second_read_of_a_same_layout_dump_shares_the_layout(tmp_path):
@@ -403,20 +411,20 @@ def test_a_kept_layout_read_passes_at_most_iov_max_buffers_a_call(tmp_path, monk
     assert dump.values.tobytes() == read_embedding_dump(paths[1]).values.tobytes()
 
 
-def test_without_readv_a_kept_layout_read_joins_the_kept_spans(tmp_path, monkeypatch):
-    # Where os has no readv, a read handed a layout reads the file whole and
-    # joins its values from the kept spans; it shares the layout only with
-    # a file whose header bytes repeat.
+def test_without_readv_a_like_read_is_a_cold_read(tmp_path, monkeypatch):
+    # Where os has no readv, a read handed a layout reads, walks and checks
+    # the file as a read without one does: the same ids and values, on a
+    # layout of its own that keeps nothing.
     monkeypatch.delattr(os, "readv")
     rng = np.random.default_rng(12)
     paths = [_write(tmp_path / f"epoch{i}.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2)) for i in range(3)]
     first = read_embedding_dump(paths[0])
     for path in paths:
-        dump = read_embedding_dump(path, like=_like(first))
-        assert dump.layout is first.layout
-        assert dump.values.tobytes() == read_embedding_dump(path).values.tobytes()
-    other = _write(tmp_path / "other.bin", ("a", "b", "d"), random_blocks(rng, BASE_LENGTHS, 2))
-    assert read_embedding_dump(other, like=_like(first)).layout is not first.layout
+        dump, cold = read_embedding_dump(path, like=_like(first)), read_embedding_dump(path)
+        assert dump.layout is not first.layout and dump.layout._memo == {}
+        assert dump.ids == cold.ids and dump.offsets.tolist() == cold.offsets.tolist()
+        assert dump.values.tobytes() == cold.values.tobytes()
+    assert first.layout._memo == {}
 
 
 def test_kept_headers_do_not_excuse_a_bad_file(tmp_path):
@@ -455,13 +463,43 @@ def test_reads_without_a_layout_walk_every_time_and_share_nothing(tmp_path, monk
     # a file read twice is walked twice, whatever was read before.
     rng = np.random.default_rng(9)
     path = _write(tmp_path / "base.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2))
-    walked = []
-    walk = spdcl_io._walk_dump
-    monkeypatch.setattr(spdcl_io, "_walk_dump", lambda path, blob: walked.append(path) or walk(path, blob))
+    walked = _count_walks(monkeypatch)
     first, second = read_embedding_dump(path), read_embedding_dump(path)
     assert len(walked) == 2
     assert first.layout is not second.layout
+    assert first.layout._memo == {} and second.layout._memo == {}
     assert first.ids == second.ids and np.array_equal(first.values, second.values)
     # Handed the first read's layout, a third read walks nothing and shares it.
     assert read_embedding_dump(path, like=_like(first)).layout is first.layout
     assert len(walked) == 2
+
+
+def test_a_like_read_on_a_layout_never_read_shares_it(tmp_path, monkeypatch):
+    # A layout built by hand, whose dump the writer wrote: a read handed it
+    # checks the file against the headers the writer packed, walks nothing
+    # and gives the values a read without it gives.
+    rng = np.random.default_rng(13)
+    layout = DumpLayout(("é", "日本", "𝄞x"), np.cumsum((0, *BASE_LENGTHS)))
+    path = tmp_path / "written.bin"
+    write_embedding_dump(path, EmbeddingDump(layout, np.concatenate(random_blocks(rng, BASE_LENGTHS, 3))))
+    cold = read_embedding_dump(path)
+    walked = _count_walks(monkeypatch)
+    dump = read_embedding_dump(path, like=(layout, 3))
+    assert walked == [] and dump.layout is layout
+    assert dump.values.tobytes() == cold.values.tobytes()
+
+
+def test_a_like_read_on_the_run_loops_layout_shares_it(tmp_path, monkeypatch):
+    # The training layout encode_datasets builds, never read from a file,
+    # takes every dump run_spdcl wrote on it.
+    train, valid = encode_datasets(*make_zipfian_dataset(30, 10, 3, seed=4), "multiclass", max_len=32)
+    run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=2, seed=2), TrainHyper(hidden=4), tmp_path)
+    paths = sorted(tmp_path.glob("epoch*.embeddings.bin"))
+    assert len(paths) == 2
+    colds = [read_embedding_dump(path) for path in paths]
+    walked = _count_walks(monkeypatch)
+    for path, cold in zip(paths, colds):
+        dump = read_embedding_dump(path, like=(train.layout, 4))
+        assert dump.layout is train.layout
+        assert dump.values.tobytes() == cold.values.tobytes()
+    assert walked == []
