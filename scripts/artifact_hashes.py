@@ -66,9 +66,9 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
     ``spdcl schedule`` (with the bins and shuffle the run's ``run_config.json`` records, a baseline's
     too) must write the run's score and manifest files, each re-derived score file must read to the
     same table from the CLI's hand-off (the last file ``score`` wrote) as when parsed, and the epoch
-    report's ``norm_stats`` must be the score file's.  Each dump, read and written again after a fresh header walk, and in one
-    process on a fresh copy of the first dump's layout (every read checked against the headers the
-    writer packs for it, none walked), must give its own bytes; read on that shared layout, its
+    report's ``norm_stats`` must be the score file's.  Each dump, read cold and written again, and in one
+    process on a fresh copy of the first dump's layout (every read checked against the head block the
+    writer packs for it, none read cold), must give its own bytes; read on that shared layout, its
     values must be those a read without the layout gives; scored on it, where every dump after
     the first is scored on the classes of equal rows the first one's scoring kept while they
     hold, it must give its score file's norms bit for bit.
@@ -96,12 +96,12 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
                 bad.append(f"{report}: norm_stats differ from those of {scores.name}")
         except (ValueError, KeyError) as exc:  # FormatError and JSONDecodeError are ValueErrors
             bad.append(f"{report}: norm_stats not checked: {exc!r}")
-        if separate:  # a new process walks the dump's headers
+        if separate:  # a new process reads the dump cold
             subprocess.run([*CHILD, "-c", REWRITE, dump, work / dump.name])
-        else:  # a read without a layout to share walks the headers
+        else:  # a read without a layout to share is cold
             io.write_embedding_dump(work / dump.name, io.read_embedding_dump(dump))
-        bad += differ([dump], work, "when written back after a fresh header walk")
-    if not separate:  # every dump, the first too, read against the headers the writer packs
+        bad += differ([dump], work, "when written back after a cold read")
+    if not separate:  # every dump, the first too, read against the head block the writer packs
         first = io.read_embedding_dump(dumps[0])
         like = DumpLayout(first.ids, first.offsets), first.values.shape[1]
         reads = [io.read_embedding_dump(dump, like=like) for dump in dumps]
@@ -114,7 +114,7 @@ def check_run(run: Path, work: Path, separate=False) -> list[str]:
             if ids != table.ids or norm.tobytes() != table.norm.tobytes():
                 bad.append(f"{dump}: scored on the first dump's layout, gives other norms than its score file")
         if any(read.layout is not like[0] for read in reads):
-            bad.append(f"{run}: its dumps were walked, though their headers are those of the first dump's layout")
+            bad.append(f"{run}: its dumps were read cold, though their head block is the first dump layout's")
         bad += differ(dumps, work / "kept", "when read in one process on the first dump's layout and written back")
     return bad
 

@@ -26,28 +26,28 @@ epoch t, ``schedule`` reads it, ``score`` reads it again as
 ``--prev-scores``) parses no file it has just written.  Without ``written``
 every file is parsed.
 
-Embedding dumps are a small binary format:
+Embedding dumps are a small binary format, version 2:
 
-    magic   8 bytes  b"SPDCLEMB"
-    version u32 LE   currently 1
-    count   u64 LE   number of samples
-    then per sample:
-        id_len u32 LE, id bytes (UTF-8)
-        rows   u32 LE, cols u32 LE
-        rows*cols float32 LE, row-major
+    magic    8 bytes  b"SPDCLEMB"
+    version  u32 LE   2
+    count    u64 LE   number of samples N
+    cols     u32 LE   column count, shared by every sample
+    rows     u64 LE   total rows
+    N u32 LE          id lengths
+    the ids           UTF-8, concatenated
+    N+1 u64 LE        row offsets: sample i owns rows offsets[i]:offsets[i + 1]
+    rows*cols float32 LE values, row-major
 
-Every sample in a dump has the same column count.  Values are single
-precision on disk and in memory (:class:`spdcl.nucnorm.EmbeddingDump`);
-scoring widens them to double.  ``write_embedding_dump`` writes a dump in
-chunks of contiguous samples, whichever row source it has: 64 KiB of
-float32 values each (``nucnorm._DUMP_CHUNK_VALUES``, or one sample if a
-sample is larger), one chunk alive at a time, so its memory follows the
-chunk size, not the file's; the format is the same whatever the chunking.
-Dump headers are packed once per layout and column count and kept on the
-layout.  A read given a layout (``like``) checks a file against those
-packed headers, and where ``os.readv`` exists reads a file that matches
-them straight into its values array, one copy, holding no buffer of the
-whole file; a read without one walks the file and keeps nothing.
+Everything before the values, the *head block*, depends only on the
+layout and the column count; it is packed once per pair and kept on the
+layout.  Any other version is rejected.  Values are single precision on
+disk and in memory (:class:`spdcl.nucnorm.EmbeddingDump`); scoring widens
+them to double.  ``write_embedding_dump`` writes the head block, then the
+values in chunks of contiguous samples: 64 KiB of float32 values each
+(``nucnorm._DUMP_CHUNK_VALUES``, or one sample if a sample is larger),
+one chunk alive at a time, so its memory follows the chunk size, not the
+file's.  ``read_embedding_dump`` reads a file whose head block is that of
+a layout it is handed with one ``os.readv``, and parses any other.
 Score-file ids are JSON-escaped once per id tuple.  Every write goes
 through a temp file in the target directory followed by an atomic rename.
 """
@@ -77,10 +77,9 @@ if TYPE_CHECKING:  # annotations only: score, schedule and report never load spd
     from spdcl.metrics import EvalReport
 
 DUMP_MAGIC = b"SPDCLEMB"
-DUMP_VERSION = 1
-_DUMP_HEADER = struct.Struct("<IQ")  # version, sample count
-_DUMP_ID_LEN = struct.Struct("<I")
-_DUMP_SHAPE = struct.Struct("<II")  # rows, cols
+DUMP_VERSION = 2
+_DUMP_HEADER = struct.Struct("<IQIQ")  # version, sample count, cols, total rows
+_DUMP_FIXED = len(DUMP_MAGIC) + _DUMP_HEADER.size
 
 TASK_KINDS = ("multiclass", "multilabel")
 
@@ -96,8 +95,8 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     _atomic_write_chunks(path, (payload,))
 
 
-def _atomic_write_chunks(path: Path, chunks: Iterable[bytes]) -> None:
-    """Write ``chunks`` one after another to a temp file, then rename it to ``path``."""
+def _atomic_write_chunks(path: Path, chunks: Iterable) -> None:
+    """Write ``chunks``, bytes-like objects, one after another to a temp file, then rename it to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -268,122 +267,85 @@ def f32_roundtrip(values) -> np.ndarray:
     return np.asarray(values, dtype="<f4").astype(np.float64)
 
 
-def _dump_headers(layout: DumpLayout, cols: int) -> tuple[bytes, tuple[bytes, ...]]:
-    """A dump file's header, and each sample's (id length, UTF-8 id, rows, cols), kept on the layout."""
-    kept = layout._memo.get(("headers", cols))
-    if kept is None:
-        headers = []
-        for sid, rows in zip(layout.ids, np.diff(layout.offsets).tolist()):
-            id_bytes = sid.encode("utf-8")
-            headers.append(_DUMP_ID_LEN.pack(len(id_bytes)) + id_bytes + _DUMP_SHAPE.pack(rows, cols))
-        kept = DUMP_MAGIC + _DUMP_HEADER.pack(DUMP_VERSION, len(headers)), tuple(headers)
-        layout._memo[("headers", cols)] = kept
-    return kept
+def _head_block(layout: DumpLayout, cols: int) -> bytes:
+    """Every byte of a dump file of ``layout`` and ``cols`` before its values, packed once and kept on the layout.
+
+    Raises ``UnicodeEncodeError`` for an id holding a lone surrogate and
+    ``struct.error`` for ``cols`` past u32: no dump file has such a head.
+    """
+    head = layout._memo.get(("head", cols))
+    if head is None:
+        ids = [sid.encode("utf-8") for sid in layout.ids]
+        head = b"".join((
+            DUMP_MAGIC,
+            _DUMP_HEADER.pack(DUMP_VERSION, len(ids), cols, int(layout.offsets[-1])),
+            np.fromiter(map(len, ids), "<u4", len(ids)).tobytes(),
+            *ids,
+            layout.offsets.astype("<u8").tobytes(),
+        ))
+        layout._memo[("head", cols)] = head
+    return head
 
 
 def write_embedding_dump(path, dump: EmbeddingDump) -> None:
-    """Write a dump one chunk of contiguous samples at a time (see :meth:`EmbeddingDump.chunks`):
-    one join of their packed headers and float32 rows per chunk, never the whole file.
+    """Write a dump's head block, then each chunk's float32 rows (see
+    :meth:`EmbeddingDump.chunks`) as one buffer: no join, never the whole file.
 
-    A chunk's rows, parts and bytes are dropped before the next chunk's rows
-    are gathered, so the writer holds one chunk at a time.
+    ``map`` binds no chunk between calls, so a chunk's rows are dropped once
+    written, before the next chunk's are gathered: the writer holds one
+    chunk at a time.
     """
-    cols = dump.values.shape[1]
-    head, headers = _dump_headers(dump.layout, cols)
-    row_bytes = 4 * cols
-
-    def pack(chunk) -> bytes:
-        first, stop, rows = chunk
-        raw = memoryview(np.ascontiguousarray(rows, dtype="<f4")).cast("B")
-        bounds = ((dump.offsets[first : stop + 1] - dump.offsets[first]) * row_bytes).tolist()
-        parts = [b""] * (2 * (stop - first))
-        parts[0::2] = headers[first:stop]
-        parts[1::2] = map(raw.__getitem__, map(slice, bounds, bounds[1:]))
-        return b"".join(parts)
-
-    # map binds no chunk between calls: each chunk's locals go when pack
-    # returns, and its bytes once written.
-    _atomic_write_chunks(Path(path), chain((head,), map(pack, dump.chunks())))
+    head = _head_block(dump.layout, dump.values.shape[1])
+    rows = map(lambda chunk: np.ascontiguousarray(chunk[2], dtype="<f4"), dump.chunks())
+    _atomic_write_chunks(Path(path), chain((head,), rows))
 
 
-def _file_spans(layout: DumpLayout, cols: int) -> tuple[bytes, list[int], list[slice], list[slice]]:
-    """Where a dump file of ``layout`` and ``cols`` holds what, kept on the layout:
-    its header bytes (``_dump_headers``, joined), ``bounds`` (the file offset of
-    each header span and of each sample's values, in file order, then the
-    file's size; the file's own header opens the first header span), and
-    where each header span lies in the header bytes and each sample's values
-    in the values' bytes."""
-    kept = layout._memo.get(("spans", cols))
-    if kept is None:
-        head, headers = _dump_headers(layout, cols)
-        head_ends = np.cumsum([len(head), *map(len, headers)])
-        head_ends[0] = 0
-        value_ends = layout.offsets * (4 * cols)
-        bounds = np.empty(2 * len(headers) + 1, dtype=np.int64)
-        bounds[0::2] = head_ends + value_ends
-        bounds[1::2] = head_ends[1:] + value_ends[:-1]
-        head_ends, value_ends = head_ends.tolist(), value_ends.tolist()
-        kept = (
-            head + b"".join(headers),
-            bounds.tolist(),
-            list(map(slice, head_ends[:-1], head_ends[1:])),
-            list(map(slice, value_ends[:-1], value_ends[1:])),
-        )
-        layout._memo[("spans", cols)] = kept
-    return kept
-
-
-def _read_in_place(fd: int, layout: DumpLayout, cols: int) -> np.ndarray | None:
+def _read_like(fd: int, layout: DumpLayout, cols: int) -> np.ndarray | None:
     """The values of the open file ``fd`` if it is the dump file of ``layout``
-    and ``cols`` (see :func:`_file_spans`), read-only, else None.
+    and ``cols``, read-only, else None.
 
-    The file is read with ``os.readv`` straight into the values array, its
-    headers into one scratch buffer, at most ``SC_IOV_MAX`` buffers a call.
-    The file must have the spans' size, every call must fill its buffers,
-    the scratch must equal the header bytes the writer packs, and the file
-    must end there.  No ``mmap``: a file cut short while mapped would kill
-    the process with SIGBUS.
+    One ``os.readv`` reads the file into two buffers: a scratch buffer for
+    the head block and the values array.  The file must have the size of
+    that head block and the values, the call must fill both, the scratch
+    must equal the head block the writer packs, and the file must end
+    there.  A layout no dump file has (see :func:`_head_block`) gives None.
+    No ``mmap``: a file cut short while mapped would kill the process with
+    SIGBUS.
     """
-    head_bytes, bounds, in_heads, in_values = _file_spans(layout, cols)
-    if os.fstat(fd).st_size != bounds[-1]:
+    try:
+        head = _head_block(layout, cols)
+    except (UnicodeEncodeError, struct.error):
         return None
-    scratch = bytearray(len(head_bytes))
-    values = np.empty((int(layout.offsets[-1]), cols), dtype="<f4")
-    into_heads, into_values = memoryview(scratch), memoryview(values).cast("B")
-    buffers = [into_heads] * (len(bounds) - 1)
-    buffers[0::2] = map(into_heads.__getitem__, in_heads)
-    buffers[1::2] = map(into_values.__getitem__, in_values)
-    step = os.sysconf("SC_IOV_MAX")
-    for first in range(0, len(buffers), step):
-        last = min(first + step, len(buffers))
-        if os.readv(fd, buffers[first:last]) != bounds[last] - bounds[first]:
-            return None
-    if scratch != head_bytes or os.read(fd, 1):
+    rows = int(layout.offsets[-1])
+    size = len(head) + 4 * rows * cols
+    if os.fstat(fd).st_size != size:
+        return None
+    scratch = bytearray(len(head))
+    values = np.empty((rows, cols), dtype="<f4")
+    if os.readv(fd, (scratch, values)) != size or scratch != head or os.read(fd, 1):
         return None
     values.setflags(write=False)
     return values
 
 
 def read_embedding_dump(path, like: tuple[DumpLayout, int] | None = None) -> EmbeddingDump:
-    """Read a v1 dump; every sample must share one column count.
+    """Read a v2 dump.
 
     ``like`` is a layout and column count, such as those of a dump the
     caller read or wrote before.  Where ``os.readv`` exists, a file that is
-    exactly the dump file of ``like`` in size and header bytes is not
-    walked: its values are read straight into their array, its headers into
-    one scratch buffer that must equal the header bytes the writer packs
-    for ``like``, and then checked.  Its dump shares ``like``'s layout, and
-    with it what the layout keeps: scoring's plan, reused while the rows'
-    classes repeat, the writer's packed headers and the file's spans.  Any
-    other file, and every file read without ``like`` (or without
-    ``os.readv``), is read whole, walked and checked in full, its values
-    joined into one copy; its new layout keeps nothing.
+    exactly the dump file of ``like`` (see :func:`_read_like`) is read
+    straight into its values array, and its dump shares ``like``'s layout,
+    with what the layout keeps: scoring's plan, reused while the rows'
+    classes repeat, and the packed head block.  Any other file, and every
+    file read without ``like`` (or without ``os.readv``), is read cold: read
+    whole, its head block parsed and checked, its values an array over the
+    file's bytes; its new layout keeps nothing.
     """
     with open(path, "rb", buffering=0) as fh:
-        values = _read_in_place(fh.fileno(), *like) if like and hasattr(os, "readv") else None
+        values = _read_like(fh.fileno(), *like) if like and hasattr(os, "readv") else None
         if values is None:
             fh.seek(0)
-            like, values = _walk_dump(path, fh.read())
+            like, values = _parse_dump(path, fh.read())
     layout, cols = like
     try:
         return EmbeddingDump(layout, values.reshape(layout.offsets[-1], cols))
@@ -391,58 +353,54 @@ def read_embedding_dump(path, like: tuple[DumpLayout, int] | None = None) -> Emb
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _walk_dump(path, blob: bytes) -> tuple[tuple[DumpLayout, int], np.ndarray]:
-    """Walk and check a dump's headers: its layout and column count (a read's
-    ``like``), and its samples' values joined into one float32 copy."""
+def _parse_dump(path, blob: bytes) -> tuple[tuple[DumpLayout, int], np.ndarray]:
+    """Parse and check a dump file's head block: its layout and column count
+    (a read's ``like``), and its values, a float32 array over ``blob``."""
     size = len(blob)
-    view = memoryview(blob)
 
     def truncated(what):
         return FormatError(f"{path}: truncated while reading {what}")
 
     if size < len(DUMP_MAGIC):
         raise truncated("magic")
-    if blob[: len(DUMP_MAGIC)] != DUMP_MAGIC:
+    if not blob.startswith(DUMP_MAGIC):
         raise FormatError(f"{path}: bad magic, not an embedding dump")
-    offset = len(DUMP_MAGIC) + _DUMP_HEADER.size
-    if offset > size:
+    if size < _DUMP_FIXED:
         raise truncated("header")
-    version, count = _DUMP_HEADER.unpack_from(blob, len(DUMP_MAGIC))
+    version, count, cols, rows = _DUMP_HEADER.unpack_from(blob, len(DUMP_MAGIC))
     if version != DUMP_VERSION:
         raise FormatError(f"{path}: unsupported dump version {version}")
-    ids, row_offsets, spans = [], [0], []
-    cols = 0
-    for i in range(count):
-        if offset + _DUMP_ID_LEN.size > size:
-            raise truncated(f"id length of sample {i}")
-        (id_len,) = _DUMP_ID_LEN.unpack_from(blob, offset)
-        offset += _DUMP_ID_LEN.size
-        if offset + id_len > size:
-            raise truncated(f"id of sample {i}")
-        try:
-            sid = str(view[offset : offset + id_len], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: id of sample {i} is not valid UTF-8: {exc}") from exc
-        offset += id_len
-        if offset + _DUMP_SHAPE.size > size:
-            raise truncated(f"shape of {sid!r}")
-        rows, sample_cols = _DUMP_SHAPE.unpack_from(blob, offset)
-        offset += _DUMP_SHAPE.size
-        if i == 0:
-            cols = sample_cols
-        elif sample_cols != cols:
-            raise FormatError(f"{path}: sample {sid!r} has {sample_cols} columns, sample 0 has {cols}")
-        n_bytes = 4 * rows * cols
-        if offset + n_bytes > size:
-            raise truncated(f"values of {sid!r}")
-        spans.append(view[offset : offset + n_bytes])
-        offset += n_bytes
-        ids.append(sid)
-        row_offsets.append(row_offsets[-1] + rows)
-    if offset != size:
-        raise FormatError(f"{path}: {size - offset} trailing bytes after declared samples")
+    # Each part must fit in the file before it is read: the count and the
+    # id lengths come from the file.
+    ids_at = _DUMP_FIXED + 4 * count
+    if ids_at > size:
+        raise truncated("id lengths")
+    bounds = [ids_at, *(np.cumsum(np.frombuffer(blob, "<u4", count, _DUMP_FIXED), dtype=np.int64) + ids_at).tolist()]
+    values_at = bounds[-1] + 8 * (count + 1)
+    if bounds[-1] > size:
+        raise truncated("ids")
+    if values_at > size:
+        raise truncated("row offsets")
+    offsets = np.frombuffer(blob, "<u8", count + 1, bounds[-1])
+    if offsets[0] != 0:
+        raise FormatError(f"{path}: row offsets start at {offsets[0]}, not 0")
+    drops = np.flatnonzero(offsets[1:] < offsets[:-1])
+    if drops.size:
+        raise FormatError(f"{path}: row offsets decrease after sample {drops[0]}")
+    if offsets[-1] != rows:
+        raise FormatError(f"{path}: row offsets end at {offsets[-1]}, not at the header's {rows} rows")
+    end = values_at + 4 * rows * cols
+    if size < end:
+        raise truncated(f"values: {size} bytes, {end} declared")
+    if size > end:
+        raise FormatError(f"{path}: {size - end} trailing bytes after the values")
+    ids = []
+    try:  # extend keeps the ids decoded before a bad one
+        ids.extend(blob[first:stop].decode() for first, stop in zip(bounds, bounds[1:]))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: id of sample {len(ids)} is not valid UTF-8: {exc}") from exc
     try:
-        return (DumpLayout(ids, row_offsets), cols), np.frombuffer(b"".join(spans), dtype="<f4")
+        return (DumpLayout(ids, offsets), cols), np.frombuffer(blob, "<f4", rows * cols, values_at)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

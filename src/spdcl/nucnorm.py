@@ -215,14 +215,13 @@ class DumpLayout:
     by kind and column count: scoring's ``"plan"`` (with, after a dump read
     from a file, the classes of equal rows its pass found, as the chunk-local
     row indices that check them, in the smallest type that fits), and
-    ``spdcl.io``'s packed dump ``"headers"`` and, once a read is handed the
-    layout, the dump file's ``"spans"``.
+    ``spdcl.io``'s ``"head"``, the bytes of a dump file before its values.
     """
 
     ids: tuple[str, ...]
     offsets: np.ndarray  # (N + 1,) int64 row offsets, offsets[0] == 0
     row_of: dict[str, int] = field(init=False, repr=False)
-    _memo: dict[tuple[str, int], tuple] = field(init=False, repr=False, default_factory=dict)
+    _memo: dict[tuple[str, int], tuple | bytes] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         ids = tuple(self.ids)

@@ -118,18 +118,18 @@ def test_check_run_scores_later_dumps_on_the_kept_classes(trained_run, tmp_path,
 
 
 def test_check_run_names_a_dump_whose_shared_layout_read_misplaces_values(trained_run, tmp_path, monkeypatch):
-    # A read on a kept layout that puts sample 0's first row after its last
-    # must be named by the dump it misread, against a read without the layout.
-    read_in_place = spdcl_io._read_in_place
+    # A read on a kept layout whose values come back with their first two
+    # rows swapped must be named by the dump it misread, against a read
+    # without the layout.
+    readv = os.readv
 
-    def misplace(fd, layout, cols):
-        values = read_in_place(fd, layout, cols)
-        if values is None:
-            return None
-        stop = int(layout.offsets[1])
-        return np.concatenate([np.roll(values[:stop], -1, axis=0), values[stop:]])
+    def misplace(fd, buffers):
+        done = readv(fd, buffers)
+        rows = np.frombuffer(buffers[-1], dtype=np.uint8).reshape(-1, 16)  # the values: rows of four float32
+        rows[[0, 1]] = rows[[1, 0]]
+        return done
 
-    monkeypatch.setattr(spdcl_io, "_read_in_place", misplace)
+    monkeypatch.setattr(os, "readv", misplace)
     bad = artifact_hashes.check_run(trained_run, tmp_path / "work")
     assert any("epoch002.embeddings.bin: read on the first dump's layout, holds other values" in line
                for line in bad), bad

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -136,13 +137,24 @@ def test_score_rejects_malformed_dump(tmp_path, capsys):
 def test_score_rejects_non_utf8_dump_id(dump_path, tmp_path, capsys):
     bad = tmp_path / "bad_id.bin"
     blob = dump_path.read_bytes()
-    # sample 0's id "s0" starts after the 20-byte header and its u32 length
-    bad.write_bytes(blob[:24] + b"\xff" + blob[25:])
+    # sample 0's id "s0" starts after the 32-byte fixed header and the three u32 id lengths
+    bad.write_bytes(blob[:44] + b"\xff" + blob[45:])
     code = run_cli("score", "--embeddings", str(bad), "--epoch", "1", "--out", str(tmp_path / "o"))
     assert code != 0
     err = capsys.readouterr().err
     assert err.startswith("error:malformed-dump:")
     assert str(bad) in err and "sample 0" in err
+
+
+def test_score_rejects_a_v1_dump_naming_its_version(tmp_path, capsys):
+    # A version 1 file: one sample, its header (id length, id, rows, cols) before its values.
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(b"SPDCLEMB" + struct.pack("<IQ", 1, 1) + struct.pack("<I", 1) + b"a"
+                   + struct.pack("<II", 1, 2) + struct.pack("<2f", 1.0, 2.0))
+    code = run_cli("score", "--embeddings", str(v1), "--epoch", "1", "--out", str(tmp_path / "o"))
+    assert code != 0
+    assert capsys.readouterr().err == f"error:malformed-dump: {v1}: unsupported dump version 1\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_score_wrong_prev_epoch(dump_path, tmp_path, capsys):
@@ -745,16 +757,16 @@ def test_an_in_process_rescoring_chain_parses_no_score_file(run_dirs, monkeypatc
 
 def test_an_in_process_chain_walks_one_dump_and_parses_no_score_file(run_dirs, monkeypatch):
     # Over a T-epoch run, each score call gets the last dump's layout and
-    # each read the last score file written from the CLI's hand-off: the
-    # first dump is walked, no other, and no score file is parsed.
+    # each read the last score file written from the CLI's hand-off: every
+    # dump after the first is read on the first one's layout, and no score
+    # file is parsed.
     tmp_path, train_path, valid_path, config_path = run_dirs
     run = tmp_path / "run"
     assert main(["train", "--dataset", str(train_path), "--valid", str(valid_path),
                  "--config", str(config_path), "--out-dir", str(run)]) == 0
     monkeypatch.setattr(cli, "_handoff", {})
-    walked, parsed = [], []
-    walk, parse = spdcl_io._walk_dump, spdcl_io._parse_scores
-    monkeypatch.setattr(spdcl_io, "_walk_dump", lambda path, blob: walked.append(path) or walk(path, blob))
+    layouts, parsed = [], []
+    parse = spdcl_io._parse_scores
     monkeypatch.setattr(spdcl_io, "_parse_scores", lambda path, blob: parsed.append(path) or parse(path, blob))
     redo = tmp_path / "redo"
     epochs = spdcl_io.load_run_config(config_path).epochs_T
@@ -764,11 +776,12 @@ def test_an_in_process_chain_walks_one_dump_and_parses_no_score_file(run_dirs, m
         if epoch > 1:
             argv += ["--prev-scores", str(spdcl_io.epoch_paths(redo, epoch - 1)["scores"])]
         assert main(argv) == 0
+        layouts.append(cli._handoff["like"][0])
         assert main(["schedule", "--scores", str(out["scores"]), "--bins", "4", "--epoch", str(epoch),
                      "--seed", "2", "--out", str(out["manifest"])]) == 0
         for kind in ("scores", "manifest"):
             assert out[kind].read_bytes() == paths[kind].read_bytes()
-    assert walked == [str(spdcl_io.epoch_paths(run, 1)["embeddings"])]
+    assert len(layouts) == epochs and all(layout is layouts[0] for layout in layouts)
     assert parsed == []
     # The hand-off holds a layout and a score file's bytes, no dump values.
     (layout, cols), (payload, table) = cli._handoff["like"], cli._handoff["written"]

@@ -1,6 +1,6 @@
 """Dumps of one training set share one layout, its ids and row offsets.
-Scoring's gather plan and the dump headers are cached by layout and column
-count, and score-file ids by id tuple.
+Scoring's gather plan and the dump file's head block are cached by layout
+and column count, and score-file ids by id tuple.
 
 Every test alternates between several layouts, column counts or id tuples,
 so a cache that outlived its key (or was keyed by less than it) shows as a
@@ -11,7 +11,6 @@ mix them up.
 
 import json
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -30,27 +29,13 @@ from spdcl.io import (
     write_run_config,
     write_scores,
 )
-from spdcl import io as spdcl_io
 from spdcl import nucnorm
 from spdcl.nucnorm import DumpLayout, EmbeddingDump
 from spdcl.synth import make_zipfian_dataset
 from spdcl.trainer import TrainHyper, encode_datasets, run_spdcl
 
-from dumps import pack_dump
+from dumps import dump_file, pack_dump
 from tables import score_table
-
-
-def reference_dump_bytes(ids, blocks) -> bytes:
-    """A dump packed field by field from the README layout: magic, u32
-    version, u64 count, then per sample u32 id length, UTF-8 id, u32 rows,
-    u32 cols and the rows as little-endian float32, row-major."""
-    out = b"SPDCLEMB" + struct.pack("<I", 1) + struct.pack("<Q", len(ids))
-    for sid, block in zip(ids, blocks):
-        id_bytes = sid.encode("utf-8")
-        out += struct.pack("<I", len(id_bytes)) + id_bytes
-        out += struct.pack("<I", block.shape[0]) + struct.pack("<I", block.shape[1])
-        out += b"".join(struct.pack("<f", float(v)) for v in block.ravel())
-    return out
 
 
 def random_blocks(rng, lengths, cols):
@@ -73,7 +58,7 @@ def test_dump_bytes_match_the_documented_layout(tmp_path):
         blocks = random_blocks(rng, lengths, cols)
         firsts.append(pack_dump(zip(ids, blocks)))
         write_embedding_dump(tmp_path / "fresh.bin", firsts[-1])
-        assert (tmp_path / "fresh.bin").read_bytes() == reference_dump_bytes(ids, blocks)
+        assert (tmp_path / "fresh.bin").read_bytes() == dump_file(ids, blocks)
     # Later dumps share their layout with an earlier one, in turns.
     for _ in range(2):
         for first, (ids, lengths, cols) in zip(firsts, LAYOUTS):
@@ -81,7 +66,7 @@ def test_dump_bytes_match_the_documented_layout(tmp_path):
             shared = EmbeddingDump(first.layout, np.concatenate(blocks))
             assert shared.layout is first.layout
             write_embedding_dump(tmp_path / "shared.bin", shared)
-            assert (tmp_path / "shared.bin").read_bytes() == reference_dump_bytes(ids, blocks)
+            assert (tmp_path / "shared.bin").read_bytes() == dump_file(ids, blocks)
 
 
 def test_shared_layout_scores_like_a_fresh_dump():
@@ -99,7 +84,7 @@ def test_shared_layout_scores_like_a_fresh_dump():
 
 
 def test_one_layout_with_two_column_counts(tmp_path, monkeypatch):
-    # The headers hold each sample's column count, and scoring's slices are
+    # The head block holds the column count, and scoring's slices are
     # sized by it: 12 float64 values per kernel call here, so five two-row
     # samples take one call at d=1 and three calls at d=3.
     monkeypatch.setattr(nucnorm, "_SCORE_SLICE_VALUES", 12)
@@ -114,7 +99,7 @@ def test_one_layout_with_two_column_counts(tmp_path, monkeypatch):
             blocks = random_blocks(rng, lengths, cols)
             dump = EmbeddingDump(layout, np.concatenate(blocks))
             write_embedding_dump(tmp_path / "dump.bin", dump)
-            assert (tmp_path / "dump.bin").read_bytes() == reference_dump_bytes(ids, blocks)
+            assert (tmp_path / "dump.bin").read_bytes() == dump_file(ids, blocks)
             fresh = EmbeddingDump(DumpLayout(ids, layout.offsets), dump.values)
             stacks.clear()
             assert dump.nuclear_norms().tolist() == fresh.nuclear_norms().tolist()
@@ -170,7 +155,7 @@ def test_chunked_writer_writes_the_documented_layout(tmp_path, monkeypatch, leng
     tokens = rng.integers(0, 6, size=sum(lengths))
     ids = [f"s{i}é" for i in range(len(lengths))]
     offsets = np.cumsum((0, *lengths))
-    expected = reference_dump_bytes(ids, [table[tokens[a:b]] for a, b in zip(offsets[:-1], offsets[1:])])
+    expected = dump_file(ids, [table[tokens[a:b]] for a, b in zip(offsets[:-1], offsets[1:])])
     dump = EmbeddingDump(DumpLayout(ids, offsets), table, tokens)
     assert [(first, stop) for first, stop, _ in dump.chunks()] == chunks
     write_embedding_dump(tmp_path / "table.bin", dump)
@@ -268,15 +253,16 @@ def test_runs_on_two_training_sets_in_one_process_match_runs_alone(tmp_path):
 # ------------------------------------------------- the reader's kept layout
 #
 # A read given a layout (``like``) takes a file of that layout's size and
-# packed header bytes without walking it, and shares the layout; a read
-# without one walks the file and keeps nothing on its new layout.  Most
-# tests below first read the file whose layout they hand on.
+# packed head block straight into its values, and shares the layout; a
+# read without one parses the file's head block and keeps nothing on its
+# new layout.  Most tests below first read the file whose layout they hand
+# on.
 
 BASE_IDS, BASE_LENGTHS = ("a", "b", "c"), (2, 1, 3)
 
 
 def _write(path: Path, ids, blocks) -> Path:
-    path.write_bytes(reference_dump_bytes(ids, blocks))
+    path.write_bytes(dump_file(ids, blocks))
     return path
 
 
@@ -294,13 +280,6 @@ def _read_fresh(path: Path) -> dict:
     return json.loads(out.stdout)
 
 
-def _count_walks(monkeypatch) -> list:
-    """The paths ``_walk_dump`` walks from now on, in call order."""
-    walked, walk = [], spdcl_io._walk_dump
-    monkeypatch.setattr(spdcl_io, "_walk_dump", lambda path, blob: walked.append(path) or walk(path, blob))
-    return walked
-
-
 def test_second_read_of_a_same_layout_dump_shares_the_layout(tmp_path):
     rng = np.random.default_rng(5)
     blocks = [random_blocks(rng, BASE_LENGTHS, 2) for _ in range(3)]
@@ -315,7 +294,7 @@ def test_second_read_of_a_same_layout_dump_shares_the_layout(tmp_path):
 
 def test_alternated_reads_of_two_runs_match_fresh_process_reads(tmp_path):
     # Equal-length id prefixes and the same texts: every dump of either run
-    # has the same size, and the two runs' headers differ only in id bytes.
+    # has the same size, and the two runs' head blocks differ only in id bytes.
     runs = []
     for name in ("x", "y"):
         argv = _write_training_set(tmp_path / name, seed=1, prefix=f"{name}-")
@@ -336,22 +315,24 @@ def test_alternated_reads_of_two_runs_match_fresh_process_reads(tmp_path):
     "ids, lengths, cols",
     [
         (("a", "b", "d"), BASE_LENGTHS, 2),  # one id byte
-        (BASE_IDS, (4, 2, 6), 1),  # every rows and cols field
-        (BASE_IDS, (2, 2, 2), 2),  # one row moved from "c" to "b"
-        (("z", "b", "c"), BASE_LENGTHS, 2),  # one id byte of the first header
+        (BASE_IDS, (4, 2, 6), 1),  # the cols, the total rows and every row offset
+        (BASE_IDS, (2, 2, 2), 2),  # one row moved from "c" to "b": one row offset
+        (("z", "b", "c"), BASE_LENGTHS, 2),  # the first id byte
         (BASE_IDS, (2, 1, 2), 2),  # one row of "c" fewer: 8 trailing bytes make up the size
     ],
 )
 def test_same_size_dumps_that_walk_differently_get_their_own_layout(tmp_path, ids, lengths, cols):
+    # A file of the handed layout's size whose head block differs is read
+    # cold, as a read without a layout reads it.
     rng = np.random.default_rng(6)
     base = _write(tmp_path / "base.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2))
     blocks = random_blocks(rng, lengths, cols)
-    content = reference_dump_bytes(ids, blocks)
+    content = dump_file(ids, blocks)
     trailing = base.stat().st_size - len(content)
     other = tmp_path / "other.bin"
     other.write_bytes(content + rng.bytes(trailing))
     kept = read_embedding_dump(base)
-    if trailing:  # walked, as a read without a layout walks it
+    if trailing:  # read cold, as a read without a layout reads it
         with pytest.raises(FormatError, match=f"{trailing} trailing bytes") as info:
             read_embedding_dump(other, like=_like(kept))
         assert str(other) in str(info.value)
@@ -366,7 +347,7 @@ def test_same_size_dumps_that_walk_differently_get_their_own_layout(tmp_path, id
 @pytest.mark.parametrize("during", ["short-read", "file-shrinks", "file-grows"])
 def test_a_file_that_does_not_read_as_its_walk_is_read_cold(tmp_path, monkeypatch, during):
     # A read handed a layout fills the values straight from the file, and
-    # must see when the file does not give the walk's bytes: a call that
+    # must see when the file does not give the layout's bytes: a call that
     # fills fewer buffers than it was given, or a file cut short or
     # appended to after its size was checked.  The read is then the one a
     # read without a layout makes: the file's dump, or its FormatError.
@@ -392,27 +373,29 @@ def test_a_file_that_does_not_read_as_its_walk_is_read_cold(tmp_path, monkeypatc
         assert dump.layout is not like[0]
         assert dump.ids == cold.ids and dump.values.tobytes() == cold.values.tobytes()
         return
-    match = "truncated while reading values of 'c'" if during == "file-shrinks" else "4 trailing bytes"
+    match = "truncated while reading values" if during == "file-shrinks" else "4 trailing bytes"
     with pytest.raises(FormatError, match=match) as info:
         read_embedding_dump(path, like=like)
     assert str(path) in str(info.value)
 
 
-def test_a_kept_layout_read_passes_at_most_iov_max_buffers_a_call(tmp_path, monkeypatch):
+def test_a_kept_layout_read_is_one_readv_into_the_values(tmp_path, monkeypatch):
+    # One call, two buffers: the head block's scratch, and the array the
+    # dump then holds, so the values are copied once, from the file.
     rng = np.random.default_rng(11)
     paths = [_write(tmp_path / f"epoch{i}.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2)) for i in range(2)]
     like = _like(read_embedding_dump(paths[0]))
-    calls, readv, sysconf = [], os.readv, os.sysconf
-    monkeypatch.setattr(os, "readv", lambda fd, buffers: calls.append(len(buffers)) or readv(fd, buffers))
-    monkeypatch.setattr(os, "sysconf", lambda name: 4 if name == "SC_IOV_MAX" else sysconf(name))
+    calls, readv = [], os.readv
+    monkeypatch.setattr(os, "readv", lambda fd, buffers: calls.append(list(buffers)) or readv(fd, buffers))
     dump = read_embedding_dump(paths[1], like=like)
-    assert calls == [4, 2]  # a header and a sample's values per sample
+    assert [len(buffers) for buffers in calls] == [2]
+    assert np.shares_memory(calls[0][1], dump.values)
     assert dump.layout is like[0]
     assert dump.values.tobytes() == read_embedding_dump(paths[1]).values.tobytes()
 
 
 def test_without_readv_a_like_read_is_a_cold_read(tmp_path, monkeypatch):
-    # Where os has no readv, a read handed a layout reads, walks and checks
+    # Where os has no readv, a read handed a layout reads, parses and checks
     # the file as a read without one does: the same ids and values, on a
     # layout of its own that keeps nothing.
     monkeypatch.delattr(os, "readv")
@@ -427,22 +410,29 @@ def test_without_readv_a_like_read_is_a_cold_read(tmp_path, monkeypatch):
     assert first.layout._memo == {}
 
 
-def test_kept_headers_do_not_excuse_a_bad_file(tmp_path):
+def test_kept_headers_do_not_excuse_a_bad_file(tmp_path, monkeypatch):
+    # A file of another size than the layout's is read cold without a
+    # readv into a values array of the layout's size; one of that size is
+    # read, and its head block does not match.
     rng = np.random.default_rng(7)
     base = _write(tmp_path / "base.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2))
     blob = base.read_bytes()
     cases = [
-        (blob[:-4], "truncated while reading values of 'c'"),
-        (blob + b"\0" * 4, "4 trailing bytes"),
-        (b"XXXXXXXX" + blob[8:], "bad magic"),
+        (blob[:-4], "truncated while reading values", 0),
+        (blob + b"\0" * 4, "4 trailing bytes", 0),
+        (b"XXXXXXXX" + blob[8:], "bad magic", 1),
     ]
     like = _like(read_embedding_dump(base))
-    for content, match in cases:
+    calls, readv = [], os.readv
+    monkeypatch.setattr(os, "readv", lambda fd, buffers: calls.append(fd) or readv(fd, buffers))
+    for content, match, reads in cases:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(content)
+        calls.clear()
         with pytest.raises(FormatError, match=match) as info:
             read_embedding_dump(bad, like=like)
         assert str(bad) in str(info.value)
+        assert len(calls) == reads, match
 
 
 def test_non_finite_value_under_a_kept_layout_names_the_file(tmp_path):
@@ -458,48 +448,61 @@ def test_non_finite_value_under_a_kept_layout_names_the_file(tmp_path):
     assert read_embedding_dump(base, like=like).layout is like[0]
 
 
-def test_reads_without_a_layout_walk_every_time_and_share_nothing(tmp_path, monkeypatch):
+def test_reads_without_a_layout_walk_every_time_and_share_nothing(tmp_path):
     # A read depends only on its arguments and the file: without ``like``,
-    # a file read twice is walked twice, whatever was read before.
+    # a file read twice is read cold twice, whatever was read before, each
+    # time on a new layout that keeps nothing.
     rng = np.random.default_rng(9)
     path = _write(tmp_path / "base.bin", BASE_IDS, random_blocks(rng, BASE_LENGTHS, 2))
-    walked = _count_walks(monkeypatch)
     first, second = read_embedding_dump(path), read_embedding_dump(path)
-    assert len(walked) == 2
     assert first.layout is not second.layout
     assert first.layout._memo == {} and second.layout._memo == {}
     assert first.ids == second.ids and np.array_equal(first.values, second.values)
-    # Handed the first read's layout, a third read walks nothing and shares it.
-    assert read_embedding_dump(path, like=_like(first)).layout is first.layout
-    assert len(walked) == 2
+    # Handed the first read's layout, a third read shares it and scores as they do.
+    third = read_embedding_dump(path, like=_like(first))
+    assert third.layout is first.layout
+    assert third.nuclear_norms().tobytes() == second.nuclear_norms().tobytes()
 
 
-def test_a_like_read_on_a_layout_never_read_shares_it(tmp_path, monkeypatch):
+def test_a_like_read_on_a_layout_never_read_shares_it(tmp_path):
     # A layout built by hand, whose dump the writer wrote: a read handed it
-    # checks the file against the headers the writer packed, walks nothing
-    # and gives the values a read without it gives.
+    # checks the file against the head block the writer packed, shares the
+    # layout, and gives the values and norms a read without it gives.
     rng = np.random.default_rng(13)
     layout = DumpLayout(("é", "日本", "𝄞x"), np.cumsum((0, *BASE_LENGTHS)))
     path = tmp_path / "written.bin"
     write_embedding_dump(path, EmbeddingDump(layout, np.concatenate(random_blocks(rng, BASE_LENGTHS, 3))))
     cold = read_embedding_dump(path)
-    walked = _count_walks(monkeypatch)
     dump = read_embedding_dump(path, like=(layout, 3))
-    assert walked == [] and dump.layout is layout
+    assert dump.layout is layout
     assert dump.values.tobytes() == cold.values.tobytes()
+    assert dump.nuclear_norms().tobytes() == cold.nuclear_norms().tobytes()
 
 
-def test_a_like_read_on_the_run_loops_layout_shares_it(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "like",
+    [(DumpLayout(["a", "\ud800"], [0, 1, 2]), 3), (DumpLayout(["a", "b"], [0, 1, 2]), 2**32)],
+    ids=["lone-surrogate-id", "cols-past-u32"],
+)
+def test_a_like_read_of_a_layout_no_file_can_have_is_a_cold_read(tmp_path, like):
+    # No dump file has an id with a lone surrogate or 2**32 columns, so its
+    # head block cannot be packed: the read is cold, and keeps nothing.
+    path = tmp_path / "two.bin"
+    write_embedding_dump(path, pack_dump([("a", [[1.0, 2.0, 3.0]]), ("b", [[4.0, 5.0, 6.0]])]))
+    dump, cold = read_embedding_dump(path, like=like), read_embedding_dump(path)
+    assert dump.layout is not like[0] and dump.layout._memo == {} and like[0]._memo == {}
+    assert dump.ids == cold.ids and dump.values.tobytes() == cold.values.tobytes()
+
+
+def test_a_like_read_on_the_run_loops_layout_shares_it(tmp_path):
     # The training layout encode_datasets builds, never read from a file,
     # takes every dump run_spdcl wrote on it.
     train, valid = encode_datasets(*make_zipfian_dataset(30, 10, 3, seed=4), "multiclass", max_len=32)
     run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=2, seed=2), TrainHyper(hidden=4), tmp_path)
     paths = sorted(tmp_path.glob("epoch*.embeddings.bin"))
     assert len(paths) == 2
-    colds = [read_embedding_dump(path) for path in paths]
-    walked = _count_walks(monkeypatch)
-    for path, cold in zip(paths, colds):
-        dump = read_embedding_dump(path, like=(train.layout, 4))
+    for path in paths:
+        dump, cold = read_embedding_dump(path, like=(train.layout, 4)), read_embedding_dump(path)
         assert dump.layout is train.layout
         assert dump.values.tobytes() == cold.values.tobytes()
-    assert walked == []
+        assert dump.nuclear_norms().tobytes() == cold.nuclear_norms().tobytes()

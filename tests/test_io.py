@@ -33,7 +33,7 @@ from spdcl.io import (
 )
 from spdcl.scheduler import EpochPlan
 
-from dumps import pack_dump
+from dumps import dump_file, pack_dump
 from tables import ranked_ids, score_table, table_bits
 
 
@@ -141,17 +141,16 @@ def test_dump_values_survive_exactly(tmp_path):
 
 def test_dump_header_layout(tmp_path):
     path = tmp_path / "dump.bin"
-    write_embedding_dump(path, pack_dump([("ab", [[1.0, 2.0]])]))
+    blocks = [[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]]
+    write_embedding_dump(path, pack_dump(zip(["ab", "é"], blocks)))
     blob = path.read_bytes()
     assert blob[:8] == DUMP_MAGIC
-    version, count = struct.unpack("<IQ", blob[8:20])
-    assert (version, count) == (1, 1)
-    (id_len,) = struct.unpack("<I", blob[20:24])
-    assert blob[24 : 24 + id_len] == b"ab"
-    rows, cols = struct.unpack("<II", blob[24 + id_len : 32 + id_len])
-    assert (rows, cols) == (1, 2)
-    floats = np.frombuffer(blob[32 + id_len :], dtype="<f4")
-    assert floats.tolist() == [1.0, 2.0]
+    assert struct.unpack("<IQIQ", blob[8:32]) == (2, 2, 2, 3)  # version, samples, cols, total rows
+    assert struct.unpack("<II", blob[32:40]) == (2, 2)  # the ids' byte lengths
+    assert blob[40:44] == "abé".encode("utf-8")
+    assert struct.unpack("<QQQ", blob[44:68]) == (0, 1, 3)  # row offsets
+    assert np.frombuffer(blob[68:], dtype="<f4").tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert blob == dump_file(["ab", "é"], blocks)
 
 
 def test_dump_rejects_corruption(tmp_path):
@@ -172,18 +171,9 @@ def test_dump_rejects_corruption(tmp_path):
         read_embedding_dump(trailing)
 
 
-def dump_bytes(*samples):
-    """A v1 dump written by hand: (id bytes, rows, cols, float values) per sample."""
-    parts = [DUMP_MAGIC, struct.pack("<IQ", 1, len(samples))]
-    for id_bytes, rows, cols, floats in samples:
-        parts += [struct.pack("<I", len(id_bytes)), id_bytes, struct.pack("<II", rows, cols)]
-        parts.append(np.asarray(floats, dtype="<f4").tobytes())
-    return b"".join(parts)
-
-
 def test_dump_rejects_duplicate_ids(tmp_path):
     path = tmp_path / "dup.bin"
-    path.write_bytes(dump_bytes((b"a", 1, 1, [1.0]), (b"a", 1, 1, [2.0])))
+    path.write_bytes(dump_file([b"a", b"a"], [[[1.0]], [[2.0]]]))
     with pytest.raises(FormatError, match="duplicate sample id 'a'"):
         read_embedding_dump(path)
 
@@ -191,22 +181,61 @@ def test_dump_rejects_duplicate_ids(tmp_path):
 @pytest.mark.parametrize(
     "samples, match",
     [
-        ([(b"a", 0, 2, [])], "'a' has no rows"),
-        ([(b"a", 2, 0, [])], "column"),
-        ([(b"a", 1, 2, [1.0, 2.0]), (b"b", 1, 3, [1.0, 2.0, 3.0])], "'b' has 3 columns"),
-        ([(b"a", 1, 2, [1.0, 2.0]), (b"b", 1, 2, [np.nan, 0.0])], "'b' contains non-finite"),
-        ([(b"a", 1, 1, [np.inf])], "'a' contains non-finite"),
-        ([(b"ok", 1, 1, [1.0]), (b"\xff\xfe", 1, 1, [1.0])], "sample 1 is not valid UTF-8"),
+        ([(b"a", np.zeros((0, 2)))], "'a' has no rows"),
+        ([(b"a", np.zeros((2, 0)))], "column"),
+        # The file holds one column count: a sample with more values leaves them after the values.
+        ([(b"a", [[1.0, 2.0]]), (b"b", [[1.0, 2.0, 3.0]])], "4 trailing bytes"),
+        ([(b"a", [[1.0, 2.0]]), (b"b", [[np.nan, 0.0]])], "'b' contains non-finite"),
+        ([(b"a", [[np.inf]])], "'a' contains non-finite"),
+        ([(b"ok", [[1.0]]), (b"\xff\xfe", [[1.0]])], "sample 1 is not valid UTF-8"),
         ([], "empty"),
-        ([(b"ok", 1, 1, [1.0]), (b"", 1, 1, [1.0])], "sample 1 has an empty id"),
+        ([(b"ok", [[1.0]]), (b"", [[1.0]])], "sample 1 has an empty id"),
     ],
 )
 def test_dump_rejects_bad_samples(tmp_path, samples, match):
     path = tmp_path / "bad.bin"
-    path.write_bytes(dump_bytes(*samples))
+    path.write_bytes(dump_file([sid for sid, _ in samples], [block for _, block in samples]))
     with pytest.raises(FormatError, match=match) as info:
         read_embedding_dump(path)
     assert str(path) in str(info.value)
+
+
+# Two samples, "a" with one row and "bé" with two, of two columns: the
+# fixed header ends at byte 32, the id lengths at 40, the ids at 44, the
+# row offsets at 68, and the values at 92.
+HEAD_IDS, HEAD_BLOCKS = ["a", "bé"], [[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]]
+
+
+@pytest.mark.parametrize(
+    "content, match",
+    [
+        (dump_file(HEAD_IDS, HEAD_BLOCKS)[:20], "truncated while reading header"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS)[:36], "truncated while reading id lengths"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS)[:42], "truncated while reading ids"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS)[:60], "truncated while reading row offsets"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS)[:88], "truncated while reading values: 88 bytes, 92 declared"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS) + bytes(4), "4 trailing bytes after the values"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS, offsets=[1, 1, 3]), "row offsets start at 1, not 0"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS, offsets=[0, 2, 1], rows=3), "row offsets decrease after sample 1"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS, rows=4), "row offsets end at 3, not at the header's 4 rows"),
+        (dump_file(["a", b"b\xc3"], HEAD_BLOCKS), "id of sample 1 is not valid UTF-8"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS, version=1), "unsupported dump version 1"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS, version=3), "unsupported dump version 3"),
+    ],
+    ids=["header", "id-lengths", "ids", "offsets", "values", "trailing", "first-offset", "decreasing-offset",
+         "last-offset", "utf-8", "version-1", "version-3"],
+)
+def test_dump_rejects_a_bad_head_block_naming_the_file(tmp_path, content, match):
+    # Read cold, and read handed the layout of the good file: a file that is
+    # not the layout's is read cold, so both give the cold read's error.
+    good = tmp_path / "good.bin"
+    good.write_bytes(dump_file(HEAD_IDS, HEAD_BLOCKS))
+    like = read_embedding_dump(good).layout, 2
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(content)
+    for kwargs in ({}, {"like": like}):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: .*{match}"):
+            read_embedding_dump(bad, **kwargs)
 
 
 # --------------------------------------------------------------- score files

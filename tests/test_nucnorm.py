@@ -272,7 +272,7 @@ def test_a_later_read_dump_scores_as_a_cold_read(tmp_path, monkeypatch, change, 
     # fresh pass otherwise.  Both dumps draw each sample's rows from a table
     # by the same token ids; the second, from a new table, is then changed
     # in one sample that shrinks.  Its norms must equal those of a cold read
-    # (a fresh header walk, so a layout that keeps nothing) and
+    # (a layout that keeps nothing) and
     # nuclear_norm of each sample, bit for bit.
     if hashes == "every-hash-collides":
         monkeypatch.setattr(nucnorm, "_ROW_HASH_BASE", 0)

@@ -825,12 +825,14 @@ def test_one_dump_alive_at_a_time(monkeypatch, tmp_path):
 
 
 def test_a_run_keeps_no_layout_once_its_dataset_is_dropped(tmp_path):
-    # The scoring plan and the packed dump headers live on the training
-    # layout, so they go with the dataset; no module cache holds it.
+    # What the run derives from the training layout (the scoring plan, the
+    # dump's packed head block) lives on the layout, so it goes with the
+    # dataset; no module cache holds it.  The layout still reads its dumps.
     train, valid = make_encoded(n_train=20)
     run_spdcl(train, valid, RunConfig(bins_k=2, epochs_T=2, seed=2), TrainHyper(hidden=4), tmp_path)
     layout = weakref.ref(train.layout)
-    assert {kind for kind, _ in train.layout._memo} == {"plan", "headers"}
+    assert train.layout._memo
+    assert spdcl_io.read_embedding_dump(tmp_path / "epoch002.embeddings.bin", like=(train.layout, 4)).layout is layout()
     del train, valid
     assert layout() is None
 
@@ -858,7 +860,7 @@ def test_dump_gathered_in_slices_equals_one_cast(monkeypatch):
 
 def test_dump_scoring_and_writing_memory_does_not_follow_the_dump(tmp_path):
     # Scoring gathers the table's rows slice by slice and the writer chunk by
-    # chunk, so once the slice plan and the headers are warm, doubling the
+    # chunk, so once the slice plan and the head block are warm, doubling the
     # samples barely moves the peak.  A whole gathered dump, or a whole-file
     # join, would add at least the dump's size.
     length, vocab_size, hidden = 20, 50, 64
@@ -870,7 +872,7 @@ def test_dump_scoring_and_writing_memory_does_not_follow_the_dump(tmp_path):
         layout = DumpLayout([f"s{i:05d}" for i in range(n)], np.arange(n + 1) * length)
         dump = EmbeddingDump(layout, table, rng.integers(0, vocab_size, size=n * length))
         path = tmp_path / "dump.bin"
-        dump_norms(dump)  # warm the slice plan and the packed headers
+        dump_norms(dump)  # warm the slice plan and the packed head block
         spdcl_io.write_embedding_dump(path, dump)
         tracemalloc.start()
         try:
@@ -905,8 +907,8 @@ def test_memory_held_after_a_run_does_not_grow_with_its_epochs():
 
 @pytest.mark.parametrize("n", [1000, 4000])
 def test_dump_writer_holds_one_small_chunk(tmp_path, n):
-    # Once the headers are packed, the writer's peak is about two chunks
-    # (gathered rows and their joined bytes), whatever the dump's size.
+    # Once the head block is packed, the writer's peak is about one chunk
+    # (the gathered rows), whatever the dump's size.
     length, vocab_size, hidden = 20, 50, 64
     rng = np.random.default_rng(n)
     table = rng.standard_normal((vocab_size, hidden)).astype(np.float32)
@@ -914,7 +916,7 @@ def test_dump_writer_holds_one_small_chunk(tmp_path, n):
     layout = DumpLayout([f"s{i:05d}" for i in range(n)], np.arange(n + 1) * length)
     dump = EmbeddingDump(layout, table, rng.integers(0, vocab_size, size=n * length))
     path = tmp_path / "dump.bin"
-    spdcl_io.write_embedding_dump(path, dump)  # warm the packed headers
+    spdcl_io.write_embedding_dump(path, dump)  # warm the packed head block
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
