@@ -17,10 +17,12 @@ from spdcl import cli, difficulty, io
 from spdcl.nucnorm import DumpLayout
 from spdcl.synth import make_zipfian_dataset
 
-# The demo's shape, and a long-text set whose samples repeat tokens (20-250 tokens, d=64).
+# The demo's shape, a long-text set whose samples repeat tokens (20-250 tokens, d=64), and the demo's
+# shape at 203 training samples, whose dumps pad their ids with 3 zero bytes (the others' need none).
 DEMO = io.RunConfig(bins_k=2, epochs_T=3, seed=2, lr=0.5, batch=25, hidden_d=16, max_len=64)
 DATA = {"demo": dict(n_train=200, n_valid=50, seed=2),
-        "longtext": dict(n_train=40, n_valid=10, n_classes=3, seed=2, min_len=20, max_len=250)}
+        "longtext": dict(n_train=40, n_valid=10, n_classes=3, seed=2, min_len=20, max_len=250),
+        "padded": dict(n_train=203, n_valid=50, seed=2)}
 RUNS = {  # name: (data, config, --baseline)
     "curriculum": ("demo", DEMO, False),
     "baseline": ("demo", DEMO, True),
@@ -28,8 +30,9 @@ RUNS = {  # name: (data, config, --baseline)
     "identity-signed": ("demo", replace(DEMO, alignment_mode="identity", delta_ordering="signed",
                                         shuffle_within_epoch=False), False),
     "longtext": ("longtext", replace(DEMO, hidden_d=64, max_len=250), False),
+    "padded": ("padded", DEMO, False),
 }
-SEPARATE = ("curriculum", "identity-signed")  # checked once more with a new process per call
+SEPARATE = ("curriculum", "identity-signed", "padded")  # checked once more with a new process per call
 CHILD = [sys.executable, *(f"-W{option}" for option in sys.warnoptions)]  # this process's -W options
 REWRITE = "import sys; from spdcl import io; io.write_embedding_dump(sys.argv[2], io.read_embedding_dump(sys.argv[1]))"
 

@@ -26,28 +26,30 @@ epoch t, ``schedule`` reads it, ``score`` reads it again as
 ``--prev-scores``) parses no file it has just written.  Without ``written``
 every file is parsed.
 
-Embedding dumps are a small binary format, version 2:
+Embedding dumps are a small binary format, version 3:
 
     magic    8 bytes  b"SPDCLEMB"
-    version  u32 LE   2
+    version  u32 LE   3
     count    u64 LE   number of samples N
     cols     u32 LE   column count, shared by every sample
     rows     u64 LE   total rows
     N u32 LE          id lengths
     the ids           UTF-8, concatenated
+    padding           zero bytes up to the next multiple of 8 in the file
     N+1 u64 LE        row offsets: sample i owns rows offsets[i]:offsets[i + 1]
     rows*cols float32 LE values, row-major
 
 Everything before the values, the *head block*, depends only on the
 layout and the column count; it is packed once per pair and kept on the
-layout.  Any other version is rejected.  Values are single precision on
-disk and in memory (:class:`spdcl.nucnorm.EmbeddingDump`); scoring widens
-them to double.  ``write_embedding_dump`` writes the head block, then the
-values in chunks of contiguous samples: 64 KiB of float32 values each
-(``nucnorm._DUMP_CHUNK_VALUES``, or one sample if a sample is larger),
-one chunk alive at a time, so its memory follows the chunk size, not the
-file's.  ``read_embedding_dump`` reads a file whose head block is that of
-a layout it is handed with one ``os.readv``, and parses any other.
+layout.  The padding aligns the row offsets and the values.  Any other
+version is rejected.  Values are single precision on disk and in memory
+(:class:`spdcl.nucnorm.EmbeddingDump`); scoring widens them to double.
+``write_embedding_dump`` writes the head block, then the values in chunks
+of contiguous samples: 64 KiB of float32 values each
+(``nucnorm._DUMP_CHUNK_VALUES``, or one sample if a sample is larger), one
+chunk alive at a time, so its memory follows the chunk size, not the file's.
+``read_embedding_dump`` reads every file whole with one ``read()``, and
+parses none that starts with a handed layout's head block.
 Score-file ids are JSON-escaped once per id tuple.  Every write goes
 through a temp file in the target directory followed by an atomic rename.
 """
@@ -77,7 +79,7 @@ if TYPE_CHECKING:  # annotations only: score, schedule and report never load spd
     from spdcl.metrics import EvalReport
 
 DUMP_MAGIC = b"SPDCLEMB"
-DUMP_VERSION = 2
+DUMP_VERSION = 3
 _DUMP_HEADER = struct.Struct("<IQIQ")  # version, sample count, cols, total rows
 _DUMP_FIXED = len(DUMP_MAGIC) + _DUMP_HEADER.size
 
@@ -281,6 +283,7 @@ def _head_block(layout: DumpLayout, cols: int) -> bytes:
             _DUMP_HEADER.pack(DUMP_VERSION, len(ids), cols, int(layout.offsets[-1])),
             np.fromiter(map(len, ids), "<u4", len(ids)).tobytes(),
             *ids,
+            bytes(-(_DUMP_FIXED + 4 * len(ids) + sum(map(len, ids))) % 8),  # the padding
             layout.offsets.astype("<u8").tobytes(),
         ))
         layout._memo[("head", cols)] = head
@@ -300,52 +303,27 @@ def write_embedding_dump(path, dump: EmbeddingDump) -> None:
     _atomic_write_chunks(Path(path), chain((head,), rows))
 
 
-def _read_like(fd: int, layout: DumpLayout, cols: int) -> np.ndarray | None:
-    """The values of the open file ``fd`` if it is the dump file of ``layout``
-    and ``cols``, read-only, else None.
-
-    One ``os.readv`` reads the file into two buffers: a scratch buffer for
-    the head block and the values array.  The file must have the size of
-    that head block and the values, the call must fill both, the scratch
-    must equal the head block the writer packs, and the file must end
-    there.  A layout no dump file has (see :func:`_head_block`) gives None.
-    No ``mmap``: a file cut short while mapped would kill the process with
-    SIGBUS.
-    """
-    try:
-        head = _head_block(layout, cols)
-    except (UnicodeEncodeError, struct.error):
-        return None
-    rows = int(layout.offsets[-1])
-    size = len(head) + 4 * rows * cols
-    if os.fstat(fd).st_size != size:
-        return None
-    scratch = bytearray(len(head))
-    values = np.empty((rows, cols), dtype="<f4")
-    if os.readv(fd, (scratch, values)) != size or scratch != head or os.read(fd, 1):
-        return None
-    values.setflags(write=False)
-    return values
-
-
 def read_embedding_dump(path, like: tuple[DumpLayout, int] | None = None) -> EmbeddingDump:
-    """Read a v2 dump.
+    """Read a v3 dump whole, with one ``read()``: its values are a read-only array over the file's bytes.
 
     ``like`` is a layout and column count, such as those of a dump the
-    caller read or wrote before.  Where ``os.readv`` exists, a file that is
-    exactly the dump file of ``like`` (see :func:`_read_like`) is read
-    straight into its values array, and its dump shares ``like``'s layout,
-    with what the layout keeps: scoring's plan, reused while the rows'
-    classes repeat, and the packed head block.  Any other file, and every
-    file read without ``like`` (or without ``os.readv``), is read cold: read
-    whole, its head block parsed and checked, its values an array over the
-    file's bytes; its new layout keeps nothing.
+    caller read or wrote before.  A file of the size of ``like``'s head
+    block (see :func:`_head_block`) and values that starts with that head
+    block is not parsed, and its dump shares ``like``'s layout and what it
+    keeps: scoring's plan, reused while the rows' classes repeat, and the
+    head block.  Any other file, and every read without a ``like`` a dump
+    file can have, is parsed and checked cold; its new layout keeps nothing.
     """
-    with open(path, "rb", buffering=0) as fh:
-        values = _read_like(fh.fileno(), *like) if like and hasattr(os, "readv") else None
-        if values is None:
-            fh.seek(0)
-            like, values = _parse_dump(path, fh.read())
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        head = _head_block(*like) if like else None
+    except (UnicodeEncodeError, struct.error):  # a layout no dump file has
+        head = None
+    if head and len(blob) == len(head) + 4 * int(like[0].offsets[-1]) * like[1] and blob.startswith(head):
+        values = np.frombuffer(blob, "<f4", offset=len(head))
+    else:
+        like, values = _parse_dump(path, blob)
     layout, cols = like
     try:
         return EmbeddingDump(layout, values.reshape(layout.offsets[-1], cols))
@@ -376,12 +354,17 @@ def _parse_dump(path, blob: bytes) -> tuple[tuple[DumpLayout, int], np.ndarray]:
     if ids_at > size:
         raise truncated("id lengths")
     bounds = [ids_at, *(np.cumsum(np.frombuffer(blob, "<u4", count, _DUMP_FIXED), dtype=np.int64) + ids_at).tolist()]
-    values_at = bounds[-1] + 8 * (count + 1)
+    offsets_at = bounds[-1] + -bounds[-1] % 8
+    values_at = offsets_at + 8 * (count + 1)
     if bounds[-1] > size:
         raise truncated("ids")
+    if offsets_at > size:
+        raise truncated("padding")
+    if blob[bounds[-1]:offsets_at].strip(b"\0"):
+        raise FormatError(f"{path}: non-zero padding after the ids")
     if values_at > size:
         raise truncated("row offsets")
-    offsets = np.frombuffer(blob, "<u8", count + 1, bounds[-1])
+    offsets = np.frombuffer(blob, "<u8", count + 1, offsets_at)
     if offsets[0] != 0:
         raise FormatError(f"{path}: row offsets start at {offsets[0]}, not 0")
     drops = np.flatnonzero(offsets[1:] < offsets[:-1])

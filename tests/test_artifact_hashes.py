@@ -22,6 +22,7 @@ from spdcl import io as spdcl_io
 from spdcl import nucnorm
 from spdcl.cli import main
 from spdcl.io import RunConfig, write_dataset, write_run_config
+from spdcl.nucnorm import EmbeddingDump
 from spdcl.synth import make_zipfian_dataset
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "artifact_hashes.py"
@@ -121,15 +122,17 @@ def test_check_run_names_a_dump_whose_shared_layout_read_misplaces_values(traine
     # A read on a kept layout whose values come back with their first two
     # rows swapped must be named by the dump it misread, against a read
     # without the layout.
-    readv = os.readv
+    read = spdcl_io.read_embedding_dump
 
-    def misplace(fd, buffers):
-        done = readv(fd, buffers)
-        rows = np.frombuffer(buffers[-1], dtype=np.uint8).reshape(-1, 16)  # the values: rows of four float32
-        rows[[0, 1]] = rows[[1, 0]]
-        return done
+    def misplace(path, like=None):
+        dump = read(path, like=like)
+        if like is None:
+            return dump
+        values = dump.values.copy()
+        values[[0, 1]] = values[[1, 0]]
+        return EmbeddingDump(dump.layout, values)
 
-    monkeypatch.setattr(os, "readv", misplace)
+    monkeypatch.setattr(spdcl_io, "read_embedding_dump", misplace)
     bad = artifact_hashes.check_run(trained_run, tmp_path / "work")
     assert any("epoch002.embeddings.bin: read on the first dump's layout, holds other values" in line
                for line in bad), bad

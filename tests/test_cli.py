@@ -151,10 +151,15 @@ def test_score_rejects_a_v1_dump_naming_its_version(tmp_path, capsys):
     v1 = tmp_path / "v1.bin"
     v1.write_bytes(b"SPDCLEMB" + struct.pack("<IQ", 1, 1) + struct.pack("<I", 1) + b"a"
                    + struct.pack("<II", 1, 2) + struct.pack("<2f", 1.0, 2.0))
-    code = run_cli("score", "--embeddings", str(v1), "--epoch", "1", "--out", str(tmp_path / "o"))
-    assert code != 0
-    assert capsys.readouterr().err == f"error:malformed-dump: {v1}: unsupported dump version 1\n"
-    assert not (tmp_path / "o").exists()
+    # A version 2 file: the fixed header, the id length, the id, then the row offsets with no padding.
+    v2 = tmp_path / "v2.bin"
+    v2.write_bytes(b"SPDCLEMB" + struct.pack("<IQIQ", 2, 1, 2, 1) + struct.pack("<I", 1) + b"a"
+                   + struct.pack("<QQ", 0, 1) + struct.pack("<2f", 1.0, 2.0))
+    for version, path in ((1, v1), (2, v2)):
+        code = run_cli("score", "--embeddings", str(path), "--epoch", "1", "--out", str(tmp_path / "o"))
+        assert code != 0
+        assert capsys.readouterr().err == f"error:malformed-dump: {path}: unsupported dump version {version}\n"
+        assert not (tmp_path / "o").exists()
 
 
 def test_score_wrong_prev_epoch(dump_path, tmp_path, capsys):

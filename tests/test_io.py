@@ -33,7 +33,7 @@ from spdcl.io import (
 )
 from spdcl.scheduler import EpochPlan
 
-from dumps import dump_file, pack_dump
+from dumps import PAD_IDS, dump_file, pack_dump
 from tables import ranked_ids, score_table, table_bits
 
 
@@ -145,12 +145,26 @@ def test_dump_header_layout(tmp_path):
     write_embedding_dump(path, pack_dump(zip(["ab", "é"], blocks)))
     blob = path.read_bytes()
     assert blob[:8] == DUMP_MAGIC
-    assert struct.unpack("<IQIQ", blob[8:32]) == (2, 2, 2, 3)  # version, samples, cols, total rows
+    assert struct.unpack("<IQIQ", blob[8:32]) == (3, 2, 2, 3)  # version, samples, cols, total rows
     assert struct.unpack("<II", blob[32:40]) == (2, 2)  # the ids' byte lengths
     assert blob[40:44] == "abé".encode("utf-8")
-    assert struct.unpack("<QQQ", blob[44:68]) == (0, 1, 3)  # row offsets
-    assert np.frombuffer(blob[68:], dtype="<f4").tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert blob[44:48] == bytes(4)  # padding up to byte 48
+    assert struct.unpack("<QQQ", blob[48:72]) == (0, 1, 3)  # row offsets
+    assert np.frombuffer(blob[72:], dtype="<f4").tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     assert blob == dump_file(["ab", "é"], blocks)
+
+
+@pytest.mark.parametrize("ids", PAD_IDS, ids=lambda ids: f"pad-{-(40 + len(ids[0]) + 1) % 8}")
+def test_dump_pads_the_ids_to_eight_bytes(tmp_path, ids):
+    path = tmp_path / "dump.bin"
+    blocks = [[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]]
+    write_embedding_dump(path, pack_dump(zip(ids, blocks)))
+    blob = path.read_bytes()
+    ids_end = 40 + len(ids[0]) + 1
+    pad = -ids_end % 8
+    assert blob[ids_end:ids_end + pad] == bytes(pad)
+    assert struct.unpack("<QQQ", blob[ids_end + pad:ids_end + pad + 24]) == (0, 1, 3)
+    assert blob == dump_file(ids, blocks) == dump_file(ids, blocks, pad=bytes(pad))
 
 
 def test_dump_rejects_corruption(tmp_path):
@@ -201,8 +215,8 @@ def test_dump_rejects_bad_samples(tmp_path, samples, match):
 
 
 # Two samples, "a" with one row and "bé" with two, of two columns: the
-# fixed header ends at byte 32, the id lengths at 40, the ids at 44, the
-# row offsets at 68, and the values at 92.
+# fixed header ends at byte 32, the id lengths at 40, the ids at 43, the
+# padding at 48, the row offsets at 72, and the values at 96.
 HEAD_IDS, HEAD_BLOCKS = ["a", "bé"], [[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]]
 
 
@@ -212,18 +226,22 @@ HEAD_IDS, HEAD_BLOCKS = ["a", "bé"], [[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]]
         (dump_file(HEAD_IDS, HEAD_BLOCKS)[:20], "truncated while reading header"),
         (dump_file(HEAD_IDS, HEAD_BLOCKS)[:36], "truncated while reading id lengths"),
         (dump_file(HEAD_IDS, HEAD_BLOCKS)[:42], "truncated while reading ids"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS)[:45], "truncated while reading padding"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS, pad=b"\0\0\1\0\0"), "non-zero padding after the ids"),
         (dump_file(HEAD_IDS, HEAD_BLOCKS)[:60], "truncated while reading row offsets"),
-        (dump_file(HEAD_IDS, HEAD_BLOCKS)[:88], "truncated while reading values: 88 bytes, 92 declared"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS)[:88], "truncated while reading values: 88 bytes, 96 declared"),
         (dump_file(HEAD_IDS, HEAD_BLOCKS) + bytes(4), "4 trailing bytes after the values"),
         (dump_file(HEAD_IDS, HEAD_BLOCKS, offsets=[1, 1, 3]), "row offsets start at 1, not 0"),
         (dump_file(HEAD_IDS, HEAD_BLOCKS, offsets=[0, 2, 1], rows=3), "row offsets decrease after sample 1"),
         (dump_file(HEAD_IDS, HEAD_BLOCKS, rows=4), "row offsets end at 3, not at the header's 4 rows"),
         (dump_file(["a", b"b\xc3"], HEAD_BLOCKS), "id of sample 1 is not valid UTF-8"),
         (dump_file(HEAD_IDS, HEAD_BLOCKS, version=1), "unsupported dump version 1"),
-        (dump_file(HEAD_IDS, HEAD_BLOCKS, version=3), "unsupported dump version 3"),
+        # Version 2 had no padding: its row offsets followed the ids.
+        (dump_file(HEAD_IDS, HEAD_BLOCKS, version=2, pad=b""), "unsupported dump version 2"),
+        (dump_file(HEAD_IDS, HEAD_BLOCKS, version=4), "unsupported dump version 4"),
     ],
-    ids=["header", "id-lengths", "ids", "offsets", "values", "trailing", "first-offset", "decreasing-offset",
-         "last-offset", "utf-8", "version-1", "version-3"],
+    ids=["header", "id-lengths", "ids", "padding", "non-zero-padding", "offsets", "values", "trailing",
+         "first-offset", "decreasing-offset", "last-offset", "utf-8", "version-1", "version-2", "version-4"],
 )
 def test_dump_rejects_a_bad_head_block_naming_the_file(tmp_path, content, match):
     # Read cold, and read handed the layout of the good file: a file that is
